@@ -32,7 +32,7 @@ from .conversion import (
     validate_rac,
 )
 from .decoding import expected_hamming_exact, identification_bound_check
-from .errors import DerandomizationFailedError, DomainError, NotConvergedError
+from .errors import DerandomizationFailedError, DomainError, NotConvergedError, SizeCapError
 from .info import (
     ClassicalChannel,
     distance_conditioning_check,
@@ -552,6 +552,8 @@ def cmd_suite(cfg: dict) -> dict:
     kind = cfg["kind"]
     if kind not in SUITE_KINDS:
         raise UsageError(f"suite kind must be one of {', '.join(SUITE_KINDS)}")
+    if cfg["seeds"] is not None and cfg["seeds"] < 1:
+        raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
     kinds = [k for k in SUITE_KINDS if k != "all"] if kind == "all" else [kind]
     checks = []
     for k in kinds:
@@ -661,10 +663,7 @@ def cmd_minimax(cfg: dict) -> dict:
 def cmd_bounds(cfg: dict) -> dict:
     n = cfg["n"]
     p = cfg["p_target"] if cfg["p_target"] is not None else P_STANDARD
-    try:
-        bound = qubit_lower_bound(n, p)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    bound = qubit_lower_bound(n, p)
     extra = {
         "n": n,
         "p_target": p,
@@ -790,7 +789,7 @@ def main(argv=None) -> int:
             report = cmd_bounds(cfg)
         else:
             raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, DomainError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return emit_report(report, cfg["format"], cfg["out"])

@@ -127,6 +127,15 @@ def _sample_from(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(dist) - 1)
 
 
+def _accept_prob(scheme: CompressionScheme, x: int, draws: np.ndarray) -> np.ndarray:
+    """Alice's chance of accepting each drawn sample y on input x:
+    E(x)(y) / (2^{a(x)} Z(y)), and 0 where Z(y) = 0."""
+    row = scheme.channel.row(x)
+    z = scheme.z[draws]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(z > 0.0, row[draws] / (scheme.ratio[x] * z), 0.0)
+
+
 def run_protocol(
     scheme: CompressionScheme,
     x: int,
@@ -150,12 +159,7 @@ def run_protocol(
     bob = stream(shared_seed, TAG_BOB, *path)
 
     draws = _sample_from(scheme.z, shared.random(scheme.n_cap))
-    row = scheme.channel.row(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accept_p = np.where(
-            scheme.z[draws] > 0.0, row[draws] / (scheme.ratio[x] * scheme.z[draws]), 0.0
-        )
-    hits = np.flatnonzero(alice.random(scheme.n_cap) < accept_p)
+    hits = np.flatnonzero(alice.random(scheme.n_cap) < _accept_prob(scheme, x, draws))
     if hits.size:
         sent = int(hits[0]) + 1
         output = int(draws[hits[0]])
@@ -184,12 +188,7 @@ def run_protocol_batch(
     bob = stream(shared_seed, TAG_BATCH, TAG_BOB, x)
 
     draws = _sample_from(scheme.z, shared.random((runs, scheme.n_cap)))
-    row = scheme.channel.row(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accept_p = np.where(
-            scheme.z[draws] > 0.0, row[draws] / (scheme.ratio[x] * scheme.z[draws]), 0.0
-        )
-    accepted = alice.random((runs, scheme.n_cap)) < accept_p
+    accepted = alice.random((runs, scheme.n_cap)) < _accept_prob(scheme, x, draws)
     any_hit = accepted.any(axis=1)
     first = np.argmax(accepted, axis=1)
     sent = np.where(any_hit, first + 1, FAIL_INDEX)
@@ -224,12 +223,7 @@ def estimate_acceptance_rate(
     shared = stream(seed, TAG_BATCH, TAG_SHARED, x, 1)
     alice = stream(seed, TAG_BATCH, TAG_ALICE, x, 1)
     draws = _sample_from(scheme.z, shared.random(runs))
-    row = scheme.channel.row(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accept_p = np.where(
-            scheme.z[draws] > 0.0, row[draws] / (scheme.ratio[x] * scheme.z[draws]), 0.0
-        )
-    return float(np.mean(alice.random(runs) < accept_p))
+    return float(np.mean(alice.random(runs) < _accept_prob(scheme, x, draws)))
 
 
 def runs_to_csv(runs: list[ProtocolRun]) -> str:

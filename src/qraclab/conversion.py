@@ -158,24 +158,36 @@ def per_bit_success_symmetrized(q: Qrac) -> float:
     return value
 
 
+def _relabel(table: np.ndarray, s: SharedShift) -> ClassicalChannel:
+    """The outcome table seen through shift s: rows and columns relabelled
+    by the permutation of :func:`perm_array`."""
+    perm = perm_array(s)
+    return ClassicalChannel(table[perm][:, perm])
+
+
 def effective_channel(
     q: Qrac, s: SharedShift, pgm_uniform: PgmBundle | None = None
 ) -> ClassicalChannel:
     """The classical channel x -> y realized by the symmetrized roundtrip
-    under shared shift s."""
+    under shared shift s.
+
+    Every shift sees the same outcome table with its rows and columns
+    relabelled, so the table is built and its max capacity checked once
+    here; :func:`build_rac` calls this once with the identity shift and
+    relabels the result for each shift of its set.
+    """
     if q.n > ROUNDTRIP_MAX_N:
         raise SizeCapError(f"channel table capped at n = {ROUNDTRIP_MAX_N}, got {q.n}")
     if pgm_uniform is None:
         pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
     table = full_outcome_table(q, pgm_uniform)
-    perm = perm_array(s)
-    channel = ClassicalChannel(table[perm][:, perm])
-    g = float(np.max(channel.table, axis=0).sum())
+    # relabelling permutes the column maxima, so one check covers every shift
+    g = float(np.max(table, axis=0).sum())
     if math.log2(g) > q.m + 1e-9:
         raise ValidationError(
             f"channel max capacity {math.log2(g):.12f} exceeds the message size {q.m}"
         )
-    return channel
+    return _relabel(table, s)
 
 
 def sample_newman_set(
@@ -201,16 +213,22 @@ class NoBadEventReport:
     offending: tuple[tuple[int, int], ...]
 
 
+def _rows_by_shift(err: np.ndarray, n: int) -> dict[int, np.ndarray]:
+    """The per-(i, x) table with its bit-rows rotated as shift d relabels
+    them, for every d in 1..n; each shift then only permutes columns."""
+    rows = np.arange(n)
+    return {d: err[(rows - d) % n] for d in range(1, n + 1)}
+
+
 def _sampled_error_mean(
     err: np.ndarray, s_set: list[SharedShift], n: int
 ) -> np.ndarray:
     """Mean over s in S of the per-(i, x) error table pushed through each
     shift's relabeling; shape (n, 2^n)."""
+    by_d = _rows_by_shift(err, n)
     acc = np.zeros_like(err)
-    rows = np.arange(n)
     for s in s_set:
-        perm = perm_array(s)
-        acc += err[np.ix_((rows - s.d) % n, perm)]
+        acc += by_d[s.d][:, perm_array(s)]
     return acc / len(s_set)
 
 
@@ -317,7 +335,11 @@ def build_rac(
     max_resamples: int = 16,
 ) -> RacCodebook:
     """Sample a shift set free of bad events (resampling on failure), then
-    attach an eta/2-error compression scheme to each shift's channel."""
+    attach an eta/2-error compression scheme to each shift's channel.
+
+    The outcome table is built and checked once, as the channel of the
+    identity shift; each shift's channel is that table relabelled.
+    """
     n = q.n
     if n > RAC_MAX_N:
         raise SizeCapError(f"codebook construction capped at n = {RAC_MAX_N}, got {n}")
@@ -343,9 +365,9 @@ def build_rac(
             worst_margin=best_margin,
         )
 
-    schemes = tuple(
-        build_scheme(effective_channel(q, s, pgm), eta / 2.0) for s in s_set
-    )
+    # r = 0, d = n is the identity relabelling
+    outcomes = effective_channel(q, SharedShift(0, n, n), pgm).table
+    schemes = tuple(build_scheme(_relabel(outcomes, s), eta / 2.0) for s in s_set)
     index_bits_s = math.ceil(math.log2(len(s_set)))
     total_bits = index_bits_s + max(sc.index_bits for sc in schemes)
     floor = 1.0 - 2.0 * q.claimed_p * (1.0 - q.claimed_p) - eta
@@ -404,11 +426,10 @@ def validate_rac(codebook: RacCodebook, q: Qrac, tol: float = 1e-9) -> RacValida
         raise SizeCapError(f"validation capped at n = {RAC_MAX_N}, got {n}")
     pgm = build_pgm(Ensemble.uniform(q))
     err = per_bit_error_table(q, pgm)
-    rows = np.arange(n)
+    by_d = _rows_by_shift(err, n)
     acc = np.zeros_like(err)
     for s, sc in zip(codebook.s_set, codebook.schemes):
-        perm = perm_array(s)
-        p_sxi = err[np.ix_((rows - s.d) % n, perm)]
+        p_sxi = by_d[s.d][:, perm_array(s)]
         fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
         acc += (1.0 - fail) * (1.0 - p_sxi) + fail * 0.5
     table = acc / codebook.size_s

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bits import hamming_table
 from .errors import BadSplitError, DomainError, ValidationError
@@ -196,6 +195,10 @@ def max_channel_capacity_lp(channel: ClassicalChannel) -> float:
     Minimizes t subject to E(x)(y) <= t*sigma(y) over distributions sigma,
     linearized through tau = t*sigma so an off-the-shelf solver applies.
     """
+    # imported here, not at the top: scipy.optimize is slow to load and only
+    # this cross-check needs it
+    from scipy.optimize import linprog
+
     n_in, n_out = channel.in_size, channel.out_size
     c = np.ones(n_out)
     a_ub = np.repeat(-np.eye(n_out), n_in, axis=0)

@@ -89,6 +89,29 @@ def test_config_key_wrong_command_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--eta", "1.5"],
+        ["minimax", "--n", "9"],
+        ["suite", "--kind", "pgm", "--seeds", "0"],
+    ],
+)
+def test_bad_input_exits_two_without_traceback(argv):
+    cmd = [sys.executable, "-m", "qraclab.cli", *argv]
+    res = subprocess.run(cmd, capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, qraclab.cli; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
+
+
 def test_config_parsing_types(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qraclab.conversion as cv
+from qraclab.bits import bit_column
 from qraclab.compression import FAIL_INDEX, build_scheme, run_protocol
 from qraclab.errors import (
     BadShiftError,
@@ -348,6 +349,40 @@ class TestBuildRac:
         assert all(len(sc["channel_sha256"]) == 64 for sc in d["schemes"])
         assert d["total_message_bits"] == cb.total_message_bits
 
+    @pytest.mark.parametrize(
+        "make, eta",
+        [
+            (build_standard_2to1, 0.2),
+            (lambda: build_identity_encoding(3), 0.3),
+            (lambda: build_random_qrac(4, 3, seed=0), 0.3),
+        ],
+    )
+    def test_schemes_match_per_shift_channels(self, make, eta):
+        # the relabelled shared table gives exactly the scheme that a fresh
+        # per-shift channel build would
+        q = make()
+        pgm = uniform_pgm(q)
+        cb = cv.build_rac(q, eta=eta, seed=4)
+        for s, sc in zip(cb.s_set, cb.schemes):
+            ref = build_scheme(cv.effective_channel(q, s, pgm), eta / 2)
+            assert np.array_equal(sc.channel.table, ref.channel.table)
+            assert np.array_equal(sc.z, ref.z)
+            assert sc.c_max == ref.c_max
+            assert sc.n_cap == ref.n_cap
+
+    def test_outcome_table_built_once(self, monkeypatch):
+        calls = []
+        original = cv.full_outcome_table
+
+        def counting(q, pgm_uniform):
+            calls.append(q)
+            return original(q, pgm_uniform)
+
+        monkeypatch.setattr(cv, "full_outcome_table", counting)
+        cb = cv.build_rac(build_identity_encoding(3), eta=0.3, seed=1)
+        assert cb.size_s > 1
+        assert len(calls) == 1
+
 
 class TestValidateRac:
     def test_negative_control_single_adversarial_shift(self):
@@ -368,6 +403,30 @@ class TestValidateRac:
         assert spread_adv > 0.1
         assert spread_adv > 3 * spread_honest
         assert adversarial.min_success < honest.min_success
+
+    def test_table_matches_readout_of_each_channel(self):
+        # recompute success from each shift's channel table and the bits of
+        # its outputs, on a lopsided code where a wrong bit-row relabelling shows
+        q = build_random_qrac(3, 2, seed=29)
+        n = q.n
+        cb = cv.build_rac(q, eta=0.2, seed=7)
+        s_adv = cv.SharedShift(5, 1, n)
+        scheme = build_scheme(cv.effective_channel(q, s_adv), 0.1)
+        rigged = dataclasses.replace(
+            cb, s_set=(s_adv,), schemes=(scheme,), index_bits_s=0,
+            total_message_bits=scheme.index_bits,
+        )
+        bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
+        same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
+        for book in (cb, rigged):
+            expected = np.zeros((n, 2**n))
+            for sc in book.schemes:
+                fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
+                right = np.einsum("xy,ixy->ix", sc.channel.table, same)
+                expected += (1.0 - fail) * right + 0.5 * fail
+            expected /= book.size_s
+            table = cv.validate_rac(book, q).table
+            np.testing.assert_allclose(table, expected, rtol=0, atol=1e-9)
 
     def test_table_shape_and_argmin(self):
         q = build_standard_2to1()
