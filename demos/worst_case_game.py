@@ -12,13 +12,14 @@ from qraclab import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
+    hamming_budget,
     solve_worstcase,
 )
 
 
 def report(label, q, eps=0.02):
     sol = solve_worstcase(q, eps=eps)
-    bound = 2.0 * q.claimed_p * (1.0 - q.claimed_p) * q.n
+    bound = hamming_budget(q.claimed_p, q.n)
     print(f"{label}: n={q.n} m={q.m}")
     print(f"  certificate  max_x E[d_H] = {sol.worst_x_value:.6f}")
     print(f"  target       2p(1-p)n+eps*n = {bound + eps * q.n:.6f}")

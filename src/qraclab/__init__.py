@@ -73,6 +73,7 @@ from .qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
+    hamming_budget,
     validate_qrac,
 )
 from .rng import stream
@@ -108,6 +109,7 @@ __all__ = [
     "evaluate_worstcase",
     "exact_output_distribution",
     "expected_hamming_exact",
+    "hamming_budget",
     "helstrom_measurement",
     "helstrom_pmax",
     "identification_bound_check",

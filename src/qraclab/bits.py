@@ -55,6 +55,11 @@ def bit_column(i: int, n: int) -> np.ndarray:
     return (np.arange(2**n) >> (n - i)) & 1
 
 
+def bit_columns(n: int) -> np.ndarray:
+    """(n, 2^n) table whose row i-1 is :func:`bit_column` (i, n)."""
+    return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+
+
 def hamming_table(n: int) -> np.ndarray:
     """2^n x 2^n table of pairwise Hamming distances between indices."""
     xs = np.arange(2**n)

@@ -23,12 +23,14 @@ from .compression import (
     build_scheme,
     estimate_acceptance_rate,
     exact_output_distribution,
+    index_bits_cap,
 )
 from .conversion import (
     SharedShift,
     build_rac,
     effective_channel,
     full_outcome_table,
+    message_bits_budget,
     validate_rac,
 )
 from .decoding import expected_hamming_exact, identification_bound_check
@@ -49,6 +51,7 @@ from .qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
+    hamming_budget,
     validate_qrac,
 )
 from .serialize import SCHEMA_VERSION, dump_json, rows_to_csv
@@ -262,10 +265,8 @@ def suite_pgm(seed: int, seeds: int, jobs: int) -> list[dict]:
 
 
 def _hamming_worst_excess(q, seed: int, n_priors: int) -> tuple[float, float]:
-    """(max over priors of expected_dH - bound, uniform-prior expected_dH);
-    the bound uses max(p, 1/2) so it stays meaningful for weak codes."""
-    p_eff = max(q.claimed_p, 0.5)
-    bound = 2.0 * p_eff * (1.0 - p_eff) * q.n
+    """(max over priors of expected_dH - bound, uniform-prior expected_dH)."""
+    bound = hamming_budget(q.claimed_p, q.n)
     uniform = expected_hamming_exact(q, Ensemble.uniform(q), build_pgm(Ensemble.uniform(q)))
     worst = uniform.expected_dh - bound
     for prior in corpus.random_priors(2**q.n, n_priors, seed):
@@ -312,7 +313,7 @@ def suite_minimax(
             sol = solve_worstcase(q, eps=eps, max_iters=max_iters)
         except NotConvergedError as exc:
             sol = exc.best
-        bound = 2.0 * q.claimed_p * (1.0 - q.claimed_p) * q.n
+        bound = hamming_budget(q.claimed_p, q.n)
         return (
             sol.worst_x_value - (bound + eps * q.n),
             sol.gap / q.n,
@@ -387,9 +388,7 @@ def suite_compress(
             exact_output_distribution(scheme, x).tv_error - eta
             for x in range(ch.in_size)
         )
-        bits_cap = (
-            math.ceil(scheme.c_max) + math.ceil(math.log2(math.log(1.0 / eta))) + 2
-        )
+        bits_cap = index_bits_cap(scheme.c_max, eta)
         x_star = int(np.argmax(scheme.a))
         p = 2.0 ** -scheme.a[x_star]
         est = estimate_acceptance_rate(scheme, x_star, seed=seed + idx, runs=mc_runs)
@@ -416,12 +415,7 @@ def suite_convert(
         q, eta = item
         cb = build_rac(q, eta=eta, seed=seed, c_newman=c_newman)
         val = validate_rac(cb, q)
-        budget = (
-            q.m
-            + math.ceil(math.log2(len(cb.s_set)))
-            + math.ceil(math.log2(math.log(2.0 / eta)))
-            + 2
-        )
+        budget = message_bits_budget(q.m, len(cb.s_set), eta)
         return (
             val.min_success - cb.success_floor,
             cb.total_message_bits - budget,
@@ -576,12 +570,7 @@ def cmd_convert(cfg: dict) -> dict:
             "convert", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
         )
     val = validate_rac(cb, q)
-    budget = (
-        q.m
-        + math.ceil(math.log2(len(cb.s_set)))
-        + math.ceil(math.log2(math.log(2.0 / eta)))
-        + 2
-    )
+    budget = message_bits_budget(q.m, len(cb.s_set), eta)
     extra.update(
         {
             "s_set_size": len(cb.s_set),
@@ -610,7 +599,7 @@ def cmd_compress(cfg: dict) -> dict:
         exact_output_distribution(scheme, x).tv_error - eta
         for x in range(channel.in_size)
     )
-    bits_cap = math.ceil(scheme.c_max) + math.ceil(math.log2(math.log(1.0 / eta))) + 2
+    bits_cap = index_bits_cap(scheme.c_max, eta)
     x_star = int(np.argmax(scheme.a))
     p = 2.0 ** -scheme.a[x_star]
     est = estimate_acceptance_rate(scheme, x_star, seed=cfg["seed"], runs=100_000)
@@ -641,7 +630,7 @@ def cmd_minimax(cfg: dict) -> dict:
         sol = solve_worstcase(q, eps=eps, max_iters=cfg["max_iters"] or 2000)
     except NotConvergedError as exc:
         sol = exc.best
-    bound = 2.0 * q.claimed_p * (1.0 - q.claimed_p) * q.n
+    bound = hamming_budget(q.claimed_p, q.n)
     extra = {
         "n": n,
         "m": m,

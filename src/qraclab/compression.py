@@ -93,6 +93,12 @@ class ExactOutput:
     tv_error: float
 
 
+def index_bits_cap(c_max: float, eta: float) -> int:
+    """Most index bits a scheme of capacity ``c_max`` and error ``eta`` may
+    use: ceil(c_max) + ceil(log2 ln(1/eta)) + 2."""
+    return math.ceil(c_max) + math.ceil(math.log2(math.log(1.0 / eta))) + 2
+
+
 def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     """Fix the reference distribution, per-input overhead a(x), and the
     attempt cap n_cap = ceil(2^{c_max} ln(1/eta))."""
@@ -101,13 +107,12 @@ def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     table = channel.table
     cap = max_channel_capacity(channel)
     z = cap.sigma
-    # G = 2^{c_max} held in linear scale to keep n_cap arithmetic exact
-    g = float(np.max(table, axis=0).sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(z > 0.0, table / z, 0.0)
     ratio = ratios.max(axis=1)
     a = np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0.0)
-    n_cap = math.ceil(g * math.log(1.0 / eta))
+    # 2^{c_max} held in linear scale to keep n_cap arithmetic exact
+    n_cap = math.ceil(cap.column_max_sum * math.log(1.0 / eta))
     n_cap = max(n_cap, 1)
     return CompressionScheme(
         channel=channel,

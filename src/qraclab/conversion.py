@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import bit_column, format_bits
+from .bits import format_bits
 from .compression import (
     FAIL_INDEX,
     CompressionScheme,
@@ -33,9 +33,10 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
-from .info import ClassicalChannel
-from .pgm import PgmBundle, build_pgm
-from .qrac import Ensemble, Qrac
+from .info import ClassicalChannel, max_channel_capacity
+from .linalg import trace_table
+from .pgm import PgmBundle, build_pgm, marginal_f0s
+from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, stream
 from .serialize import rows_to_csv
 
@@ -104,8 +105,7 @@ def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     state encoding x."""
     if pgm_uniform.full is None:
         raise ValidationError("need a full-table measurement bundle")
-    full_stack = np.stack(pgm_uniform.full.elements)
-    table = np.einsum("yab,xba->xy", full_stack, q.state_stack).real
+    table = trace_table(q.state_stack, np.stack(pgm_uniform.full.elements))
     if table.min() < -1e-10:
         raise ValidationError(f"outcome probability {table.min()} below zero")
     return np.clip(table, 0.0, None)
@@ -114,13 +114,7 @@ def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
 def per_bit_error_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     """err[i-1, x] = probability bit i is decoded wrongly on input x under
     the uniform-prior square-root measurement marginals."""
-    n = q.n
-    f0s = np.stack(
-        [mv.elements[mv.outcomes.index(0)] for mv in pgm_uniform.marginals]
-    )
-    p0 = np.einsum("iab,xba->ix", f0s, q.state_stack).real
-    cols = np.stack([bit_column(i, n) for i in range(1, n + 1)])
-    return np.where(cols == 0, 1.0 - p0, p0)
+    return bit_error_table(marginal_f0s(pgm_uniform, q.n), q.state_stack)
 
 
 def symmetrized_roundtrip(
@@ -149,8 +143,7 @@ def per_bit_success_symmetrized(q: Qrac) -> float:
     pgm = build_pgm(Ensemble.uniform(q))
     err = per_bit_error_table(q, pgm)
     value = 1.0 - float(err.mean())
-    p_eff = max(q.claimed_p, 0.5)
-    floor = 1.0 - 2.0 * p_eff * (1.0 - p_eff)
+    floor = 1.0 - hamming_budget(q.claimed_p, 1)
     if value < floor - 1e-9:
         raise ValidationError(
             f"symmetrized per-bit success {value:.12f} fell below its floor {floor:.12f}"
@@ -180,14 +173,14 @@ def effective_channel(
         raise SizeCapError(f"channel table capped at n = {ROUNDTRIP_MAX_N}, got {q.n}")
     if pgm_uniform is None:
         pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
-    table = full_outcome_table(q, pgm_uniform)
+    channel = _relabel(full_outcome_table(q, pgm_uniform), s)
     # relabelling permutes the column maxima, so one check covers every shift
-    g = float(np.max(table, axis=0).sum())
-    if math.log2(g) > q.m + 1e-9:
+    c_max = max_channel_capacity(channel).value
+    if c_max > q.m + 1e-9:
         raise ValidationError(
-            f"channel max capacity {math.log2(g):.12f} exceeds the message size {q.m}"
+            f"channel max capacity {c_max:.12f} exceeds the message size {q.m}"
         )
-    return _relabel(table, s)
+    return channel
 
 
 def sample_newman_set(
@@ -258,6 +251,12 @@ def verify_no_bad_event(
     )
 
 
+def message_bits_budget(m: int, size_s: int, eta: float) -> int:
+    """Longest codebook message the conversion allows:
+    m + ceil(log2 |S|) + ceil(log2 ln(2/eta)) + 2 bits."""
+    return m + math.ceil(math.log2(size_s)) + math.ceil(math.log2(math.log(2.0 / eta))) + 2
+
+
 @dataclass(frozen=True)
 class RacCodebook:
     """Classical random access code distilled from a quantum one."""
@@ -284,12 +283,7 @@ class RacCodebook:
             raise ValidationError(
                 f"message length {self.total_message_bits} does not match its parts {parts}"
             )
-        budget = (
-            self.m
-            + math.ceil(math.log2(len(self.s_set)))
-            + math.ceil(math.log2(math.log(2.0 / self.eta)))
-            + 2
-        )
+        budget = message_bits_budget(self.m, len(self.s_set), self.eta)
         if self.total_message_bits > budget:
             raise ValidationError(
                 f"message length {self.total_message_bits} exceeds the budget {budget}"
@@ -370,7 +364,7 @@ def build_rac(
     schemes = tuple(build_scheme(_relabel(outcomes, s), eta / 2.0) for s in s_set)
     index_bits_s = math.ceil(math.log2(len(s_set)))
     total_bits = index_bits_s + max(sc.index_bits for sc in schemes)
-    floor = 1.0 - 2.0 * q.claimed_p * (1.0 - q.claimed_p) - eta
+    floor = 1.0 - hamming_budget(q.claimed_p, 1) - eta
     return RacCodebook(
         n=n,
         m=q.m,

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bit_column
 from .errors import DomainError, LabelMismatchError, ValidationError
-from .linalg import Povm
-from .pgm import PgmBundle
-from .qrac import Ensemble, Qrac
+from .linalg import Povm, paired_traces
+from .pgm import PgmBundle, marginal_f0s
+from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_SAMPLE, stream
 from .serialize import SCHEMA_VERSION, rows_to_csv
 
@@ -48,52 +47,23 @@ class HammingReport:
         return rows_to_csv(("i", "per_bit_error", "bound_share"), rows, path)
 
 
-def _marginals_f0(measurement, n: int, dim: int) -> list[np.ndarray]:
-    """Outcome-0 marginal operator per bit, from a bundle or a labeled table."""
-    if isinstance(measurement, PgmBundle):
-        if measurement.n != n:
-            raise LabelMismatchError(f"measurement built for n = {measurement.n}, code has {n}")
-        return [povm.elements[0] for povm in measurement.marginals]
-    if not isinstance(measurement, Povm):
-        raise TypeError(f"expected PgmBundle or Povm, got {type(measurement).__name__}")
-    labels = measurement.outcomes
-    if any(not 0 <= y < 2**n for y in labels):
-        raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
-    f0s = []
-    for i in range(1, n + 1):
-        col = bit_column(i, n)
-        f0 = np.zeros((dim, dim), dtype=complex)
-        for y, elem in zip(labels, measurement.elements):
-            if col[y] == 0:
-                f0 += elem
-        f0s.append(f0)
-    return f0s
-
-
 def expected_hamming_exact(q: Qrac, prior, measurement) -> HammingReport:
     """Exact per-bit and total Hamming error of ``measurement`` on ``q``.
 
     ``measurement`` may be a PgmBundle (marginals are used directly) or a
     full Povm labeled by string indices.  The reported bound is
-    2p(1-p)n with p the code's claimed worst-case success.
+    :func:`~qraclab.qrac.hamming_budget` of the code's claimed worst-case
+    success.
     """
     if isinstance(prior, Ensemble):
         prior = prior.prior
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (2**q.n,):
         raise ValidationError(f"prior must have length {2**q.n}")
-    stack = q.state_stack
-    f0s = _marginals_f0(measurement, q.n, q.dim)
-    per_bit = np.empty(q.n)
-    per_x = np.zeros(2**q.n)
-    for i in range(1, q.n + 1):
-        col = bit_column(i, q.n)
-        p_report0 = np.einsum("ij,xji->x", f0s[i - 1], stack).real
-        err_x = np.where(col == 0, 1.0 - p_report0, p_report0)
-        per_bit[i - 1] = prior @ err_x
-        per_x += err_x
-    p = q.claimed_p
-    bound = 2.0 * p * (1.0 - p) * q.n
+    err = bit_error_table(marginal_f0s(measurement, q.n), q.state_stack)
+    per_bit = err @ prior
+    per_x = err.sum(axis=0)
+    bound = hamming_budget(q.claimed_p, q.n)
     expected = float(per_bit.sum())
     return HammingReport(
         n=q.n,
@@ -153,9 +123,7 @@ def identification_bound_check(q: Qrac, measurement: Povm, tol: float = 1e-8) ->
     labels = measurement.outcomes
     if any(not 0 <= y < 2**q.n for y in labels):
         raise LabelMismatchError(f"outcome labels must lie in 0..{2**q.n - 1}")
-    lhs = 0.0
-    for y, elem in zip(labels, measurement.elements):
-        lhs += np.einsum("ij,ji->", elem, q.encoder[y].mat).real
+    lhs = paired_traces(np.stack(measurement.elements), q.state_stack[list(labels)]).sum()
     rhs = float(2**q.m)
     return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + tol))
 

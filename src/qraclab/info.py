@@ -176,6 +176,7 @@ def channel_mutual_information(channel: ClassicalChannel, prior) -> float:
 class MaxCapacityResult:
     value: float
     sigma: np.ndarray
+    column_max_sum: float  # sum_y max_x E(x)(y), i.e. 2^value
 
 
 def max_channel_capacity(channel: ClassicalChannel) -> MaxCapacityResult:
@@ -186,7 +187,9 @@ def max_channel_capacity(channel: ClassicalChannel) -> MaxCapacityResult:
     """
     g = channel.table.max(axis=0)
     total = g.sum()
-    return MaxCapacityResult(value=float(np.log2(total)), sigma=g / total)
+    return MaxCapacityResult(
+        value=float(np.log2(total)), sigma=g / total, column_max_sum=float(total)
+    )
 
 
 def max_channel_capacity_lp(channel: ClassicalChannel) -> float:

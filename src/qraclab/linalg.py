@@ -100,6 +100,19 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def trace_table(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Real (k, N) table Tr(ops[k] states[x]) for stacks of k and N square
+    matrices, as one complex matmul: Tr(A B) is the sum of A^T * B entrywise."""
+    k, n_states = len(ops), len(states)
+    flat_ops = np.asarray(ops).transpose(0, 2, 1).reshape(k, -1)
+    return (flat_ops @ np.asarray(states).reshape(n_states, -1).T).real
+
+
+def paired_traces(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Real diagonal Tr(ops[x] states[x]) of two equally long stacks."""
+    return np.einsum("xij,xji->x", ops, states).real
+
+
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference of two states."""
     r, s = _as_array(rho), _as_array(sigma)
@@ -233,5 +246,4 @@ class Povm:
 
     def probabilities(self, rho) -> np.ndarray:
         """Outcome probabilities for measuring ``rho``, in stored order."""
-        r = _as_array(rho)
-        return np.array([np.einsum("ij,ji->", e, r).real for e in self.elements])
+        return trace_table(np.stack(self.elements), _as_array(rho)[None])[:, 0]

@@ -15,40 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import bit_column, format_bits
-from .errors import LabelMismatchError, NotConvergedError, SizeCapError
+from .bits import format_bits
+from .errors import NotConvergedError, SizeCapError
 from .linalg import SUPPORT_CUTOFF, Povm
-from .pgm import PgmBundle, _pgm_raw, _psd_sqrt_stack
-from .qrac import Qrac
+from .pgm import PgmBundle, _pgm_raw, _psd_sqrt_stack, marginal_f0s
+from .qrac import Qrac, bit_error_table, hamming_budget
 from .serialize import matrix_to_reim
 
 SOLVER_MAX_N = 8
 SOLVER_MAX_M = 4
-
-
-def _per_x_distance(f0s: np.ndarray, stack: np.ndarray, n: int) -> np.ndarray:
-    """Expected Hamming distance for every input x, given the per-bit
-    outcome-0 elements ``f0s`` of shape (n, dim, dim)."""
-    # prob of decoding bit i as 0 when the encoded string is x
-    p0 = np.einsum("iab,xba->ix", f0s, stack).real
-    cols = np.stack([bit_column(i, n) for i in range(1, n + 1)])
-    err = np.where(cols == 0, 1.0 - p0, p0)
-    return err.sum(axis=0)
-
-
-def _marginal_f0_from_povm(measurement: Povm, n: int, dim: int) -> np.ndarray:
-    labels = np.asarray(measurement.outcomes)
-    if labels.min() < 0 or labels.max() >= 2**n:
-        raise LabelMismatchError(
-            f"measurement outcomes must label n-bit strings, got range "
-            f"[{labels.min()}, {labels.max()}] for n = {n}"
-        )
-    f0s = np.zeros((n, dim, dim), dtype=complex)
-    for elem, y in zip(measurement.elements, labels):
-        for i in range(1, n + 1):
-            if (y >> (n - i)) & 1 == 0:
-                f0s[i - 1] += elem
-    return f0s
 
 
 @dataclass(frozen=True)
@@ -102,12 +77,7 @@ def evaluate_worstcase(q: Qrac, measurement: Povm | PgmBundle) -> tuple[float, i
     Returns (worst value, argmax input, per-input values); ties break to the
     lexicographically first input string.
     """
-    stack = q.state_stack
-    if isinstance(measurement, PgmBundle):
-        f0s = np.stack([mv.elements[mv.outcomes.index(0)] for mv in measurement.marginals])
-    else:
-        f0s = _marginal_f0_from_povm(measurement, q.n, q.dim)
-    per_x = _per_x_distance(f0s, stack, q.n)
+    per_x = bit_error_table(marginal_f0s(measurement, q.n), q.state_stack).sum(axis=0)
     worst_x = int(np.argmax(per_x))
     return float(per_x[worst_x]), worst_x, per_x
 
@@ -116,7 +86,6 @@ def solve_worstcase(
     q: Qrac,
     eps: float = 0.01,
     max_iters: int = 2000,
-    seed: int = 0,
     *,
     gap_tol: float = 0.05,
     support_cutoff: float = SUPPORT_CUTOFF,
@@ -125,17 +94,15 @@ def solve_worstcase(
     square-root measurement is certified.
 
     Stops once the worst-case expected distance of the averaged measurement
-    is within ``eps * n`` of the 2p(1-p)n bound and the duality gap is at
-    most ``gap_tol * n``.  The gap is measured against the value of the
+    is within ``eps * n`` of the 2p(1-p)n bound of
+    :func:`~qraclab.qrac.hamming_budget` and the duality gap is at most
+    ``gap_tol * n``.  The gap is measured against the value of the
     current best-response measurement at the current prior, which the
     average-case theorem keeps at or below the bound at every iteration.
     Raises :class:`NotConvergedError` with the best iterate attached if
-    ``max_iters`` passes without certification.
-
-    ``seed`` is recorded for interface stability; the reference loop is
-    deterministic (uniform initial weights, exact best responses).
+    ``max_iters`` passes without certification.  The loop is deterministic:
+    uniform initial weights, exact best responses.
     """
-    del seed
     n = q.n
     if n > SOLVER_MAX_N:
         raise SizeCapError(f"solver capped at n = {SOLVER_MAX_N}, got {n}")
@@ -144,7 +111,7 @@ def solve_worstcase(
     size = 2**n
     stack = q.state_stack
     sqrt_stack = _psd_sqrt_stack(stack)
-    bound = 2.0 * q.claimed_p * (1.0 - q.claimed_p) * n
+    bound = hamming_budget(q.claimed_p, n)
     lr = math.sqrt(8.0 * math.log(size) / max_iters)
 
     weights = np.ones(size)
@@ -178,13 +145,13 @@ def solve_worstcase(
         f0s, _, full = _pgm_raw(
             prior, stack, n, support_cutoff, full_table=True, sqrt_stack=sqrt_stack
         )
-        d_t = _per_x_distance(f0s, stack, n)
+        d_t = bit_error_table(f0s, stack).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
 
         mean_f0 += (f0s - mean_f0) / t
         mean_full += (full - mean_full) / t
 
-        per_x = _per_x_distance(mean_f0, stack, n)
+        per_x = bit_error_table(mean_f0, stack).sum(axis=0)
         worst_x = int(np.argmax(per_x))
         worst = float(per_x[worst_x])
         # value of the current best-response PGM at the current prior; this is

@@ -17,16 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bit_column
-from .errors import DomainError, IndexOutOfRangeError, SizeCapError, ValidationError
+from .bits import bit_column, bit_columns
+from .errors import (
+    DomainError,
+    IndexOutOfRangeError,
+    LabelMismatchError,
+    SizeCapError,
+    ValidationError,
+)
 from .linalg import (
     SUPPORT_CUTOFF,
     Povm,
     _sqrt_pinv_with_support,
     eig_hermitian,
+    paired_traces,
     trace_norm,
 )
-from .qrac import Ensemble
+from .qrac import Ensemble, bit_error_table
 
 FULL_TABLE_MAX_N = 12
 MARGINAL_MAX_N = 16
@@ -132,8 +139,9 @@ def build_pgm(
         raise SizeCapError(f"full outcome table capped at n = {FULL_TABLE_MAX_N}, got {n}")
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
-    stack = np.stack([st.mat for st in ensemble.states])
-    f0s, f1s, full_elems = _pgm_raw(ensemble.prior, stack, n, support_cutoff, full_table)
+    f0s, f1s, full_elems = _pgm_raw(
+        ensemble.prior, ensemble.state_stack, n, support_cutoff, full_table
+    )
     marginals = tuple(Povm((f0s[i], f1s[i]), outcomes=(0, 1)) for i in range(n))
     full = None
     if full_table:
@@ -141,13 +149,29 @@ def build_pgm(
     return PgmBundle(n, marginals, full, support_cutoff)
 
 
+def marginal_f0s(measurement: PgmBundle | Povm, n: int) -> np.ndarray:
+    """Outcome-0 marginal operator of every bit, shape (n, dim, dim), from a
+    bundle or from a measurement labelled by n-bit strings: F0_i is the sum
+    of the elements whose label has bit i equal to 0."""
+    if isinstance(measurement, PgmBundle):
+        if measurement.n != n:
+            raise LabelMismatchError(f"measurement built for n = {measurement.n}, code has {n}")
+        return np.stack([mv.elements[0] for mv in measurement.marginals])
+    if not isinstance(measurement, Povm):
+        raise TypeError(f"expected PgmBundle or Povm, got {type(measurement).__name__}")
+    labels = np.asarray(measurement.outcomes)
+    if labels.min() < 0 or labels.max() >= 2**n:
+        raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
+    zero = (bit_columns(n)[:, labels] == 0).astype(complex)
+    elems = np.stack(measurement.elements)
+    return (zero @ elems.reshape(len(labels), -1)).reshape(n, *elems.shape[1:])
+
+
 def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:
     """Probability that the full measurement recovers the whole string."""
     if pg.full is None:
         raise ValidationError("bundle was built without the full outcome table")
-    stack = np.stack([st.mat for st in ensemble.states])
-    elems = np.stack(pg.full.elements)
-    per_x = np.einsum("xij,xji->x", elems, stack).real
+    per_x = paired_traces(np.stack(pg.full.elements), ensemble.state_stack)
     return float(ensemble.prior @ per_x)
 
 
@@ -163,11 +187,8 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     prior = ensemble.prior
     if prior[col == 0].sum() == 0.0 or prior[col == 1].sum() == 0.0:
         return 1.0
-    stack = np.stack([st.mat for st in ensemble.states])
-    f0 = pg.marginals[i - 1].elements[0]
-    p_report0 = np.einsum("ij,xji->x", f0, stack).real
-    correct = np.where(col == 0, p_report0, 1.0 - p_report0)
-    return float(prior @ correct)
+    err = bit_error_table(marginal_f0s(pg, ensemble.n), ensemble.state_stack)[i - 1]
+    return float(prior @ (1.0 - err))
 
 
 def helstrom_pmax(p0: float, rho0, p1: float, rho1) -> float:

@@ -12,15 +12,26 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import bit_at, bit_column
+from .bits import bit_column, bit_columns
 from .errors import SizeCapError, ValidationError
-from .linalg import DIM_CAP, DensityMatrix, Povm, check_dim_cap, tensor
+from .linalg import DensityMatrix, Povm, check_dim_cap, tensor, trace_table
 from .rng import stream
 from .serialize import SCHEMA_VERSION, matrix_to_reim, reim_to_matrix
 
 # Worst-case success of the two-decoder single-qubit code on which most
 # worked values in the tests are based.
 P_STANDARD = float(np.cos(np.pi / 8) ** 2)
+
+
+def hamming_budget(p: float, n: int) -> float:
+    """Expected Hamming error 2p(1-p)n the square-root measurement stays
+    within on an n-bit code of worst-case success p.
+
+    A claim below 1/2 is read as p = 1/2: every encoder is a p = 1/2 code
+    under the coin-flip decoder I/2, so the budget is never below n/2.
+    """
+    p = max(p, 0.5)
+    return 2.0 * p * (1.0 - p) * n
 
 
 @dataclass
@@ -63,22 +74,25 @@ class Qrac:
     def dim(self) -> int:
         return 2**self.m
 
-    @cached_property
+    @property
     def state_stack(self) -> np.ndarray:
-        """All encoder states as one (2^n, dim, dim) array."""
+        """All encoder states as one (2^n, dim, dim) array, built per call:
+        a code kept for later would otherwise hold its states twice."""
         return np.stack([rho.mat for rho in self.encoder])
+
+
+def bit_error_table(f0s: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(n, 2^n) chance that bit i is read wrongly on input x, from the
+    per-bit outcome-0 operators ``f0s`` (n, dim, dim) and the encoder
+    states ``states`` (2^n, dim, dim)."""
+    p0 = trace_table(f0s, states)
+    return np.where(bit_columns(len(f0s)) == 0, 1.0 - p0, p0)
 
 
 def success_table(q: Qrac) -> np.ndarray:
     """(n, 2^n) table of Tr(M^{(i)}_{x_i} rho_x) over bit positions and strings."""
-    stack = np.stack([rho.mat for rho in q.encoder])
-    out = np.empty((q.n, 2**q.n))
-    for i in range(1, q.n + 1):
-        m0 = q.decoders[i - 1].elements[0]
-        p0 = np.einsum("ij,xji->x", m0, stack).real
-        col = bit_column(i, q.n)
-        out[i - 1] = np.where(col == 0, p0, 1.0 - p0)
-    return out
+    f0s = np.stack([dec.elements[0] for dec in q.decoders])
+    return 1.0 - bit_error_table(f0s, q.state_stack)
 
 
 @dataclass(frozen=True)
@@ -136,6 +150,11 @@ class Ensemble:
     def dim(self) -> int:
         return self.states[0].dim
 
+    @cached_property
+    def state_stack(self) -> np.ndarray:
+        """All states as one (2^n, dim, dim) array."""
+        return np.stack([st.mat for st in self.states])
+
     @classmethod
     def uniform(cls, q: Qrac) -> "Ensemble":
         return cls(np.full(2**q.n, 2.0**-q.n), q.encoder)
@@ -145,8 +164,7 @@ class Ensemble:
         return cls(np.asarray(prior, dtype=float), q.encoder)
 
     def average_state(self) -> np.ndarray:
-        stack = np.stack([st.mat for st in self.states])
-        return np.einsum("x,xij->ij", self.prior, stack)
+        return np.einsum("x,xij->ij", self.prior, self.state_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +253,21 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
 
     dim = 2**m
     rng = stream(seed, 0)
-    encoder = []
-    for _ in range(2**n):
+    stack = np.empty((2**n, dim, dim), dtype=complex)
+    for x in range(2**n):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        encoder.append(DensityMatrix.from_state_vector(v))
-    stack = np.stack([rho.mat for rho in encoder])
+        v = v / np.linalg.norm(v)
+        stack[x] = np.outer(v, v.conj())
     decoders = []
     for i in range(1, n + 1):
         col = bit_column(i, n)
         rho0 = stack[col == 0].mean(axis=0)
         rho1 = stack[col == 1].mean(axis=0)
         decoders.append(helstrom_measurement(0.5, rho0, 0.5, rho1))
-    probe = Qrac(n, m, tuple(encoder), tuple(decoders), claimed_p=0.0)
-    worst = float(success_table(probe).min())
-    return Qrac(n, m, tuple(encoder), tuple(decoders), claimed_p=worst)
+    f0s = np.stack([dec.elements[0] for dec in decoders])
+    worst = float(1.0 - bit_error_table(f0s, stack).max())
+    encoder = tuple(DensityMatrix(rho) for rho in stack)
+    return Qrac(n, m, encoder, tuple(decoders), claimed_p=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,18 @@ def test_convert_command(capsys):
     assert report["total_message_bits"] <= 12
 
 
+@pytest.mark.parametrize(
+    "argv", [("convert", "--n", "3", "--m", "2"), ("minimax", "--n", "4", "--m", "2")]
+)
+def test_degenerate_code_judged_as_half(capsys, argv):
+    # the default seed draws a code claiming p < 1/2; its budget is that of p = 1/2
+    code, out = run_cli(capsys, *argv, "--deterministic")
+    report = json.loads(out)
+    assert report["claimed_p"] < 0.5
+    assert code == 0
+    assert report["ok"] is True
+
+
 def test_compress_command(capsys):
     code, out = run_cli(
         capsys,

@@ -70,8 +70,6 @@ class TestExpectedHamming:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_codes_meet_bound(self, seed):
         q = build_random_qrac(2, 2, seed=seed)
-        if q.claimed_p <= 0.5:
-            pytest.skip("degenerate code")
         rng = np.random.default_rng(seed)
         e = Ensemble.from_qrac(q, rng.dirichlet(np.ones(4)))
         report = expected_hamming_exact(q, e, build_pgm(e))
