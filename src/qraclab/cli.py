@@ -42,6 +42,7 @@ from .info import (
     max_channel_capacity_lp,
     qubit_lower_bound,
 )
+from .linalg import argmax_first
 from .minimax import solve_worstcase
 from .pgm import build_pgm, helstrom_pmax, per_bit_success, success_prob_full
 from .qrac import (
@@ -389,7 +390,7 @@ def suite_compress(
             for x in range(ch.in_size)
         )
         bits_cap = index_bits_cap(scheme.c_max, eta)
-        x_star = int(np.argmax(scheme.a))
+        x_star = argmax_first(scheme.a)
         p = 2.0 ** -scheme.a[x_star]
         est = estimate_acceptance_rate(scheme, x_star, seed=seed + idx, runs=mc_runs)
         sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_runs)
@@ -600,7 +601,7 @@ def cmd_compress(cfg: dict) -> dict:
         for x in range(channel.in_size)
     )
     bits_cap = index_bits_cap(scheme.c_max, eta)
-    x_star = int(np.argmax(scheme.a))
+    x_star = argmax_first(scheme.a)
     p = 2.0 ** -scheme.a[x_star]
     est = estimate_acceptance_rate(scheme, x_star, seed=cfg["seed"], runs=100_000)
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / 100_000)

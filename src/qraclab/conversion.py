@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,18 +85,19 @@ class SharedShift:
         return unshift_bits(y, self.d, self.n) ^ self.r
 
 
-@lru_cache(maxsize=None)
-def _shift_table(d: int, n: int) -> np.ndarray:
-    z = np.arange(2**n)
-    width = (1 << n) - 1
-    out = ((z << d) | (z >> (n - d))) & width
-    out.flags.writeable = False
-    return out
+def perm_table(s_set) -> np.ndarray:
+    """Every shift's permutation z -> shift_d(z XOR r) over all 2^n strings,
+    one row per shift of ``s_set``: shape (|S|, 2^n)."""
+    n = s_set[0].n
+    r = np.array([s.r for s in s_set])[:, None]
+    d = np.array([s.d for s in s_set])[:, None]
+    z = np.arange(2**n) ^ r
+    return ((z << d) | (z >> (n - d))) & ((1 << n) - 1)
 
 
 def perm_array(s: SharedShift) -> np.ndarray:
     """The permutation z -> shift_d(z XOR r) over all 2^n strings."""
-    return _shift_table(s.d, s.n)[np.arange(2**s.n) ^ s.r]
+    return perm_table([s])[0]
 
 
 def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
@@ -105,7 +105,7 @@ def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     state encoding x."""
     if pgm_uniform.full is None:
         raise ValidationError("need a full-table measurement bundle")
-    table = trace_table(q.state_stack, np.stack(pgm_uniform.full.elements))
+    table = trace_table(q.state_stack, pgm_uniform.full.element_stack)
     if table.min() < -1e-10:
         raise ValidationError(f"outcome probability {table.min()} below zero")
     return np.clip(table, 0.0, None)
@@ -151,10 +151,9 @@ def per_bit_success_symmetrized(q: Qrac) -> float:
     return value
 
 
-def _relabel(table: np.ndarray, s: SharedShift) -> ClassicalChannel:
-    """The outcome table seen through shift s: rows and columns relabelled
-    by the permutation of :func:`perm_array`."""
-    perm = perm_array(s)
+def _relabel(table: np.ndarray, perm: np.ndarray) -> ClassicalChannel:
+    """The outcome table seen through a shift: rows and columns relabelled
+    by its permutation (a row of :func:`perm_table`)."""
     return ClassicalChannel(table[perm][:, perm])
 
 
@@ -173,7 +172,7 @@ def effective_channel(
         raise SizeCapError(f"channel table capped at n = {ROUNDTRIP_MAX_N}, got {q.n}")
     if pgm_uniform is None:
         pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
-    channel = _relabel(full_outcome_table(q, pgm_uniform), s)
+    channel = _relabel(full_outcome_table(q, pgm_uniform), perm_array(s))
     # relabelling permutes the column maxima, so one check covers every shift
     c_max = max_channel_capacity(channel).value
     if c_max > q.m + 1e-9:
@@ -220,8 +219,8 @@ def _sampled_error_mean(
     shift's relabeling; shape (n, 2^n)."""
     by_d = _rows_by_shift(err, n)
     acc = np.zeros_like(err)
-    for s in s_set:
-        acc += by_d[s.d][:, perm_array(s)]
+    for s, perm in zip(s_set, perm_table(s_set)):
+        acc += by_d[s.d][:, perm]
     return acc / len(s_set)
 
 
@@ -361,7 +360,9 @@ def build_rac(
 
     # r = 0, d = n is the identity relabelling
     outcomes = effective_channel(q, SharedShift(0, n, n), pgm).table
-    schemes = tuple(build_scheme(_relabel(outcomes, s), eta / 2.0) for s in s_set)
+    schemes = tuple(
+        build_scheme(_relabel(outcomes, perm), eta / 2.0) for perm in perm_table(s_set)
+    )
     index_bits_s = math.ceil(math.log2(len(s_set)))
     total_bits = index_bits_s + max(sc.index_bits for sc in schemes)
     floor = 1.0 - hamming_budget(q.claimed_p, 1) - eta
@@ -422,8 +423,8 @@ def validate_rac(codebook: RacCodebook, q: Qrac, tol: float = 1e-9) -> RacValida
     err = per_bit_error_table(q, pgm)
     by_d = _rows_by_shift(err, n)
     acc = np.zeros_like(err)
-    for s, sc in zip(codebook.s_set, codebook.schemes):
-        p_sxi = by_d[s.d][:, perm_array(s)]
+    for s, perm, sc in zip(codebook.s_set, perm_table(codebook.s_set), codebook.schemes):
+        p_sxi = by_d[s.d][:, perm]
         fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
         acc += (1.0 - fail) * (1.0 - p_sxi) + fail * 0.5
     table = acc / codebook.size_s

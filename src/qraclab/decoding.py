@@ -123,7 +123,7 @@ def identification_bound_check(q: Qrac, measurement: Povm, tol: float = 1e-8) ->
     labels = measurement.outcomes
     if any(not 0 <= y < 2**q.n for y in labels):
         raise LabelMismatchError(f"outcome labels must lie in 0..{2**q.n - 1}")
-    lhs = paired_traces(np.stack(measurement.elements), q.state_stack[list(labels)]).sum()
+    lhs = paired_traces(measurement.element_stack, q.state_stack[list(labels)]).sum()
     rhs = float(2**q.m)
     return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + tol))
 

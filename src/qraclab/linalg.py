@@ -3,6 +3,16 @@
 Everything downstream (measurements, decoders, solvers) is built on the
 handful of operations here, so tolerances and support-cutoff semantics
 are fixed in this module and imported elsewhere.
+
+The containers are stacked and view-backed.  A ``Povm`` validates its
+elements as one (k, d, d) array, with one batched Hermiticity reduction
+and one batched ``eigvalsh``, keeps that frozen array as
+``element_stack`` and hands out ``elements`` as read-only views into it.
+``DensityMatrix.stack`` validates a whole encoder the same way and returns
+density matrices whose ``mat`` are views into one frozen array; a single
+``DensityMatrix`` is validated as a stack of one.  Either way a bad
+member raises the error, with the message and tolerance, that its own
+per-matrix constructor would.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ TOL_POVM = 1e-9
 TOL_PSD = 1e-10
 TOL_EIG = 1e-8
 SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
+TOL_TIE = 1e-12
 DIM_CAP = 2**10
 
 
@@ -35,14 +46,24 @@ def _as_array(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+def argmax_first(values) -> int:
+    """Lowest index whose value is within ``TOL_TIE`` of the maximum: argmax
+    with ties up to rounding broken toward the first index, so the pick does
+    not hang on the order in which the values were summed."""
+    values = np.asarray(values)
+    return int(np.argmax(values >= values.max() - TOL_TIE))
+
+
 def check_dim_cap(dim: int) -> None:
     if dim > DIM_CAP:
         raise SizeCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
 def is_hermitian(a, tol: float = TOL_HERM) -> bool:
+    """Whether a matrix, or every member of a (k, d, d) stack, equals its
+    conjugate transpose within ``tol`` in every entry."""
     a = _as_array(a)
-    return a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol
+    return a.shape[-2] == a.shape[-1] and np.abs(a - a.conj().swapaxes(-2, -1)).max() <= tol
 
 
 def eig_hermitian(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
@@ -145,10 +166,29 @@ def partial_trace(a, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray
     return reshaped.reshape(d_keep, d_keep)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
+def _validated_states(
+    mats, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE
+) -> np.ndarray:
+    """Check a (k, d, d) stack of density matrices, each Hermitian, unit
+    trace and PSD within tolerance, and return it as one frozen complex
+    array.  A bad member raises the error its own constructor would."""
+    try:
+        stack = np.array(mats, dtype=complex)
+    except ValueError as err:  # members of different shapes, or not numbers
+        raise ValidationError(f"density matrices do not form one stack: {err}") from None
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(f"expected a square matrix, got shape {stack.shape[1:]}")
+    check_dim_cap(stack.shape[1])
+    if not is_hermitian(stack, tol_herm):
+        raise NotHermitianError("density matrix is not Hermitian within tolerance")
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    off = np.flatnonzero(np.abs(traces - 1.0) > tol_trace)
+    if off.size:
+        raise ValidationError(f"trace {traces[off[0]]} is not 1 within {tol_trace}")
+    if np.linalg.eigvalsh(stack).min() < -tol_psd:
+        raise ValidationError("density matrix has a negative eigenvalue beyond tolerance")
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
@@ -161,22 +201,26 @@ class DensityMatrix:
     tol_trace: float = field(default=TOL_TRACE, repr=False)
 
     def __post_init__(self):
-        mat = _as_array(self.mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-        check_dim_cap(mat.shape[0])
-        if not is_hermitian(mat, self.tol_herm):
-            raise NotHermitianError("density matrix is not Hermitian within tolerance")
-        tr = mat.trace().real
-        if abs(tr - 1.0) > self.tol_trace:
-            raise ValidationError(f"trace {tr} is not 1 within {self.tol_trace}")
-        if np.linalg.eigvalsh(mat).min() < -self.tol_psd:
-            raise ValidationError("density matrix has a negative eigenvalue beyond tolerance")
-        object.__setattr__(self, "mat", _frozen(mat))
+        stack = _validated_states(
+            _as_array(self.mat)[None], self.tol_herm, self.tol_psd, self.tol_trace
+        )
+        object.__setattr__(self, "mat", stack[0])
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @classmethod
+    def stack(cls, mats) -> tuple["DensityMatrix", ...]:
+        """Validate a (k, d, d) stack once, with the default tolerances, and
+        return its members as density matrices whose ``mat`` are read-only
+        views into one frozen array."""
+        out = []
+        for mat in _validated_states(mats):
+            rho = object.__new__(cls)
+            object.__setattr__(rho, "mat", mat)  # the tolerances read the class defaults
+            out.append(rho)
+        return tuple(out)
 
     @classmethod
     def from_state_vector(cls, vec) -> "DensityMatrix":
@@ -197,53 +241,57 @@ class Povm:
     """A positive operator-valued measure with integer outcome labels.
 
     Elements must each be Hermitian and PSD within tolerance and must sum
-    to the identity entrywise within ``tol_povm``.
+    to the identity entrywise within ``tol_povm``.  They are validated and
+    kept as one frozen (k, d, d) array, ``element_stack``; ``elements`` are
+    read-only views into it.
     """
 
     elements: tuple[np.ndarray, ...]
     outcomes: tuple[int, ...] = None
     tol_povm: float = field(default=TOL_POVM, repr=False)
     tol_psd: float = field(default=TOL_PSD, repr=False)
+    element_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elements = tuple(_as_array(e) for e in self.elements)
-        if not elements:
+        members = [_as_array(e) for e in self.elements]
+        if not members:
             raise ValidationError("measurement needs at least one element")
-        dim = elements[0].shape[0]
+        dim = members[0].shape[0]
         check_dim_cap(dim)
         outcomes = self.outcomes
         if outcomes is None:
-            outcomes = tuple(range(len(elements)))
+            outcomes = tuple(range(len(members)))
         else:
             outcomes = tuple(int(o) for o in outcomes)
-        if len(outcomes) != len(elements):
+        if len(outcomes) != len(members):
             raise ValidationError("one outcome label per element required")
         if len(set(outcomes)) != len(outcomes):
             raise ValidationError("duplicate outcome labels")
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in elements:
-            if e.shape != (dim, dim):
-                raise DimensionMismatchError("measurement elements differ in dimension")
-            if not is_hermitian(e):
-                raise NotHermitianError("measurement element is not Hermitian within tolerance")
-            if np.linalg.eigvalsh(e).min() < -self.tol_psd:
-                raise ValidationError("measurement element has a negative eigenvalue")
-            total += e
-        if np.abs(total - np.eye(dim)).max() > self.tol_povm:
+        if any(e.shape != (dim, dim) for e in members):
+            raise DimensionMismatchError("measurement elements differ in dimension")
+        stack = np.stack(members)
+        if not is_hermitian(stack):
+            raise NotHermitianError("measurement element is not Hermitian within tolerance")
+        if np.linalg.eigvalsh(stack).min() < -self.tol_psd:
+            raise ValidationError("measurement element has a negative eigenvalue")
+        # summed along the stack axis, member after member
+        deviation = np.abs(stack.sum(axis=0) - np.eye(dim)).max()
+        if deviation > self.tol_povm:
             raise ValidationError(
-                f"elements sum to identity only within "
-                f"{np.abs(total - np.eye(dim)).max():.3e} > {self.tol_povm}"
+                f"elements sum to identity only within {deviation:.3e} > {self.tol_povm}"
             )
-        object.__setattr__(self, "elements", tuple(_frozen(e) for e in elements))
+        stack.flags.writeable = False
+        object.__setattr__(self, "element_stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.element_stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def probabilities(self, rho) -> np.ndarray:
         """Outcome probabilities for measuring ``rho``, in stored order."""
-        return trace_table(np.stack(self.elements), _as_array(rho)[None])[:, 0]
+        return trace_table(self.element_stack, _as_array(rho)[None])[:, 0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bits import format_bits
 from .errors import NotConvergedError, SizeCapError
-from .linalg import SUPPORT_CUTOFF, Povm
+from .linalg import SUPPORT_CUTOFF, Povm, argmax_first
 from .pgm import PgmBundle, _pgm_raw, _psd_sqrt_stack, marginal_f0s
 from .qrac import Qrac, bit_error_table, hamming_budget
 from .serialize import matrix_to_reim
@@ -74,12 +74,11 @@ class GameSolution:
 def evaluate_worstcase(q: Qrac, measurement: Povm | PgmBundle) -> tuple[float, int, np.ndarray]:
     """Worst-case expected Hamming distance of ``measurement`` on ``q``.
 
-    Returns (worst value, argmax input, per-input values); ties break to the
-    lexicographically first input string.
+    Returns (worst value, argmax input, per-input values); ties, up to
+    rounding, break to the lexicographically first input string.
     """
     per_x = bit_error_table(marginal_f0s(measurement, q.n), q.state_stack).sum(axis=0)
-    worst_x = int(np.argmax(per_x))
-    return float(per_x[worst_x]), worst_x, per_x
+    return float(per_x.max()), argmax_first(per_x), per_x
 
 
 def solve_worstcase(
@@ -121,10 +120,7 @@ def solve_worstcase(
     best_snapshot: dict | None = None
 
     def finish(snap: dict, converged: bool) -> GameSolution:
-        povm = Povm(
-            tuple(snap["mean_full"][y] for y in range(size)),
-            outcomes=tuple(range(size)),
-        )
+        povm = Povm(snap["mean_full"], outcomes=tuple(range(size)))
         return GameSolution(
             n=n,
             eps=eps,
@@ -152,8 +148,8 @@ def solve_worstcase(
         mean_full += (full - mean_full) / t
 
         per_x = bit_error_table(mean_f0, stack).sum(axis=0)
-        worst_x = int(np.argmax(per_x))
-        worst = float(per_x[worst_x])
+        worst_x = argmax_first(per_x)
+        worst = float(per_x.max())
         # value of the current best-response PGM at the current prior; this is
         # the quantity the 2p(1-p)n average-case theorem bounds directly
         avg_at_prior = float(prior @ d_t)

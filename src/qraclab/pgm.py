@@ -9,6 +9,13 @@ first outcome so the elements always form a complete measurement.
 Per-bit marginals F_b^{(i)} = sum_{y: y_i = b} Q_y are computed directly
 from the prior without materializing the full outcome table; that is the
 default evaluation path.
+
+Every element is a Gram product P_y (S R_y)(S R_y)^dag with S = rho^{-1/2}
+and R_y a square root of rho_y, which keeps it PSD; a per-bit marginal is
+the same product with R the square root of its prior-weighted sum.  For a
+pure state rho_y^2 = rho_y, so rho_y is its own square root: on a code of
+pure states the full table needs no eigendecomposition of its 2^n states,
+only of rho, of the 2n per-bit sums and of the renormalizers.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .qrac import Ensemble, bit_error_table
 
 FULL_TABLE_MAX_N = 12
 MARGINAL_MAX_N = 16
+PURE_TOL = 1e-13  # |Tr rho - 1|, |Tr rho^2 - 1| below which a state is its own square root
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -44,15 +52,30 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrt_stack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian square roots of a (stack of) PSD matrices, clipping the tiny
-    negative eigenvalues that rounding introduces."""
-    w, v = np.linalg.eigh(mats)
+    """Hermitian square roots of a (k, d, d) stack of PSD matrices.
+
+    A member with both Tr M and Tr M^2 within PURE_TOL of 1 is a pure state,
+    M^2 = M, and is its own square root: (Tr M)^2 - Tr M^2 is twice the sum
+    of the pairwise eigenvalue products, so its second eigenvalue is below
+    about PURE_TOL.  ``eigh`` runs only on the others, clipping the tiny
+    negative eigenvalues that rounding introduces.  When every member is
+    pure the stack itself is returned, uncopied.
+    """
+    traces = np.trace(mats, axis1=1, axis2=2).real
+    purities = paired_traces(mats, mats)
+    mixed = (np.abs(traces - 1.0) > PURE_TOL) | (np.abs(purities - 1.0) > PURE_TOL)
+    if not mixed.any():
+        return mats
+    w, v = np.linalg.eigh(_hermitize(mats[mixed]))
     root = np.sqrt(np.clip(w, 0.0, None))
-    return (v * root[..., None, :]) @ v.conj().swapaxes(-2, -1)
+    out = mats.copy()
+    out[mixed] = (v * root[..., None, :]) @ v.conj().swapaxes(-2, -1)
+    return out
 
 
 def _family_renormalizer(total: np.ndarray) -> np.ndarray:
-    """Inverse square root of a computed outcome-family total.
+    """Inverse square root of a computed outcome-family total, or of a stack
+    of them.
 
     The sandwich rho^{-1/2} rho_y rho^{-1/2} leaves the family summing to
     identity only up to rounding amplified by small support eigenvalues;
@@ -60,7 +83,7 @@ def _family_renormalizer(total: np.ndarray) -> np.ndarray:
     preserving positivity."""
     w, v = np.linalg.eigh(_hermitize(total))
     w = np.clip(w, 1e-30, None)
-    return (v * (w**-0.5)[None, :]) @ v.conj().T
+    return (v * (w**-0.5)[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 @dataclass(frozen=True)
@@ -86,37 +109,34 @@ def _pgm_raw(
     stacks of shape (n, dim, dim) and, on request, the full (2^n, dim, dim)
     outcome table.
 
-    Elements are assembled in Gram form (S sqrt(M)) (S sqrt(M))^dag so they
-    stay PSD even when tiny prior masses meet a large inverse square root;
-    ``sqrt_stack`` lets callers that sweep priors over a fixed state stack
-    factor the states once.
+    Elements are assembled in Gram form (S sqrt(M)) (S sqrt(M))^dag, with
+    S = rho^{-1/2} on the support, so they stay PSD even when tiny prior
+    masses meet a large inverse square root.  The Gram factor sqrt(M) of a
+    pure state is the state itself; ``eigh`` factors only mixed states and
+    the per-bit sums.  The 2n per-bit sums sum_{x: x_i = b} P_x rho_x are
+    one masked matmul.  ``sqrt_stack`` lets callers that sweep priors over a
+    fixed state stack factor the states once.
     """
-    dim = stack.shape[1]
+    size, dim = stack.shape[:2]
     rho = np.einsum("x,xij->ij", prior, stack)
     isqrt, proj = _sqrt_pinv_with_support(_hermitize(rho), cutoff)
     leftover = _hermitize(np.eye(dim) - proj)
 
-    f0s = np.empty((n, dim, dim), dtype=complex)
-    f1s = np.empty((n, dim, dim), dtype=complex)
-    for i in range(1, n + 1):
-        col = bit_column(i, n)
-        pair = np.stack(
-            [
-                np.einsum("x,xij->ij", prior * (col == 0), stack),
-                np.einsum("x,xij->ij", prior * (col == 1), stack),
-            ]
-        )
-        half = isqrt @ _psd_sqrt_stack(_hermitize(pair))
-        gram = half @ half.conj().swapaxes(-2, -1)
-        f0 = gram[0] + leftover
-        ren = _family_renormalizer(f0 + gram[1])
-        f0s[i - 1] = _hermitize(ren @ f0 @ ren)
-        f1s[i - 1] = _hermitize(ren @ gram[1] @ ren)
+    # row (i, b) holds the prior mass of the strings whose bit i is b
+    cols = bit_columns(n)
+    masks = np.stack([cols == 0, cols == 1], axis=1) * prior
+    sums = (masks.reshape(2 * n, size) @ stack.reshape(size, -1)).reshape(2 * n, dim, dim)
+    half = isqrt @ _psd_sqrt_stack(_hermitize(sums))
+    gram = (half @ half.conj().swapaxes(-2, -1)).reshape(n, 2, dim, dim)
+    f0 = gram[:, 0] + leftover
+    ren = _family_renormalizer(f0 + gram[:, 1])
+    f0s = _hermitize(ren @ f0 @ ren)
+    f1s = _hermitize(ren @ gram[:, 1] @ ren)
 
     full = None
     if full_table:
         if sqrt_stack is None:
-            sqrt_stack = _psd_sqrt_stack(_hermitize(stack))
+            sqrt_stack = _psd_sqrt_stack(stack)
         half = isqrt @ sqrt_stack
         full = half @ half.conj().swapaxes(-2, -1)
         full *= prior[:, None, None]
@@ -145,7 +165,7 @@ def build_pgm(
     marginals = tuple(Povm((f0s[i], f1s[i]), outcomes=(0, 1)) for i in range(n))
     full = None
     if full_table:
-        full = Povm(tuple(full_elems), outcomes=tuple(range(2**n)))
+        full = Povm(full_elems, outcomes=tuple(range(2**n)))
     return PgmBundle(n, marginals, full, support_cutoff)
 
 
@@ -163,7 +183,7 @@ def marginal_f0s(measurement: PgmBundle | Povm, n: int) -> np.ndarray:
     if labels.min() < 0 or labels.max() >= 2**n:
         raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
     zero = (bit_columns(n)[:, labels] == 0).astype(complex)
-    elems = np.stack(measurement.elements)
+    elems = measurement.element_stack
     return (zero @ elems.reshape(len(labels), -1)).reshape(n, *elems.shape[1:])
 
 
@@ -171,7 +191,7 @@ def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:
     """Probability that the full measurement recovers the whole string."""
     if pg.full is None:
         raise ValidationError("bundle was built without the full outcome table")
-    per_x = paired_traces(np.stack(pg.full.elements), ensemble.state_stack)
+    per_x = paired_traces(pg.full.element_stack, ensemble.state_stack)
     return float(ensemble.prior @ per_x)
 
 

@@ -198,9 +198,10 @@ def build_identity_encoding(n: int) -> Qrac:
     if n > 10:
         raise SizeCapError(f"identity encoding capped at n = 10, got {n}")
     dim = 2**n
-    encoder = tuple(
-        DensityMatrix(np.diag((np.arange(dim) == x).astype(complex))) for x in range(dim)
-    )
+    basis = np.arange(dim)
+    stack = np.zeros((dim, dim, dim), dtype=complex)
+    stack[basis, basis, basis] = 1.0
+    encoder = DensityMatrix.stack(stack)
     decoders = []
     for i in range(1, n + 1):
         col = bit_column(i, n)
@@ -222,13 +223,17 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
     check_dim_cap(2 ** (k * base.m))
     n, m = k * base.n, k * base.m
     block_dim = base.dim
-    encoder = []
-    for x in range(2**n):
-        mat = np.array([[1.0 + 0j]])
-        for j in range(k):
-            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
-            mat = tensor(mat, base.encoder[block].mat)
-        encoder.append(DensityMatrix(mat))
+    # string x = (block 1, ..., block k), block 1 most significant: each
+    # factor appends a less significant block and a tensor factor on the
+    # right, as one broadcast product (the one np.kron takes per pair)
+    blocks = base.state_stack
+    stack = blocks
+    for _ in range(k - 1):
+        size, dim = len(stack), stack.shape[1]
+        stack = (stack[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]).reshape(
+            size * len(blocks), dim * block_dim, dim * block_dim
+        )
+    encoder = DensityMatrix.stack(stack)
     decoders = []
     for i in range(1, n + 1):
         j = (i - 1) // base.n  # block holding bit i
@@ -237,7 +242,7 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
         right = np.eye(block_dim ** (k - 1 - j))
         elems = tuple(tensor(tensor(left, e), right) for e in local.elements)
         decoders.append(Povm(elems, outcomes=(0, 1)))
-    return Qrac(n, m, tuple(encoder), tuple(decoders), claimed_p=base.claimed_p)
+    return Qrac(n, m, encoder, tuple(decoders), claimed_p=base.claimed_p)
 
 
 def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
@@ -252,12 +257,12 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     from .pgm import helstrom_measurement  # deferred: pgm builds on this module
 
     dim = 2**m
-    rng = stream(seed, 0)
-    stack = np.empty((2**n, dim, dim), dtype=complex)
-    for x in range(2**n):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v = v / np.linalg.norm(v)
-        stack[x] = np.outer(v, v.conj())
+    # one draw in the order of a per-string loop: real parts, then imaginary
+    gauss = stream(seed, 0).normal(size=(2**n, 2, dim))
+    vecs = gauss[:, 0] + 1j * gauss[:, 1]
+    # np.linalg.norm of each vector, as from_state_vector normalises
+    vecs /= np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    stack = vecs[:, :, None] * vecs.conj()[:, None, :]
     decoders = []
     for i in range(1, n + 1):
         col = bit_column(i, n)
@@ -266,8 +271,7 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
         decoders.append(helstrom_measurement(0.5, rho0, 0.5, rho1))
     f0s = np.stack([dec.elements[0] for dec in decoders])
     worst = float(1.0 - bit_error_table(f0s, stack).max())
-    encoder = tuple(DensityMatrix(rho) for rho in stack)
-    return Qrac(n, m, encoder, tuple(decoders), claimed_p=worst)
+    return Qrac(n, m, DensityMatrix.stack(stack), tuple(decoders), claimed_p=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,7 @@ def qrac_to_json_dict(q: Qrac) -> dict:
 
 
 def qrac_from_json_dict(data: dict) -> Qrac:
-    encoder = tuple(DensityMatrix(reim_to_matrix(mat)) for mat in data["encoder"])
+    encoder = DensityMatrix.stack([reim_to_matrix(mat) for mat in data["encoder"]])
     decoders = tuple(
         Povm(tuple(reim_to_matrix(e) for e in dec), outcomes=(0, 1)) for dec in data["decoders"]
     )

@@ -274,3 +274,21 @@ def test_check_helper_directions():
     assert not _check("a", 1.1, 1.0, 1e-9, "==")["ok"]
     with pytest.raises(ValueError):
         _check("a", 1.0, 1.0, 0.0, "~=")
+
+
+def test_compress_acceptance_input_ignores_rounding_in_a():
+    """compress picks its Monte Carlo input as the first one within 1e-12 of
+    max(a): on the (3, 2) code a ties across inputs up to ~2e-16, and a
+    perturbation of 1e-15 must not move the pick."""
+    from qraclab.cli import _select_code
+    from qraclab.compression import build_scheme
+    from qraclab.conversion import SharedShift, effective_channel
+    from qraclab.linalg import argmax_first
+
+    q = _select_code(3, 2, 0)
+    a = build_scheme(effective_channel(q, SharedShift(0, q.n, q.n)), 0.1).a
+    pick = argmax_first(a)
+    assert np.ptp(a) < 1e-12  # the entries do tie up to rounding
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert argmax_first(a + 1e-15 * rng.choice([-1.0, 1.0], size=len(a))) == pick

@@ -82,6 +82,13 @@ class TestSharedShift:
         for z in range(8):
             assert perm[z] == s.apply(z)
 
+    def test_perm_table_rows_match_scalar(self):
+        s_set = cv.sample_newman_set(4, 0.5, seed=3)
+        table = cv.perm_table(s_set)
+        assert table.shape == (len(s_set), 16)
+        for s, row in zip(s_set, table):
+            assert list(row) == [s.apply(z) for z in range(16)]
+
     def test_validation(self):
         with pytest.raises(BadShiftError):
             cv.SharedShift(r=0, d=0, n=3)

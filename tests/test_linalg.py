@@ -8,8 +8,12 @@ from qraclab.errors import (
     ValidationError,
 )
 from qraclab.linalg import (
+    TOL_POVM,
+    TOL_PSD,
+    TOL_TRACE,
     DensityMatrix,
     Povm,
+    argmax_first,
     eig_hermitian,
     is_hermitian,
     partial_trace,
@@ -19,6 +23,8 @@ from qraclab.linalg import (
     trace_distance,
     trace_norm,
 )
+from qraclab.qrac import build_random_qrac, build_standard_2to1, build_tensor_power
+from qraclab.rng import stream
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -261,3 +267,193 @@ def test_is_hermitian_tolerance():
     a = np.eye(2) + np.array([[0, 1e-12], [0, 0]])
     assert is_hermitian(a)
     assert not is_hermitian(a * 1e5, tol=1e-9)
+
+
+def test_argmax_first_breaks_rounding_ties_toward_first():
+    assert argmax_first([0.1, 0.3, 0.3 + 1e-15, 0.2]) == 1
+    assert argmax_first([0.1, 0.3, 0.3 + 1e-9, 0.2]) == 2
+    assert argmax_first([0.5]) == 0
+
+
+# ---------------------------------------------------------------------------
+# batched validation: a bad member of a stack raises exactly what its own
+# per-matrix constructor raises
+
+
+def random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def with_spectrum(rng, spectrum):
+    u = random_unitary(rng, len(spectrum))
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+def valid_states(seed, k=5, dim=4):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_density(rng, dim) for _ in range(k)])
+
+
+def bad_states(kind, rng, dim=4):
+    good = random_density(rng, dim)
+    if kind == "hermitian":
+        bad = good.copy()
+        bad[0, 1] += 1e-6
+        return bad
+    if kind == "trace":
+        return 1.5 * good
+    # one eigenvalue at -2 TOL_PSD, the rest summing to 1
+    return with_spectrum(rng, [1.0 + 2 * TOL_PSD, -2 * TOL_PSD, 0.0, 0.0])
+
+
+def raised(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+class TestBatchedDensityValidation:
+    @pytest.mark.parametrize("kind", ["hermitian", "trace", "psd"])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_bad_member_raises_as_its_own_constructor(self, kind, where):
+        rng = np.random.default_rng(11)
+        stack = valid_states(12)
+        bad = bad_states(kind, rng)
+        stack[where] = bad
+        expected = raised(lambda: DensityMatrix(bad))
+        assert raised(lambda: DensityMatrix.stack(stack)) == expected
+        messages = {
+            "hermitian": (NotHermitianError, "density matrix is not Hermitian within tolerance"),
+            "trace": (ValidationError, f"trace {bad.trace().real} is not 1 within {TOL_TRACE}"),
+            "psd": (ValidationError, "density matrix has a negative eigenvalue beyond tolerance"),
+        }
+        assert expected == messages[kind]
+
+    @pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
+    def test_psd_tolerance_edge(self, scale, ok):
+        rng = np.random.default_rng(15)
+        stack = valid_states(16)
+        stack[3] = with_spectrum(rng, [1.0 + scale * TOL_PSD, -scale * TOL_PSD, 0.0, 0.0])
+        if ok:
+            assert len(DensityMatrix.stack(stack)) == 5
+            DensityMatrix(stack[3])
+        else:
+            with pytest.raises(ValidationError):
+                DensityMatrix.stack(stack)
+
+    def test_members_are_read_only_views_of_one_stack(self):
+        stack = valid_states(17)
+        states = DensityMatrix.stack(stack)
+        base = states[0].mat.base
+        assert base is not None and base.shape == stack.shape
+        assert not base.flags.writeable
+        for k, rho in enumerate(states):
+            assert rho.mat.base is base
+            assert not rho.mat.flags.writeable
+            np.testing.assert_array_equal(rho.mat, stack[k])
+        stack[0, 0, 0] = 7.0  # the caller's array is copied, not frozen in place
+        assert states[0].mat[0, 0] != 7.0
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValidationError, match="expected a square matrix"):
+            DensityMatrix.stack(np.zeros((3, 2, 4)))
+
+    def test_rejects_members_of_different_shapes(self):
+        with pytest.raises(ValidationError, match="do not form one stack"):
+            DensityMatrix.stack([np.eye(2) / 2, np.eye(4) / 4])
+
+
+def valid_povm(seed, k=4, dim=3):
+    """k elements U diag(w_j) U^dag whose weights sum to one per column."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim)
+    weights = rng.dirichlet(np.ones(k), size=dim).T  # (k, dim)
+    return np.stack([(u * w) @ u.conj().T for w in weights]), u, weights
+
+
+def sequential_sum_message(elements):
+    total = np.zeros(elements[0].shape, dtype=complex)
+    for e in elements:
+        total += e
+    dev = np.abs(total - np.eye(len(total))).max()
+    return f"elements sum to identity only within {dev:.3e} > {TOL_POVM}"
+
+
+class TestBatchedPovmValidation:
+    @pytest.mark.parametrize("where", [0, 2, 3])
+    def test_non_hermitian_member(self, where):
+        elements, _, _ = valid_povm(21)
+        elements[where, 0, 1] += 1e-6
+        expected = (NotHermitianError, "measurement element is not Hermitian within tolerance")
+        assert raised(lambda: Povm(tuple(elements))) == expected
+        assert raised(lambda: Povm((elements[where],))) == expected
+
+    @pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
+    def test_negative_eigenvalue_edge(self, scale, ok):
+        _, u, weights = valid_povm(22)
+        shift = scale * TOL_PSD
+        weights[2, 0] = -shift
+        weights[3, 0] += 1.0 - weights[:, 0].sum()
+        elements = np.stack([(u * w) @ u.conj().T for w in weights])
+        if ok:
+            assert len(Povm(tuple(elements))) == 4
+        else:
+            expected = (ValidationError, "measurement element has a negative eigenvalue")
+            assert raised(lambda: Povm(tuple(elements))) == expected
+            assert raised(lambda: Povm((elements[2],))) == expected
+
+    def test_sum_off_identity(self):
+        elements, _, _ = valid_povm(23)
+        elements[1] *= 1.001
+        expected = (ValidationError, sequential_sum_message(elements))
+        assert raised(lambda: Povm(tuple(elements))) == expected
+        assert raised(lambda: Povm(elements)) == expected
+
+    def test_elements_are_views_of_element_stack(self):
+        elements, _, _ = valid_povm(24)
+        povm = Povm(elements)
+        assert povm.element_stack.shape == elements.shape
+        assert not povm.element_stack.flags.writeable
+        for k, e in enumerate(povm.elements):
+            assert e.base is povm.element_stack
+            np.testing.assert_array_equal(e, elements[k])
+
+
+# ---------------------------------------------------------------------------
+# stacked encoder construction against per-matrix references
+
+
+def tensor_power_reference(base, k):
+    encoder = []
+    for x in range(2 ** (k * base.n)):
+        mat = np.array([[1.0 + 0j]])
+        for j in range(k):
+            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
+            mat = np.kron(mat, base.encoder[block].mat)
+        encoder.append(mat)
+    return np.stack(encoder)
+
+
+def random_encoder_reference(n, m, seed):
+    rng = stream(seed, 0)
+    out = []
+    for _ in range(2**n):
+        v = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+        v = v / np.linalg.norm(v)
+        out.append(np.outer(v, v.conj()))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_tensor_power_encoder_bit_identical(k):
+    std = build_standard_2to1()
+    q = build_tensor_power(std, k)
+    np.testing.assert_array_equal(q.state_stack, tensor_power_reference(std, k))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_encoder_bit_identical(seed):
+    n, m = 6, 3
+    q = build_random_qrac(n, m, seed=seed)
+    np.testing.assert_array_equal(q.state_stack, random_encoder_reference(n, m, seed))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
-from qraclab.linalg import DensityMatrix, Povm, support_projector
+from qraclab.linalg import SUPPORT_CUTOFF, DensityMatrix, Povm, support_projector
 from qraclab.pgm import (
     PgmBundle,
+    _pgm_raw,
     build_pgm,
     check_pgm_lower_bound,
     helstrom_measurement,
@@ -16,7 +20,9 @@ from qraclab.qrac import (
     P_STANDARD,
     Ensemble,
     build_identity_encoding,
+    build_random_qrac,
     build_standard_2to1,
+    build_tensor_power,
 )
 
 C = np.cos(np.pi / 8)
@@ -266,3 +272,96 @@ def test_bundle_is_dataclass_with_marginals():
     assert isinstance(pg, PgmBundle)
     assert pg.full is None and len(pg.marginals) == 2
     assert pg.marginals[0].outcomes == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the pure-state Gram factor and the batched paths
+
+
+def eigh_sqrt(stack):
+    """Square root of every member by eigendecomposition, pure or not."""
+    w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=2),
+    mixed_share=st.floats(min_value=0.0, max_value=1.0),
+    zero_share=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    size, dim = 2**n, 2**m
+    states = tuple(
+        random_density(rng, dim, pure=bool(rng.random() >= mixed_share)) for _ in range(size)
+    )
+    prior = rng.dirichlet(np.ones(size))
+    prior[rng.random(size) < zero_share] = 0.0
+    prior[0] += 1.0 - prior.sum()
+    ens = Ensemble(prior, states)
+    pg = build_pgm(ens, full_table=True)
+    full = pg.full.element_stack
+
+    assert np.linalg.eigvalsh(full).min() >= -1e-9
+    assert np.abs(full.sum(axis=0) - np.eye(dim)).max() <= 1e-9
+    _, _, reference = _pgm_raw(
+        prior, ens.state_stack, n, SUPPORT_CUTOFF, True, sqrt_stack=eigh_sqrt(ens.state_stack)
+    )
+    np.testing.assert_allclose(full, reference, rtol=0, atol=1e-10)
+    cols = bit_columns(n)
+    for i, marginal in enumerate(pg.marginals):
+        for b in (0, 1):
+            table_sum = np.einsum("y,yab->ab", (cols[i] == b).astype(float), full)
+            np.testing.assert_allclose(marginal.elements[b], table_sum, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_pure_unnormalised_state_is_factored(seed):
+    """|psi><psi| + delta |phi><phi| with delta = 1e-10 passes validation
+    (trace 1 + 1e-10) and has Tr M^2 = 1 + delta^2, yet it is not its own
+    square root: taking it as one would put M^2 for M in the table."""
+    rng = np.random.default_rng(seed)
+    n, dim, delta = 2, 4, 1e-10
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    psi, phi = basis[:, 0], basis[:, 1]
+    near = np.outer(psi, psi.conj()) + delta * np.outer(phi, phi.conj())
+    states = (DensityMatrix(near),) + tuple(
+        random_density(rng, dim, pure=True) for _ in range(2**n - 1)
+    )
+    ens = Ensemble(np.full(2**n, 2.0**-n), states)
+    full = build_pgm(ens, full_table=True).full.element_stack
+    _, _, reference = _pgm_raw(
+        ens.prior, ens.state_stack, n, SUPPORT_CUTOFF, True, sqrt_stack=eigh_sqrt(ens.state_stack)
+    )
+    np.testing.assert_allclose(full, reference, rtol=0, atol=1e-12)
+
+
+def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
+    """Validation and the full table run eigvalsh/eigh a number of times
+    bounded in n, never once per state: 2n + 4 calls at most where a
+    per-matrix path makes more than 2^n = 1024."""
+    std = build_standard_2to1()
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    n, bound = 10, 2 * 10 + 4
+    steps = {
+        "tensor power": lambda: build_tensor_power(std, 5),
+        "random code": lambda: build_random_qrac(n, 5, seed=3),
+    }
+    for label, build in steps.items():
+        calls.clear()
+        q = build()
+        assert len(calls) <= bound, (label, len(calls))
+        calls.clear()
+        build_pgm(Ensemble.uniform(q), full_table=True)
+        assert len(calls) <= bound, (label + " full PGM", len(calls))
