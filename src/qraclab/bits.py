@@ -37,13 +37,6 @@ def format_bits(x: int, n: int) -> str:
     return format(x, f"0{n}b")
 
 
-def parse_bits(s: str) -> tuple[int, int]:
-    """Parse a literal bit string into (value, length)."""
-    if not s or set(s) - {"0", "1"}:
-        raise ValueError(f"not a bit string: {s!r}")
-    return int(s, 2), len(s)
-
-
 def hamming_distance(x: int, y: int) -> int:
     return bin(x ^ y).count("1")
 

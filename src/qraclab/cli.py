@@ -88,6 +88,10 @@ _COMMAND_KEYS = {
     "bounds": {"n", "m", "p_target", "format", "out", "deterministic"},
 }
 
+# smallest value each integer key accepts, from a flag, a config file or
+# QRACLAB_SEED alike
+_MINIMUMS = {"n": 1, "m": 1, "seeds": 1, "seed": 0}
+
 _BOOL_WORDS = {
     "true": True, "yes": True, "1": True,
     "false": False, "no": False, "0": False,
@@ -153,6 +157,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 ) from exc
         else:
             resolved[key] = defaults.get(key)
+        low = _MINIMUMS.get(key)
+        if low is not None and resolved[key] is not None and resolved[key] < low:
+            raise UsageError(f"{key} must be at least {low}, got {resolved[key]}")
     return resolved
 
 
@@ -547,8 +554,6 @@ def cmd_suite(cfg: dict) -> dict:
     kind = cfg["kind"]
     if kind not in SUITE_KINDS:
         raise UsageError(f"suite kind must be one of {', '.join(SUITE_KINDS)}")
-    if cfg["seeds"] is not None and cfg["seeds"] < 1:
-        raise UsageError(f"seeds must be at least 1, got {cfg['seeds']}")
     kinds = [k for k in SUITE_KINDS if k != "all"] if kind == "all" else [kind]
     checks = []
     for k in kinds:

@@ -33,7 +33,6 @@ from .errors import (
     ValidationError,
 )
 from .info import ClassicalChannel, max_channel_capacity
-from .linalg import trace_table
 from .pgm import PgmBundle, build_pgm, marginal_f0s
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, stream
@@ -105,7 +104,7 @@ def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     state encoding x."""
     if pgm_uniform.full is None:
         raise ValidationError("need a full-table measurement bundle")
-    table = trace_table(q.state_stack, pgm_uniform.full.element_stack)
+    table = pgm_uniform.full.table(q.encoder)
     if table.min() < -1e-10:
         raise ValidationError(f"outcome probability {table.min()} below zero")
     return np.clip(table, 0.0, None)
@@ -114,7 +113,7 @@ def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
 def per_bit_error_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     """err[i-1, x] = probability bit i is decoded wrongly on input x under
     the uniform-prior square-root measurement marginals."""
-    return bit_error_table(marginal_f0s(pgm_uniform, q.n), q.state_stack)
+    return bit_error_table(marginal_f0s(pgm_uniform, q.n), q.encoder)
 
 
 def symmetrized_roundtrip(

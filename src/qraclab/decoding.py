@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LabelMismatchError, ValidationError
-from .linalg import Povm, paired_traces
+from .linalg import GramPovm, Povm
 from .pgm import PgmBundle, marginal_f0s
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_SAMPLE, stream
@@ -51,16 +51,16 @@ def expected_hamming_exact(q: Qrac, prior, measurement) -> HammingReport:
     """Exact per-bit and total Hamming error of ``measurement`` on ``q``.
 
     ``measurement`` may be a PgmBundle (marginals are used directly) or a
-    full Povm labeled by string indices.  The reported bound is
-    :func:`~qraclab.qrac.hamming_budget` of the code's claimed worst-case
-    success.
+    full measurement (Povm or GramPovm) labeled by string indices.  The
+    reported bound is :func:`~qraclab.qrac.hamming_budget` of the code's
+    claimed worst-case success.
     """
     if isinstance(prior, Ensemble):
         prior = prior.prior
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (2**q.n,):
         raise ValidationError(f"prior must have length {2**q.n}")
-    err = bit_error_table(marginal_f0s(measurement, q.n), q.state_stack)
+    err = bit_error_table(marginal_f0s(measurement, q.n), q.encoder)
     per_bit = err @ prior
     per_x = err.sum(axis=0)
     bound = hamming_budget(q.claimed_p, q.n)
@@ -114,7 +114,9 @@ class IdentificationCheck:
     ok: bool
 
 
-def identification_bound_check(q: Qrac, measurement: Povm, tol: float = 1e-8) -> IdentificationCheck:
+def identification_bound_check(
+    q: Qrac, measurement: Povm | GramPovm | PgmBundle, tol: float = 1e-8
+) -> IdentificationCheck:
     """Check sum_x Tr(Q_x rho_x) <= 2^m for a string-labeled measurement."""
     if isinstance(measurement, PgmBundle):
         if measurement.full is None:
@@ -123,7 +125,7 @@ def identification_bound_check(q: Qrac, measurement: Povm, tol: float = 1e-8) ->
     labels = measurement.outcomes
     if any(not 0 <= y < 2**q.n for y in labels):
         raise LabelMismatchError(f"outcome labels must lie in 0..{2**q.n - 1}")
-    lhs = paired_traces(measurement.element_stack, q.state_stack[list(labels)]).sum()
+    lhs = measurement.diagonal(q.encoder).sum()
     rhs = float(2**q.m)
     return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + tol))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .bits import hamming_table
 from .errors import BadSplitError, DomainError, ValidationError
 from .linalg import DensityMatrix, partial_trace
-from .serialize import SCHEMA_VERSION, matrix_to_reim, rows_to_csv
+from .serialize import SCHEMA_VERSION, rows_to_csv
 
 EIG_ZERO_CUTOFF = 1e-15  # relative, inside x*log2(x) sums
 
@@ -351,11 +351,3 @@ def distance_conditioning_check(joint_xy: np.ndarray, n: int, tol: float = 1e-9)
         ok_monotone=bool(h_x_given_yd <= h_x_given_y + tol),
         ok_recover=bool(h_x_given_y <= h_x_given_yd + side + tol),
     )
-
-
-def cq_state_to_json_dict(cq: CqState) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "probs": [float(p) for p in cq.probs],
-        "states": [matrix_to_reim(s.mat) for s in cq.states],
-    }

@@ -4,19 +4,29 @@ Everything downstream (measurements, decoders, solvers) is built on the
 handful of operations here, so tolerances and support-cutoff semantics
 are fixed in this module and imported elsewhere.
 
-The containers are stacked and view-backed.  A ``Povm`` validates its
-elements as one (k, d, d) array, with one batched Hermiticity reduction
-and one batched ``eigvalsh``, keeps that frozen array as
-``element_stack`` and hands out ``elements`` as read-only views into it.
-``DensityMatrix.stack`` validates a whole encoder the same way and returns
-density matrices whose ``mat`` are views into one frozen array; a single
-``DensityMatrix`` is validated as a stack of one.  Either way a bad
-member raises the error, with the message and tolerance, that its own
-per-matrix constructor would.
+States and the full square-root measurement are held as Gram factors:
+a PSD matrix M is kept as A with M = A A^dag.  ``GramStates`` stacks the
+factors of k states as one frozen (k, d, r) array.  A pure state is its
+unit vector (r = 1), checked by its norm alone; matrix input is factored
+by one batched ``eigh``, which is also its PSD check, and cut to the
+stack's numerical rank, so a pure state read as a matrix is a vector
+again.  ``GramPovm`` holds a measurement as factors B_k plus one PSD
+matrix on its first element, validated by its identity sum.  Five kernels
+act on factor stacks without forming d x d members: ``trace_table``
+(Tr(F rho_x) for a few dense F), ``gram_table`` (Tr(rho_x E_k) between two
+factor stacks, one matrix product), ``gram_paired`` (the same for paired
+members only), ``gram_sums`` (weighted sums of members) and ``gram_dense``
+(the members themselves, when a caller reads them).
+
+A dense ``Povm`` validates its elements as one (k, d, d) array, with one
+batched Hermiticity reduction and one batched ``eigvalsh``.  A bad member
+of any stack raises the error, with the message and tolerance, that its
+own per-matrix constructor would.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,17 +131,49 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def trace_table(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Real (k, N) table Tr(ops[k] states[x]) for stacks of k and N square
-    matrices, as one complex matmul: Tr(A B) is the sum of A^T * B entrywise."""
-    k, n_states = len(ops), len(states)
-    flat_ops = np.asarray(ops).transpose(0, 2, 1).reshape(k, -1)
-    return (flat_ops @ np.asarray(states).reshape(n_states, -1).T).real
+def trace_table(ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Real (k, N) table Tr(ops[k] A_x A_x^dag) for k square matrices and N
+    Gram factors A_x, shape (N, d, r): each entry is the sum of a^dag F a over
+    the r columns a of A_x, one (N r, d)(d, d) product per operator."""
+    size, dim, rank = factors.shape
+    cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)  # rows a^T
+    table = np.stack([(cols.conj() * (cols @ op.T)).sum(axis=1).real for op in ops])
+    return table.reshape(len(ops), size, rank).sum(axis=2)
 
 
-def paired_traces(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Real diagonal Tr(ops[x] states[x]) of two equally long stacks."""
-    return np.einsum("xij,xji->x", ops, states).real
+def gram_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real (N, K) table Tr(A_x A_x^dag B_y B_y^dag) = ||A_x^dag B_y||_F^2 of two
+    factor stacks (N, d, r) and (K, d, s), as one (N r, d)(d, K s) product."""
+    size_a, dim, rank_a = a.shape
+    size_b, _, rank_b = b.shape
+    g = a.transpose(0, 2, 1).reshape(size_a * rank_a, dim).conj() @ b.transpose(1, 0, 2).reshape(
+        dim, size_b * rank_b
+    )
+    return (g.real**2 + g.imag**2).reshape(size_a, rank_a, size_b, rank_b).sum(axis=(1, 3))
+
+
+def gram_paired(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real (N,) diagonal ||A_x^dag B_x||_F^2 of two equally long factor stacks
+    (N, d, r) and (N, d, s): one (r, d)(d, s) product per x."""
+    g = a.conj().swapaxes(1, 2) @ b
+    return (g.real**2 + g.imag**2).sum(axis=(1, 2))
+
+
+def gram_sums(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(j, d, d) weighted sums sum_x weights[j, x] A_x A_x^dag of a factor stack,
+    one (d, N r)(N r, d) product per row of weights."""
+    size, dim, rank = factors.shape
+    cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)
+    rows = np.repeat(np.asarray(weights, dtype=float), rank, axis=1)
+    return np.stack([(cols.T * w) @ cols.conj() for w in rows])
+
+
+def gram_dense(factors: np.ndarray) -> np.ndarray:
+    """The (k, d, d) matrices A_x A_x^dag of a factor stack."""
+    if factors.shape[2] == 1:  # rank one: the outer product, rounded as np.outer rounds it
+        vecs = factors[:, :, 0]
+        return vecs[:, :, None] * vecs.conj()[:, None, :]
+    return factors @ factors.conj().swapaxes(1, 2)
 
 
 def trace_distance(rho, sigma) -> float:
@@ -168,10 +210,12 @@ def partial_trace(a, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray
 
 def _validated_states(
     mats, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Check a (k, d, d) stack of density matrices, each Hermitian, unit
     trace and PSD within tolerance, and return it as one frozen complex
-    array.  A bad member raises the error its own constructor would."""
+    array together with its Gram factors V sqrt(w), from one batched ``eigh``
+    that is also the PSD check, cut to the stack's numerical rank.  A bad
+    member raises the error its own constructor would."""
     try:
         stack = np.array(mats, dtype=complex)
     except ValueError as err:  # members of different shapes, or not numbers
@@ -185,10 +229,34 @@ def _validated_states(
     off = np.flatnonzero(np.abs(traces - 1.0) > tol_trace)
     if off.size:
         raise ValidationError(f"trace {traces[off[0]]} is not 1 within {tol_trace}")
-    if np.linalg.eigvalsh(stack).min() < -tol_psd:
+    w, factors = _eigh_factors(stack)
+    if w.min() < -tol_psd:
         raise ValidationError("density matrix has a negative eigenvalue beyond tolerance")
-    stack.flags.writeable = False
-    return stack
+    return _frozen(stack), _rank_truncated(w, factors)
+
+
+def _eigh_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and Gram factors V sqrt(w) of a stack of Hermitian
+    matrices, from one batched ``eigh``; rounding negatives are clipped."""
+    w, v = np.linalg.eigh(stack)
+    return w, v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def _rank_truncated(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """The factor columns of a stack of states that hold its numerical rank.
+
+    A column is kept where its eigenvalue exceeds ``SUPPORT_CUTOFF`` times
+    its member's largest, and r is the largest count kept in the stack:
+    the last r columns of each member (``eigh`` sorts ascending), with the
+    columns a lower-rank member does not keep set to zero."""
+    keep = w > SUPPORT_CUTOFF * w[..., -1:]
+    rank = int(keep.sum(axis=-1).max())
+    return (factors * keep[..., None, :])[..., -rank:]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -201,7 +269,7 @@ class DensityMatrix:
     tol_trace: float = field(default=TOL_TRACE, repr=False)
 
     def __post_init__(self):
-        stack = _validated_states(
+        stack, _ = _validated_states(
             _as_array(self.mat)[None], self.tol_herm, self.tol_psd, self.tol_trace
         )
         object.__setattr__(self, "mat", stack[0])
@@ -211,16 +279,20 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def stack(cls, mats) -> tuple["DensityMatrix", ...]:
+    def _member(cls, mat: np.ndarray) -> "DensityMatrix":
+        """A member of an already validated stack; the tolerances read the
+        class defaults."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "mat", mat)
+        return rho
+
+    @classmethod
+    def stack(cls, mats) -> "GramStates":
         """Validate a (k, d, d) stack once, with the default tolerances, and
-        return its members as density matrices whose ``mat`` are read-only
-        views into one frozen array."""
-        out = []
-        for mat in _validated_states(mats):
-            rho = object.__new__(cls)
-            object.__setattr__(rho, "mat", mat)  # the tolerances read the class defaults
-            out.append(rho)
-        return tuple(out)
+        return it as GramStates factored by one batched ``eigh``; its members
+        read back as the matrices given."""
+        stack, factors = _validated_states(mats)
+        return GramStates(factors, stack)
 
     @classmethod
     def from_state_vector(cls, vec) -> "DensityMatrix":
@@ -236,37 +308,114 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class GramStates(Sequence):
+    """k density matrices rho_x = A_x A_x^dag held as one frozen (k, d, r)
+    array of Gram factors.
+
+    Such a member is PSD by construction, so the check is its trace, the
+    squared Frobenius norm of A_x.  Pure states are unit vectors, r = 1
+    (:meth:`from_vectors`).  Matrix input goes through
+    :meth:`DensityMatrix.stack`, whose ``eigh`` gives factors with r the
+    stack's numerical rank and keeps the matrices as given in ``mats``.  Indexing forms one
+    :class:`DensityMatrix` on demand; :meth:`dense` forms them all.
+    """
+
+    factors: np.ndarray
+    mats: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        factors = np.array(self.factors, dtype=complex)
+        if factors.ndim != 3:
+            raise ValidationError(f"expected a (k, d, r) factor stack, got shape {factors.shape}")
+        check_dim_cap(factors.shape[1])
+        traces = (factors.real**2 + factors.imag**2).sum(axis=(1, 2))
+        off = np.flatnonzero(np.abs(traces - 1.0) > TOL_TRACE)
+        if off.size:
+            raise ValidationError(f"trace {traces[off[0]]} is not 1 within {TOL_TRACE}")
+        object.__setattr__(self, "factors", _frozen(factors))
+
+    @classmethod
+    def from_vectors(cls, vecs) -> "GramStates":
+        """Pure states from a (k, d) array of unit vectors."""
+        vecs = np.asarray(vecs, dtype=complex)
+        if vecs.ndim != 2:
+            raise ValidationError(f"expected a (k, d) array of state vectors, got shape {vecs.shape}")
+        return cls(vecs[:, :, None])
+
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    def __getitem__(self, x: int) -> DensityMatrix:
+        if self.mats is not None:
+            return DensityMatrix._member(self.mats[x])
+        return DensityMatrix._member(_frozen(gram_dense(self.factors[x][None])[0]))
+
+    def dense(self) -> np.ndarray:
+        """All states as one (k, d, d) array."""
+        return self.mats if self.mats is not None else gram_dense(self.factors)
+
+    def sums(self, weights) -> np.ndarray:
+        """(j, d, d) weighted sums sum_x weights[j, x] rho_x."""
+        return gram_sums(self.factors, weights)
+
+
+def as_states(states) -> GramStates:
+    """``states`` as GramStates: returned as is, or factored from a sequence
+    of density matrices."""
+    if isinstance(states, GramStates):
+        return states
+    return DensityMatrix.stack([_as_array(st) for st in states])
+
+
+def _outcome_labels(outcomes, count: int) -> tuple[int, ...]:
+    labels = tuple(range(count)) if outcomes is None else tuple(int(o) for o in outcomes)
+    if len(labels) != count:
+        raise ValidationError("one outcome label per element required")
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate outcome labels")
+    return labels
+
+
+def _check_identity_sum(total: np.ndarray, tol: float) -> None:
+    deviation = np.abs(total - np.eye(len(total))).max()
+    if deviation > tol:
+        raise ValidationError(f"elements sum to identity only within {deviation:.3e} > {tol}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Povm:
     """A positive operator-valued measure with integer outcome labels.
 
     Elements must each be Hermitian and PSD within tolerance and must sum
     to the identity entrywise within ``tol_povm``.  They are validated and
-    kept as one frozen (k, d, d) array, ``element_stack``; ``elements`` are
-    read-only views into it.
+    kept as one frozen (k, d, d) array, ``element_stack``; ``elements``
+    hands out read-only views into it when read.
     """
 
-    elements: tuple[np.ndarray, ...]
-    outcomes: tuple[int, ...] = None
+    element_stack: np.ndarray = field(repr=False)
+    outcomes: tuple[int, ...]
     tol_povm: float = field(default=TOL_POVM, repr=False)
     tol_psd: float = field(default=TOL_PSD, repr=False)
-    element_stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __init__(self, elements, outcomes=None, tol_povm: float = TOL_POVM, tol_psd: float = TOL_PSD):
+        object.__setattr__(self, "element_stack", elements)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "tol_povm", tol_povm)
+        object.__setattr__(self, "tol_psd", tol_psd)
+        self.__post_init__()
 
     def __post_init__(self):
-        members = [_as_array(e) for e in self.elements]
+        members = [_as_array(e) for e in self.element_stack]
         if not members:
             raise ValidationError("measurement needs at least one element")
         dim = members[0].shape[0]
         check_dim_cap(dim)
-        outcomes = self.outcomes
-        if outcomes is None:
-            outcomes = tuple(range(len(members)))
-        else:
-            outcomes = tuple(int(o) for o in outcomes)
-        if len(outcomes) != len(members):
-            raise ValidationError("one outcome label per element required")
-        if len(set(outcomes)) != len(outcomes):
-            raise ValidationError("duplicate outcome labels")
+        outcomes = _outcome_labels(self.outcomes, len(members))
         if any(e.shape != (dim, dim) for e in members):
             raise DimensionMismatchError("measurement elements differ in dimension")
         stack = np.stack(members)
@@ -274,24 +423,132 @@ class Povm:
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
         if np.linalg.eigvalsh(stack).min() < -self.tol_psd:
             raise ValidationError("measurement element has a negative eigenvalue")
-        # summed along the stack axis, member after member
-        deviation = np.abs(stack.sum(axis=0) - np.eye(dim)).max()
-        if deviation > self.tol_povm:
-            raise ValidationError(
-                f"elements sum to identity only within {deviation:.3e} > {self.tol_povm}"
-            )
-        stack.flags.writeable = False
-        object.__setattr__(self, "element_stack", stack)
-        object.__setattr__(self, "elements", tuple(stack))
+        _check_identity_sum(stack.sum(axis=0), self.tol_povm)  # member after member
+        object.__setattr__(self, "element_stack", _frozen(stack))
         object.__setattr__(self, "outcomes", outcomes)
+
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.element_stack)
 
     @property
     def dim(self) -> int:
         return self.element_stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.element_stack)
+
+    def sums(self, weights) -> np.ndarray:
+        """(j, d, d) weighted sums sum_k weights[j, k] E_k over stored order."""
+        elems = self.element_stack
+        flat = np.asarray(weights).astype(complex) @ elems.reshape(len(elems), -1)
+        return flat.reshape(-1, *elems.shape[1:])
+
+    def table(self, states: GramStates) -> np.ndarray:
+        """(N, k) table Tr(E_k rho_x) over states and elements in stored order."""
+        return trace_table(self.element_stack, states.factors).T
+
+    def diagonal(self, states: GramStates) -> np.ndarray:
+        """(k,) Tr(E_k rho_y) with y = outcomes[k], the state each element's
+        label names, in stored order."""
+        a = states.factors[list(self.outcomes)]
+        return (a.conj() * (self.element_stack @ a)).sum(axis=(1, 2)).real
 
     def probabilities(self, rho) -> np.ndarray:
         """Outcome probabilities for measuring ``rho``, in stored order."""
-        return trace_table(self.element_stack, _as_array(rho)[None])[:, 0]
+        return np.einsum("kij,ji->k", self.element_stack, _as_array(rho)).real
+
+
+@dataclass(frozen=True, eq=False)
+class GramPovm:
+    """A measurement held as Gram factors: element k is B_k B_k^dag, plus the
+    PSD matrix ``extra`` on the first element.
+
+    Each B_k B_k^dag is PSD by construction, so validation is the PSD check
+    of ``extra`` and the identity sum, one (d, k s)(k s, d) product.  The
+    outcome labels are 0..k-1.  ``element_stack`` is formed when read, and
+    each of ``elements`` when indexed; neither is kept.
+    """
+
+    factors: np.ndarray
+    extra: np.ndarray
+
+    def __post_init__(self):
+        factors = np.asarray(self.factors, dtype=complex)
+        extra = np.asarray(self.extra, dtype=complex)
+        if factors.ndim != 3 or not len(factors):
+            raise ValidationError(f"expected a (k, d, s) factor stack, got shape {factors.shape}")
+        dim = factors.shape[1]
+        check_dim_cap(dim)
+        if extra.shape != (dim, dim):
+            raise DimensionMismatchError("measurement elements differ in dimension")
+        if not is_hermitian(extra):
+            raise NotHermitianError("measurement element is not Hermitian within tolerance")
+        if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
+            raise ValidationError("measurement element has a negative eigenvalue")
+        _check_identity_sum(gram_sums(factors, np.ones((1, len(factors))))[0] + extra, TOL_POVM)
+        object.__setattr__(self, "factors", _frozen(factors))
+        object.__setattr__(self, "extra", _frozen(extra))
+
+    @property
+    def outcomes(self) -> tuple[int, ...]:
+        return tuple(range(len(self.factors)))
+
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    @property
+    def element_stack(self) -> np.ndarray:
+        stack = gram_dense(self.factors)
+        stack[0] += self.extra
+        return stack
+
+    @property
+    def elements(self) -> "_GramElements":
+        return _GramElements(self)
+
+    def sums(self, weights) -> np.ndarray:
+        """(j, d, d) weighted sums sum_k weights[j, k] E_k over stored order."""
+        weights = np.asarray(weights, dtype=float)
+        return gram_sums(self.factors, weights) + weights[:, 0, None, None] * self.extra
+
+    def table(self, states: GramStates) -> np.ndarray:
+        """(N, k) table Tr(E_k rho_x): ||A_x^dag B_k||^2, plus Tr(extra rho_x)
+        in the first column."""
+        table = gram_table(states.factors, self.factors)
+        table[:, 0] += trace_table(self.extra[None], states.factors)[0]
+        return table
+
+    def diagonal(self, states: GramStates) -> np.ndarray:
+        """(k,) Tr(E_y rho_y) over k states in outcome order: ||A_y^dag B_y||^2,
+        plus Tr(extra rho_0) on the first."""
+        diag = gram_paired(states.factors, self.factors)
+        diag[0] += trace_table(self.extra[None], states.factors[:1])[0, 0]
+        return diag
+
+    def probabilities(self, rho) -> np.ndarray:
+        """Outcome probabilities for measuring ``rho``, in stored order."""
+        rho = _as_array(rho)
+        probs = (self.factors.conj() * (rho @ self.factors)).sum(axis=(1, 2)).real
+        probs[0] += np.einsum("ij,ji->", self.extra, rho).real
+        return probs
+
+
+class _GramElements(Sequence):
+    """The elements of a GramPovm in stored order, each formed when indexed."""
+
+    def __init__(self, povm: GramPovm):
+        self._povm = povm
+
+    def __len__(self) -> int:
+        return len(self._povm)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        elem = gram_dense(self._povm.factors[k][None])[0]
+        if range(len(self))[k] == 0:
+            elem += self._povm.extra
+        return elem

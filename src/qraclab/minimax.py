@@ -17,8 +17,8 @@ import numpy as np
 
 from .bits import format_bits
 from .errors import NotConvergedError, SizeCapError
-from .linalg import SUPPORT_CUTOFF, Povm, argmax_first
-from .pgm import PgmBundle, _pgm_raw, _psd_sqrt_stack, marginal_f0s
+from .linalg import SUPPORT_CUTOFF, GramPovm, Povm, argmax_first
+from .pgm import PgmBundle, _pgm_raw, marginal_f0s
 from .qrac import Qrac, bit_error_table, hamming_budget
 from .serialize import matrix_to_reim
 
@@ -71,13 +71,15 @@ class GameSolution:
         return out
 
 
-def evaluate_worstcase(q: Qrac, measurement: Povm | PgmBundle) -> tuple[float, int, np.ndarray]:
+def evaluate_worstcase(
+    q: Qrac, measurement: Povm | GramPovm | PgmBundle
+) -> tuple[float, int, np.ndarray]:
     """Worst-case expected Hamming distance of ``measurement`` on ``q``.
 
     Returns (worst value, argmax input, per-input values); ties, up to
     rounding, break to the lexicographically first input string.
     """
-    per_x = bit_error_table(marginal_f0s(measurement, q.n), q.state_stack).sum(axis=0)
+    per_x = bit_error_table(marginal_f0s(measurement, q.n), q.encoder).sum(axis=0)
     return float(per_x.max()), argmax_first(per_x), per_x
 
 
@@ -108,8 +110,6 @@ def solve_worstcase(
     if q.m > SOLVER_MAX_M:
         raise SizeCapError(f"solver capped at m = {SOLVER_MAX_M}, got {q.m}")
     size = 2**n
-    stack = q.state_stack
-    sqrt_stack = _psd_sqrt_stack(stack)
     bound = hamming_budget(q.claimed_p, n)
     lr = math.sqrt(8.0 * math.log(size) / max_iters)
 
@@ -138,16 +138,14 @@ def solve_worstcase(
 
     for t in range(1, max_iters + 1):
         prior = weights / weights.sum()
-        f0s, _, full = _pgm_raw(
-            prior, stack, n, support_cutoff, full_table=True, sqrt_stack=sqrt_stack
-        )
-        d_t = bit_error_table(f0s, stack).sum(axis=0)
+        f0s, _, full = _pgm_raw(prior, q.encoder, n, support_cutoff, full_table=True)
+        d_t = bit_error_table(f0s, q.encoder).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
 
         mean_f0 += (f0s - mean_f0) / t
-        mean_full += (full - mean_full) / t
+        mean_full += (full.element_stack - mean_full) / t  # densified for the average
 
-        per_x = bit_error_table(mean_f0, stack).sum(axis=0)
+        per_x = bit_error_table(mean_f0, q.encoder).sum(axis=0)
         worst_x = argmax_first(per_x)
         worst = float(per_x.max())
         # value of the current best-response PGM at the current prior; this is

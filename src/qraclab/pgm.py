@@ -1,21 +1,28 @@
 """Pretty good measurement construction and optimal two-state discrimination.
 
 For an ensemble {(P_x, rho_x)} the square-root measurement has elements
-Q_y = P_y rho^{-1/2} rho_y rho^{-1/2} with rho the ensemble average and
-the inverse square root taken on the support of rho.  Whatever identity
-mass falls outside that support is assigned to the lexicographically
-first outcome so the elements always form a complete measurement.
+Q_y = P_y S rho_y S, with S = rho^{-1/2} the inverse square root of the
+ensemble average on its support.  Whatever identity mass L falls outside
+that support is assigned to the lexicographically first outcome, so the
+elements always form a complete measurement.  A renormalizer R, the
+inverse square root of the computed family total, makes the sum exactly
+the identity up to rounding: the stored element is R Q_y R.
 
 Per-bit marginals F_b^{(i)} = sum_{y: y_i = b} Q_y are computed directly
 from the prior without materializing the full outcome table; that is the
-default evaluation path.
+default evaluation path.  Each is a Gram product (S G)(S G)^dag, with G a
+factor of the prior-weighted sum of the states whose bit i is b, from one
+batched ``eigh`` of the 2n sums; that keeps it PSD.
 
-Every element is a Gram product P_y (S R_y)(S R_y)^dag with S = rho^{-1/2}
-and R_y a square root of rho_y, which keeps it PSD; a per-bit marginal is
-the same product with R the square root of its prior-weighted sum.  For a
-pure state rho_y^2 = rho_y, so rho_y is its own square root: on a code of
-pure states the full table needs no eigendecomposition of its 2^n states,
-only of rho, of the 2n per-bit sums and of the renormalizers.
+The full table is kept factored (Hausladen, Jozsa, Schumacher, Westmoreland
+and Wootters, PRA 1996): with rho_y = A_y A_y^dag, element y is
+B_y B_y^dag with B_y = sqrt(P_y) R S A_y, and R L R sits on outcome 0.  For
+a pure code A_y is the state vector, so the 2^n elements cost one
+(d, d)(d, 2^n) product, and the outcome table T[x, y] = Tr(rho_x Q_y) is
+one (2^n r, d)(d, 2^n r) product (:meth:`~qraclab.linalg.GramPovm.table`).
+The full-string success and the identification sum read only its
+diagonal, one (r, d)(d, r) product per string
+(:meth:`~qraclab.linalg.GramPovm.diagonal`).
 """
 
 from __future__ import annotations
@@ -34,43 +41,23 @@ from .errors import (
 )
 from .linalg import (
     SUPPORT_CUTOFF,
+    GramPovm,
+    GramStates,
     Povm,
+    _eigh_factors,
     _sqrt_pinv_with_support,
     eig_hermitian,
-    paired_traces,
+    gram_sums,
     trace_norm,
 )
 from .qrac import Ensemble, bit_error_table
 
 FULL_TABLE_MAX_N = 12
 MARGINAL_MAX_N = 16
-PURE_TOL = 1e-13  # |Tr rho - 1|, |Tr rho^2 - 1| below which a state is its own square root
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-2, -1)) / 2
-
-
-def _psd_sqrt_stack(mats: np.ndarray) -> np.ndarray:
-    """Hermitian square roots of a (k, d, d) stack of PSD matrices.
-
-    A member with both Tr M and Tr M^2 within PURE_TOL of 1 is a pure state,
-    M^2 = M, and is its own square root: (Tr M)^2 - Tr M^2 is twice the sum
-    of the pairwise eigenvalue products, so its second eigenvalue is below
-    about PURE_TOL.  ``eigh`` runs only on the others, clipping the tiny
-    negative eigenvalues that rounding introduces.  When every member is
-    pure the stack itself is returned, uncopied.
-    """
-    traces = np.trace(mats, axis1=1, axis2=2).real
-    purities = paired_traces(mats, mats)
-    mixed = (np.abs(traces - 1.0) > PURE_TOL) | (np.abs(purities - 1.0) > PURE_TOL)
-    if not mixed.any():
-        return mats
-    w, v = np.linalg.eigh(_hermitize(mats[mixed]))
-    root = np.sqrt(np.clip(w, 0.0, None))
-    out = mats.copy()
-    out[mixed] = (v * root[..., None, :]) @ v.conj().swapaxes(-2, -1)
-    return out
 
 
 def _family_renormalizer(total: np.ndarray) -> np.ndarray:
@@ -89,60 +76,44 @@ def _family_renormalizer(total: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PgmBundle:
     """Square-root measurement of an ensemble: per-bit marginals plus, on
-    request, the full outcome table."""
+    request, the full outcome table as a factored measurement."""
 
     n: int
     marginals: tuple[Povm, ...]
-    full: Povm | None
+    full: GramPovm | None
     support_cutoff: float
 
 
 def _pgm_raw(
-    prior: np.ndarray,
-    stack: np.ndarray,
-    n: int,
-    cutoff: float,
-    full_table: bool,
-    sqrt_stack: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Square-root measurement as raw arrays: per-bit outcome-0/1 marginal
-    stacks of shape (n, dim, dim) and, on request, the full (2^n, dim, dim)
-    outcome table.
+    prior: np.ndarray, states: GramStates, n: int, cutoff: float, full_table: bool
+) -> tuple[np.ndarray, np.ndarray, GramPovm | None]:
+    """Square-root measurement: per-bit outcome-0/1 marginal stacks of shape
+    (n, dim, dim) and, on request, the full table as a GramPovm with factors
+    B_y (2^n, dim, r) and R L R on outcome 0.
 
-    Elements are assembled in Gram form (S sqrt(M)) (S sqrt(M))^dag, with
-    S = rho^{-1/2} on the support, so they stay PSD even when tiny prior
-    masses meet a large inverse square root.  The Gram factor sqrt(M) of a
-    pure state is the state itself; ``eigh`` factors only mixed states and
-    the per-bit sums.  The 2n per-bit sums sum_{x: x_i = b} P_x rho_x are
-    one masked matmul.  ``sqrt_stack`` lets callers that sweep priors over a
-    fixed state stack factor the states once.
+    The 2n per-bit sums sum_{x: x_i = b} P_x rho_x and the average rho are
+    weighted sums of the states' factors.
     """
-    size, dim = stack.shape[:2]
-    rho = np.einsum("x,xij->ij", prior, stack)
+    size, dim = len(states), states.dim
+    rho = states.sums(prior[None])[0]
     isqrt, proj = _sqrt_pinv_with_support(_hermitize(rho), cutoff)
     leftover = _hermitize(np.eye(dim) - proj)
 
-    # row (i, b) holds the prior mass of the strings whose bit i is b
+    # row b * n + i holds the prior mass of the strings whose bit i + 1 is b
     cols = bit_columns(n)
-    masks = np.stack([cols == 0, cols == 1], axis=1) * prior
-    sums = (masks.reshape(2 * n, size) @ stack.reshape(size, -1)).reshape(2 * n, dim, dim)
-    half = isqrt @ _psd_sqrt_stack(_hermitize(sums))
-    gram = (half @ half.conj().swapaxes(-2, -1)).reshape(n, 2, dim, dim)
-    f0 = gram[:, 0] + leftover
-    ren = _family_renormalizer(f0 + gram[:, 1])
+    sums = states.sums(np.concatenate([cols == 0, cols == 1]) * prior)
+    half = isqrt @ _eigh_factors(_hermitize(sums))[1]
+    gram = (half @ half.conj().swapaxes(-2, -1)).reshape(2, n, dim, dim)
+    f0 = gram[0] + leftover
+    ren = _family_renormalizer(f0 + gram[1])
     f0s = _hermitize(ren @ f0 @ ren)
-    f1s = _hermitize(ren @ gram[:, 1] @ ren)
+    f1s = _hermitize(ren @ gram[1] @ ren)
 
     full = None
     if full_table:
-        if sqrt_stack is None:
-            sqrt_stack = _psd_sqrt_stack(stack)
-        half = isqrt @ sqrt_stack
-        full = half @ half.conj().swapaxes(-2, -1)
-        full *= prior[:, None, None]
-        full[0] += leftover
-        ren = _family_renormalizer(full.sum(axis=0))
-        full = _hermitize(ren @ full @ ren)
+        half = (isqrt @ states.factors) * np.sqrt(prior)[:, None, None]
+        ren = _family_renormalizer(gram_sums(half, np.ones((1, size)))[0] + leftover)
+        full = GramPovm(ren @ half, _hermitize(ren @ leftover @ ren))
     return f0s, f1s, full
 
 
@@ -151,25 +122,20 @@ def build_pgm(
 ) -> PgmBundle:
     """Construct the square-root measurement of ``ensemble``.
 
-    With ``full_table`` the 2^n-outcome table is stored as well (n <= 12);
-    marginals alone stretch to n <= 16.
+    With ``full_table`` the 2^n-outcome table is stored as well (n <= 12),
+    factored; marginals alone stretch to n <= 16.
     """
     n = ensemble.n
     if full_table and n > FULL_TABLE_MAX_N:
         raise SizeCapError(f"full outcome table capped at n = {FULL_TABLE_MAX_N}, got {n}")
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
-    f0s, f1s, full_elems = _pgm_raw(
-        ensemble.prior, ensemble.state_stack, n, support_cutoff, full_table
-    )
+    f0s, f1s, full = _pgm_raw(ensemble.prior, ensemble.states, n, support_cutoff, full_table)
     marginals = tuple(Povm((f0s[i], f1s[i]), outcomes=(0, 1)) for i in range(n))
-    full = None
-    if full_table:
-        full = Povm(full_elems, outcomes=tuple(range(2**n)))
     return PgmBundle(n, marginals, full, support_cutoff)
 
 
-def marginal_f0s(measurement: PgmBundle | Povm, n: int) -> np.ndarray:
+def marginal_f0s(measurement: PgmBundle | Povm | GramPovm, n: int) -> np.ndarray:
     """Outcome-0 marginal operator of every bit, shape (n, dim, dim), from a
     bundle or from a measurement labelled by n-bit strings: F0_i is the sum
     of the elements whose label has bit i equal to 0."""
@@ -177,21 +143,19 @@ def marginal_f0s(measurement: PgmBundle | Povm, n: int) -> np.ndarray:
         if measurement.n != n:
             raise LabelMismatchError(f"measurement built for n = {measurement.n}, code has {n}")
         return np.stack([mv.elements[0] for mv in measurement.marginals])
-    if not isinstance(measurement, Povm):
+    if not isinstance(measurement, (Povm, GramPovm)):
         raise TypeError(f"expected PgmBundle or Povm, got {type(measurement).__name__}")
     labels = np.asarray(measurement.outcomes)
     if labels.min() < 0 or labels.max() >= 2**n:
         raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
-    zero = (bit_columns(n)[:, labels] == 0).astype(complex)
-    elems = measurement.element_stack
-    return (zero @ elems.reshape(len(labels), -1)).reshape(n, *elems.shape[1:])
+    return measurement.sums(bit_columns(n)[:, labels] == 0)
 
 
 def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:
     """Probability that the full measurement recovers the whole string."""
     if pg.full is None:
         raise ValidationError("bundle was built without the full outcome table")
-    per_x = paired_traces(pg.full.element_stack, ensemble.state_stack)
+    per_x = pg.full.diagonal(ensemble.states)
     return float(ensemble.prior @ per_x)
 
 
@@ -207,7 +171,7 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     prior = ensemble.prior
     if prior[col == 0].sum() == 0.0 or prior[col == 1].sum() == 0.0:
         return 1.0
-    err = bit_error_table(marginal_f0s(pg, ensemble.n), ensemble.state_stack)[i - 1]
+    err = bit_error_table(marginal_f0s(pg, ensemble.n), ensemble.states)[i - 1]
     return float(prior @ (1.0 - err))
 
 

@@ -1,20 +1,28 @@
 """Random access code model: encoders, per-bit decoders, validation.
 
-A code stores one density matrix per n-bit string and one two-outcome
-measurement per bit position, together with the success probability it
-claims to guarantee on every (string, bit) pair.
+A code stores one state per n-bit string and one two-outcome measurement
+per bit position, together with the success probability it claims to
+guarantee on every (string, bit) pair.
+
+The encoder is a :class:`~qraclab.linalg.GramStates`: the 2^n states as one
+stack of Gram factors.  The builders here make pure codes, so they pass
+unit state vectors: a Haar draw, the standard code's four vectors, basis
+vectors, and the Kronecker products of a tensor power.  Each is checked by
+its norm, with no eigendecomposition and no 2^n x d x d array.  A code
+read from JSON is factored from its matrices and cut to their numerical
+rank, so a pure one is held as vectors again.  Reading ``q.encoder[x].mat``
+forms that one density matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .bits import bit_column, bit_columns
 from .errors import SizeCapError, ValidationError
-from .linalg import DensityMatrix, Povm, check_dim_cap, tensor, trace_table
+from .linalg import DensityMatrix, GramStates, Povm, as_states, check_dim_cap, tensor, trace_table
 from .rng import stream
 from .serialize import SCHEMA_VERSION, matrix_to_reim, reim_to_matrix
 
@@ -40,7 +48,7 @@ class Qrac:
 
     n: int
     m: int
-    encoder: tuple[DensityMatrix, ...]
+    encoder: GramStates
     decoders: tuple[Povm, ...]
     claimed_p: float
     tol: float = field(default=1e-9, repr=False)
@@ -49,12 +57,12 @@ class Qrac:
         if self.n < 1 or self.m < 1:
             raise ValidationError("n and m must be positive")
         check_dim_cap(2**self.m)
+        self.encoder = as_states(self.encoder)
         if len(self.encoder) != 2**self.n:
             raise ValidationError(f"encoder needs {2**self.n} states, got {len(self.encoder)}")
         dim = 2**self.m
-        for rho in self.encoder:
-            if rho.dim != dim:
-                raise ValidationError("encoder state dimension differs from 2^m")
+        if self.encoder.dim != dim:
+            raise ValidationError("encoder state dimension differs from 2^m")
         if len(self.decoders) != self.n:
             raise ValidationError(f"one decoder per bit required, got {len(self.decoders)}")
         for dec in self.decoders:
@@ -62,7 +70,6 @@ class Qrac:
                 raise ValidationError("decoder dimension differs from 2^m")
             if dec.outcomes != (0, 1):
                 raise ValidationError("decoders must have outcomes (0, 1)")
-        self.encoder = tuple(self.encoder)
         self.decoders = tuple(self.decoders)
         worst = success_table(self).min()
         if worst < self.claimed_p - self.tol:
@@ -74,25 +81,19 @@ class Qrac:
     def dim(self) -> int:
         return 2**self.m
 
-    @property
-    def state_stack(self) -> np.ndarray:
-        """All encoder states as one (2^n, dim, dim) array, built per call:
-        a code kept for later would otherwise hold its states twice."""
-        return np.stack([rho.mat for rho in self.encoder])
 
-
-def bit_error_table(f0s: np.ndarray, states: np.ndarray) -> np.ndarray:
+def bit_error_table(f0s: np.ndarray, states: GramStates) -> np.ndarray:
     """(n, 2^n) chance that bit i is read wrongly on input x, from the
     per-bit outcome-0 operators ``f0s`` (n, dim, dim) and the encoder
-    states ``states`` (2^n, dim, dim)."""
-    p0 = trace_table(f0s, states)
+    states."""
+    p0 = trace_table(f0s, states.factors)
     return np.where(bit_columns(len(f0s)) == 0, 1.0 - p0, p0)
 
 
 def success_table(q: Qrac) -> np.ndarray:
     """(n, 2^n) table of Tr(M^{(i)}_{x_i} rho_x) over bit positions and strings."""
     f0s = np.stack([dec.elements[0] for dec in q.decoders])
-    return 1.0 - bit_error_table(f0s, q.state_stack)
+    return 1.0 - bit_error_table(f0s, q.encoder)
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,12 @@ class Ensemble:
     """A prior over n-bit strings paired with the states that encode them."""
 
     prior: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    states: GramStates
 
     def __post_init__(self):
         prior = np.asarray(self.prior, dtype=float)
-        size = len(self.states)
+        states = as_states(self.states)
+        size = len(states)
         if size < 2 or size & (size - 1):
             raise ValidationError(f"number of states must be a power of two >= 2, got {size}")
         if prior.shape != (size,):
@@ -133,14 +135,10 @@ class Ensemble:
             raise ValidationError("prior has negative entries")
         if abs(prior.sum() - 1.0) > 1e-12:
             raise ValidationError(f"prior sums to {prior.sum()}, not 1")
-        dim = self.states[0].dim
-        for st in self.states:
-            if st.dim != dim:
-                raise ValidationError("ensemble states differ in dimension")
         prior = prior.copy()
         prior.flags.writeable = False
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", states)
 
     @property
     def n(self) -> int:
@@ -148,12 +146,7 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
-
-    @cached_property
-    def state_stack(self) -> np.ndarray:
-        """All states as one (2^n, dim, dim) array."""
-        return np.stack([st.mat for st in self.states])
+        return self.states.dim
 
     @classmethod
     def uniform(cls, q: Qrac) -> "Ensemble":
@@ -164,11 +157,16 @@ class Ensemble:
         return cls(np.asarray(prior, dtype=float), q.encoder)
 
     def average_state(self) -> np.ndarray:
-        return np.einsum("x,xij->ij", self.prior, self.state_stack)
+        return self.states.sums(self.prior[None])[0]
 
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    """Each row divided by its np.linalg.norm, as from_state_vector divides."""
+    return vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
 
 
 def build_standard_2to1() -> Qrac:
@@ -179,13 +177,8 @@ def build_standard_2to1() -> Qrac:
     Hadamard basis.
     """
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-    vecs = {
-        0b00: [c, s],
-        0b01: [c, -s],
-        0b10: [s, c],
-        0b11: [-s, c],
-    }
-    encoder = tuple(DensityMatrix.from_state_vector(vecs[x]) for x in range(4))
+    vecs = np.array([[c, s], [c, -s], [s, c], [-s, c]], dtype=complex)  # x = 00, 01, 10, 11
+    encoder = GramStates.from_vectors(_unit_rows(vecs))
     basis0 = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), outcomes=(0, 1))
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
@@ -198,10 +191,7 @@ def build_identity_encoding(n: int) -> Qrac:
     if n > 10:
         raise SizeCapError(f"identity encoding capped at n = 10, got {n}")
     dim = 2**n
-    basis = np.arange(dim)
-    stack = np.zeros((dim, dim, dim), dtype=complex)
-    stack[basis, basis, basis] = 1.0
-    encoder = DensityMatrix.stack(stack)
+    encoder = GramStates.from_vectors(np.eye(dim))
     decoders = []
     for i in range(1, n + 1):
         col = bit_column(i, n)
@@ -225,15 +215,16 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
     block_dim = base.dim
     # string x = (block 1, ..., block k), block 1 most significant: each
     # factor appends a less significant block and a tensor factor on the
-    # right, as one broadcast product (the one np.kron takes per pair)
-    blocks = base.state_stack
-    stack = blocks
+    # right.  The Gram factor of a product state is the Kronecker product of
+    # the blocks' factors, formed for all pairs as one broadcast product.
+    blocks = base.encoder.factors
+    factors = blocks
     for _ in range(k - 1):
-        size, dim = len(stack), stack.shape[1]
-        stack = (stack[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]).reshape(
-            size * len(blocks), dim * block_dim, dim * block_dim
-        )
-    encoder = DensityMatrix.stack(stack)
+        size, dim, rank = factors.shape
+        factors = (
+            factors[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]
+        ).reshape(size * len(blocks), dim * block_dim, rank * blocks.shape[2])
+    encoder = GramStates(factors) if k > 1 else base.encoder
     decoders = []
     for i in range(1, n + 1):
         j = (i - 1) // base.n  # block holding bit i
@@ -248,9 +239,11 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
 def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     """Haar-random pure-state encoder with per-bit Helstrom decoders.
 
-    The claimed success is the measured worst case over (bit, string)
-    pairs, so the returned object always validates; codes that land at or
-    below 1/2 are still returned and flagged by validate_qrac.
+    Bit i's decoder discriminates the averages rho_b = V_b^dag V_b / 2^(n-1)
+    of the states whose bit i is b, with V_b the matrix of their vectors as
+    conjugated rows.  The claimed success is the measured worst case over
+    (bit, string) pairs, so the returned object always validates; codes that
+    land at or below 1/2 are still returned and flagged by validate_qrac.
     """
     if n > 12 or m > 6:
         raise SizeCapError(f"random codes capped at n <= 12, m <= 6, got ({n}, {m})")
@@ -259,19 +252,15 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     dim = 2**m
     # one draw in the order of a per-string loop: real parts, then imaginary
     gauss = stream(seed, 0).normal(size=(2**n, 2, dim))
-    vecs = gauss[:, 0] + 1j * gauss[:, 1]
-    # np.linalg.norm of each vector, as from_state_vector normalises
-    vecs /= np.array([np.linalg.norm(v) for v in vecs])[:, None]
-    stack = vecs[:, :, None] * vecs.conj()[:, None, :]
-    decoders = []
-    for i in range(1, n + 1):
-        col = bit_column(i, n)
-        rho0 = stack[col == 0].mean(axis=0)
-        rho1 = stack[col == 1].mean(axis=0)
-        decoders.append(helstrom_measurement(0.5, rho0, 0.5, rho1))
+    encoder = GramStates.from_vectors(_unit_rows(gauss[:, 0] + 1j * gauss[:, 1]))
+    cols = bit_columns(n)
+    halves = encoder.sums(np.concatenate([cols == 0, cols == 1]) * 2.0 ** (1 - n))
+    decoders = tuple(
+        helstrom_measurement(0.5, halves[i], 0.5, halves[n + i]) for i in range(n)
+    )
     f0s = np.stack([dec.elements[0] for dec in decoders])
-    worst = float(1.0 - bit_error_table(f0s, stack).max())
-    return Qrac(n, m, DensityMatrix.stack(stack), tuple(decoders), claimed_p=worst)
+    worst = float(1.0 - bit_error_table(f0s, encoder).max())
+    return Qrac(n, m, encoder, decoders, claimed_p=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,6 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def rows_to_csv(header, rows, path=None) -> str:
     """RFC-4180 CSV with \r\n line endings; floats at 17 significant digits."""
     buf = io.StringIO()

@@ -106,6 +106,23 @@ def test_bad_input_exits_two_without_traceback(argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, flag, value]
+        for cmd in ("minimax", "compress", "convert")
+        for flag, value in (("--n", "0"), ("--n", "-2"), ("--m", "0"))
+    ]
+    + [["compress", "--seed", "-1"], ["convert", "--seed", "-1"]],
+)
+def test_out_of_range_integer_exits_two_in_process(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, qraclab.cli; print('scipy.optimize' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

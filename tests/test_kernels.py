@@ -13,7 +13,7 @@ from qraclab.conversion import message_bits_budget
 from qraclab.decoding import expected_hamming_exact
 from qraclab.errors import LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
-from qraclab.linalg import Povm, paired_traces, trace_table
+from qraclab.linalg import Povm, trace_table
 from qraclab.minimax import evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm, marginal_f0s
 from qraclab.qrac import (
@@ -71,8 +71,8 @@ def reference_errors(f0s, states, n):
 def test_trace_table_matches_einsum(code_and_pgm):
     q, pg = code_and_pgm
     f0s = np.stack([mv.elements[0] for mv in pg.marginals])
-    expected = np.einsum("iab,xba->ix", f0s, q.state_stack).real
-    np.testing.assert_allclose(trace_table(f0s, q.state_stack), expected, rtol=0, atol=1e-13)
+    expected = np.einsum("iab,xba->ix", f0s, q.encoder.dense()).real
+    np.testing.assert_allclose(trace_table(f0s, q.encoder.factors), expected, rtol=0, atol=1e-13)
 
 
 def test_bundle_marginals_and_error_table(code_and_pgm):
@@ -81,9 +81,9 @@ def test_bundle_marginals_and_error_table(code_and_pgm):
     assert f0s.shape == (q.n, q.dim, q.dim)
     for i, mv in enumerate(pg.marginals):
         np.testing.assert_array_equal(f0s[i], mv.elements[0])
-    err = bit_error_table(f0s, q.state_stack)
+    err = bit_error_table(f0s, q.encoder)
     np.testing.assert_allclose(
-        err, reference_errors(f0s, q.state_stack, q.n), rtol=0, atol=1e-13
+        err, reference_errors(f0s, q.encoder.dense(), q.n), rtol=0, atol=1e-13
     )
 
 
@@ -103,15 +103,18 @@ def test_shuffled_full_povm_marginals(code_and_pgm):
 def test_success_table_is_one_minus_error(code_and_pgm):
     q, _ = code_and_pgm
     f0s = np.stack([dec.elements[0] for dec in q.decoders])
-    want = 1.0 - reference_errors(f0s, q.state_stack, q.n)
+    want = 1.0 - reference_errors(f0s, q.encoder.dense(), q.n)
     np.testing.assert_allclose(success_table(q), want, rtol=0, atol=1e-13)
 
 
 def test_full_success_diagonal(code_and_pgm):
     q, pg = code_and_pgm
     elems = np.stack(pg.full.elements)
-    want = [np.trace(e @ rho).real for e, rho in zip(elems, q.state_stack)]
-    np.testing.assert_allclose(paired_traces(elems, q.state_stack), want, rtol=0, atol=1e-13)
+    want = [np.trace(e @ rho).real for e, rho in zip(elems, q.encoder.dense())]
+    np.testing.assert_allclose(np.diagonal(pg.full.table(q.encoder)), want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(pg.full.diagonal(q.encoder), want, rtol=0, atol=1e-13)
+    dense = Povm(elems[::-1], outcomes=pg.full.outcomes[::-1])
+    np.testing.assert_allclose(dense.diagonal(q.encoder), want[::-1], rtol=0, atol=1e-13)
 
 
 def test_solver_average_marginals():
@@ -123,7 +126,7 @@ def test_solver_average_marginals():
         got, reference_f0s(meas.elements, meas.outcomes, q.n), rtol=0, atol=1e-12
     )
     worst, _, per_x = evaluate_worstcase(q, meas)
-    want = reference_errors(got, q.state_stack, q.n).sum(axis=0)
+    want = reference_errors(got, q.encoder.dense(), q.n).sum(axis=0)
     np.testing.assert_allclose(per_x, want, rtol=0, atol=1e-12)
     assert worst == pytest.approx(sol.worst_x_value, abs=1e-9)
 
@@ -158,10 +161,10 @@ def test_bundle_for_another_n_rejected():
 
 
 def test_ensemble_stack_is_built_once():
+    """The ensemble holds the code's own factor stack, not a copy."""
     q = build_tensor_power(build_standard_2to1(), 2)
     ens = Ensemble.uniform(q)
-    assert ens.state_stack is ens.state_stack
-    np.testing.assert_array_equal(ens.state_stack, q.state_stack)
+    assert ens.states is q.encoder
 
 
 def test_random_code_claims_its_worst_pair():

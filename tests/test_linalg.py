@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from qraclab.linalg import (
     TOL_PSD,
     TOL_TRACE,
     DensityMatrix,
+    GramPovm,
+    GramStates,
     Povm,
     argmax_first,
     eig_hermitian,
@@ -23,7 +27,13 @@ from qraclab.linalg import (
     trace_distance,
     trace_norm,
 )
-from qraclab.qrac import build_random_qrac, build_standard_2to1, build_tensor_power
+from qraclab.qrac import (
+    build_random_qrac,
+    build_standard_2to1,
+    build_tensor_power,
+    qrac_from_json_dict,
+    qrac_to_json_dict,
+)
 from qraclab.rng import stream
 
 C = np.cos(np.pi / 8)
@@ -364,6 +374,54 @@ class TestBatchedDensityValidation:
             DensityMatrix.stack([np.eye(2) / 2, np.eye(4) / 4])
 
 
+class TestGramContainers:
+    def test_vectors_checked_by_norm(self):
+        states = GramStates.from_vectors(np.eye(4)[:3])
+        assert len(states) == 3 and states.dim == 4
+        np.testing.assert_array_equal(states[1].mat, np.diag([0, 1, 0, 0]))
+        with pytest.raises(ValidationError, match="trace 2.0 is not 1"):
+            GramStates.from_vectors([[1.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"\(k, d\) array"):
+            GramStates.from_vectors([1.0, 0.0])
+
+    def test_matrix_input_is_factored(self):
+        stack = valid_states(18)
+        states = DensityMatrix.stack(stack)
+        assert states.factors.shape == (5, 4, 4)
+        np.testing.assert_allclose(
+            states.factors @ states.factors.conj().swapaxes(1, 2), stack, rtol=0, atol=1e-14
+        )
+
+    def test_povm_checked_by_identity_sum_and_extra(self):
+        vecs = np.eye(3)[:, :, None]
+        extra = np.diag([0.0, 0.0, 0.0])
+        povm = GramPovm(vecs, extra)
+        assert povm.outcomes == (0, 1, 2) and len(povm.elements) == 3
+        np.testing.assert_array_equal(povm.elements[2], np.diag([0, 0, 1]))
+        with pytest.raises(ValidationError, match="sum to identity"):
+            GramPovm(vecs[:2], extra)
+        negative = np.diag([-2 * TOL_PSD, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            GramPovm(vecs * np.sqrt(1 + 2 * TOL_PSD), negative)
+
+    def test_matrix_input_keeps_numerical_rank(self):
+        rng = np.random.default_rng(19)
+        vecs = [random_unitary(rng, 4)[:, :rank] for rank in (1, 2, 1)]
+        stack = np.stack([v @ v.conj().T / v.shape[1] for v in vecs])
+        states = DensityMatrix.stack(stack)
+        assert states.factors.shape == (3, 4, 2)
+        np.testing.assert_array_equal(states.factors[[0, 2], :, 0], 0)
+        np.testing.assert_allclose(
+            states.factors @ states.factors.conj().swapaxes(1, 2), stack, rtol=0, atol=1e-14
+        )
+
+    def test_pure_code_read_from_json_is_vectors(self):
+        q = build_random_qrac(6, 3, 0)
+        back = qrac_from_json_dict(json.loads(json.dumps(qrac_to_json_dict(q))))
+        assert back.encoder.factors.shape == (64, 8, 1)
+        np.testing.assert_allclose(back.encoder.dense(), q.encoder.dense(), rtol=0, atol=1e-15)
+
+
 def valid_povm(seed, k=4, dim=3):
     """k elements U diag(w_j) U^dag whose weights sum to one per column."""
     rng = np.random.default_rng(seed)
@@ -445,15 +503,33 @@ def random_encoder_reference(n, m, seed):
     return np.stack(out)
 
 
+def tensor_power_vectors(base, k):
+    """Each string's state vector as a per-vector np.kron chain."""
+    out = []
+    for x in range(2 ** (k * base.n)):
+        vec = np.array([1.0 + 0j])
+        for j in range(k):
+            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
+            vec = np.kron(vec, base.encoder.factors[block, :, 0])
+        out.append(vec)
+    return np.stack(out)
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_tensor_power_encoder_bit_identical(k):
+    """The stored vectors are the per-vector Kronecker products bit for bit;
+    their outer products round differently from a Kronecker product of the
+    blocks' matrices, so the dense view is held to 1e-15."""
     std = build_standard_2to1()
     q = build_tensor_power(std, k)
-    np.testing.assert_array_equal(q.state_stack, tensor_power_reference(std, k))
+    np.testing.assert_array_equal(q.encoder.factors[:, :, 0], tensor_power_vectors(std, k))
+    np.testing.assert_allclose(
+        q.encoder.dense(), tensor_power_reference(std, k), rtol=0, atol=1e-15
+    )
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_encoder_bit_identical(seed):
     n, m = 6, 3
     q = build_random_qrac(n, m, seed=seed)
-    np.testing.assert_array_equal(q.state_stack, random_encoder_reference(n, m, seed))
+    np.testing.assert_array_equal(q.encoder.dense(), random_encoder_reference(n, m, seed))

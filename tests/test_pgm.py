@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
 from qraclab.linalg import SUPPORT_CUTOFF, DensityMatrix, Povm, support_projector
+from qraclab.decoding import identification_bound_check
 from qraclab.pgm import (
     PgmBundle,
-    _pgm_raw,
     build_pgm,
     check_pgm_lower_bound,
     helstrom_measurement,
@@ -19,6 +19,7 @@ from qraclab.pgm import (
 from qraclab.qrac import (
     P_STANDARD,
     Ensemble,
+    Qrac,
     build_identity_encoding,
     build_random_qrac,
     build_standard_2to1,
@@ -50,7 +51,7 @@ def bit_ensemble(q, i):
     from qraclab.bits import bit_column
 
     col = bit_column(i, q.n)
-    stack = q.state_stack
+    stack = q.encoder.dense()
     rho0 = DensityMatrix(stack[col == 0].mean(axis=0))
     rho1 = DensityMatrix(stack[col == 1].mean(axis=0))
     return Ensemble(np.array([0.5, 0.5]), (rho0, rho1))
@@ -275,13 +276,30 @@ def test_bundle_is_dataclass_with_marginals():
 
 
 # ---------------------------------------------------------------------------
-# the pure-state Gram factor and the batched paths
+# the factored full table against a dense reference
 
 
-def eigh_sqrt(stack):
-    """Square root of every member by eigendecomposition, pure or not."""
-    w, v = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+def dense_pgm_reference(prior, states):
+    """Q_y = R (P_y S rho_y S + [y = 0] L) R from eigh alone: S = rho^{-1/2}
+    on the support of the average rho, L = I minus the support projector,
+    and R the inverse square root of the family total."""
+    dim = states.shape[1]
+    w, v = np.linalg.eigh(np.einsum("x,xij->ij", prior, states))
+    kept = v[:, w >= SUPPORT_CUTOFF * w.max()]
+    s = (kept * w[w >= SUPPORT_CUTOFF * w.max()] ** -0.5) @ kept.conj().T
+    raw = prior[:, None, None] * (s @ states @ s)
+    raw[0] += np.eye(dim) - kept @ kept.conj().T
+    wt, vt = np.linalg.eigh(raw.sum(axis=0))
+    r = (vt * wt**-0.5) @ vt.conj().T
+    return r @ raw @ r
+
+
+def coin_code(n, states):
+    """A code over ``states`` whose decoders flip coins: the full-table
+    checks that take a Qrac read only its encoder."""
+    coin = Povm((np.eye(states.dim) / 2, np.eye(states.dim) / 2), outcomes=(0, 1))
+    m = int(np.log2(states.dim))
+    return Qrac(n, m, states, (coin,) * n, claimed_p=0.0)
 
 
 @given(
@@ -307,22 +325,27 @@ def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
 
     assert np.linalg.eigvalsh(full).min() >= -1e-9
     assert np.abs(full.sum(axis=0) - np.eye(dim)).max() <= 1e-9
-    _, _, reference = _pgm_raw(
-        prior, ens.state_stack, n, SUPPORT_CUTOFF, True, sqrt_stack=eigh_sqrt(ens.state_stack)
-    )
+    dense = np.stack([rho.mat for rho in states])
+    reference = dense_pgm_reference(prior, dense)
     np.testing.assert_allclose(full, reference, rtol=0, atol=1e-10)
+
+    table = np.einsum("yab,xba->xy", reference, dense).real
+    np.testing.assert_allclose(pg.full.table(ens.states), table, rtol=0, atol=1e-10)
+    assert success_prob_full(ens, pg) == pytest.approx(prior @ np.diagonal(table), abs=1e-10)
+    ident = identification_bound_check(coin_code(n, ens.states), pg)
+    assert ident.lhs == pytest.approx(np.trace(table), abs=1e-10)
     cols = bit_columns(n)
     for i, marginal in enumerate(pg.marginals):
         for b in (0, 1):
-            table_sum = np.einsum("y,yab->ab", (cols[i] == b).astype(float), full)
+            table_sum = np.einsum("y,yab->ab", (cols[i] == b).astype(float), reference)
             np.testing.assert_allclose(marginal.elements[b], table_sum, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_near_pure_unnormalised_state_is_factored(seed):
     """|psi><psi| + delta |phi><phi| with delta = 1e-10 passes validation
-    (trace 1 + 1e-10) and has Tr M^2 = 1 + delta^2, yet it is not its own
-    square root: taking it as one would put M^2 for M in the table."""
+    (trace 1 + 1e-10) and has Tr M^2 = 1 + delta^2, yet it is not a pure
+    state: taking it as one would drop delta |phi><phi| from the table."""
     rng = np.random.default_rng(seed)
     n, dim, delta = 2, 4, 1e-10
     basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
@@ -333,9 +356,7 @@ def test_near_pure_unnormalised_state_is_factored(seed):
     )
     ens = Ensemble(np.full(2**n, 2.0**-n), states)
     full = build_pgm(ens, full_table=True).full.element_stack
-    _, _, reference = _pgm_raw(
-        ens.prior, ens.state_stack, n, SUPPORT_CUTOFF, True, sqrt_stack=eigh_sqrt(ens.state_stack)
-    )
+    reference = dense_pgm_reference(ens.prior, np.stack([rho.mat for rho in states]))
     np.testing.assert_allclose(full, reference, rtol=0, atol=1e-12)
 
 

@@ -1,0 +1,53 @@
+"""Pipeline properties over Haar-random codes with n <= 4 and m <= 3, kept by
+the corpus rule (worst-case p above DEFAULT_P_MIN): the channels of a
+codebook, its audited success, and the per-input Hamming error of the
+code's own decoders."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qraclab.corpus import random_qrac_corpus
+from qraclab.conversion import build_rac, validate_rac
+from qraclab.decoding import expected_hamming_exact
+from qraclab.info import max_channel_capacity
+from qraclab.linalg import SUPPORT_CUTOFF
+from qraclab.pgm import PgmBundle
+from qraclab.qrac import Ensemble, success_table
+
+CODE_SEEDS = st.integers(min_value=0, max_value=2**16)
+ETAS = st.sampled_from([0.3, 0.4])
+
+
+def corpus_code(seed):
+    return random_qrac_corpus(1, seed, n_max=4, m_max=3)[0]
+
+
+@given(seed=CODE_SEEDS, eta=ETAS)
+@settings(max_examples=8, deadline=None)
+def test_shift_channels_are_stochastic_within_capacity(seed, eta):
+    q = corpus_code(seed)
+    cb = build_rac(q, eta, seed=seed)
+    for scheme in cb.schemes:
+        table = scheme.channel.table
+        assert table.min() >= 0.0
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert max_channel_capacity(scheme.channel).value <= q.m + 1e-9
+
+
+@given(seed=CODE_SEEDS, eta=ETAS)
+@settings(max_examples=8, deadline=None)
+def test_codebook_success_stays_above_its_floor(seed, eta):
+    q = corpus_code(seed)
+    val = validate_rac(build_rac(q, eta, seed=seed), q)
+    assert val.min_success >= val.floor
+
+
+@given(seed=CODE_SEEDS)
+@settings(max_examples=10, deadline=None)
+def test_decoder_hamming_error_is_the_success_table_complement(seed):
+    q = corpus_code(seed)
+    own = PgmBundle(q.n, q.decoders, None, SUPPORT_CUTOFF)
+    report = expected_hamming_exact(q, Ensemble.uniform(q), own)
+    want = (1.0 - success_table(q)).sum(axis=0)
+    np.testing.assert_allclose(report.per_x_expected_dh, want, rtol=0, atol=1e-12)
