@@ -2,6 +2,13 @@
 verification suites over seeded corpora, and single-shot runs of the solver,
 compressor, converter, and bound calculators.
 
+One spec drives the command line: ``FLAGS`` gives each key its type,
+default, choices and smallest value, and ``COMMANDS`` gives each command its
+handler, its keys and the defaults it overrides.  argparse, ``--config``
+files, ``QRACLAB_SEED``, the range checks and the dispatch all read it, so a
+config-file value passes the same choices and ranges as its flag.  Each
+suite shares one audit function with the single-shot command it mirrors.
+
 Reports are versioned JSON (and RFC-4180 CSV) built from check rows; every
 checked number carries the threshold and tolerance it was compared against.
 Exit status: 0 all checks pass, 1 at least one failure, 2 usage error.
@@ -15,6 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,41 +65,6 @@ from .qrac import (
 )
 from .serialize import SCHEMA_VERSION, dump_json, rows_to_csv
 
-SUITE_KINDS = ("pgm", "hamming", "minimax", "info", "compress", "convert", "bounds", "all")
-
-_CONFIG_TYPES = {
-    "kind": str,
-    "n": int,
-    "m": int,
-    "seeds": int,
-    "seed": int,
-    "jobs": int,
-    "max_iters": int,
-    "eta": float,
-    "eps": float,
-    "c_newman": float,
-    "p_target": float,
-    "format": str,
-    "out": str,
-    "deterministic": bool,
-}
-
-_COMMAND_KEYS = {
-    "demo-2to1": {"format", "out", "deterministic"},
-    "suite": {
-        "kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman",
-        "max_iters", "jobs", "format", "out", "deterministic",
-    },
-    "convert": {"n", "m", "eta", "seed", "c_newman", "format", "out", "deterministic"},
-    "compress": {"n", "m", "eta", "seed", "format", "out", "deterministic"},
-    "minimax": {"n", "m", "eps", "seed", "max_iters", "format", "out", "deterministic"},
-    "bounds": {"n", "m", "p_target", "format", "out", "deterministic"},
-}
-
-# smallest value each integer key accepts, from a flag, a config file or
-# QRACLAB_SEED alike
-_MINIMUMS = {"n": 1, "m": 1, "seeds": 1, "seed": 0}
-
 _BOOL_WORDS = {
     "true": True, "yes": True, "1": True,
     "false": False, "no": False, "0": False,
@@ -121,31 +94,32 @@ def parse_config_file(path: str, allowed: set[str]) -> dict:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in allowed:
             raise UsageError(f"{path}:{lineno}: key {key!r} does not apply to this command")
-        kind = _CONFIG_TYPES[key]
+        flag = FLAGS[key]
         try:
-            if kind is bool:
-                out[key] = _BOOL_WORDS[raw.lower()]
-            else:
-                out[key] = kind(raw)
+            out[key] = _BOOL_WORDS[raw.lower()] if flag.type is bool else flag.type(raw)
         except (ValueError, KeyError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from exc
+        if flag.choices and out[key] not in flag.choices:
+            raise UsageError(
+                f"{path}:{lineno}: {key!r} must be one of {', '.join(flag.choices)}, got {raw!r}"
+            )
     return out
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge precedence: explicit flags > config file > QRACLAB_SEED (for the
-    seed only) > built-in defaults."""
-    allowed = _COMMAND_KEYS[args.command]
-    filecfg = parse_config_file(args.config, allowed) if getattr(args, "config", None) else {}
+    seed only) > the command's defaults.  Every value, whatever its source,
+    then passes its flag's smallest-value check."""
+    filecfg = parse_config_file(args.config, set(defaults)) if args.config else {}
     resolved = {}
-    for key in sorted(allowed):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
+    for key in sorted(defaults):
+        given = getattr(args, key)
+        if given is not None:
+            resolved[key] = given
         elif key in filecfg:
             resolved[key] = filecfg[key]
         elif key == "seed" and os.environ.get("QRACLAB_SEED"):
@@ -156,8 +130,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                     f"QRACLAB_SEED must be an integer, got {os.environ['QRACLAB_SEED']!r}"
                 ) from exc
         else:
-            resolved[key] = defaults.get(key)
-        low = _MINIMUMS.get(key)
+            resolved[key] = defaults[key]
+        low = FLAGS[key].low
         if low is not None and resolved[key] is not None and resolved[key] < low:
             raise UsageError(f"{key} must be at least {low}, got {resolved[key]}")
     return resolved
@@ -188,19 +162,6 @@ def _check(name, value, threshold, tolerance, direction="<="):
     }
 
 
-def make_report(command: str, config: dict, checks: list[dict], *, deterministic: bool, extra: dict | None = None) -> dict:
-    report = {"schema_version": SCHEMA_VERSION, "command": command, "config": config}
-    if not deterministic:
-        report["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if extra:
-        report.update(extra)
-    report["checks"] = checks
-    failures = [c["check"] for c in checks if not c["ok"]]
-    report["ok"] = not failures
-    report["failures"] = failures
-    return report
-
-
 def report_to_csv(report: dict, path=None) -> str:
     header = ["check", "value", "threshold", "tolerance", "direction", "ok"]
     rows = [
@@ -210,11 +171,21 @@ def report_to_csv(report: dict, path=None) -> str:
     return rows_to_csv(header, rows, path)
 
 
-def emit_report(report: dict, fmt: str, out_path: str | None) -> int:
-    if out_path:
-        dump_json(report, f"{out_path}.json")
-        report_to_csv(report, f"{out_path}.csv")
-    if fmt == "csv":
+def emit_report(command: str, cfg: dict, checks: list[dict], extra: dict) -> int:
+    """Print the report, and write it to PATH.json and PATH.csv for
+    ``--out PATH``; return the exit status its checks give."""
+    report = {"schema_version": SCHEMA_VERSION, "command": command, "config": cfg}
+    if not cfg["deterministic"]:
+        report["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    report.update(extra)
+    report["checks"] = checks
+    failures = [c["check"] for c in checks if not c["ok"]]
+    report["ok"] = not failures
+    report["failures"] = failures
+    if cfg["out"]:
+        dump_json(report, f"{cfg['out']}.json")
+        report_to_csv(report, f"{cfg['out']}.csv")
+    if cfg["format"] == "csv":
         sys.stdout.write(report_to_csv(report))
     else:
         sys.stdout.write(dump_json(report))
@@ -222,7 +193,7 @@ def emit_report(report: dict, fmt: str, out_path: str | None) -> int:
 
 
 def _parallel_map(fn, items, jobs):
-    if jobs is None or jobs <= 1:
+    if jobs == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
@@ -239,10 +210,48 @@ def _select_code(n: int, m: int, seed: int):
     return build_random_qrac(n, m, seed=seed)
 
 
+# Each audit is shared by a suite and the single-shot command it mirrors; the
+# callers build their own check rows from what it returns.
+
+
+def _audit_minimax(q, eps: float, max_iters: int):
+    """The solver's certificate for ``q`` (its best iterate if it did not
+    converge) and the ceiling 2p(1-p)n + eps·n its worst value must meet."""
+    try:
+        sol = solve_worstcase(q, eps=eps, max_iters=max_iters)
+    except NotConvergedError as exc:
+        sol = exc.best
+    return sol, hamming_budget(q.claimed_p, q.n) + eps * q.n
+
+
+def _audit_compress(channel: ClassicalChannel, eta: float, seed: int, runs: int = 100_000):
+    """The scheme for ``channel``, its worst TV error above ``eta``, its
+    index-bit cap, and how many standard deviations a seeded Monte Carlo
+    acceptance rate lies from the exact one at the least likely input."""
+    scheme = build_scheme(channel, eta)
+    tv_excess = max(
+        exact_output_distribution(scheme, x).tv_error - eta
+        for x in range(channel.in_size)
+    )
+    x_star = argmax_first(scheme.a)
+    p = 2.0 ** -scheme.a[x_star]
+    est = estimate_acceptance_rate(scheme, x_star, seed=seed, runs=runs)
+    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / runs)
+    return scheme, tv_excess, index_bits_cap(scheme.c_max, eta), abs(est - p) / sigma
+
+
+def _audit_convert(q, eta: float, seed: int, c_newman: float):
+    """The classical codebook for ``q``, its validation, and the message-bit
+    budget it must meet."""
+    cb = build_rac(q, eta=eta, seed=seed, c_newman=c_newman)
+    return cb, validate_rac(cb, q), message_bits_budget(q.m, len(cb.s_set), eta)
+
+
 # ---------------------------------------------------------------- suites
+# Each takes the resolved config as keywords and ignores the keys it does not use.
 
 
-def suite_pgm(seed: int, seeds: int, jobs: int) -> list[dict]:
+def suite_pgm(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     ensembles = corpus.random_two_state_ensembles(seeds, seed)
 
     def margin(ens: Ensemble) -> float:
@@ -272,33 +281,29 @@ def suite_pgm(seed: int, seeds: int, jobs: int) -> list[dict]:
     ]
 
 
-def _hamming_worst_excess(q, seed: int, n_priors: int) -> tuple[float, float]:
-    """(max over priors of expected_dH - bound, uniform-prior expected_dH)."""
+def _hamming_worst_excess(q, seed: int, n_priors: int) -> float:
+    """Max over the uniform and ``n_priors`` random priors of expected_dH - bound."""
     bound = hamming_budget(q.claimed_p, q.n)
-    uniform = expected_hamming_exact(q, Ensemble.uniform(q), build_pgm(Ensemble.uniform(q)))
-    worst = uniform.expected_dh - bound
-    for prior in corpus.random_priors(2**q.n, n_priors, seed):
-        ens = Ensemble.from_qrac(q, prior)
-        rep = expected_hamming_exact(q, ens, build_pgm(ens))
-        worst = max(worst, rep.expected_dh - bound)
-    return worst, uniform.expected_dh
+    priors = corpus.random_priors(2**q.n, n_priors, seed)
+    ensembles = [Ensemble.uniform(q)] + [Ensemble.from_qrac(q, prior) for prior in priors]
+    return max(expected_hamming_exact(q, e, build_pgm(e)).expected_dh - bound for e in ensembles)
 
 
 def suite_hamming(
-    seed: int, seeds: int, jobs: int, n: int | None = None, m: int | None = None,
-    n_priors: int = 20,
+    *, seed: int, seeds: int, jobs: int, n: int | None = None, m: int | None = None,
+    n_priors: int = 20, **_,
 ) -> list[dict]:
+    """Random (n, m) codes when both are given, else the reference corpus."""
     if n is not None and m is not None:
         codes = [build_random_qrac(n, m, seed=seed + i) for i in range(seeds)]
     else:
         codes = corpus.reference_corpus(seeds, seed)
 
-    results = _parallel_map(
+    worst = max(_parallel_map(
         lambda pair: _hamming_worst_excess(pair[1], seed + 7919 * pair[0], n_priors),
         list(enumerate(codes)),
         jobs,
-    )
-    worst = max(r[0] for r in results)
+    ))
 
     q = build_standard_2to1()
     std = expected_hamming_exact(q, Ensemble.uniform(q), build_pgm(Ensemble.uniform(q)))
@@ -310,23 +315,15 @@ def suite_hamming(
 
 
 def suite_minimax(
-    seed: int, seeds: int, jobs: int, eps: float = 0.02, max_iters: int = 2000
+    *, seed: int, seeds: int, jobs: int, eps: float, max_iters: int, **_
 ) -> list[dict]:
     base = build_standard_2to1()
     codes = [base, build_tensor_power(base, 2), build_tensor_power(base, 3)]
     codes += corpus.random_qrac_corpus(seeds, seed, n_max=5, m_max=3)
 
     def solve(q):
-        try:
-            sol = solve_worstcase(q, eps=eps, max_iters=max_iters)
-        except NotConvergedError as exc:
-            sol = exc.best
-        bound = hamming_budget(q.claimed_p, q.n)
-        return (
-            sol.worst_x_value - (bound + eps * q.n),
-            sol.gap / q.n,
-            1.0 if sol.converged else 0.0,
-        )
+        sol, ceiling = _audit_minimax(q, eps, max_iters)
+        return sol.worst_x_value - ceiling, sol.gap / q.n, 1.0 if sol.converged else 0.0
 
     results = _parallel_map(solve, codes, jobs)
     return [
@@ -337,7 +334,14 @@ def suite_minimax(
     ]
 
 
-def suite_info(seed: int, seeds: int, jobs: int) -> list[dict]:
+_WORKED_CHANNELS = (
+    lambda: ClassicalChannel(np.eye(4)),
+    lambda: ClassicalChannel(np.tile(np.full(4, 0.25), (4, 1))),
+    lambda: ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]])),
+)
+
+
+def suite_info(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     channels = corpus.random_channels(seeds, seed)
     mismatches = _parallel_map(
         lambda ch: abs(max_channel_capacity(ch).value - max_channel_capacity_lp(ch)),
@@ -345,26 +349,19 @@ def suite_info(seed: int, seeds: int, jobs: int) -> list[dict]:
         jobs,
     )
 
-    identity4 = max_channel_capacity(ClassicalChannel(np.eye(4))).value
+    identity4 = max_channel_capacity(_WORKED_CHANNELS[0]()).value
     constant = max_channel_capacity(
         ClassicalChannel(np.tile(np.full(5, 0.2), (5, 1)))
     ).value
-    ratio17 = max_channel_capacity(
-        ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    ).value
+    ratio17 = max_channel_capacity(_WORKED_CHANNELS[2]()).value
 
     codes = corpus.reference_corpus(seeds, seed)
 
-    def ident_excess(q):
-        pg = build_pgm(Ensemble.uniform(q), full_table=True)
-        res = identification_bound_check(q, pg.full)
-        return res.lhs - res.rhs
+    def ident(q):
+        return identification_bound_check(q, build_pgm(Ensemble.uniform(q), full_table=True).full)
 
-    excesses = _parallel_map(ident_excess, codes, jobs)
-    q = build_standard_2to1()
-    std = identification_bound_check(
-        q, build_pgm(Ensemble.uniform(q), full_table=True).full
-    )
+    idents = _parallel_map(ident, codes, jobs)  # the corpus opens with the standard code
+    excesses = [res.lhs - res.rhs for res in idents]
     return [
         _check("info_cmax_cases", len(mismatches), seeds, 0, "=="),
         _check("info_cmax_lp_max_mismatch", max(mismatches), 0.0, 1e-9),
@@ -373,35 +370,17 @@ def suite_info(seed: int, seeds: int, jobs: int) -> list[dict]:
         _check("info_cmax_ratio17", ratio17, math.log2(1.7), 1e-9, "=="),
         _check("info_identification_cases", len(excesses), len(codes), 0, "=="),
         _check("info_identification_max_excess", max(excesses), 0.0, 1e-8),
-        _check("info_identification_standard", std.lhs, 2.0, 1e-9, "=="),
+        _check("info_identification_standard", idents[0].lhs, 2.0, 1e-9, "=="),
     ]
 
 
-_WORKED_CHANNELS = (
-    lambda: ClassicalChannel(np.eye(4)),
-    lambda: ClassicalChannel(np.tile(np.full(4, 0.25), (4, 1))),
-    lambda: ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]])),
-)
-
-
-def suite_compress(
-    seed: int, seeds: int, jobs: int, etas=(0.1, 0.05), mc_runs: int = 100_000
-) -> list[dict]:
+def suite_compress(*, seed: int, seeds: int, jobs: int, etas, **_) -> list[dict]:
     channels = corpus.random_channels(seeds, seed) + [f() for f in _WORKED_CHANNELS]
 
     def audit(item):
         idx, (ch, eta) = item
-        scheme = build_scheme(ch, eta)
-        tv_excess = max(
-            exact_output_distribution(scheme, x).tv_error - eta
-            for x in range(ch.in_size)
-        )
-        bits_cap = index_bits_cap(scheme.c_max, eta)
-        x_star = argmax_first(scheme.a)
-        p = 2.0 ** -scheme.a[x_star]
-        est = estimate_acceptance_rate(scheme, x_star, seed=seed + idx, runs=mc_runs)
-        sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_runs)
-        return tv_excess, scheme.index_bits - bits_cap, abs(est - p) / sigma
+        scheme, tv_excess, bits_cap, sigmas = _audit_compress(ch, eta, seed + idx)
+        return tv_excess, scheme.index_bits - bits_cap, sigmas
 
     pairs = [(ch, eta) for eta in etas for ch in channels]
     results = _parallel_map(audit, list(enumerate(pairs)), jobs)
@@ -413,17 +392,13 @@ def suite_compress(
     ]
 
 
-def suite_convert(
-    seed: int, jobs: int, etas=(0.3, 0.2), c_newman: float = 8.0
-) -> list[dict]:
+def suite_convert(*, seed: int, jobs: int, etas, c_newman: float, **_) -> list[dict]:
     codes = [build_identity_encoding(n) for n in range(1, 5)]
     codes.append(build_standard_2to1())
 
     def audit(item):
         q, eta = item
-        cb = build_rac(q, eta=eta, seed=seed, c_newman=c_newman)
-        val = validate_rac(cb, q)
-        budget = message_bits_budget(q.m, len(cb.s_set), eta)
+        cb, val, budget = _audit_convert(q, eta, seed, c_newman)
         return (
             val.min_success - cb.success_floor,
             cb.total_message_bits - budget,
@@ -440,7 +415,7 @@ def suite_convert(
     ]
 
 
-def suite_bounds(seed: int, seeds: int, jobs: int) -> list[dict]:
+def suite_bounds(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     codes = corpus.reference_corpus(seeds, seed)
 
     def slack(q):
@@ -458,31 +433,34 @@ def suite_bounds(seed: int, seeds: int, jobs: int) -> list[dict]:
         pg = build_pgm(Ensemble.uniform(q), full_table=True)
         joint = full_outcome_table(q, pg) / 2**q.n
         rep = distance_conditioning_check(joint, q.n)
-        checks.append(
-            _check(
-                f"bounds_chain_monotone_{label}",
-                rep.h_x_given_y - rep.h_x_given_yd,
-                0.0,
-                1e-9,
-                ">=",
-            )
-        )
-        checks.append(
-            _check(
-                f"bounds_chain_recover_{label}",
-                rep.h_x_given_yd + rep.side_information - rep.h_x_given_y,
-                0.0,
-                1e-9,
-                ">=",
-            )
-        )
+        margins = {
+            "monotone": rep.h_x_given_y - rep.h_x_given_yd,
+            "recover": rep.h_x_given_yd + rep.side_information - rep.h_x_given_y,
+        }
+        for name, margin in margins.items():
+            checks.append(_check(f"bounds_chain_{name}_{label}", margin, 0.0, 1e-9, ">="))
     return checks
+
+
+# Each kind's suite and the defaults of the keys that differ by kind: its
+# corpus size and, where it takes η, the η values it runs.  A key set on
+# the command line or in a config file overrides them.
+SUITES = {
+    "pgm": (suite_pgm, {"seeds": 500}),
+    "hamming": (suite_hamming, {"seeds": 200}),
+    "minimax": (suite_minimax, {"seeds": 50}),
+    "info": (suite_info, {"seeds": 200}),
+    "compress": (suite_compress, {"seeds": 200, "etas": (0.1, 0.05)}),
+    "convert": (suite_convert, {"etas": (0.3, 0.2)}),
+    "bounds": (suite_bounds, {"seeds": 200}),
+}
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_demo(cfg: dict) -> dict:
+def cmd_demo(cfg: dict) -> tuple[list[dict], dict]:
+    """The worked 2-bits-into-1-qubit example."""
     q = build_standard_2to1()
     ens = Ensemble.uniform(q)
     pg = build_pgm(ens, full_table=True)
@@ -504,79 +482,31 @@ def cmd_demo(cfg: dict) -> dict:
         _check("demo_expected_dh", rep.expected_dh, 0.5, 1e-9, "=="),
         _check("demo_bound", rep.bound, 0.5, 1e-9, "=="),
     ]
-    return make_report(
-        "demo-2to1", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
-    )
+    return checks, extra
 
 
-_SUITE_DEFAULT_SEEDS = {
-    "pgm": 500,
-    "hamming": 200,
-    "minimax": 50,
-    "info": 200,
-    "compress": 200,
-    "convert": 0,
-    "bounds": 200,
-}
-
-
-def run_suite_kind(kind: str, cfg: dict) -> list[dict]:
-    seed = cfg["seed"]
-    jobs = cfg["jobs"] or 1
-    seeds = cfg["seeds"] if cfg["seeds"] is not None else _SUITE_DEFAULT_SEEDS[kind]
-    if kind == "pgm":
-        return suite_pgm(seed, seeds, jobs)
-    if kind == "hamming":
-        return suite_hamming(seed, seeds, jobs, n=cfg["n"], m=cfg["m"])
-    if kind == "minimax":
-        return suite_minimax(
-            seed, seeds, jobs,
-            eps=cfg["eps"] if cfg["eps"] is not None else 0.02,
-            max_iters=cfg["max_iters"] or 2000,
-        )
-    if kind == "info":
-        return suite_info(seed, seeds, jobs)
-    if kind == "compress":
-        etas = (cfg["eta"],) if cfg["eta"] is not None else (0.1, 0.05)
-        return suite_compress(seed, seeds, jobs, etas=etas)
-    if kind == "convert":
-        etas = (cfg["eta"],) if cfg["eta"] is not None else (0.3, 0.2)
-        return suite_convert(
-            seed, jobs, etas=etas,
-            c_newman=cfg["c_newman"] if cfg["c_newman"] is not None else 8.0,
-        )
-    if kind == "bounds":
-        return suite_bounds(seed, seeds, jobs)
-    raise UsageError(f"unknown suite kind {kind!r}")
-
-
-def cmd_suite(cfg: dict) -> dict:
-    kind = cfg["kind"]
-    if kind not in SUITE_KINDS:
-        raise UsageError(f"suite kind must be one of {', '.join(SUITE_KINDS)}")
-    kinds = [k for k in SUITE_KINDS if k != "all"] if kind == "all" else [kind]
+def cmd_suite(cfg: dict) -> tuple[list[dict], dict]:
+    """Batch verification suites."""
+    given = {key: value for key, value in cfg.items() if value is not None}
+    if "eta" in given:
+        given["etas"] = (given["eta"],)
     checks = []
-    for k in kinds:
-        checks.extend(run_suite_kind(k, cfg))
-    return make_report("suite", cfg, checks, deterministic=bool(cfg["deterministic"]))
+    for kind in SUITES if cfg["kind"] == "all" else (cfg["kind"],):
+        run, kind_defaults = SUITES[kind]
+        checks.extend(run(**{**kind_defaults, **given}))
+    return checks, {}
 
 
-def cmd_convert(cfg: dict) -> dict:
-    n, m = cfg["n"], cfg["m"]
-    eta = cfg["eta"] if cfg["eta"] is not None else 0.2
-    c_newman = cfg["c_newman"] if cfg["c_newman"] is not None else 8.0
+def cmd_convert(cfg: dict) -> tuple[list[dict], dict]:
+    """Build and validate one classical code."""
+    n, m, eta = cfg["n"], cfg["m"], cfg["eta"]
     q = _select_code(n, m, cfg["seed"])
     extra: dict = {"n": n, "m": m, "eta": eta, "claimed_p": q.claimed_p}
     try:
-        cb = build_rac(q, eta=eta, seed=cfg["seed"], c_newman=c_newman)
+        cb, val, budget = _audit_convert(q, eta, cfg["seed"], cfg["c_newman"])
     except DerandomizationFailedError as exc:
-        checks = [_check("convert_derandomization_ok", 0, 1, 0, "==")]
         extra["worst_margin"] = exc.worst_margin
-        return make_report(
-            "convert", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
-        )
-    val = validate_rac(cb, q)
-    budget = message_bits_budget(q.m, len(cb.s_set), eta)
+        return [_check("convert_derandomization_ok", 0, 1, 0, "==")], extra
     extra.update(
         {
             "s_set_size": len(cb.s_set),
@@ -590,26 +520,15 @@ def cmd_convert(cfg: dict) -> dict:
         _check("convert_min_success", val.min_success, cb.success_floor, 1e-8, ">="),
         _check("convert_message_bits", cb.total_message_bits, budget, 0),
     ]
-    return make_report(
-        "convert", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
-    )
+    return checks, extra
 
 
-def cmd_compress(cfg: dict) -> dict:
-    n, m = cfg["n"], cfg["m"]
-    eta = cfg["eta"] if cfg["eta"] is not None else 0.1
+def cmd_compress(cfg: dict) -> tuple[list[dict], dict]:
+    """Compress one code's readout channel."""
+    n, m, eta = cfg["n"], cfg["m"], cfg["eta"]
     q = _select_code(n, m, cfg["seed"])
     channel = effective_channel(q, SharedShift(0, q.n, q.n))
-    scheme = build_scheme(channel, eta)
-    tv_excess = max(
-        exact_output_distribution(scheme, x).tv_error - eta
-        for x in range(channel.in_size)
-    )
-    bits_cap = index_bits_cap(scheme.c_max, eta)
-    x_star = argmax_first(scheme.a)
-    p = 2.0 ** -scheme.a[x_star]
-    est = estimate_acceptance_rate(scheme, x_star, seed=cfg["seed"], runs=100_000)
-    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / 100_000)
+    scheme, tv_excess, bits_cap, sigmas = _audit_compress(channel, eta, cfg["seed"])
     extra = {
         "n": n,
         "m": m,
@@ -621,22 +540,16 @@ def cmd_compress(cfg: dict) -> dict:
     checks = [
         _check("compress_tv_error_max_excess", tv_excess, 0.0, 1e-12),
         _check("compress_index_bits", scheme.index_bits, bits_cap, 0),
-        _check("compress_acceptance_sigmas", abs(est - p) / sigma, 4.0, 0.0),
+        _check("compress_acceptance_sigmas", sigmas, 4.0, 0.0),
     ]
-    return make_report(
-        "compress", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
-    )
+    return checks, extra
 
 
-def cmd_minimax(cfg: dict) -> dict:
+def cmd_minimax(cfg: dict) -> tuple[list[dict], dict]:
+    """Solve the worst-case decoding game."""
     n, m = cfg["n"], cfg["m"]
-    eps = cfg["eps"] if cfg["eps"] is not None else 0.02
     q = _select_code(n, m, cfg["seed"])
-    try:
-        sol = solve_worstcase(q, eps=eps, max_iters=cfg["max_iters"] or 2000)
-    except NotConvergedError as exc:
-        sol = exc.best
-    bound = hamming_budget(q.claimed_p, q.n)
+    sol, ceiling = _audit_minimax(q, cfg["eps"], cfg["max_iters"])
     extra = {
         "n": n,
         "m": m,
@@ -647,23 +560,22 @@ def cmd_minimax(cfg: dict) -> dict:
     }
     checks = [
         _check("minimax_converged", 1 if sol.converged else 0, 1, 0, "=="),
-        _check("minimax_certificate", sol.worst_x_value, bound + eps * q.n, 1e-12),
+        _check("minimax_certificate", sol.worst_x_value, ceiling, 1e-12),
         _check("minimax_gap_share", sol.gap / q.n, 0.05, 1e-12),
     ]
-    return make_report(
-        "minimax", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
-    )
+    return checks, extra
 
 
-def cmd_bounds(cfg: dict) -> dict:
-    n = cfg["n"]
-    p = cfg["p_target"] if cfg["p_target"] is not None else P_STANDARD
+def cmd_bounds(cfg: dict) -> tuple[list[dict], dict]:
+    """Qubit lower bounds for a target success probability."""
+    n, m, p = cfg["n"], cfg["m"], cfg["p_target"]
     bound = qubit_lower_bound(n, p)
     extra = {
         "n": n,
         "p_target": p,
         "from_hamming": bound.from_hamming,
         "from_entropy": bound.from_entropy,
+        "m": m,
     }
     checks = [
         _check(
@@ -673,18 +585,63 @@ def cmd_bounds(cfg: dict) -> dict:
             1e-12,
             ">=",
         ),
+        _check("bounds_m_vs_hamming", m, bound.from_hamming, 1e-8, ">="),
     ]
-    if cfg["m"] is not None:
-        checks.append(
-            _check("bounds_m_vs_hamming", cfg["m"], bound.from_hamming, 1e-8, ">=")
-        )
-        extra["m"] = cfg["m"]
-    return make_report(
-        "bounds", cfg, checks, deterministic=bool(cfg["deterministic"]), extra=extra
-    )
+    return checks, extra
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- spec
+
+
+class Flag(NamedTuple):
+    """What a key accepts, whether from a flag, a config file or
+    ``QRACLAB_SEED``, and its default (``None`` is unset).  ``low`` is set
+    where the library would not raise :class:`DomainError` itself."""
+
+    type: type
+    default: object = None
+    choices: tuple = ()
+    low: int | None = None
+
+
+FLAGS = {
+    "kind": Flag(str, "all", choices=(*SUITES, "all")),
+    "n": Flag(int, 2, low=1),
+    "m": Flag(int, 1, low=1),
+    "seeds": Flag(int, low=1),
+    "seed": Flag(int, 0, low=0),
+    "jobs": Flag(int, 1, low=1),
+    "max_iters": Flag(int, 2000),
+    "eta": Flag(float),
+    "eps": Flag(float, 0.02),
+    "c_newman": Flag(float, 8.0),
+    "p_target": Flag(float, P_STANDARD),
+    "format": Flag(str, "json", choices=("json", "csv")),
+    "out": Flag(str),
+    "deterministic": Flag(bool, False),
+}
+
+
+def _command(handler, keys=(), **overrides) -> tuple[Callable, dict]:
+    """A command's handler (its docstring is the command's help) and each of
+    its keys, the output keys included, with its default."""
+    keys = (*keys, "format", "out", "deterministic")
+    return handler, {key: overrides.get(key, FLAGS[key].default) for key in keys}
+
+
+COMMANDS = {
+    "demo-2to1": _command(cmd_demo),
+    "suite": _command(
+        cmd_suite,
+        ("kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman", "max_iters", "jobs"),
+        n=None,
+        m=None,
+    ),
+    "convert": _command(cmd_convert, ("n", "m", "eta", "c_newman", "seed"), eta=0.2),
+    "compress": _command(cmd_compress, ("n", "m", "eta", "seed"), eta=0.1),
+    "minimax": _command(cmd_minimax, ("n", "m", "eps", "max_iters", "seed")),
+    "bounds": _command(cmd_bounds, ("n", "m", "p_target")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,100 +651,28 @@ def build_parser() -> argparse.ArgumentParser:
         "compression, and classical conversion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, seeded=True):
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--deterministic", action="store_true", default=None)
+    for name, (handler, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for key in defaults:
+            flag, option = FLAGS[key], "--" + key.replace("_", "-")
+            if flag.type is bool:
+                p.add_argument(option, action="store_true", default=None)
+            else:
+                p.add_argument(option, type=flag.type, choices=flag.choices or None, default=None)
         p.add_argument("--config", default=None, metavar="PATH")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("demo-2to1", help="worked 2-bits-into-1-qubit example")
-    add_common(p, seeded=False)
-
-    p = sub.add_parser("suite", help="batch verification suites")
-    p.add_argument("--kind", choices=SUITE_KINDS, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--c-newman", dest="c_newman", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("convert", help="build and validate one classical code")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--c-newman", dest="c_newman", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("compress", help="compress one code's readout channel")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    add_common(p)
-
-    p = sub.add_parser("minimax", help="solve the worst-case decoding game")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("bounds", help="qubit lower bounds for target success")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--p-target", dest="p_target", type=float, default=None)
-    add_common(p, seeded=False)
-
     return parser
 
 
-_DEFAULTS = {
-    "kind": "all",
-    "n": 2,
-    "m": 1,
-    "seeds": None,
-    "seed": 0,
-    "jobs": 1,
-    "max_iters": None,
-    "eta": None,
-    "eps": None,
-    "c_newman": None,
-    "p_target": None,
-    "format": "json",
-    "out": None,
-    "deterministic": False,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, defaults = COMMANDS[args.command]
     try:
-        cfg = _resolve(args, _DEFAULTS)
-        if args.command == "demo-2to1":
-            report = cmd_demo(cfg)
-        elif args.command == "suite":
-            report = cmd_suite(cfg)
-        elif args.command == "convert":
-            report = cmd_convert(cfg)
-        elif args.command == "compress":
-            report = cmd_compress(cfg)
-        elif args.command == "minimax":
-            report = cmd_minimax(cfg)
-        elif args.command == "bounds":
-            report = cmd_bounds(cfg)
-        else:
-            raise UsageError(f"unknown command {args.command!r}")
+        cfg = _resolve(args, defaults)
+        checks, extra = handler(cfg)
     except (UsageError, DomainError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit_report(report, cfg["format"], cfg["out"])
+    return emit_report(args.command, cfg, checks, extra)
 
 
 if __name__ == "__main__":

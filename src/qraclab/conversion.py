@@ -188,6 +188,8 @@ def sample_newman_set(
     replacement."""
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
+    if not c_newman > 0.0:
+        raise DomainError(f"c_newman must be positive, got {c_newman}")
     size = math.ceil(c_newman * n / eta**2)
     rng = stream(seed, TAG_NEWMAN, attempt)
     rs = rng.integers(0, 2**n, size=size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import format_bits
-from .errors import NotConvergedError, SizeCapError
+from .errors import DomainError, NotConvergedError, SizeCapError
 from .linalg import SUPPORT_CUTOFF, GramPovm, Povm, argmax_first
 from .pgm import PgmBundle, _pgm_raw, marginal_f0s
 from .qrac import Qrac, bit_error_table, hamming_budget
@@ -109,6 +109,8 @@ def solve_worstcase(
         raise SizeCapError(f"solver capped at n = {SOLVER_MAX_N}, got {n}")
     if q.m > SOLVER_MAX_M:
         raise SizeCapError(f"solver capped at m = {SOLVER_MAX_M}, got {q.m}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     size = 2**n
     bound = hamming_budget(q.claimed_p, n)
     lr = math.sqrt(8.0 * math.log(size) / max_iters)

@@ -1,13 +1,17 @@
 """End-to-end checks of the command line driver: report shape, exit codes,
 config handling, and output formats."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qraclab import cli
 from qraclab.cli import UsageError, _check, main, parse_config_file
 from qraclab.info import qubit_lower_bound
 
@@ -82,6 +86,19 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, line", [("demo-2to1", "format = xml"), ("suite", "kind = nonsense")]
+)
+def test_config_value_outside_choices_exits_two(tmp_path, capsys, command, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_config_key_wrong_command_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("p_target = 0.9\n")
@@ -113,7 +130,15 @@ def test_bad_input_exits_two_without_traceback(argv):
         for cmd in ("minimax", "compress", "convert")
         for flag, value in (("--n", "0"), ("--n", "-2"), ("--m", "0"))
     ]
-    + [["compress", "--seed", "-1"], ["convert", "--seed", "-1"]],
+    + [["compress", "--seed", "-1"], ["convert", "--seed", "-1"]]
+    + [
+        ["minimax", "--max-iters", "-5"],
+        ["minimax", "--max-iters", "0"],
+        ["suite", "--kind", "minimax", "--seeds", "1", "--max-iters", "-1"],
+        ["convert", "--c-newman", "-1"],
+        ["convert", "--c-newman", "0"],
+        ["suite", "--kind", "pgm", "--seeds", "1", "--jobs", "0"],
+    ],
 )
 def test_out_of_range_integer_exits_two_in_process(argv, capsys):
     code = main(argv)
@@ -225,6 +250,14 @@ def test_suite_hamming_explicit_nm(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_suite_hamming_default_uses_reference_corpus(capsys):
+    # the standard code and its tensor powers k = 2..4 come before the random codes
+    code, out = run_cli(capsys, "suite", "--kind", "hamming", "--seeds", "2", "--deterministic")
+    assert code == 0
+    rows = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert rows["hamming_cases"]["value"] == 2 + 4
+
+
 def test_suite_jobs_reproduce_serial(capsys):
     _, serial = run_cli(
         capsys, "suite", "--kind", "info", "--seeds", "6", "--deterministic"
@@ -309,3 +342,103 @@ def test_compress_acceptance_input_ignores_rounding_in_a():
     rng = np.random.default_rng(0)
     for _ in range(20):
         assert argmax_first(a + 1e-15 * rng.choice([-1.0, 1.0], size=len(a))) == pick
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand's flags and config keys, written out so that no change
+    to the spec adds or drops one unnoticed."""
+    output = {"format", "out", "deterministic"}
+    keys = {
+        "demo-2to1": output,
+        "suite": output | {
+            "kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman", "max_iters", "jobs",
+        },
+        "convert": output | {"n", "m", "eta", "seed", "c_newman"},
+        "compress": output | {"n", "m", "eta", "seed"},
+        "minimax": output | {"n", "m", "eps", "seed", "max_iters"},
+        "bounds": output | {"n", "m", "p_target"},
+    }
+    flags = {
+        "demo-2to1": {"--format", "--out", "--deterministic", "--config"},
+        "suite": {
+            "--kind", "--n", "--m", "--seeds", "--seed", "--eta", "--eps", "--c-newman",
+            "--max-iters", "--jobs", "--format", "--out", "--deterministic", "--config",
+        },
+        "convert": {
+            "--n", "--m", "--eta", "--c-newman", "--seed",
+            "--format", "--out", "--deterministic", "--config",
+        },
+        "compress": {
+            "--n", "--m", "--eta", "--seed", "--format", "--out", "--deterministic", "--config",
+        },
+        "minimax": {
+            "--n", "--m", "--eps", "--max-iters", "--seed",
+            "--format", "--out", "--deterministic", "--config",
+        },
+        "bounds": {
+            "--n", "--m", "--p-target", "--format", "--out", "--deterministic", "--config",
+        },
+    }
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(flags)
+    for name, subparser in sub.choices.items():
+        options = {o for action in subparser._actions for o in action.option_strings}
+        assert options - {"-h", "--help"} == flags[name], name
+        _, defaults = cli.COMMANDS[name]
+        assert set(defaults) == keys[name], name
+
+
+# Small valid values first, then out-of-range ones.  `kind` and `format`
+# draw from their flags' choices, `deterministic` is a bare flag and `out`
+# always names a file under the test's own directory.
+FLAG_VALUES = {
+    "n": [1, 2, 3, 0, -2],
+    "m": [1, 2, 3, 0],
+    "seeds": [1, 2, 0, -1],
+    "seed": [0, 3, -1],
+    "jobs": [-1, 0, 1, 2],
+    "max_iters": [1, 50, 0, -1],
+    "eta": [0.2, 0.5, 0.0, 1.0, -0.5, 1.5],
+    "eps": [0.02, 0.1, -0.1],
+    "c_newman": [1.0, 8.0, 0.0, -1.0],
+    "p_target": [0.6, 0.9, 0.5, 1.5],
+}
+
+
+@st.composite
+def cli_argv(draw, out_path):
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    command_keys = sorted(cli.COMMANDS[name][1])
+    keys = draw(st.sets(st.sampled_from(command_keys)))
+    # at their defaults, corpus sizes and solver iterations would outrun the time budget
+    keys |= {"seeds", "max_iters"} & set(command_keys)
+    argv = [name]
+    for key in sorted(keys):
+        option = "--" + key.replace("_", "-")
+        flag = cli.FLAGS[key]
+        if flag.type is bool:
+            argv.append(option)
+        elif key == "out":
+            argv += [option, out_path]
+        else:
+            argv += [option, str(draw(st.sampled_from(flag.choices or FLAG_VALUES[key])))]
+    return argv
+
+
+@given(data=st.data())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_exit_contract_over_the_spec(data, tmp_path, capsys):
+    argv = data.draw(cli_argv(str(tmp_path / "report")), label="argv")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.out
