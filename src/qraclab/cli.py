@@ -113,7 +113,8 @@ def parse_config_file(path: str, allowed: set[str]) -> dict:
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge precedence: explicit flags > config file > QRACLAB_SEED (for the
     seed only) > the command's defaults.  Every value, whatever its source,
-    then passes its flag's smallest-value check."""
+    then passes its flag's checks: a float is finite, a number is at least
+    its smallest value, and ``out`` names a file in a directory that exists."""
     filecfg = parse_config_file(args.config, set(defaults)) if args.config else {}
     resolved = {}
     for key in sorted(defaults):
@@ -131,9 +132,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 ) from exc
         else:
             resolved[key] = defaults[key]
-        low = FLAGS[key].low
-        if low is not None and resolved[key] is not None and resolved[key] < low:
-            raise UsageError(f"{key} must be at least {low}, got {resolved[key]}")
+        value, low = resolved[key], FLAGS[key].low
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{key} must be finite, got {value}")
+        if low is not None and value is not None and value < low:
+            raise UsageError(f"{key} must be at least {low}, got {value}")
+    folder = os.path.dirname(resolved["out"] or "")
+    if folder and not os.path.isdir(folder):
+        raise UsageError(f"out: directory {folder!r} does not exist")
     return resolved
 
 

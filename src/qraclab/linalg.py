@@ -161,11 +161,18 @@ def gram_paired(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gram_sums(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(j, d, d) weighted sums sum_x weights[j, x] A_x A_x^dag of a factor stack,
-    one (d, N r)(N r, d) product per row of weights."""
+    one (d, N r)(N r, d) product per row of weights: the conjugate of
+    sum_x w_x conj(A_x) A_x^T, so one weighted copy of the stack is all it
+    allocates beside the sums."""
     size, dim, rank = factors.shape
     cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)
     rows = np.repeat(np.asarray(weights, dtype=float), rank, axis=1)
-    return np.stack([(cols.T * w) @ cols.conj() for w in rows])
+    weighted = np.empty_like(cols.T)
+    sums = np.empty((len(rows), dim, dim), dtype=weighted.dtype)
+    for w, out in zip(rows, sums):
+        np.conjugate(np.multiply(cols.T, w, out=weighted), out=weighted)
+        np.matmul(weighted, cols, out=out)
+    return np.conjugate(sums, out=sums)
 
 
 def gram_dense(factors: np.ndarray) -> np.ndarray:
@@ -229,17 +236,11 @@ def _validated_states(
     off = np.flatnonzero(np.abs(traces - 1.0) > tol_trace)
     if off.size:
         raise ValidationError(f"trace {traces[off[0]]} is not 1 within {tol_trace}")
-    w, factors = _eigh_factors(stack)
+    w, v = np.linalg.eigh(stack)
+    factors = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]  # rounding negatives clipped
     if w.min() < -tol_psd:
         raise ValidationError("density matrix has a negative eigenvalue beyond tolerance")
     return _frozen(stack), _rank_truncated(w, factors)
-
-
-def _eigh_factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and Gram factors V sqrt(w) of a stack of Hermitian
-    matrices, from one batched ``eigh``; rounding negatives are clipped."""
-    w, v = np.linalg.eigh(stack)
-    return w, v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _rank_truncated(w: np.ndarray, factors: np.ndarray) -> np.ndarray:

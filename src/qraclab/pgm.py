@@ -8,21 +8,18 @@ elements always form a complete measurement.  A renormalizer R, the
 inverse square root of the computed family total, makes the sum exactly
 the identity up to rounding: the stored element is R Q_y R.
 
-Per-bit marginals F_b^{(i)} = sum_{y: y_i = b} Q_y are computed directly
-from the prior without materializing the full outcome table; that is the
-default evaluation path.  Each is a Gram product (S G)(S G)^dag, with G a
-factor of the prior-weighted sum of the states whose bit i is b, from one
-batched ``eigh`` of the 2n sums; that keeps it PSD.
-
-The full table is kept factored (Hausladen, Jozsa, Schumacher, Westmoreland
-and Wootters, PRA 1996): with rho_y = A_y A_y^dag, element y is
-B_y B_y^dag with B_y = sqrt(P_y) R S A_y, and R L R sits on outcome 0.  For
-a pure code A_y is the state vector, so the 2^n elements cost one
-(d, d)(d, 2^n) product, and the outcome table T[x, y] = Tr(rho_x Q_y) is
-one (2^n r, d)(d, 2^n r) product (:meth:`~qraclab.linalg.GramPovm.table`).
-The full-string success and the identification sum read only its
-diagonal, one (r, d)(d, r) product per string
-(:meth:`~qraclab.linalg.GramPovm.diagonal`).
+One factor stack gives the per-bit marginals and the full table alike
+(Hausladen, Jozsa, Schumacher, Westmoreland and Wootters, PRA 1996): with
+rho_y = A_y A_y^dag, element y is B_y B_y^dag with B_y = sqrt(P_y) R S A_y,
+and R L R sits on outcome 0, so a build factors two d x d matrices, rho and
+the family total, whatever n.  The marginals F_b^{(i)} = sum_{y: y_i = b} Q_y,
+the default evaluation path, are masked sums of the stack from one
+``gram_sums`` call: Gram products, so PSD.  For a pure code A_y is the state
+vector, the 2^n elements cost one (d, d)(d, 2^n) product, and the outcome
+table T[x, y] = Tr(rho_x Q_y) is one (2^n r, d)(d, 2^n r) product
+(:meth:`~qraclab.linalg.GramPovm.table`).  The full-string success and the
+identification sum read only its diagonal, one (r, d)(d, r) product per
+string (:meth:`~qraclab.linalg.GramPovm.diagonal`).
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .linalg import (
     GramPovm,
     GramStates,
     Povm,
-    _eigh_factors,
     _sqrt_pinv_with_support,
     eig_hermitian,
     gram_sums,
@@ -61,8 +57,7 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 
 def _family_renormalizer(total: np.ndarray) -> np.ndarray:
-    """Inverse square root of a computed outcome-family total, or of a stack
-    of them.
+    """Inverse square root of the computed outcome-family total.
 
     The sandwich rho^{-1/2} rho_y rho^{-1/2} leaves the family summing to
     identity only up to rounding amplified by small support eigenvalues;
@@ -70,7 +65,7 @@ def _family_renormalizer(total: np.ndarray) -> np.ndarray:
     preserving positivity."""
     w, v = np.linalg.eigh(_hermitize(total))
     w = np.clip(w, 1e-30, None)
-    return (v * (w**-0.5)[..., None, :]) @ v.conj().swapaxes(-2, -1)
+    return (v * w**-0.5) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -89,32 +84,26 @@ def _pgm_raw(
 ) -> tuple[np.ndarray, np.ndarray, GramPovm | None]:
     """Square-root measurement: per-bit outcome-0/1 marginal stacks of shape
     (n, dim, dim) and, on request, the full table as a GramPovm with factors
-    B_y (2^n, dim, r) and R L R on outcome 0.
-
-    The 2n per-bit sums sum_{x: x_i = b} P_x rho_x and the average rho are
-    weighted sums of the states' factors.
+    R B_y (2^n, dim, r) and R L R on outcome 0.
     """
-    size, dim = len(states), states.dim
+    size, dim, rank = states.factors.shape
     rho = states.sums(prior[None])[0]
     isqrt, proj = _sqrt_pinv_with_support(_hermitize(rho), cutoff)
     leftover = _hermitize(np.eye(dim) - proj)
 
-    # row b * n + i holds the prior mass of the strings whose bit i + 1 is b
-    cols = bit_columns(n)
-    sums = states.sums(np.concatenate([cols == 0, cols == 1]) * prior)
-    half = isqrt @ _eigh_factors(_hermitize(sums))[1]
-    gram = (half @ half.conj().swapaxes(-2, -1)).reshape(2, n, dim, dim)
-    f0 = gram[0] + leftover
-    ren = _family_renormalizer(f0 + gram[1])
-    f0s = _hermitize(ren @ f0 @ ren)
-    f1s = _hermitize(ren @ gram[1] @ ren)
+    # row y r + k is column k of B_y transposed: (S a)^T = a^T S^T
+    rows = states.factors.transpose(0, 2, 1).reshape(size * rank, dim) @ isqrt.T
+    rows *= np.repeat(np.sqrt(prior), rank)[:, None]
+    ren = _family_renormalizer(rows.T @ rows.conj() + leftover)
+    rows = rows @ ren.T  # frees the unrenormalized rows
+    factors = rows.reshape(size, rank, dim).transpose(0, 2, 1)
+    extra = _hermitize(ren @ leftover @ ren)
 
-    full = None
-    if full_table:
-        half = (isqrt @ states.factors) * np.sqrt(prior)[:, None, None]
-        ren = _family_renormalizer(gram_sums(half, np.ones((1, size)))[0] + leftover)
-        full = GramPovm(ren @ half, _hermitize(ren @ leftover @ ren))
-    return f0s, f1s, full
+    # row b * n + i sums the factors of the strings whose bit i + 1 is b
+    cols = bit_columns(n)
+    sums = gram_sums(factors, np.concatenate([cols == 0, cols == 1]))
+    full = GramPovm(factors, extra) if full_table else None
+    return _hermitize(sums[:n] + extra), _hermitize(sums[n:]), full
 
 
 def build_pgm(

@@ -99,6 +99,20 @@ def test_config_value_outside_choices_exits_two(tmp_path, capsys, command, line)
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [("minimax", "eps = inf"), ("convert", "eta = nan"), ("bounds", "p_target = -inf")],
+)
+def test_config_float_not_finite_exits_two(tmp_path, capsys, command, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
 def test_config_key_wrong_command_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("p_target = 0.9\n")
@@ -138,6 +152,14 @@ def test_bad_input_exits_two_without_traceback(argv):
         ["convert", "--c-newman", "-1"],
         ["convert", "--c-newman", "0"],
         ["suite", "--kind", "pgm", "--seeds", "1", "--jobs", "0"],
+    ]
+    + [
+        ["minimax", "--eps", "inf", "--max-iters", "2", "--deterministic"],
+        ["minimax", "--eps", "nan", "--max-iters", "2", "--deterministic"],
+        ["convert", "--eta=-inf"],
+        ["convert", "--c-newman", "inf"],
+        ["bounds", "--p-target", "nan"],
+        ["suite", "--kind", "pgm", "--seeds", "1", "--eta", "nan"],
     ],
 )
 def test_out_of_range_integer_exits_two_in_process(argv, capsys):
@@ -146,6 +168,16 @@ def test_out_of_range_integer_exits_two_in_process(argv, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_out_into_missing_directory_exits_two(tmp_path):
+    out = tmp_path / "missing" / "report"
+    cmd = [sys.executable, "-m", "qraclab.cli", "demo-2to1", "--deterministic", "--out", str(out)]
+    res = subprocess.run(cmd, capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -392,6 +424,7 @@ def test_cli_surface_is_pinned():
 # Small valid values first, then out-of-range ones.  `kind` and `format`
 # draw from their flags' choices, `deterministic` is a bare flag and `out`
 # always names a file under the test's own directory.
+NAN, INF = float("nan"), float("inf")
 FLAG_VALUES = {
     "n": [1, 2, 3, 0, -2],
     "m": [1, 2, 3, 0],
@@ -399,10 +432,10 @@ FLAG_VALUES = {
     "seed": [0, 3, -1],
     "jobs": [-1, 0, 1, 2],
     "max_iters": [1, 50, 0, -1],
-    "eta": [0.2, 0.5, 0.0, 1.0, -0.5, 1.5],
-    "eps": [0.02, 0.1, -0.1],
-    "c_newman": [1.0, 8.0, 0.0, -1.0],
-    "p_target": [0.6, 0.9, 0.5, 1.5],
+    "eta": [0.2, 0.5, 0.0, 1.0, -0.5, 1.5, NAN, INF],
+    "eps": [0.02, 0.1, -0.1, NAN, INF],
+    "c_newman": [1.0, 8.0, 0.0, -1.0, NAN, INF],
+    "p_target": [0.6, 0.9, 0.5, 1.5, NAN, INF],
 }
 
 
@@ -437,6 +470,8 @@ def test_exit_contract_over_the_spec(data, tmp_path, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
+    if any(token in ("nan", "inf") for token in argv):
+        assert code == 2, "a float that is not finite must be a usage error"
     if code == 2:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

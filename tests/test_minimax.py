@@ -144,6 +144,29 @@ class TestSolveWorstcase:
         assert len(d2["measurement"]["elements"]) == 4
 
 
+@pytest.mark.parametrize(
+    "code",
+    [lambda: build_random_qrac(5, 4, seed=0), lambda: build_tensor_power(build_standard_2to1(), 3)],
+    ids=["haar-5-4", "std-tensor-3"],
+)
+def test_each_iteration_factors_two_matrices(code, monkeypatch):
+    """One solver iteration factors the average state and the family total,
+    2 matrices, whatever n: the per-bit marginals are sums of the full
+    table's factors, not factored on their own."""
+    q = code()
+    factored = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        factored.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sol = solve_worstcase(q, eps=0.02)
+    assert sol.converged
+    assert sum(factored) == 2 * sol.iterations
+
+
 class TestEvaluateWorstcase:
     def test_identity_pgm_all_zero(self):
         q = build_identity_encoding(2)

@@ -13,6 +13,7 @@ from qraclab.pgm import (
     check_pgm_lower_bound,
     helstrom_measurement,
     helstrom_pmax,
+    marginal_f0s,
     per_bit_success,
     success_prob_full,
 )
@@ -339,6 +340,24 @@ def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
         for b in (0, 1):
             table_sum = np.einsum("y,yab->ab", (cols[i] == b).astype(float), reference)
             np.testing.assert_allclose(marginal.elements[b], table_sum, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        marginal_f0s(pg, n), marginal_f0s(pg.full, n), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "code",
+    [lambda: build_random_qrac(10, 5, seed=3), lambda: build_tensor_power(build_standard_2to1(), 5)],
+    ids=["haar-10-5", "std-tensor-5"],
+)
+def test_marginals_are_sums_of_the_full_table(code):
+    """The marginals and the full table come from one factor stack, so each
+    marginal is the masked sum of the full elements up to rounding."""
+    q = code()
+    pg = build_pgm(Ensemble.uniform(q), full_table=True)
+    np.testing.assert_allclose(
+        marginal_f0s(pg, q.n), marginal_f0s(pg.full, q.n), rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -362,8 +381,10 @@ def test_near_pure_unnormalised_state_is_factored(seed):
 
 def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     """Validation and the full table run eigvalsh/eigh a number of times
-    bounded in n, never once per state: 2n + 4 calls at most where a
-    per-matrix path makes more than 2^n = 1024."""
+    bounded in n, never once per state, where a per-matrix path makes more
+    than 2^n = 1024: building a code makes 2n + 4 calls at most, and the full
+    PGM 2 ``eigh`` (the average and the renormalizer) plus n + 1 ``eigvalsh``
+    (the marginals and the full table's leftover)."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -385,4 +406,4 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         assert len(calls) <= bound, (label, len(calls))
         calls.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
-        assert len(calls) <= bound, (label + " full PGM", len(calls))
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, n + 1), (label, calls)
