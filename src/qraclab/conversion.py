@@ -40,6 +40,7 @@ from .serialize import rows_to_csv
 
 ROUNDTRIP_MAX_N = 8
 RAC_MAX_N = 6
+NEWMAN_MAX_SIZE = 2**20
 
 
 def shift_bits(x: int, d: int, n: int) -> int:
@@ -190,7 +191,10 @@ def sample_newman_set(
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
     if not c_newman > 0.0:
         raise DomainError(f"c_newman must be positive, got {c_newman}")
-    size = math.ceil(c_newman * n / eta**2)
+    eta_sq = eta**2  # 0.0 once eta < 1e-162; c_newman * n / eta_sq may be inf
+    if not (eta_sq > 0.0 and c_newman * n / eta_sq <= NEWMAN_MAX_SIZE):
+        raise SizeCapError(f"Newman set of {c_newman} * {n} / {eta}^2 shifts over cap {NEWMAN_MAX_SIZE}")
+    size = math.ceil(c_newman * n / eta_sq)
     rng = stream(seed, TAG_NEWMAN, attempt)
     rs = rng.integers(0, 2**n, size=size)
     ds = rng.integers(1, n + 1, size=size)

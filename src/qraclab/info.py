@@ -16,7 +16,7 @@ import numpy as np
 
 from .bits import hamming_table
 from .errors import BadSplitError, DomainError, ValidationError
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix
 from .serialize import SCHEMA_VERSION, rows_to_csv
 
 EIG_ZERO_CUTOFF = 1e-15  # relative, inside x*log2(x) sums
@@ -49,37 +49,6 @@ def von_neumann_entropy(rho) -> float:
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     vals = np.linalg.eigvalsh(mat)
     return _xlog2x_sum(np.clip(vals, 0.0, None))
-
-
-def _joint_matrix(rho_ab, dims: tuple[int, ...]) -> np.ndarray:
-    mat = rho_ab.mat if isinstance(rho_ab, DensityMatrix) else np.asarray(rho_ab, dtype=complex)
-    if mat.shape[0] != int(np.prod(dims)):
-        raise BadSplitError(f"split {dims} does not factor dimension {mat.shape[0]}")
-    return mat
-
-
-def conditional_entropy(rho_ab, split: tuple[int, int]) -> float:
-    """H(A|B) = H(AB) - H(B) of a bipartite state."""
-    mat = _joint_matrix(rho_ab, split)
-    rho_b = partial_trace(mat, split, keep=(1,))
-    return von_neumann_entropy(mat) - von_neumann_entropy(rho_b)
-
-
-def mutual_information(rho_ab, split: tuple[int, int]) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB)."""
-    mat = _joint_matrix(rho_ab, split)
-    rho_a = partial_trace(mat, split, keep=(0,))
-    rho_b = partial_trace(mat, split, keep=(1,))
-    return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(mat)
-
-
-def conditional_mutual_information(rho_abc, split: tuple[int, int, int]) -> float:
-    """I(A:B|C) = H(AC) + H(BC) - H(ABC) - H(C)."""
-    mat = _joint_matrix(rho_abc, split)
-    h_ac = von_neumann_entropy(partial_trace(mat, split, keep=(0, 2)))
-    h_bc = von_neumann_entropy(partial_trace(mat, split, keep=(1, 2)))
-    h_c = von_neumann_entropy(partial_trace(mat, split, keep=(2,)))
-    return h_ac + h_bc - von_neumann_entropy(mat) - h_c
 
 
 def max_relative_entropy(p, q) -> float:
@@ -210,13 +179,6 @@ def max_channel_capacity_lp(channel: ClassicalChannel) -> float:
     if not res.success:
         raise RuntimeError(f"capacity LP failed: {res.message}")
     return float(np.log2(res.fun))
-
-
-def max_information_dim_bound(m_qubits: int) -> float:
-    """Largest max-information extractable from an m-qubit register."""
-    if m_qubits < 0:
-        raise DomainError("qubit count must be nonnegative")
-    return float(m_qubits)
 
 
 def postprocessing_monotonicity_check(

@@ -19,9 +19,11 @@ members only), ``gram_sums`` (weighted sums of members) and ``gram_dense``
 (the members themselves, when a caller reads them).
 
 A dense ``Povm`` validates its elements as one (k, d, d) array, with one
-batched Hermiticity reduction and one batched ``eigvalsh``.  A bad member
-of any stack raises the error, with the message and tolerance, that its
-own per-matrix constructor would.
+batched Hermiticity reduction and one batched ``eigvalsh``; per-bit
+measurements (decoders, PGM marginals) are ``BitPovms``, one (n, d, d)
+stack of outcome-0 operators F0_i, with outcome 1 read as I - F0_i.  A bad
+member of any stack raises the error, with the message and tolerance, that
+its own per-matrix constructor would.
 """
 
 from __future__ import annotations
@@ -77,20 +79,27 @@ def is_hermitian(a, tol: float = TOL_HERM) -> bool:
 
 
 def eig_hermitian(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a.
+    """Eigenvalues (descending) and orthonormal eigenvector columns of a, or
+    of each member of a (k, d, d) stack, from one batched ``eigh``.
 
     Raises NotHermitianError if ``a`` deviates from Hermitian symmetry by
     more than ``tol`` in any entry.
     """
     a = _as_array(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not is_hermitian(a, tol):
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian symmetry by {np.abs(a - a.conj().T).max():.3e}"
-        )
+    deviation = np.abs(a - a.conj().swapaxes(-2, -1)).max()
+    if not deviation <= tol:  # NaN fails too
+        raise NotHermitianError(f"matrix deviates from Hermitian symmetry by {deviation:.3e}")
     vals, vecs = np.linalg.eigh(a)
-    return vals[::-1], vecs[:, ::-1]
+    return vals[..., ::-1], vecs[..., ::-1]
+
+
+def positive_projectors(a) -> np.ndarray:
+    """Projector onto the positive eigenspace of each member of a (k, d, d) stack,
+    a product over its positive eigenvectors alone (zero padding moves last bits)."""
+    kept = [v[:, w > 0] for w, v in zip(*eig_hermitian(a))]
+    return np.stack([v @ v.conj().T for v in kept])
 
 
 def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +146,8 @@ def trace_table(ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
     the r columns a of A_x, one (N r, d)(d, d) product per operator."""
     size, dim, rank = factors.shape
     cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)  # rows a^T
-    table = np.stack([(cols.conj() * (cols @ op.T)).sum(axis=1).real for op in ops])
+    conj = cols.conj()
+    table = np.stack([(conj * (cols @ op.T)).sum(axis=1).real for op in ops])
     return table.reshape(len(ops), size, rank).sum(axis=2)
 
 
@@ -458,6 +468,37 @@ class Povm:
     def probabilities(self, rho) -> np.ndarray:
         """Outcome probabilities for measuring ``rho``, in stored order."""
         return np.einsum("kij,ji->k", self.element_stack, _as_array(rho)).real
+
+
+@dataclass(frozen=True, eq=False)
+class BitPovms(Sequence):
+    """n two-outcome measurements held as one frozen (n, d, d) array ``f0s`` of
+    their outcome-0 operators F0_i; outcome 1 is I - F0_i by definition.
+
+    The check is Hermiticity and one batched ``eigvalsh`` inside
+    [-TOL_PSD, 1 + TOL_PSD], so both outcomes are PSD; a bad member raises
+    the error ``Povm((F0_i, I - F0_i))`` would.  Indexing forms that Povm.
+    """
+
+    f0s: np.ndarray
+
+    def __post_init__(self):
+        f0s = np.array(self.f0s, dtype=complex)
+        if f0s.ndim != 3 or not len(f0s) or f0s.shape[1] != f0s.shape[2]:
+            raise ValidationError(f"expected an (n, d, d) operator stack, got shape {f0s.shape}")
+        if not is_hermitian(f0s):
+            raise NotHermitianError("measurement element is not Hermitian within tolerance")
+        vals = np.linalg.eigvalsh(f0s)
+        if vals.min() < -TOL_PSD or vals.max() > 1.0 + TOL_PSD:
+            raise ValidationError("measurement element has a negative eigenvalue")
+        object.__setattr__(self, "f0s", _frozen(f0s))
+
+    def __len__(self) -> int:
+        return len(self.f0s)
+
+    def __getitem__(self, i: int) -> Povm:
+        f0 = self.f0s[i]
+        return Povm((f0, np.eye(len(f0)) - f0), outcomes=(0, 1))
 
 
 @dataclass(frozen=True, eq=False)

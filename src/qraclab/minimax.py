@@ -140,7 +140,7 @@ def solve_worstcase(
 
     for t in range(1, max_iters + 1):
         prior = weights / weights.sum()
-        f0s, _, full = _pgm_raw(prior, q.encoder, n, support_cutoff, full_table=True)
+        f0s, full = _pgm_raw(prior, q.encoder, n, support_cutoff)
         d_t = bit_error_table(f0s, q.encoder).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
 

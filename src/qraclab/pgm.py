@@ -12,9 +12,10 @@ One factor stack gives the per-bit marginals and the full table alike
 (Hausladen, Jozsa, Schumacher, Westmoreland and Wootters, PRA 1996): with
 rho_y = A_y A_y^dag, element y is B_y B_y^dag with B_y = sqrt(P_y) R S A_y,
 and R L R sits on outcome 0, so a build factors two d x d matrices, rho and
-the family total, whatever n.  The marginals F_b^{(i)} = sum_{y: y_i = b} Q_y,
-the default evaluation path, are masked sums of the stack from one
-``gram_sums`` call: Gram products, so PSD.  For a pure code A_y is the state
+the family total, whatever n, and checks the family by one identity sum.
+The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, the default evaluation path,
+are n masked sums of the stack from one ``gram_sums`` call, held as a
+:class:`~qraclab.linalg.BitPovms`.  For a pure code A_y is the state
 vector, the 2^n elements cost one (d, d)(d, 2^n) product, and the outcome
 table T[x, y] = Tr(rho_x Q_y) is one (2^n r, d)(d, 2^n r) product
 (:meth:`~qraclab.linalg.GramPovm.table`).  The full-string success and the
@@ -38,12 +39,13 @@ from .errors import (
 )
 from .linalg import (
     SUPPORT_CUTOFF,
+    BitPovms,
     GramPovm,
     GramStates,
     Povm,
     _sqrt_pinv_with_support,
-    eig_hermitian,
     gram_sums,
+    positive_projectors,
     trace_norm,
 )
 from .qrac import Ensemble, bit_error_table
@@ -74,17 +76,17 @@ class PgmBundle:
     request, the full outcome table as a factored measurement."""
 
     n: int
-    marginals: tuple[Povm, ...]
+    marginals: BitPovms
     full: GramPovm | None
     support_cutoff: float
 
 
 def _pgm_raw(
-    prior: np.ndarray, states: GramStates, n: int, cutoff: float, full_table: bool
-) -> tuple[np.ndarray, np.ndarray, GramPovm | None]:
-    """Square-root measurement: per-bit outcome-0/1 marginal stacks of shape
-    (n, dim, dim) and, on request, the full table as a GramPovm with factors
-    R B_y (2^n, dim, r) and R L R on outcome 0.
+    prior: np.ndarray, states: GramStates, n: int, cutoff: float
+) -> tuple[np.ndarray, GramPovm]:
+    """Square-root measurement: the per-bit outcome-0 marginal stack of shape
+    (n, dim, dim), and the full table as a GramPovm with factors R B_y
+    (2^n, dim, r) and R L R on outcome 0, validated by its identity sum.
     """
     size, dim, rank = states.factors.shape
     rho = states.sums(prior[None])[0]
@@ -99,11 +101,8 @@ def _pgm_raw(
     factors = rows.reshape(size, rank, dim).transpose(0, 2, 1)
     extra = _hermitize(ren @ leftover @ ren)
 
-    # row b * n + i sums the factors of the strings whose bit i + 1 is b
-    cols = bit_columns(n)
-    sums = gram_sums(factors, np.concatenate([cols == 0, cols == 1]))
-    full = GramPovm(factors, extra) if full_table else None
-    return _hermitize(sums[:n] + extra), _hermitize(sums[n:]), full
+    # row i sums the factors of the strings whose bit i + 1 is 0
+    return _hermitize(gram_sums(factors, bit_columns(n) == 0) + extra), GramPovm(factors, extra)
 
 
 def build_pgm(
@@ -119,9 +118,8 @@ def build_pgm(
         raise SizeCapError(f"full outcome table capped at n = {FULL_TABLE_MAX_N}, got {n}")
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
-    f0s, f1s, full = _pgm_raw(ensemble.prior, ensemble.states, n, support_cutoff, full_table)
-    marginals = tuple(Povm((f0s[i], f1s[i]), outcomes=(0, 1)) for i in range(n))
-    return PgmBundle(n, marginals, full, support_cutoff)
+    f0s, full = _pgm_raw(ensemble.prior, ensemble.states, n, support_cutoff)
+    return PgmBundle(n, BitPovms(f0s), full if full_table else None, support_cutoff)
 
 
 def marginal_f0s(measurement: PgmBundle | Povm | GramPovm, n: int) -> np.ndarray:
@@ -131,7 +129,7 @@ def marginal_f0s(measurement: PgmBundle | Povm | GramPovm, n: int) -> np.ndarray
     if isinstance(measurement, PgmBundle):
         if measurement.n != n:
             raise LabelMismatchError(f"measurement built for n = {measurement.n}, code has {n}")
-        return np.stack([mv.elements[0] for mv in measurement.marginals])
+        return measurement.marginals.f0s
     if not isinstance(measurement, (Povm, GramPovm)):
         raise TypeError(f"expected PgmBundle or Povm, got {type(measurement).__name__}")
     labels = np.asarray(measurement.outcomes)
@@ -180,10 +178,7 @@ def helstrom_measurement(p0: float, rho0, p1: float, rho1) -> Povm:
     if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9:
         raise DomainError(f"priors ({p0}, {p1}) are not a distribution")
     delta = np.asarray(rho0, dtype=complex) * p0 - np.asarray(rho1, dtype=complex) * p1
-    vals, vecs = eig_hermitian(delta)
-    pos = vecs[:, vals > 0]
-    m0 = pos @ pos.conj().T
-    return Povm((m0, np.eye(delta.shape[0]) - m0), outcomes=(0, 1))
+    return BitPovms(positive_projectors(delta[None]))[0]
 
 
 def check_pgm_lower_bound(p_pgm: float, p_max: float, outcomes: int, tol: float = 1e-9) -> bool:

@@ -2,7 +2,8 @@
 
 A code stores one state per n-bit string and one two-outcome measurement
 per bit position, together with the success probability it claims to
-guarantee on every (string, bit) pair.
+guarantee on every (string, bit) pair.  The decoders are one stack of
+outcome-0 operators, :class:`~qraclab.linalg.BitPovms`, formed directly.
 
 The encoder is a :class:`~qraclab.linalg.GramStates`: the 2^n states as one
 stack of Gram factors.  The builders here make pure codes, so they pass
@@ -20,9 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import bit_column, bit_columns
+from .bits import bit_columns
 from .errors import SizeCapError, ValidationError
-from .linalg import DensityMatrix, GramStates, Povm, as_states, check_dim_cap, tensor, trace_table
+from .linalg import (
+    BitPovms,
+    DensityMatrix,
+    GramStates,
+    Povm,
+    as_states,
+    check_dim_cap,
+    positive_projectors,
+    tensor,
+    trace_table,
+)
 from .rng import stream
 from .serialize import SCHEMA_VERSION, matrix_to_reim, reim_to_matrix
 
@@ -49,7 +60,7 @@ class Qrac:
     n: int
     m: int
     encoder: GramStates
-    decoders: tuple[Povm, ...]
+    decoders: BitPovms
     claimed_p: float
     tol: float = field(default=1e-9, repr=False)
 
@@ -65,12 +76,12 @@ class Qrac:
             raise ValidationError("encoder state dimension differs from 2^m")
         if len(self.decoders) != self.n:
             raise ValidationError(f"one decoder per bit required, got {len(self.decoders)}")
-        for dec in self.decoders:
-            if dec.dim != dim:
-                raise ValidationError("decoder dimension differs from 2^m")
-            if dec.outcomes != (0, 1):
+        if not isinstance(self.decoders, BitPovms):
+            if any(dec.outcomes != (0, 1) for dec in self.decoders):
                 raise ValidationError("decoders must have outcomes (0, 1)")
-        self.decoders = tuple(self.decoders)
+            self.decoders = BitPovms([dec.elements[0] for dec in self.decoders])
+        if self.decoders.f0s.shape[1] != dim:
+            raise ValidationError("decoder dimension differs from 2^m")
         worst = success_table(self).min()
         if worst < self.claimed_p - self.tol:
             raise ValidationError(
@@ -92,8 +103,7 @@ def bit_error_table(f0s: np.ndarray, states: GramStates) -> np.ndarray:
 
 def success_table(q: Qrac) -> np.ndarray:
     """(n, 2^n) table of Tr(M^{(i)}_{x_i} rho_x) over bit positions and strings."""
-    f0s = np.stack([dec.elements[0] for dec in q.decoders])
-    return 1.0 - bit_error_table(f0s, q.encoder)
+    return 1.0 - bit_error_table(q.decoders.f0s, q.encoder)
 
 
 @dataclass(frozen=True)
@@ -179,11 +189,8 @@ def build_standard_2to1() -> Qrac:
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
     vecs = np.array([[c, s], [c, -s], [s, c], [-s, c]], dtype=complex)  # x = 00, 01, 10, 11
     encoder = GramStates.from_vectors(_unit_rows(vecs))
-    basis0 = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), outcomes=(0, 1))
-    plus = np.full((2, 2), 0.5)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    basis_h = Povm((plus, minus), outcomes=(0, 1))
-    return Qrac(2, 1, encoder, (basis0, basis_h), claimed_p=P_STANDARD)
+    decoders = BitPovms([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)])  # |0><0| and |+><+|
+    return Qrac(2, 1, encoder, decoders, claimed_p=P_STANDARD)
 
 
 def build_identity_encoding(n: int) -> Qrac:
@@ -192,12 +199,9 @@ def build_identity_encoding(n: int) -> Qrac:
         raise SizeCapError(f"identity encoding capped at n = 10, got {n}")
     dim = 2**n
     encoder = GramStates.from_vectors(np.eye(dim))
-    decoders = []
-    for i in range(1, n + 1):
-        col = bit_column(i, n)
-        m0 = np.diag((col == 0).astype(complex))
-        decoders.append(Povm((m0, np.eye(dim) - m0), outcomes=(0, 1)))
-    return Qrac(n, n, encoder, tuple(decoders), claimed_p=1.0)
+    # F0_i is diagonal, with a one on each basis string whose bit i is 0
+    decoders = BitPovms(np.eye(dim) * (bit_columns(n) == 0)[:, None, :])
+    return Qrac(n, n, encoder, decoders, claimed_p=1.0)
 
 
 def build_tensor_power(base: Qrac, k: int) -> Qrac:
@@ -225,15 +229,12 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
             factors[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]
         ).reshape(size * len(blocks), dim * block_dim, rank * blocks.shape[2])
     encoder = GramStates(factors) if k > 1 else base.encoder
-    decoders = []
-    for i in range(1, n + 1):
-        j = (i - 1) // base.n  # block holding bit i
-        local = base.decoders[(i - 1) % base.n]
-        left = np.eye(block_dim**j)
-        right = np.eye(block_dim ** (k - 1 - j))
-        elems = tuple(tensor(tensor(left, e), right) for e in local.elements)
-        decoders.append(Povm(elems, outcomes=(0, 1)))
-    return Qrac(n, m, encoder, tuple(decoders), claimed_p=base.claimed_p)
+    f0s = [
+        tensor(tensor(np.eye(block_dim**j), f0), np.eye(block_dim ** (k - 1 - j)))
+        for j in range(k)
+        for f0 in base.decoders.f0s
+    ]
+    return Qrac(n, m, encoder, BitPovms(f0s), claimed_p=base.claimed_p)
 
 
 def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
@@ -247,19 +248,14 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     """
     if n > 12 or m > 6:
         raise SizeCapError(f"random codes capped at n <= 12, m <= 6, got ({n}, {m})")
-    from .pgm import helstrom_measurement  # deferred: pgm builds on this module
-
     dim = 2**m
     # one draw in the order of a per-string loop: real parts, then imaginary
     gauss = stream(seed, 0).normal(size=(2**n, 2, dim))
     encoder = GramStates.from_vectors(_unit_rows(gauss[:, 0] + 1j * gauss[:, 1]))
     cols = bit_columns(n)
     halves = encoder.sums(np.concatenate([cols == 0, cols == 1]) * 2.0 ** (1 - n))
-    decoders = tuple(
-        helstrom_measurement(0.5, halves[i], 0.5, halves[n + i]) for i in range(n)
-    )
-    f0s = np.stack([dec.elements[0] for dec in decoders])
-    worst = float(1.0 - bit_error_table(f0s, encoder).max())
+    decoders = BitPovms(positive_projectors(halves[:n] * 0.5 - halves[n:] * 0.5))
+    worst = float(1.0 - bit_error_table(decoders.f0s, encoder).max())
     return Qrac(n, m, encoder, decoders, claimed_p=worst)
 
 

@@ -160,6 +160,11 @@ def test_bad_input_exits_two_without_traceback(argv):
         ["convert", "--c-newman", "inf"],
         ["bounds", "--p-target", "nan"],
         ["suite", "--kind", "pgm", "--seeds", "1", "--eta", "nan"],
+    ]
+    + [
+        ["convert", "--eta", "1e-300"],
+        ["convert", "--c-newman", "1e300"],
+        ["suite", "--kind", "convert", "--eta", "1e-300"],
     ],
 )
 def test_out_of_range_integer_exits_two_in_process(argv, capsys):

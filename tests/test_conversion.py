@@ -236,6 +236,21 @@ class TestNewmanSet:
         with pytest.raises(DomainError):
             cv.sample_newman_set(3, 0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "eta, c_newman", [(1e-300, 8.0), (1e-160, 8.0), (0.2, 1e300), (1e-3, 8.0)]
+    )
+    def test_size_cap_before_any_draw(self, eta, c_newman):
+        # 1e-300 squares to 0.0 and 1e-160 to a subnormal: the cap, not a
+        # division error or an allocation, stops them
+        with pytest.raises(SizeCapError, match="over cap 1048576"):
+            cv.sample_newman_set(3, eta, seed=0, c_newman=c_newman)
+
+    def test_size_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cv, "NEWMAN_MAX_SIZE", 128)
+        assert len(cv.sample_newman_set(4, eta=0.5, seed=0, c_newman=8)) == 128
+        with pytest.raises(SizeCapError):
+            cv.sample_newman_set(4, eta=0.5, seed=0, c_newman=8.001)
+
 
 class TestBadEventAudit:
     def test_full_set_has_zero_margins(self):

@@ -12,24 +12,17 @@ from qraclab.info import (
     binary_entropy,
     channel_from_json_dict,
     channel_mutual_information,
-    conditional_entropy,
-    conditional_mutual_information,
     cq_operator_dominance_check,
     distance_conditioning_check,
     max_channel_capacity,
     max_channel_capacity_lp,
-    max_information_dim_bound,
     max_relative_entropy,
-    mutual_information,
     postprocessing_monotonicity_check,
     qubit_lower_bound,
     shannon_entropy,
     von_neumann_entropy,
 )
-from qraclab.linalg import DensityMatrix, tensor
-
-BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
-CORRELATED = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+from qraclab.linalg import DensityMatrix
 
 
 def random_density(rng, dim):
@@ -66,64 +59,6 @@ class TestEntropies:
     def test_shannon_matches_diagonal(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
         assert shannon_entropy(p) == pytest.approx(von_neumann_entropy(np.diag(p)), abs=1e-12)
-
-    def test_conditional_product_state(self):
-        joint = tensor(np.eye(2) / 2, np.eye(2) / 2)
-        assert conditional_entropy(joint, (2, 2)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_conditional_bell_is_negative_one(self):
-        assert conditional_entropy(BELL, (2, 2)) == pytest.approx(-1.0, abs=1e-10)
-
-    def test_conditional_classically_correlated_zero(self):
-        assert conditional_entropy(CORRELATED, (2, 2)) == pytest.approx(0.0, abs=1e-10)
-
-    def test_conditional_cq_range(self):
-        # for cq states with classical A the value stays in [0, log |A|]
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            probs = rng.dirichlet(np.ones(4))
-            cq = CqState(probs, tuple(random_density(rng, 2) for _ in range(4)))
-            val = conditional_entropy(cq.joint(), (4, 2))
-            assert -1e-9 <= val <= 2.0 + 1e-9
-
-    def test_mutual_information_examples(self):
-        assert mutual_information(tensor(np.eye(2) / 2, np.eye(2) / 2), (2, 2)) == pytest.approx(
-            0.0, abs=1e-10
-        )
-        assert mutual_information(CORRELATED, (2, 2)) == pytest.approx(1.0, abs=1e-10)
-        assert mutual_information(BELL, (2, 2)) == pytest.approx(2.0, abs=1e-10)
-
-    def test_cmi_markov_chain_vanishes(self):
-        # X uniform, Y = X, Z = Y: conditioning on Y kills the X-Z link
-        diag = np.zeros(8)
-        diag[0b000] = 0.5
-        diag[0b111] = 0.5
-        assert conditional_mutual_information(np.diag(diag), (2, 2, 2)) == pytest.approx(
-            0.0, abs=1e-10
-        )
-
-    def test_cmi_chain_rule_on_classical_triples(self):
-        rng = np.random.default_rng(4)
-        p = rng.dirichlet(np.ones(8))
-        rho = np.diag(p).astype(complex)
-        i_a_bc = mutual_information(rho, (2, 4))
-        # regroup to compute I(A:C): trace out B (middle register)
-        p_abc = p.reshape(2, 2, 2)
-        p_ac = p_abc.sum(axis=1).reshape(-1)
-        i_a_c = mutual_information(np.diag(p_ac), (2, 2))
-        i_a_b_given_c = conditional_mutual_information(rho, (2, 2, 2))
-        # I(A:BC) = I(A:C) + I(A:B|C)
-        perm = p_abc.transpose(0, 2, 1).reshape(-1)  # swap B and C registers
-        i_a_c_given_b = conditional_mutual_information(np.diag(perm), (2, 2, 2))
-        assert i_a_bc == pytest.approx(i_a_b_given_c + i_a_c, abs=1e-9) or i_a_bc == pytest.approx(
-            i_a_c_given_b + mutual_information(np.diag(p_abc.sum(axis=2).reshape(-1)), (2, 2)),
-            abs=1e-9,
-        )
-
-    def test_bad_split_rejected(self):
-        with pytest.raises(BadSplitError):
-            conditional_entropy(np.eye(4) / 4, (3, 2))
-
 
 class TestBinaryEntropy:
     def test_endpoints(self):
@@ -261,12 +196,6 @@ class TestMaxCapacity:
         assert max_channel_capacity(ch.compose(post)).value == pytest.approx(0.0, abs=1e-12)
         assert postprocessing_monotonicity_check(ch, post)
 
-    def test_dim_bound(self):
-        assert max_information_dim_bound(3) == 3.0
-        with pytest.raises(DomainError):
-            max_information_dim_bound(-1)
-
-
 class TestCqState:
     def test_joint_is_valid_density_matrix(self):
         rng = np.random.default_rng(8)
@@ -281,13 +210,6 @@ class TestCqState:
         k = int(rng.integers(2, 5))
         cq = CqState(rng.dirichlet(np.ones(k)), tuple(random_density(rng, 3) for _ in range(k)))
         assert cq_operator_dominance_check(cq)
-
-    def test_mutual_information_bounded_by_register_size(self):
-        rng = np.random.default_rng(9)
-        cq = CqState(rng.dirichlet(np.ones(4)), tuple(random_density(rng, 2) for _ in range(4)))
-        i_xa = mutual_information(cq.joint(), (4, 2))
-        assert i_xa <= max_information_dim_bound(1) + 1e-9
-
 
 class TestQubitLowerBound:
     def test_frozen_example_p85(self):

@@ -13,6 +13,7 @@ from qraclab.linalg import (
     TOL_POVM,
     TOL_PSD,
     TOL_TRACE,
+    BitPovms,
     DensityMatrix,
     GramPovm,
     GramStates,
@@ -533,3 +534,56 @@ def test_random_encoder_bit_identical(seed):
     n, m = 6, 3
     q = build_random_qrac(n, m, seed=seed)
     np.testing.assert_array_equal(q.encoder.dense(), random_encoder_reference(n, m, seed))
+
+
+def valid_f0s(seed, n=5, dim=3):
+    """n outcome-0 operators U diag(w) U^dag with spectra inside [0, 1]."""
+    rng = np.random.default_rng(seed)
+    return np.stack([with_spectrum(rng, rng.uniform(0.1, 0.9, dim)) for _ in range(n)])
+
+
+def as_povm(f0):
+    return Povm((f0, np.eye(len(f0)) - f0), outcomes=(0, 1))
+
+
+class TestBitPovms:
+    @pytest.mark.parametrize("kind", ["hermitian", "below", "above"])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_bad_member_raises_as_its_povm(self, kind, where):
+        f0s = valid_f0s(31)
+        if kind == "hermitian":
+            f0s[where, 0, 1] += 1e-6
+        else:
+            edge = -2 * TOL_PSD if kind == "below" else 1.0 + 2 * TOL_PSD
+            f0s[where] = with_spectrum(np.random.default_rng(32), [edge, 0.5, 0.25])
+        expected = raised(lambda: as_povm(f0s[where]))
+        assert raised(lambda: BitPovms(f0s)) == expected
+        assert expected == {
+            "hermitian": (NotHermitianError, "measurement element is not Hermitian within tolerance"),
+            "below": (ValidationError, "measurement element has a negative eigenvalue"),
+            "above": (ValidationError, "measurement element has a negative eigenvalue"),
+        }[kind]
+
+    @pytest.mark.parametrize("edge", [-0.5 * TOL_PSD, 1.0 + 0.5 * TOL_PSD])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_tolerance_edge_passes(self, edge, where):
+        f0s = valid_f0s(33)
+        f0s[where] = with_spectrum(np.random.default_rng(34), [edge, 0.5, 0.25])
+        assert len(BitPovms(f0s)) == 5
+        as_povm(f0s[where])
+
+    def test_members_read_back_as_f0_and_complement(self):
+        f0s = valid_f0s(35)
+        bits = BitPovms(f0s)
+        assert len(bits) == 5 and not bits.f0s.flags.writeable
+        f0s[0, 0, 0] = 7.0  # the caller's array is copied
+        assert bits.f0s[0, 0, 0] != 7.0
+        for i, dec in enumerate(bits):
+            assert isinstance(dec, Povm) and dec.outcomes == (0, 1)
+            np.testing.assert_array_equal(dec.elements[0], bits.f0s[i])
+            np.testing.assert_array_equal(dec.elements[1], np.eye(3) - bits.f0s[i])
+
+    def test_rejects_stacks_that_are_not_n_by_d_by_d(self):
+        for shape in [(0, 2, 2), (2, 2, 3), (2, 2)]:
+            with pytest.raises(ValidationError, match=r"\(n, d, d\) operator stack"):
+                BitPovms(np.zeros(shape))

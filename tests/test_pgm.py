@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qraclab import pgm
 from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
-from qraclab.linalg import SUPPORT_CUTOFF, DensityMatrix, Povm, support_projector
+from qraclab.linalg import SUPPORT_CUTOFF, DensityMatrix, Povm, eig_hermitian, support_projector
 from qraclab.decoding import identification_bound_check
 from qraclab.pgm import (
     PgmBundle,
@@ -235,6 +236,21 @@ class TestHelstrom:
             )
             assert achieved <= best + 1e-10
 
+    @pytest.mark.parametrize("n, m, seed", [(3, 1, 0), (4, 2, 1), (5, 4, 2)])
+    def test_random_code_decoders_match_a_per_bit_loop(self, n, m, seed):
+        """A random code's projectors, from one batched ``eigh``, and
+        ``helstrom_measurement`` equal a per-bit ``eig_hermitian`` loop bit
+        for bit."""
+        q = build_random_qrac(n, m, seed)
+        cols = bit_columns(n)
+        halves = q.encoder.sums(np.concatenate([cols == 0, cols == 1]) * 2.0 ** (1 - n))
+        for i in range(n):
+            vals, vecs = eig_hermitian(halves[i] * 0.5 - halves[n + i] * 0.5)
+            pos = vecs[:, vals > 0]
+            np.testing.assert_array_equal(q.decoders.f0s[i], pos @ pos.conj().T)
+            povm = helstrom_measurement(0.5, halves[i], 0.5, halves[n + i])
+            np.testing.assert_array_equal(povm.elements[0], q.decoders.f0s[i])
+
 
 class TestLowerBound:
     def test_worked_false_case(self):
@@ -382,9 +398,11 @@ def test_near_pure_unnormalised_state_is_factored(seed):
 def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     """Validation and the full table run eigvalsh/eigh a number of times
     bounded in n, never once per state, where a per-matrix path makes more
-    than 2^n = 1024: building a code makes 2n + 4 calls at most, and the full
-    PGM 2 ``eigh`` (the average and the renormalizer) plus n + 1 ``eigvalsh``
-    (the marginals and the full table's leftover)."""
+    than 2^n = 1024: the decoders of a tensor power are checked by one
+    ``eigvalsh``, a random code's Helstrom projectors take one batched
+    ``eigh`` besides, and the full PGM makes 2 ``eigh`` (the average and the
+    renormalizer) and 2 ``eigvalsh`` (the marginal stack and the full table's
+    leftover), with its marginals one ``gram_sums`` row per bit."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -395,15 +413,24 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    n, bound = 10, 2 * 10 + 4
+    mask_rows = []
+
+    def counted_sums(factors, weights, _original=pgm.gram_sums):
+        mask_rows.append(len(weights))
+        return _original(factors, weights)
+
+    monkeypatch.setattr(pgm, "gram_sums", counted_sums)
+    n = 10
     steps = {
-        "tensor power": lambda: build_tensor_power(std, 5),
-        "random code": lambda: build_random_qrac(n, 5, seed=3),
+        "tensor power": (lambda: build_tensor_power(std, 5), (0, 1)),
+        "random code": (lambda: build_random_qrac(n, 5, seed=3), (1, 1)),
     }
-    for label, build in steps.items():
+    for label, (build, build_calls) in steps.items():
         calls.clear()
         q = build()
-        assert len(calls) <= bound, (label, len(calls))
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == build_calls, (label, calls)
         calls.clear()
+        mask_rows.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, n + 1), (label, calls)
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 2), (label, calls)
+        assert mask_rows == [n], (label, mask_rows)

@@ -5,7 +5,7 @@ import pytest
 
 from qraclab.bits import bit_at, bit_column, bits_to_int, format_bits, hamming_distance, int_to_bits
 from qraclab.errors import SizeCapError, ValidationError
-from qraclab.linalg import DensityMatrix, Povm
+from qraclab.linalg import BitPovms, DensityMatrix, Povm
 from qraclab.qrac import (
     P_STANDARD,
     Ensemble,
@@ -226,3 +226,51 @@ class TestSerialization:
         assert len(d["encoder"]) == 4 and len(d["decoders"]) == 2
         # entries are [re, im] pairs
         assert d["encoder"][0][0][0] == [pytest.approx(C * C), 0.0]
+
+
+def _codes():
+    std = build_standard_2to1()
+    return {
+        "std": std,
+        "std-tensor-2": build_tensor_power(std, 2),
+        "identity-3": build_identity_encoding(3),
+        "haar-4-2": build_random_qrac(4, 2, seed=1),
+    }
+
+
+class TestDecoderStack:
+    @pytest.mark.parametrize("name", ["std", "std-tensor-2", "identity-3", "haar-4-2"])
+    def test_povm_tuple_and_stack_agree(self, name):
+        q = _codes()[name]
+        assert isinstance(q.decoders, BitPovms)
+        povms = tuple(q.decoders)
+        from_povms = Qrac(q.n, q.m, q.encoder, povms, claimed_p=q.claimed_p)
+        from_stack = Qrac(q.n, q.m, q.encoder, BitPovms(q.decoders.f0s), claimed_p=q.claimed_p)
+        np.testing.assert_array_equal(from_povms.decoders.f0s, q.decoders.f0s)
+        np.testing.assert_array_equal(success_table(from_povms), success_table(from_stack))
+
+    def test_outcomes_other_than_zero_one_rejected(self):
+        q = build_standard_2to1()
+        relabelled = tuple(Povm(dec.element_stack, outcomes=(1, 0)) for dec in q.decoders)
+        with pytest.raises(ValidationError, match=r"outcomes \(0, 1\)"):
+            Qrac(2, 1, q.encoder, relabelled, claimed_p=0.0)
+
+    def test_dimension_checked(self):
+        q = build_standard_2to1()
+        wide = BitPovms(np.stack([np.eye(4) / 2] * 2))
+        with pytest.raises(ValidationError, match="decoder dimension differs"):
+            Qrac(2, 1, q.encoder, wide, claimed_p=0.0)
+
+    @pytest.mark.parametrize("name", ["std", "std-tensor-2", "identity-3", "haar-4-2"])
+    def test_json_round_trip_keeps_f0_bit_for_bit(self, name):
+        q = _codes()[name]
+        back = qrac_from_json_dict(json.loads(json.dumps(qrac_to_json_dict(q))))
+        assert isinstance(back.decoders, BitPovms)
+        np.testing.assert_array_equal(back.decoders.f0s, q.decoders.f0s)
+        assert back.claimed_p == q.claimed_p
+
+    def test_json_decoders_off_identity_rejected(self):
+        data = qrac_to_json_dict(build_standard_2to1())
+        data["decoders"][1][1] = data["decoders"][1][0]  # |+><+| twice
+        with pytest.raises(ValidationError, match="sum to identity"):
+            qrac_from_json_dict(data)
