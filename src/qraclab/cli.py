@@ -34,6 +34,8 @@ from .compression import (
     index_bits_cap,
 )
 from .conversion import (
+    RAC_MAX_N,
+    ROUNDTRIP_MAX_N,
     SharedShift,
     build_rac,
     effective_channel,
@@ -51,7 +53,7 @@ from .info import (
     qubit_lower_bound,
 )
 from .linalg import argmax_first
-from .minimax import solve_worstcase
+from .minimax import SOLVER_MAX_N, solve_worstcase
 from .pgm import build_pgm, helstrom_pmax, per_bit_success, success_prob_full
 from .qrac import (
     P_STANDARD,
@@ -205,10 +207,13 @@ def _parallel_map(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _select_code(n: int, m: int, seed: int):
+def _select_code(n: int, m: int, seed: int, cap: int):
     """Single-run code choice: the standard code when it fits, an identity
     encoding when the message is as long as the input, a seeded random code
-    otherwise."""
+    otherwise.  ``n`` above the command's ``cap`` is refused before any code
+    is built."""
+    if n > cap:
+        raise SizeCapError(f"this command is capped at n = {cap}, got {n}")
     if n == 2 and m == 1:
         return build_standard_2to1()
     if m == n:
@@ -506,7 +511,7 @@ def cmd_suite(cfg: dict) -> tuple[list[dict], dict]:
 def cmd_convert(cfg: dict) -> tuple[list[dict], dict]:
     """Build and validate one classical code."""
     n, m, eta = cfg["n"], cfg["m"], cfg["eta"]
-    q = _select_code(n, m, cfg["seed"])
+    q = _select_code(n, m, cfg["seed"], RAC_MAX_N)
     extra: dict = {"n": n, "m": m, "eta": eta, "claimed_p": q.claimed_p}
     try:
         cb, val, budget = _audit_convert(q, eta, cfg["seed"], cfg["c_newman"])
@@ -532,7 +537,7 @@ def cmd_convert(cfg: dict) -> tuple[list[dict], dict]:
 def cmd_compress(cfg: dict) -> tuple[list[dict], dict]:
     """Compress one code's readout channel."""
     n, m, eta = cfg["n"], cfg["m"], cfg["eta"]
-    q = _select_code(n, m, cfg["seed"])
+    q = _select_code(n, m, cfg["seed"], ROUNDTRIP_MAX_N)
     channel = effective_channel(q, SharedShift(0, q.n, q.n))
     scheme, tv_excess, bits_cap, sigmas = _audit_compress(channel, eta, cfg["seed"])
     extra = {
@@ -554,7 +559,7 @@ def cmd_compress(cfg: dict) -> tuple[list[dict], dict]:
 def cmd_minimax(cfg: dict) -> tuple[list[dict], dict]:
     """Solve the worst-case decoding game."""
     n, m = cfg["n"], cfg["m"]
-    q = _select_code(n, m, cfg["seed"])
+    q = _select_code(n, m, cfg["seed"], SOLVER_MAX_N)
     sol, ceiling = _audit_minimax(q, cfg["eps"], cfg["max_iters"])
     extra = {
         "n": n,

@@ -148,6 +148,7 @@ def run_protocol(
     replicate: int = 0,
     *,
     stream_path: tuple[int, ...] | None = None,
+    perm: np.ndarray | None = None,
 ) -> ProtocolRun:
     """Execute one protocol instance.
 
@@ -155,22 +156,32 @@ def run_protocol(
     callers that need the receiver to reproduce the shared stream without
     knowing x (the random-access code built on top of this) pass an explicit
     path known to both ends.
+
+    ``perm`` runs the protocol on the scheme's square channel with inputs and
+    outputs both relabelled, E'(x)(y) = E(perm[x])(perm[y]), without building
+    that channel: samples are drawn from Z in the relabelled order, ``x`` and
+    ``output_y`` are in the new labels.
     """
     if not 0 <= x < scheme.in_size:
         raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
     path = (x, replicate) if stream_path is None else tuple(stream_path)
     shared = stream(shared_seed, TAG_SHARED, *path)
     alice = stream(shared_seed, TAG_ALICE, *path)
-    bob = stream(shared_seed, TAG_BOB, *path)
 
-    draws = _sample_from(scheme.z, shared.random(scheme.n_cap))
-    hits = np.flatnonzero(alice.random(scheme.n_cap) < _accept_prob(scheme, x, draws))
+    if perm is None:
+        draws = _sample_from(scheme.z, shared.random(scheme.n_cap))
+        accept = _accept_prob(scheme, x, draws)
+    else:
+        draws = _sample_from(scheme.z[perm], shared.random(scheme.n_cap))
+        accept = _accept_prob(scheme, int(perm[x]), perm[draws])
+    hits = np.flatnonzero(alice.random(scheme.n_cap) < accept)
     if hits.size:
         sent = int(hits[0]) + 1
         output = int(draws[hits[0]])
     else:
+        # Bob's stream is forked only when he needs it
         sent = FAIL_INDEX
-        output = int(bob.integers(scheme.out_size))
+        output = int(stream(shared_seed, TAG_BOB, *path).integers(scheme.out_size))
     return ProtocolRun(
         x=x,
         sent_index=sent,

@@ -11,9 +11,12 @@ above 1 - 2p(1-p) - eta.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, stream
 from .serialize import rows_to_csv
 
 ROUNDTRIP_MAX_N = 8
-RAC_MAX_N = 6
+RAC_MAX_N = ROUNDTRIP_MAX_N
 NEWMAN_MAX_SIZE = 2**20
 
 
@@ -151,12 +154,6 @@ def per_bit_success_symmetrized(q: Qrac) -> float:
     return value
 
 
-def _relabel(table: np.ndarray, perm: np.ndarray) -> ClassicalChannel:
-    """The outcome table seen through a shift: rows and columns relabelled
-    by its permutation (a row of :func:`perm_table`)."""
-    return ClassicalChannel(table[perm][:, perm])
-
-
 def effective_channel(
     q: Qrac, s: SharedShift, pgm_uniform: PgmBundle | None = None
 ) -> ClassicalChannel:
@@ -164,15 +161,15 @@ def effective_channel(
     under shared shift s.
 
     Every shift sees the same outcome table with its rows and columns
-    relabelled, so the table is built and its max capacity checked once
-    here; :func:`build_rac` calls this once with the identity shift and
-    relabels the result for each shift of its set.
+    relabelled, so :func:`build_rac` builds and checks one channel, the
+    identity shift's, and indexes it through each shift's permutation.
     """
     if q.n > ROUNDTRIP_MAX_N:
         raise SizeCapError(f"channel table capped at n = {ROUNDTRIP_MAX_N}, got {q.n}")
     if pgm_uniform is None:
         pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
-    channel = _relabel(full_outcome_table(q, pgm_uniform), perm_array(s))
+    perm = perm_array(s)
+    channel = ClassicalChannel(full_outcome_table(q, pgm_uniform)[perm][:, perm])
     # relabelling permutes the column maxima, so one check covers every shift
     c_max = max_channel_capacity(channel).value
     if c_max > q.m + 1e-9:
@@ -210,39 +207,45 @@ class NoBadEventReport:
     offending: tuple[tuple[int, int], ...]
 
 
-def _rows_by_shift(err: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """The per-(i, x) table with its bit-rows rotated as shift d relabels
-    them, for every d in 1..n; each shift then only permutes columns."""
-    rows = np.arange(n)
-    return {d: err[(rows - d) % n] for d in range(1, n + 1)}
+def shift_average(table: np.ndarray, s_set) -> np.ndarray:
+    """Mean over the shifts of ``s_set`` of a per-(i, x) ``table`` seen
+    through each shift: out[i, x] = mean_s table[(i - d_s) mod n, perm_s[x]],
+    shape (n, 2^n).
 
-
-def _sampled_error_mean(
-    err: np.ndarray, s_set: list[SharedShift], n: int
-) -> np.ndarray:
-    """Mean over s in S of the per-(i, x) error table pushed through each
-    shift's relabeling; shape (n, 2^n)."""
-    by_d = _rows_by_shift(err, n)
-    acc = np.zeros_like(err)
-    for s, perm in zip(s_set, perm_table(s_set)):
-        acc += by_d[s.d][:, perm]
-    return acc / len(s_set)
+    The whole set enters as one count array C[d, x, x'] = #{s : d_s = d,
+    perm_s[x] = x'}, so the mean is one contraction with the n bit-rotated
+    copies of the table.  Shift (r, d) sends x to x' exactly when
+    r = x XOR unrotate_d(x'), so C is read off the (n, 2^n) counts of the
+    (d, r) pairs, and its size does not grow with |S|.
+    """
+    n, size = table.shape
+    pairs = np.array([(s.d - 1, s.r) for s in s_set])
+    by_pair = np.bincount(pairs[:, 0] * size + pairs[:, 1], minlength=n * size)
+    d = np.arange(1, n + 1)[:, None]
+    xs = np.arange(size)
+    unrotated = ((xs >> d) | (xs << (n - d))) & (size - 1)  # [d-1, x'] = unrotate_d(x')
+    masks = xs[:, None] ^ unrotated[:, None, :]  # [d-1, x, x'] = the r sending x to x'
+    counts = by_pair.reshape(n, size)[np.arange(n)[:, None, None], masks]
+    rotated = table[(np.arange(n) - d) % n]  # [d-1, i] = row i - d
+    return np.einsum("dxy,diy->ix", counts, rotated) / len(s_set)
 
 
 def verify_no_bad_event(
-    q: Qrac, s_set: list[SharedShift], eta: float, *, pgm_uniform: PgmBundle | None = None
+    q: Qrac, s_set: list[SharedShift], eta: float, *, bit_errors: np.ndarray | None = None
 ) -> NoBadEventReport:
     """Exhaustively check that no (x, i) pair has its S-averaged error exceed
-    the shared-randomness average by more than eta/2."""
+    the shared-randomness average by more than eta/2.
+
+    ``bit_errors`` is ``q``'s :func:`per_bit_error_table`, when the caller
+    already holds it.
+    """
     n = q.n
     if n > RAC_MAX_N:
         raise SizeCapError(f"bad-event audit capped at n = {RAC_MAX_N}, got {n}")
-    if pgm_uniform is None:
-        pgm_uniform = build_pgm(Ensemble.uniform(q))
-    err = per_bit_error_table(q, pgm_uniform)
-    uniform_error = float(err.mean())
-    sampled = _sampled_error_mean(err, s_set, n)
-    margins = sampled - uniform_error
+    if bit_errors is None:
+        bit_errors = per_bit_error_table(q, build_pgm(Ensemble.uniform(q)))
+    uniform_error = float(bit_errors.mean())
+    margins = shift_average(bit_errors, s_set) - uniform_error
     threshold = eta / 2.0
     bad = np.argwhere(margins > threshold + 1e-12)
     offending = tuple((int(x), int(i) + 1) for i, x in bad)
@@ -261,16 +264,56 @@ def message_bits_budget(m: int, size_s: int, eta: float) -> int:
     return m + math.ceil(math.log2(size_s)) + math.ceil(math.log2(math.log(2.0 / eta))) + 2
 
 
+class _ShiftSchemes(Sequence):
+    """Read-only view of each shift's compression scheme: the codebook's
+    base scheme with inputs and outputs relabelled by the shift's
+    permutation, built on first access and cached.
+
+    Nothing in the package reads it: the protocol and the validation index
+    the base scheme through the permutations.  It serves the benchmark's
+    per-shift audit and goes once that reads the shift-invariant fields.
+    """
+
+    def __init__(self, base: CompressionScheme, perms: np.ndarray):
+        self._base = base
+        self._perms = perms
+        self._built: list[CompressionScheme | None] = [None] * len(perms)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k: int) -> CompressionScheme:
+        scheme = self._built[k]
+        if scheme is None:
+            base, perm = self._base, self._perms[k]
+            scheme = self._built[k] = dataclasses.replace(
+                base,
+                channel=ClassicalChannel(base.channel.table[perm][:, perm]),
+                z=base.z[perm],
+                a=base.a[perm],
+                ratio=base.ratio[perm],
+            )
+        return scheme
+
+
 @dataclass(frozen=True)
 class RacCodebook:
-    """Classical random access code distilled from a quantum one."""
+    """Classical random access code distilled from a quantum one.
+
+    ``scheme`` compresses the identity shift's channel; shift s sees that
+    channel relabelled by its permutation, ``perms[s]``, so c_max, the
+    attempt cap and the index width are the same for every shift.
+    ``bit_errors`` is the code's per-bit error table that the Newman audit
+    checked, shape (n, 2^n).
+    """
 
     n: int
     m: int
     eta: float
     claimed_p: float
     s_set: tuple[SharedShift, ...]
-    schemes: tuple[CompressionScheme, ...]
+    scheme: CompressionScheme
+    bit_errors: np.ndarray
     index_bits_s: int
     total_message_bits: int
     success_floor: float
@@ -280,9 +323,9 @@ class RacCodebook:
     worst_margin: float
 
     def __post_init__(self):
-        if len(self.schemes) != len(self.s_set):
-            raise ValidationError("one compression scheme per shared shift required")
-        parts = self.index_bits_s + max(sc.index_bits for sc in self.schemes)
+        if self.scheme.in_size != 2**self.n or self.bit_errors.shape != (self.n, 2**self.n):
+            raise ValidationError(f"scheme or error table does not cover {self.n}-bit strings")
+        parts = self.index_bits_s + self.scheme.index_bits
         if self.total_message_bits != parts:
             raise ValidationError(
                 f"message length {self.total_message_bits} does not match its parts {parts}"
@@ -297,7 +340,17 @@ class RacCodebook:
     def size_s(self) -> int:
         return len(self.s_set)
 
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """Each shift's permutation of the 2^n strings, shape (|S|, 2^n)."""
+        return perm_table(self.s_set)
+
+    @cached_property
+    def schemes(self) -> _ShiftSchemes:
+        return _ShiftSchemes(self.scheme, self.perms)
+
     def to_json_dict(self) -> dict:
+        sc = self.scheme
         return {
             "n": self.n,
             "m": self.m,
@@ -311,17 +364,12 @@ class RacCodebook:
             "newman_attempts": self.newman_attempts,
             "worst_margin": self.worst_margin,
             "s_set": [[s.r, s.d] for s in self.s_set],
-            "schemes": [
-                {
-                    "channel_sha256": hashlib.sha256(
-                        sc.channel.to_csv().encode()
-                    ).hexdigest(),
-                    "n_cap": sc.n_cap,
-                    "index_bits": sc.index_bits,
-                    "c_max": sc.c_max,
-                }
-                for sc in self.schemes
-            ],
+            "scheme": {
+                "channel_sha256": hashlib.sha256(sc.channel.to_csv().encode()).hexdigest(),
+                "n_cap": sc.n_cap,
+                "index_bits": sc.index_bits,
+                "c_max": sc.c_max,
+            },
         }
 
 
@@ -333,10 +381,8 @@ def build_rac(
     max_resamples: int = 16,
 ) -> RacCodebook:
     """Sample a shift set free of bad events (resampling on failure), then
-    attach an eta/2-error compression scheme to each shift's channel.
-
-    The outcome table is built and checked once, as the channel of the
-    identity shift; each shift's channel is that table relabelled.
+    attach one eta/2-error compression scheme, that of the identity shift's
+    channel, which every shift indexes through its permutation.
     """
     n = q.n
     if n > RAC_MAX_N:
@@ -344,13 +390,14 @@ def build_rac(
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
     pgm = build_pgm(Ensemble.uniform(q), full_table=True)
+    err = per_bit_error_table(q, pgm)
 
     best_margin = math.inf
     report = None
     s_set = None
     for attempt in range(max_resamples):
         candidate = sample_newman_set(n, eta, seed, c_newman, attempt=attempt)
-        report = verify_no_bad_event(q, candidate, eta, pgm_uniform=pgm)
+        report = verify_no_bad_event(q, candidate, eta, bit_errors=err)
         best_margin = min(best_margin, report.worst_margin)
         if report.ok:
             s_set = candidate
@@ -364,12 +411,8 @@ def build_rac(
         )
 
     # r = 0, d = n is the identity relabelling
-    outcomes = effective_channel(q, SharedShift(0, n, n), pgm).table
-    schemes = tuple(
-        build_scheme(_relabel(outcomes, perm), eta / 2.0) for perm in perm_table(s_set)
-    )
+    scheme = build_scheme(effective_channel(q, SharedShift(0, n, n), pgm), eta / 2.0)
     index_bits_s = math.ceil(math.log2(len(s_set)))
-    total_bits = index_bits_s + max(sc.index_bits for sc in schemes)
     floor = 1.0 - hamming_budget(q.claimed_p, 1) - eta
     return RacCodebook(
         n=n,
@@ -377,9 +420,10 @@ def build_rac(
         eta=eta,
         claimed_p=q.claimed_p,
         s_set=tuple(s_set),
-        schemes=schemes,
+        scheme=scheme,
+        bit_errors=err,
         index_bits_s=index_bits_s,
-        total_message_bits=total_bits,
+        total_message_bits=index_bits_s + scheme.index_bits,
         success_floor=floor,
         seed=seed,
         c_newman=c_newman,
@@ -420,19 +464,23 @@ class RacValidation:
 def validate_rac(codebook: RacCodebook, q: Qrac, tol: float = 1e-9) -> RacValidation:
     """Success probability of every (input, queried bit) pair, computed in
     closed form: acceptance reproduces the channel row exactly, failure falls
-    back to a fair coin per bit."""
+    back to a fair coin per bit.
+
+    Reads the per-bit error table the codebook was audited with, after
+    checking that ``q`` is the code it was built from.
+    """
     n = q.n
     if n > RAC_MAX_N:
         raise SizeCapError(f"validation capped at n = {RAC_MAX_N}, got {n}")
-    pgm = build_pgm(Ensemble.uniform(q))
-    err = per_bit_error_table(q, pgm)
-    by_d = _rows_by_shift(err, n)
-    acc = np.zeros_like(err)
-    for s, perm, sc in zip(codebook.s_set, perm_table(codebook.s_set), codebook.schemes):
-        p_sxi = by_d[s.d][:, perm]
-        fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
-        acc += (1.0 - fail) * (1.0 - p_sxi) + fail * 0.5
-    table = acc / codebook.size_s
+    if (n, q.m, q.claimed_p) != (codebook.n, codebook.m, codebook.claimed_p):
+        raise ValidationError(
+            f"codebook of an (n, m, p) = ({codebook.n}, {codebook.m}, {codebook.claimed_p}) "
+            f"code, given ({n}, {q.m}, {q.claimed_p})"
+        )
+    sc = codebook.scheme
+    # a shift relabels the failure chance with its input, like the error table
+    fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
+    table = shift_average((1.0 - fail) * (1.0 - codebook.bit_errors) + fail * 0.5, codebook.s_set)
     flat = int(np.argmin(table))
     i, x = divmod(flat, table.shape[1])
     min_success = float(table[i, x])
@@ -464,11 +512,12 @@ def rac_encode(
     chooser = stream(shared_seed, TAG_ENCODE, replicate)
     s_index = int(chooser.integers(codebook.size_s))
     run = run_protocol(
-        codebook.schemes[s_index],
+        codebook.scheme,
         x,
         shared_seed,
         replicate=replicate,
         stream_path=(s_index, replicate),
+        perm=codebook.perms[s_index],
     )
     return RacMessage(
         s_index=s_index,
@@ -489,13 +538,13 @@ def rac_decode(
     n = codebook.n
     if not 1 <= i <= n:
         raise DomainError(f"bit index must lie in 1..{n}, got {i}")
-    scheme = codebook.schemes[message.s_index]
     path = (message.s_index, replicate)
     if message.sent_index == FAIL_INDEX:
         bob = stream(shared_seed, TAG_BOB, *path)
-        y = int(bob.integers(scheme.out_size))
+        y = int(bob.integers(2**n))
     else:
-        shared = stream(shared_seed, TAG_SHARED, *path)
-        draws = _sample_from(scheme.z, shared.random(scheme.n_cap))
-        y = int(draws[message.sent_index - 1])
+        # the accepted sample is the sent_index-th shared draw; a shorter
+        # draw is a prefix of the sender's, so only that many are replayed
+        u = stream(shared_seed, TAG_SHARED, *path).random(message.sent_index)[-1]
+        y = int(_sample_from(codebook.scheme.z[codebook.perms[message.s_index]], u))
     return (y >> (n - i)) & 1

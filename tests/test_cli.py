@@ -175,6 +175,27 @@ def test_out_of_range_integer_exits_two_in_process(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--n", "9", "--m", "9"],
+        ["convert", "--n", "9", "--m", "3"],
+        ["compress", "--n", "10", "--m", "10"],
+        ["minimax", "--n", "9", "--m", "2"],
+    ],
+)
+def test_size_cap_exits_two_before_building_a_code(argv, capsys, monkeypatch):
+    built = []
+    for name in ("build_standard_2to1", "build_identity_encoding", "build_random_qrac"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: built.append(name))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "capped at n = 8" in err
+    assert built == []
+
+
 def test_out_into_missing_directory_exits_two(tmp_path):
     out = tmp_path / "missing" / "report"
     cmd = [sys.executable, "-m", "qraclab.cli", "demo-2to1", "--deterministic", "--out", str(out)]
@@ -372,7 +393,7 @@ def test_compress_acceptance_input_ignores_rounding_in_a():
     from qraclab.conversion import SharedShift, effective_channel
     from qraclab.linalg import argmax_first
 
-    q = _select_code(3, 2, 0)
+    q = _select_code(3, 2, 0, cap=3)
     a = build_scheme(effective_channel(q, SharedShift(0, q.n, q.n)), 0.1).a
     pick = argmax_first(a)
     assert np.ptp(a) < 1e-12  # the entries do tie up to rounding

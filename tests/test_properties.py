@@ -1,19 +1,26 @@
 """Pipeline properties over Haar-random codes with n <= 4 and m <= 3, kept by
 the corpus rule (worst-case p above DEFAULT_P_MIN): the channels of a
-codebook, its audited success, and the per-input Hamming error of the
-code's own decoders."""
+codebook, its audited success against a per-shift rebuild, and the
+per-input Hamming error of the code's own decoders."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qraclab.bits import bit_column
+from qraclab.compression import build_scheme
 from qraclab.corpus import random_qrac_corpus
-from qraclab.conversion import build_rac, validate_rac
+from qraclab.conversion import build_rac, effective_channel, validate_rac
 from qraclab.decoding import expected_hamming_exact
 from qraclab.info import max_channel_capacity
 from qraclab.linalg import SUPPORT_CUTOFF
-from qraclab.pgm import PgmBundle
-from qraclab.qrac import Ensemble, success_table
+from qraclab.pgm import PgmBundle, build_pgm
+from qraclab.qrac import (
+    Ensemble,
+    build_identity_encoding,
+    build_standard_2to1,
+    success_table,
+)
 
 CODE_SEEDS = st.integers(min_value=0, max_value=2**16)
 ETAS = st.sampled_from([0.3, 0.4])
@@ -41,6 +48,37 @@ def test_codebook_success_stays_above_its_floor(seed, eta):
     q = corpus_code(seed)
     val = validate_rac(build_rac(q, eta, seed=seed), q)
     assert val.min_success >= val.floor
+
+
+SMALL_CODES = st.one_of(
+    CODE_SEEDS.map(corpus_code),
+    st.integers(min_value=1, max_value=4).map(build_identity_encoding),
+    st.just(build_standard_2to1()),
+)
+
+
+@given(q=SMALL_CODES, eta=st.sampled_from([0.2, 0.3]), seed=CODE_SEEDS)
+@settings(max_examples=8, deadline=None)
+def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
+    # the reference builds every shift's channel and scheme afresh; the
+    # codebook sums z and c_max once, in the base order, hence the ulps
+    cb = build_rac(q, eta, seed=seed)
+    pgm = build_pgm(Ensemble.uniform(q), full_table=True)
+    n = q.n
+    bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
+    same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
+    expected = np.zeros((n, 2**n))
+    for s, scheme in zip(cb.s_set, cb.schemes):
+        ref = build_scheme(effective_channel(q, s, pgm), eta / 2)
+        assert np.array_equal(scheme.channel.table, ref.channel.table)
+        assert (scheme.n_cap, scheme.index_bits) == (ref.n_cap, ref.index_bits)
+        np.testing.assert_array_max_ulp(scheme.z, ref.z, maxulp=4)
+        np.testing.assert_array_max_ulp(scheme.c_max, ref.c_max, maxulp=4)
+        fail = (1.0 - 1.0 / ref.ratio) ** ref.n_cap
+        right = np.einsum("xy,ixy->ix", ref.channel.table, same)
+        expected += (1.0 - fail) * right + 0.5 * fail
+    expected /= cb.size_s
+    np.testing.assert_allclose(validate_rac(cb, q).table, expected, rtol=0, atol=1e-12)
 
 
 @given(seed=CODE_SEEDS)
