@@ -8,6 +8,8 @@ exactly one place.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import IndexOutOfRangeError
@@ -48,9 +50,13 @@ def bit_column(i: int, n: int) -> np.ndarray:
     return (np.arange(2**n) >> (n - i)) & 1
 
 
+@lru_cache(maxsize=None)
 def bit_columns(n: int) -> np.ndarray:
-    """(n, 2^n) table whose row i-1 is :func:`bit_column` (i, n)."""
-    return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    """(n, 2^n) table whose row i-1 is :func:`bit_column` (i, n), built once
+    per n and shared read-only."""
+    table = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    table.flags.writeable = False
+    return table
 
 
 def hamming_table(n: int) -> np.ndarray:

@@ -88,19 +88,33 @@ class SharedShift:
         return unshift_bits(y, self.d, self.n) ^ self.r
 
 
-def perm_table(s_set) -> np.ndarray:
+def _shift_pairs(pairs, n: int) -> np.ndarray:
+    """A set of shifts as one frozen (|S|, 2) int array of (r, d) rows, each
+    checked as :class:`SharedShift` checks its own."""
+    pairs = np.array(pairs, dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"expected (r, d) rows, got shape {pairs.shape}")
+    bad_d = np.flatnonzero((pairs[:, 1] < 1) | (pairs[:, 1] > n))
+    if bad_d.size:
+        raise BadShiftError(f"shift must lie in 1..{n}, got {pairs[bad_d[0], 1]}")
+    bad_r = np.flatnonzero((pairs[:, 0] < 0) | (pairs[:, 0] >= 2**n))
+    if bad_r.size:
+        raise DomainError(f"mask {pairs[bad_r[0], 0]} is not an {n}-bit string")
+    pairs.flags.writeable = False
+    return pairs
+
+
+def perm_table(s_set: np.ndarray, n: int) -> np.ndarray:
     """Every shift's permutation z -> shift_d(z XOR r) over all 2^n strings,
-    one row per shift of ``s_set``: shape (|S|, 2^n)."""
-    n = s_set[0].n
-    r = np.array([s.r for s in s_set])[:, None]
-    d = np.array([s.d for s in s_set])[:, None]
+    one row per (r, d) row of ``s_set``: shape (|S|, 2^n)."""
+    r, d = s_set[:, :1], s_set[:, 1:]
     z = np.arange(2**n) ^ r
     return ((z << d) | (z >> (n - d))) & ((1 << n) - 1)
 
 
 def perm_array(s: SharedShift) -> np.ndarray:
     """The permutation z -> shift_d(z XOR r) over all 2^n strings."""
-    return perm_table([s])[0]
+    return perm_table(np.array([[s.r, s.d]]), s.n)[0]
 
 
 def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
@@ -181,9 +195,9 @@ def effective_channel(
 
 def sample_newman_set(
     n: int, eta: float, seed: int, c_newman: float = 8.0, attempt: int = 0
-) -> list[SharedShift]:
+) -> np.ndarray:
     """|S| = ceil(c_newman * n / eta^2) iid uniform (r, d) pairs, sampled with
-    replacement."""
+    replacement, as the rows of a frozen (|S|, 2) int array."""
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
     if not c_newman > 0.0:
@@ -195,7 +209,7 @@ def sample_newman_set(
     rng = stream(seed, TAG_NEWMAN, attempt)
     rs = rng.integers(0, 2**n, size=size)
     ds = rng.integers(1, n + 1, size=size)
-    return [SharedShift(int(r), int(d), n) for r, d in zip(rs, ds)]
+    return _shift_pairs(np.column_stack([rs, ds]), n)
 
 
 @dataclass(frozen=True)
@@ -207,10 +221,10 @@ class NoBadEventReport:
     offending: tuple[tuple[int, int], ...]
 
 
-def shift_average(table: np.ndarray, s_set) -> np.ndarray:
+def shift_average(table: np.ndarray, s_set: np.ndarray) -> np.ndarray:
     """Mean over the shifts of ``s_set`` of a per-(i, x) ``table`` seen
-    through each shift: out[i, x] = mean_s table[(i - d_s) mod n, perm_s[x]],
-    shape (n, 2^n).
+    through each (r, d) row of the set: out[i, x] = mean_s table[(i - d_s) mod n,
+    perm_s[x]], shape (n, 2^n).
 
     The whole set enters as one count array C[d, x, x'] = #{s : d_s = d,
     perm_s[x] = x'}, so the mean is one contraction with the n bit-rotated
@@ -219,8 +233,7 @@ def shift_average(table: np.ndarray, s_set) -> np.ndarray:
     (d, r) pairs, and its size does not grow with |S|.
     """
     n, size = table.shape
-    pairs = np.array([(s.d - 1, s.r) for s in s_set])
-    by_pair = np.bincount(pairs[:, 0] * size + pairs[:, 1], minlength=n * size)
+    by_pair = np.bincount((s_set[:, 1] - 1) * size + s_set[:, 0], minlength=n * size)
     d = np.arange(1, n + 1)[:, None]
     xs = np.arange(size)
     unrotated = ((xs >> d) | (xs << (n - d))) & (size - 1)  # [d-1, x'] = unrotate_d(x')
@@ -231,10 +244,11 @@ def shift_average(table: np.ndarray, s_set) -> np.ndarray:
 
 
 def verify_no_bad_event(
-    q: Qrac, s_set: list[SharedShift], eta: float, *, bit_errors: np.ndarray | None = None
+    q: Qrac, s_set, eta: float, *, bit_errors: np.ndarray | None = None
 ) -> NoBadEventReport:
     """Exhaustively check that no (x, i) pair has its S-averaged error exceed
-    the shared-randomness average by more than eta/2.
+    the shared-randomness average by more than eta/2.  ``s_set`` holds the
+    shifts as (r, d) rows.
 
     ``bit_errors`` is ``q``'s :func:`per_bit_error_table`, when the caller
     already holds it.
@@ -245,7 +259,7 @@ def verify_no_bad_event(
     if bit_errors is None:
         bit_errors = per_bit_error_table(q, build_pgm(Ensemble.uniform(q)))
     uniform_error = float(bit_errors.mean())
-    margins = shift_average(bit_errors, s_set) - uniform_error
+    margins = shift_average(bit_errors, _shift_pairs(s_set, n)) - uniform_error
     threshold = eta / 2.0
     bad = np.argwhere(margins > threshold + 1e-12)
     offending = tuple((int(x), int(i) + 1) for i, x in bad)
@@ -304,14 +318,15 @@ class RacCodebook:
     channel relabelled by its permutation, ``perms[s]``, so c_max, the
     attempt cap and the index width are the same for every shift.
     ``bit_errors`` is the code's per-bit error table that the Newman audit
-    checked, shape (n, 2^n).
+    checked, shape (n, 2^n).  ``s_set`` holds the shifts as the (r, d) rows
+    of one frozen (|S|, 2) int array.
     """
 
     n: int
     m: int
     eta: float
     claimed_p: float
-    s_set: tuple[SharedShift, ...]
+    s_set: np.ndarray
     scheme: CompressionScheme
     bit_errors: np.ndarray
     index_bits_s: int
@@ -323,6 +338,7 @@ class RacCodebook:
     worst_margin: float
 
     def __post_init__(self):
+        object.__setattr__(self, "s_set", _shift_pairs(self.s_set, self.n))
         if self.scheme.in_size != 2**self.n or self.bit_errors.shape != (self.n, 2**self.n):
             raise ValidationError(f"scheme or error table does not cover {self.n}-bit strings")
         parts = self.index_bits_s + self.scheme.index_bits
@@ -343,7 +359,7 @@ class RacCodebook:
     @cached_property
     def perms(self) -> np.ndarray:
         """Each shift's permutation of the 2^n strings, shape (|S|, 2^n)."""
-        return perm_table(self.s_set)
+        return perm_table(self.s_set, self.n)
 
     @cached_property
     def schemes(self) -> _ShiftSchemes:
@@ -363,7 +379,7 @@ class RacCodebook:
             "seed": self.seed,
             "newman_attempts": self.newman_attempts,
             "worst_margin": self.worst_margin,
-            "s_set": [[s.r, s.d] for s in self.s_set],
+            "s_set": self.s_set.tolist(),
             "scheme": {
                 "channel_sha256": hashlib.sha256(sc.channel.to_csv().encode()).hexdigest(),
                 "n_cap": sc.n_cap,
@@ -419,7 +435,7 @@ def build_rac(
         m=q.m,
         eta=eta,
         claimed_p=q.claimed_p,
-        s_set=tuple(s_set),
+        s_set=s_set,
         scheme=scheme,
         bit_errors=err,
         index_bits_s=index_bits_s,

@@ -50,6 +50,7 @@ TOL_EIG = 1e-8
 SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TOL_TIE = 1e-12
 DIM_CAP = 2**10
+_HERM_BLOCK = 2**16  # entries per block of the Hermiticity check
 
 
 def _as_array(a) -> np.ndarray:
@@ -71,11 +72,25 @@ def check_dim_cap(dim: int) -> None:
         raise SizeCapError(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
+def _hermitian_deviation(a: np.ndarray) -> float:
+    """Largest entry of |A - A^dag| over a square matrix or a stack of them,
+    NaN if any entry is NaN.  Taken over blocks of whole members, each about
+    ``_HERM_BLOCK`` entries, so the temporaries are one block's size, not the
+    stack's."""
+    stack = a.reshape(-1, *a.shape[-2:])
+    step = max(1, _HERM_BLOCK // (a.shape[-1] ** 2 or 1))
+    devs = [
+        np.abs(b - b.conj().swapaxes(1, 2)).max()
+        for b in (stack[k : k + step] for k in range(0, len(stack), step))
+    ]
+    return float(devs[0] if len(devs) == 1 else np.max(devs))  # np.max keeps a NaN
+
+
 def is_hermitian(a, tol: float = TOL_HERM) -> bool:
     """Whether a matrix, or every member of a (k, d, d) stack, equals its
     conjugate transpose within ``tol`` in every entry."""
     a = _as_array(a)
-    return a.shape[-2] == a.shape[-1] and np.abs(a - a.conj().swapaxes(-2, -1)).max() <= tol
+    return a.shape[-2] == a.shape[-1] and _hermitian_deviation(a) <= tol
 
 
 def eig_hermitian(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +103,7 @@ def eig_hermitian(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     a = _as_array(a)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    deviation = np.abs(a - a.conj().swapaxes(-2, -1)).max()
+    deviation = _hermitian_deviation(a)
     if not deviation <= tol:  # NaN fails too
         raise NotHermitianError(f"matrix deviates from Hermitian symmetry by {deviation:.3e}")
     vals, vecs = np.linalg.eigh(a)

@@ -6,6 +6,13 @@ decoded one.  Running multiplicative weights over the 2^n inputs, with the
 square-root measurement as the best response to each prior, produces an
 averaged measurement whose worst-case expected distance is certified
 directly by evaluating all 2^n inputs.
+
+A bit's error on input x is affine in that bit's outcome-0 operator, so
+the average's value on every input is the running mean of the iterates'
+per-input values: one per-bit table per iteration.  The iterates stay
+factored, and the average is formed once, when the solver returns: element
+y of the mean of t iterates is C_y C_y^dag / t, with C_y their factors for
+y side by side, plus the mean leftover on the first element.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .bits import format_bits
 from .errors import DomainError, NotConvergedError, SizeCapError
-from .linalg import SUPPORT_CUTOFF, GramPovm, Povm, argmax_first
+from .linalg import SUPPORT_CUTOFF, GramPovm, Povm, argmax_first, gram_dense
 from .pgm import PgmBundle, _pgm_raw, marginal_f0s
 from .qrac import Qrac, bit_error_table, hamming_budget
 from .serialize import matrix_to_reim
@@ -103,6 +110,10 @@ def solve_worstcase(
     Raises :class:`NotConvergedError` with the best iterate attached if
     ``max_iters`` passes without certification.  The loop is deterministic:
     uniform initial weights, exact best responses.
+
+    The worst case of the average is read from the running mean of the
+    iterates' per-input values; the averaged measurement is formed once,
+    for the returned iterate, from the factors of the iterates up to it.
     """
     n = q.n
     if n > SOLVER_MAX_N:
@@ -116,26 +127,29 @@ def solve_worstcase(
     lr = math.sqrt(8.0 * math.log(size) / max_iters)
 
     weights = np.ones(size)
-    mean_f0 = np.zeros((n, q.dim, q.dim), dtype=complex)
-    mean_full = np.zeros((size, q.dim, q.dim), dtype=complex)
+    per_x = np.zeros(size)
+    factors: list[np.ndarray] = []  # each iterate's full-table factor stack
+    extra_sum = np.zeros((q.dim, q.dim), dtype=complex)
     prior_trace: list[int] = []
     best_snapshot: dict | None = None
 
     def finish(snap: dict, converged: bool) -> GameSolution:
-        povm = Povm(snap["mean_full"], outcomes=tuple(range(size)))
+        t = snap["t"]
+        elements = gram_dense(np.concatenate(factors[:t], axis=2)) / t
+        elements[0] += snap["extra_sum"] / t
         return GameSolution(
             n=n,
             eps=eps,
             bound=bound,
-            measurement=povm,
+            measurement=Povm(elements, outcomes=tuple(range(size))),
             per_x=snap["per_x"],
             worst_x=snap["worst_x"],
             worst_x_value=snap["worst"],
             avg_value_at_final_prior=snap["avg"],
             gap=snap["gap"],
-            iterations=snap["t"],
+            iterations=t,
             converged=converged,
-            prior_trace=tuple(prior_trace[: snap["t"]]),
+            prior_trace=tuple(prior_trace[:t]),
         )
 
     for t in range(1, max_iters + 1):
@@ -143,11 +157,12 @@ def solve_worstcase(
         f0s, full = _pgm_raw(prior, q.encoder, n, support_cutoff)
         d_t = bit_error_table(f0s, q.encoder).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
+        factors.append(full.factors)
+        extra_sum += full.extra
 
-        mean_f0 += (f0s - mean_f0) / t
-        mean_full += (full.element_stack - mean_full) / t  # densified for the average
-
-        per_x = bit_error_table(mean_f0, q.encoder).sum(axis=0)
+        # a bit's error is affine in its F0, so the average's per-input value
+        # is the mean of the iterates' values
+        per_x = per_x + (d_t - per_x) / t
         worst_x = argmax_first(per_x)
         worst = float(per_x.max())
         # value of the current best-response PGM at the current prior; this is
@@ -164,10 +179,10 @@ def solve_worstcase(
             "gap": gap,
         }
         if worst <= bound + eps * n and gap <= gap_tol * n:
-            snap["mean_full"] = mean_full
+            snap["extra_sum"] = extra_sum
             return finish(snap, converged=True)
         if best_snapshot is None or worst < best_snapshot["worst"]:
-            snap["mean_full"] = mean_full.copy()
+            snap["extra_sum"] = extra_sum.copy()
             best_snapshot = snap
 
         weights = weights * np.exp(lr * d_t / n)

@@ -86,9 +86,10 @@ class TestSharedShift:
 
     def test_perm_table_rows_match_scalar(self):
         s_set = cv.sample_newman_set(4, 0.5, seed=3)
-        table = cv.perm_table(s_set)
+        table = cv.perm_table(s_set, 4)
         assert table.shape == (len(s_set), 16)
-        for s, row in zip(s_set, table):
+        for (r, d), row in zip(s_set, table):
+            s = cv.SharedShift(int(r), int(d), 4)
             assert list(row) == [s.apply(z) for z in range(16)]
 
     def test_validation(self):
@@ -170,9 +171,7 @@ class TestPerBitSuccess:
             pgm = uniform_pgm(q, full=False)
             err = cv.per_bit_error_table(q, pgm)
             n = q.n
-            all_s = [
-                cv.SharedShift(r, d, n) for r in range(2**n) for d in range(1, n + 1)
-            ]
+            all_s = np.array([(r, d) for r in range(2**n) for d in range(1, n + 1)])
             avg = cv.shift_average(err, all_s)
             np.testing.assert_allclose(avg, err.mean(), atol=1e-9)
             np.testing.assert_allclose(
@@ -224,15 +223,16 @@ class TestNewmanSet:
     def test_reproducible_and_attempt_dependent(self):
         a = cv.sample_newman_set(3, 0.4, seed=11)
         b = cv.sample_newman_set(3, 0.4, seed=11)
-        assert a == b
+        assert np.array_equal(a, b)
         c = cv.sample_newman_set(3, 0.4, seed=11, attempt=1)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_elements_in_range(self):
-        for s in cv.sample_newman_set(5, 0.6, seed=2):
-            assert 1 <= s.d <= 5
-            assert 0 <= s.r < 32
-            assert s.n == 5
+        s_set = cv.sample_newman_set(5, 0.6, seed=2)
+        assert s_set.shape == (len(s_set), 2) and not s_set.flags.writeable
+        for r, d in s_set:
+            assert 1 <= d <= 5
+            assert 0 <= r < 32
 
     def test_eta_domain(self):
         with pytest.raises(DomainError):
@@ -247,6 +247,26 @@ class TestNewmanSet:
         with pytest.raises(SizeCapError, match="over cap 1048576"):
             cv.sample_newman_set(3, eta, seed=0, c_newman=c_newman)
 
+    @pytest.mark.parametrize(
+        "s_set, error",
+        [
+            (((0, 0),), BadShiftError),
+            (((0, 4),), BadShiftError),
+            (((8, 1),), DomainError),
+            (((-1, 1),), DomainError),
+            (((0, 1, 2),), ValidationError),
+            ((0, 1), ValidationError),
+        ],
+    )
+    def test_codebook_checks_each_pair(self, s_set, error):
+        # the array of (r, d) rows is checked as each SharedShift checks itself
+        cb = cv.build_rac(build_random_qrac(3, 2, seed=29), eta=0.3, seed=1)
+        assert not cb.s_set.flags.writeable
+        with pytest.raises(error):
+            dataclasses.replace(
+                cb, s_set=s_set, index_bits_s=0, total_message_bits=cb.scheme.index_bits
+            )
+
     def test_size_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cv, "NEWMAN_MAX_SIZE", 128)
         assert len(cv.sample_newman_set(4, eta=0.5, seed=0, c_newman=8)) == 128
@@ -257,7 +277,7 @@ class TestNewmanSet:
 class TestBadEventAudit:
     def test_full_set_has_zero_margins(self):
         q = build_random_qrac(2, 2, seed=0)
-        all_s = [cv.SharedShift(r, d, 2) for r in range(4) for d in (1, 2)]
+        all_s = [(r, d) for r in range(4) for d in (1, 2)]
         report = cv.verify_no_bad_event(q, all_s, eta=0.1)
         assert report.ok
         np.testing.assert_allclose(report.worst_margin, 0.0, atol=1e-12)
@@ -285,13 +305,13 @@ class TestBadEventAudit:
         pgm = uniform_pgm(q, full=False)
         err = cv.per_bit_error_table(q, pgm)
         expected = err.max() - err.mean()
-        for s in [cv.SharedShift(0, 1, 3), cv.SharedShift(6, 3, 3)]:
+        for s in [(0, 1), (6, 3)]:
             report = cv.verify_no_bad_event(q, [s], eta=0.2)
             np.testing.assert_allclose(report.worst_margin, expected, atol=1e-12)
 
     def test_offending_pairs_reported(self):
         q = build_random_qrac(3, 2, seed=29)
-        report = cv.verify_no_bad_event(q, [cv.SharedShift(0, 1, 3)], eta=0.01)
+        report = cv.verify_no_bad_event(q, [(0, 1)], eta=0.01)
         assert not report.ok
         assert len(report.offending) >= 1
         for x, i in report.offending:
@@ -377,7 +397,8 @@ class TestBuildRac:
         cb = cv.build_rac(q, eta=0.3, seed=2)
         d = cb.to_json_dict()
         assert d["n"] == 2 and d["m"] == 1
-        assert len(d["s_set"]) == cb.size_s
+        assert d["s_set"] == [[int(r), int(dd)] for r, dd in cb.s_set]
+        assert all(type(v) is int for pair in d["s_set"] for v in pair)
         assert len(d["scheme"]["channel_sha256"]) == 64
         assert d["scheme"]["n_cap"] == cb.scheme.n_cap
         assert d["total_message_bits"] == cb.total_message_bits
@@ -397,7 +418,8 @@ class TestBuildRac:
         q = make()
         pgm = uniform_pgm(q)
         cb = cv.build_rac(q, eta=eta, seed=4)
-        for s, sc in zip(cb.s_set, cb.schemes):
+        for (r, d), sc in zip(cb.s_set, cb.schemes):
+            s = cv.SharedShift(int(r), int(d), q.n)
             ref = build_scheme(cv.effective_channel(q, s, pgm), eta / 2)
             assert np.array_equal(sc.channel.table, ref.channel.table)
             np.testing.assert_array_max_ulp(sc.z, ref.z, maxulp=4)
@@ -449,7 +471,7 @@ class TestValidateRac:
         cb = cv.build_rac(q, eta=0.2, seed=7)
         honest = cv.validate_rac(cb, q)
         rigged = dataclasses.replace(
-            cb, s_set=(cv.SharedShift(0, 1, 3),), index_bits_s=0,
+            cb, s_set=((0, 1),), index_bits_s=0,
             total_message_bits=cb.scheme.index_bits,
         )
         adversarial = cv.validate_rac(rigged, q)
@@ -466,7 +488,7 @@ class TestValidateRac:
         n = q.n
         cb = cv.build_rac(q, eta=0.2, seed=7)
         rigged = dataclasses.replace(
-            cb, s_set=(cv.SharedShift(5, 1, n),), index_bits_s=0,
+            cb, s_set=((5, 1),), index_bits_s=0,
             total_message_bits=cb.scheme.index_bits,
         )
         pgm = uniform_pgm(q)
@@ -474,7 +496,8 @@ class TestValidateRac:
         same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
         for book in (cb, rigged):
             expected = np.zeros((n, 2**n))
-            for s in book.s_set:
+            for r, d in book.s_set:
+                s = cv.SharedShift(int(r), int(d), n)
                 sc = build_scheme(cv.effective_channel(q, s, pgm), 0.1)
                 fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
                 right = np.einsum("xy,ixy->ix", sc.channel.table, same)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,34 @@ def test_is_hermitian_tolerance():
     a = np.eye(2) + np.array([[0, 1e-12], [0, 0]])
     assert is_hermitian(a)
     assert not is_hermitian(a * 1e5, tol=1e-9)
+
+
+def _hermitian_stack(k, d, seed=0):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    return g + g.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("bad", [1e-6, np.nan])
+def test_hermiticity_check_reaches_the_last_block(bad):
+    # 64 members of 128 x 128 span several blocks; the flaw sits in the last
+    stack = _hermitian_stack(64, 128)
+    assert is_hermitian(stack)
+    stack[-1, 0, 1] += bad
+    assert not is_hermitian(stack)
+    with pytest.raises(NotHermitianError, match=f"by {abs(bad):.3e}"):
+        eig_hermitian(stack)
+
+
+def test_hermiticity_check_memory_is_bounded():
+    stack = _hermitian_stack(64, 128)
+    tracemalloc.start()
+    try:
+        assert is_hermitian(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes / 4
 
 
 def test_argmax_first_breaks_rounding_ties_toward_first():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import qraclab.minimax as mm
+from qraclab.corpus import DEFAULT_P_MIN
 from qraclab.errors import LabelMismatchError, NotConvergedError, SizeCapError
-from qraclab.linalg import Povm
+from qraclab.linalg import GramPovm, Povm
 from qraclab.minimax import GameSolution, evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm
 from qraclab.qrac import (
@@ -108,6 +110,24 @@ class TestSolveWorstcase:
         assert not best.converged
         assert best.iterations <= 25
         np.testing.assert_allclose(best.worst_x_value, 0.5, atol=0.05)
+        _, _, per_x = evaluate_worstcase(hopeless, best.measurement)
+        np.testing.assert_allclose(per_x, best.per_x, atol=1e-10)
+
+    def test_not_converged_best_averages_only_its_iterates(self):
+        # here the best average is an earlier iterate than the last, so its
+        # measurement must average that prefix of the iterates, not all of them
+        q = build_random_qrac(4, 1, seed=5)
+        hopeless = Qrac(
+            n=4, m=1, encoder=q.encoder, decoders=q.decoders, claimed_p=0.999, tol=1.0
+        )
+        with pytest.raises(NotConvergedError) as exc_info:
+            solve_worstcase(hopeless, eps=0.001, max_iters=25)
+        best = exc_info.value.best
+        assert best.iterations < 25
+        worst, arg, per_x = evaluate_worstcase(hopeless, best.measurement)
+        np.testing.assert_allclose(per_x, best.per_x, atol=1e-10)
+        assert arg == best.worst_x
+        np.testing.assert_allclose(worst, best.worst_x_value, atol=1e-10)
 
     def test_size_caps(self):
         from qraclab.linalg import DensityMatrix
@@ -165,6 +185,47 @@ def test_each_iteration_factors_two_matrices(code, monkeypatch):
     sol = solve_worstcase(q, eps=0.02)
     assert sol.converged
     assert sum(factored) == 2 * sol.iterations
+
+
+def test_no_iteration_densifies_the_full_table(monkeypatch):
+    """The iterates stay factored: the certificate is formed once, at the end,
+    by one ``gram_dense`` call over every iterate's factors."""
+    q = build_random_qrac(4, 3, seed=37)  # the first Haar (4, 3) code above the corpus floor
+    assert q.claimed_p > DEFAULT_P_MIN
+    dense_calls = []
+    original = mm.gram_dense
+
+    def refuse(self):
+        raise AssertionError("an iterate was densified")
+
+    def counted(factors):
+        dense_calls.append(factors.shape)
+        return original(factors)
+
+    monkeypatch.setattr(GramPovm, "element_stack", property(refuse))
+    monkeypatch.setattr(mm, "gram_dense", counted)
+    sol = solve_worstcase(q, eps=0.02)
+    assert sol.converged and sol.iterations > 1
+    assert dense_calls == [(16, q.dim, sol.iterations)]
+
+
+def test_certify_corpus_is_pinned():
+    """The 41 Haar (5, 4) codes of the certify corpus (seeds from 20250601,
+    kept when their worst-case p exceeds the corpus floor) take 936 solver
+    iterations in all and end on these worst inputs."""
+    codes, seed = [], 20250601
+    while len(codes) < 41:
+        q = build_random_qrac(5, 4, seed=seed)
+        seed += 1
+        if q.claimed_p > DEFAULT_P_MIN:
+            codes.append(q)
+    sols = [solve_worstcase(q, eps=0.02) for q in codes]
+    assert all(sol.converged for sol in sols)
+    assert sum(sol.iterations for sol in sols) == 936
+    assert tuple(sol.worst_x for sol in sols) == (
+        13, 0, 24, 21, 0, 9, 7, 20, 10, 26, 23, 16, 21, 14, 18, 17, 12, 2, 8, 23, 1,
+        26, 1, 22, 26, 13, 6, 16, 31, 18, 28, 23, 8, 29, 2, 31, 26, 31, 17, 7, 2,
+    )
 
 
 class TestEvaluateWorstcase:

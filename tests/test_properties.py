@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qraclab.bits import bit_column
 from qraclab.compression import build_scheme
 from qraclab.corpus import random_qrac_corpus
-from qraclab.conversion import build_rac, effective_channel, validate_rac
+from qraclab.conversion import SharedShift, build_rac, effective_channel, validate_rac
 from qraclab.decoding import expected_hamming_exact
 from qraclab.info import max_channel_capacity
 from qraclab.linalg import SUPPORT_CUTOFF
@@ -68,8 +68,8 @@ def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
     bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
     same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
     expected = np.zeros((n, 2**n))
-    for s, scheme in zip(cb.s_set, cb.schemes):
-        ref = build_scheme(effective_channel(q, s, pgm), eta / 2)
+    for (r, d), scheme in zip(cb.s_set, cb.schemes):
+        ref = build_scheme(effective_channel(q, SharedShift(int(r), int(d), n), pgm), eta / 2)
         assert np.array_equal(scheme.channel.table, ref.channel.table)
         assert (scheme.n_cap, scheme.index_bits) == (ref.n_cap, ref.index_bits)
         np.testing.assert_array_max_ulp(scheme.z, ref.z, maxulp=4)

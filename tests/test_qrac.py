@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from qraclab.bits import bit_at, bit_column, bits_to_int, format_bits, hamming_distance, int_to_bits
+from qraclab.bits import (
+    bit_at,
+    bit_column,
+    bit_columns,
+    bits_to_int,
+    format_bits,
+    hamming_distance,
+    int_to_bits,
+)
 from qraclab.errors import SizeCapError, ValidationError
 from qraclab.linalg import BitPovms, DensityMatrix, Povm
 from qraclab.qrac import (
@@ -41,6 +49,13 @@ class TestBits:
     def test_column_matches_bit_at(self):
         col = bit_column(2, 3)
         assert list(col) == [bit_at(x, 2, 3) for x in range(8)]
+
+    def test_columns_built_once_and_read_only(self):
+        cols = bit_columns(3)
+        assert bit_columns(3) is cols
+        assert [list(row) for row in cols] == [list(bit_column(i, 3)) for i in (1, 2, 3)]
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1
 
     def test_hamming(self):
         assert hamming_distance(0b1010, 0b0110) == 2
