@@ -7,18 +7,25 @@ each attempt succeed with probability exactly 2^{-a(x)} and the accepted
 sample distributed exactly as E(x).  She transmits the accepting index with
 a fixed-width message; index 0 is reserved as the failure flag, on which
 Bob answers with a private uniform sample.
+
+Samples are drawn in the scheme's own labels: a relabelled channel
+E'(x)(y) = E(pi x)(pi y), such as a Newman shift's, runs this scheme on pi x
+and maps the accepted draw back by pi^-1.  A message draws from counter
+streams: a shared one, Alice's one (any private choice, then her coins) and
+Bob's, forked only on the failure flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .info import ClassicalChannel, max_channel_capacity
-from .rng import TAG_ALICE, TAG_BATCH, TAG_BOB, TAG_SHARED, stream
+from .rng import TAG_ALICE, TAG_BATCH, TAG_BOB, TAG_SHARED, counter_stream, stream
 from .serialize import fmt17, rows_to_csv
 
 FAIL_INDEX = 0
@@ -44,6 +51,11 @@ class CompressionScheme:
     @property
     def out_size(self) -> int:
         return self.channel.out_size
+
+    @cached_property
+    def cum_z(self) -> np.ndarray:
+        """Cumulative reference distribution, which sampling searches."""
+        return np.cumsum(self.z)
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,10 +138,9 @@ def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     )
 
 
-def _sample_from(dist: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(dist)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, len(dist) - 1)
+def _sample_from(scheme: CompressionScheme, u: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(scheme.cum_z, u, side="right")
+    return np.minimum(idx, scheme.out_size - 1)
 
 
 def _accept_prob(scheme: CompressionScheme, x: int, draws: np.ndarray) -> np.ndarray:
@@ -141,47 +152,32 @@ def _accept_prob(scheme: CompressionScheme, x: int, draws: np.ndarray) -> np.nda
         return np.where(z > 0.0, row[draws] / (scheme.ratio[x] * z), 0.0)
 
 
+def _transcript(
+    scheme: CompressionScheme, x: int, shared: np.random.Generator, alice: np.random.Generator
+) -> tuple[int, int | None]:
+    """Alice's side of one run on input x: n_cap shared draws, then her
+    n_cap acceptance coins.  Returns (sent index, accepted draw), or
+    (FAIL_INDEX, None) when no attempt accepts."""
+    draws = _sample_from(scheme, shared.random(scheme.n_cap))
+    hits = np.flatnonzero(alice.random(scheme.n_cap) < _accept_prob(scheme, x, draws))
+    if hits.size:
+        return int(hits[0]) + 1, int(draws[hits[0]])
+    return FAIL_INDEX, None
+
+
 def run_protocol(
-    scheme: CompressionScheme,
-    x: int,
-    shared_seed: int,
-    replicate: int = 0,
-    *,
-    stream_path: tuple[int, ...] | None = None,
-    perm: np.ndarray | None = None,
+    scheme: CompressionScheme, x: int, shared_seed: int, replicate: int = 0
 ) -> ProtocolRun:
-    """Execute one protocol instance.
-
-    ``stream_path`` overrides the default per-(x, replicate) stream keying;
-    callers that need the receiver to reproduce the shared stream without
-    knowing x (the random-access code built on top of this) pass an explicit
-    path known to both ends.
-
-    ``perm`` runs the protocol on the scheme's square channel with inputs and
-    outputs both relabelled, E'(x)(y) = E(perm[x])(perm[y]), without building
-    that channel: samples are drawn from Z in the relabelled order, ``x`` and
-    ``output_y`` are in the new labels.
-    """
+    """Execute one protocol instance on the streams of (x, replicate)."""
     if not 0 <= x < scheme.in_size:
         raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
-    path = (x, replicate) if stream_path is None else tuple(stream_path)
-    shared = stream(shared_seed, TAG_SHARED, *path)
-    alice = stream(shared_seed, TAG_ALICE, *path)
-
-    if perm is None:
-        draws = _sample_from(scheme.z, shared.random(scheme.n_cap))
-        accept = _accept_prob(scheme, x, draws)
-    else:
-        draws = _sample_from(scheme.z[perm], shared.random(scheme.n_cap))
-        accept = _accept_prob(scheme, int(perm[x]), perm[draws])
-    hits = np.flatnonzero(alice.random(scheme.n_cap) < accept)
-    if hits.size:
-        sent = int(hits[0]) + 1
-        output = int(draws[hits[0]])
-    else:
+    shared = counter_stream(shared_seed, TAG_SHARED, x, replicate)
+    alice = counter_stream(shared_seed, TAG_ALICE, x, replicate)
+    sent, output = _transcript(scheme, x, shared, alice)
+    if output is None:
         # Bob's stream is forked only when he needs it
-        sent = FAIL_INDEX
-        output = int(stream(shared_seed, TAG_BOB, *path).integers(scheme.out_size))
+        bob = counter_stream(shared_seed, TAG_BOB, x, replicate)
+        output = int(bob.integers(scheme.out_size))
     return ProtocolRun(
         x=x,
         sent_index=sent,
@@ -203,7 +199,7 @@ def run_protocol_batch(
     alice = stream(shared_seed, TAG_BATCH, TAG_ALICE, x)
     bob = stream(shared_seed, TAG_BATCH, TAG_BOB, x)
 
-    draws = _sample_from(scheme.z, shared.random((runs, scheme.n_cap)))
+    draws = _sample_from(scheme, shared.random((runs, scheme.n_cap)))
     accepted = alice.random((runs, scheme.n_cap)) < _accept_prob(scheme, x, draws)
     any_hit = accepted.any(axis=1)
     first = np.argmax(accepted, axis=1)
@@ -238,7 +234,7 @@ def estimate_acceptance_rate(
         raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
     shared = stream(seed, TAG_BATCH, TAG_SHARED, x, 1)
     alice = stream(seed, TAG_BATCH, TAG_ALICE, x, 1)
-    draws = _sample_from(scheme.z, shared.random(runs))
+    draws = _sample_from(scheme, shared.random(runs))
     return float(np.mean(alice.random(runs) < _accept_prob(scheme, x, draws)))
 
 

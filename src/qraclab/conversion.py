@@ -21,13 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .bits import format_bits
-from .compression import (
-    FAIL_INDEX,
-    CompressionScheme,
-    _sample_from,
-    build_scheme,
-    run_protocol,
-)
+from .compression import FAIL_INDEX, CompressionScheme, _sample_from, _transcript, build_scheme
 from .errors import (
     BadShiftError,
     DerandomizationFailedError,
@@ -38,7 +32,7 @@ from .errors import (
 from .info import ClassicalChannel, max_channel_capacity
 from .pgm import PgmBundle, build_pgm, marginal_f0s
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
-from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, stream
+from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, counter_stream, stream
 from .serialize import rows_to_csv
 
 ROUNDTRIP_MAX_N = 8
@@ -280,18 +274,18 @@ def message_bits_budget(m: int, size_s: int, eta: float) -> int:
 
 class _ShiftSchemes(Sequence):
     """Read-only view of each shift's compression scheme: the codebook's
-    base scheme with inputs and outputs relabelled by the shift's
-    permutation, built on first access and cached.
+    base scheme relabelled by the shift's permutation, built from its (r, d)
+    row on first access and cached.
 
-    Nothing in the package reads it: the protocol and the validation index
-    the base scheme through the permutations.  It serves the benchmark's
-    per-shift audit and goes once that reads the shift-invariant fields.
+    Nothing in the package reads it; it serves the benchmark's per-shift
+    audit and goes once that reads the shift-invariant fields.
     """
 
-    def __init__(self, base: CompressionScheme, perms: np.ndarray):
+    def __init__(self, base: CompressionScheme, s_set: np.ndarray, n: int):
         self._base = base
-        self._perms = perms
-        self._built: list[CompressionScheme | None] = [None] * len(perms)
+        self._s_set = s_set
+        self._n = n
+        self._built: list[CompressionScheme | None] = [None] * len(s_set)
 
     def __len__(self) -> int:
         return len(self._built)
@@ -299,7 +293,7 @@ class _ShiftSchemes(Sequence):
     def __getitem__(self, k: int) -> CompressionScheme:
         scheme = self._built[k]
         if scheme is None:
-            base, perm = self._base, self._perms[k]
+            base, perm = self._base, perm_table(self._s_set[[k]], self._n)[0]
             scheme = self._built[k] = dataclasses.replace(
                 base,
                 channel=ClassicalChannel(base.channel.table[perm][:, perm]),
@@ -314,9 +308,9 @@ class _ShiftSchemes(Sequence):
 class RacCodebook:
     """Classical random access code distilled from a quantum one.
 
-    ``scheme`` compresses the identity shift's channel; shift s sees that
-    channel relabelled by its permutation, ``perms[s]``, so c_max, the
-    attempt cap and the index width are the same for every shift.
+    ``scheme`` compresses the identity shift's channel; shift (r, d) sees
+    that channel relabelled by z -> shift_d(z XOR r), so c_max, the attempt
+    cap and the index width are the same for every shift.
     ``bit_errors`` is the code's per-bit error table that the Newman audit
     checked, shape (n, 2^n).  ``s_set`` holds the shifts as the (r, d) rows
     of one frozen (|S|, 2) int array.
@@ -357,13 +351,8 @@ class RacCodebook:
         return len(self.s_set)
 
     @cached_property
-    def perms(self) -> np.ndarray:
-        """Each shift's permutation of the 2^n strings, shape (|S|, 2^n)."""
-        return perm_table(self.s_set, self.n)
-
-    @cached_property
     def schemes(self) -> _ShiftSchemes:
-        return _ShiftSchemes(self.scheme, self.perms)
+        return _ShiftSchemes(self.scheme, self.s_set, self.n)
 
     def to_json_dict(self) -> dict:
         sc = self.scheme
@@ -521,25 +510,18 @@ class RacMessage:
 def rac_encode(
     codebook: RacCodebook, x: int, shared_seed: int, replicate: int = 0
 ) -> RacMessage:
-    """Pick a shift with private randomness, run the rejection-sampling
-    protocol on its channel, and emit (shift index, sample index)."""
-    if not 0 <= x < 2**codebook.n:
-        raise DomainError(f"{x} is not an {codebook.n}-bit string")
-    chooser = stream(shared_seed, TAG_ENCODE, replicate)
-    s_index = int(chooser.integers(codebook.size_s))
-    run = run_protocol(
-        codebook.scheme,
-        x,
-        shared_seed,
-        replicate=replicate,
-        stream_path=(s_index, replicate),
-        perm=codebook.perms[s_index],
-    )
-    return RacMessage(
-        s_index=s_index,
-        sent_index=run.sent_index,
-        total_bits=codebook.total_message_bits,
-    )
+    """Pick a shift (r, d) from Alice's stream, run the base scheme on
+    shift_d(x XOR r) with her coins from the same stream, and emit (shift
+    index, sample index), the same index as on the shift's own channel."""
+    n = codebook.n
+    if not 0 <= x < 2**n:
+        raise DomainError(f"{x} is not an {n}-bit string")
+    alice = counter_stream(shared_seed, TAG_ENCODE, replicate)
+    s_index = int(alice.integers(codebook.size_s))
+    r, d = codebook.s_set[s_index].tolist()
+    shared = counter_stream(shared_seed, TAG_SHARED, s_index, replicate)
+    sent, _ = _transcript(codebook.scheme, shift_bits(x ^ r, d, n), shared, alice)
+    return RacMessage(s_index=s_index, sent_index=sent, total_bits=codebook.total_message_bits)
 
 
 def rac_decode(
@@ -556,11 +538,11 @@ def rac_decode(
         raise DomainError(f"bit index must lie in 1..{n}, got {i}")
     path = (message.s_index, replicate)
     if message.sent_index == FAIL_INDEX:
-        bob = stream(shared_seed, TAG_BOB, *path)
-        y = int(bob.integers(2**n))
+        y = int(counter_stream(shared_seed, TAG_BOB, *path).integers(2**n))
     else:
-        # the accepted sample is the sent_index-th shared draw; a shorter
-        # draw is a prefix of the sender's, so only that many are replayed
-        u = stream(shared_seed, TAG_SHARED, *path).random(message.sent_index)[-1]
-        y = int(_sample_from(codebook.scheme.z[codebook.perms[message.s_index]], u))
+        # the accepted base-label sample is the sent_index-th shared draw; a
+        # shorter draw is a prefix of the sender's, so only that many are replayed
+        u = counter_stream(shared_seed, TAG_SHARED, *path).random(message.sent_index)[-1]
+        r, d = codebook.s_set[message.s_index].tolist()
+        y = unshift_bits(int(_sample_from(codebook.scheme, u)), d, n) ^ r
     return (y >> (n - i)) & 1

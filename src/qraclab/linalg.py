@@ -492,7 +492,8 @@ class BitPovms(Sequence):
 
     The check is Hermiticity and one batched ``eigvalsh`` inside
     [-TOL_PSD, 1 + TOL_PSD], so both outcomes are PSD; a bad member raises
-    the error ``Povm((F0_i, I - F0_i))`` would.  Indexing forms that Povm.
+    the error ``Povm((F0_i, I - F0_i))`` would.  A diagonal stack's spectrum
+    is read off its diagonal.  Indexing forms that Povm.
     """
 
     f0s: np.ndarray
@@ -503,7 +504,9 @@ class BitPovms(Sequence):
             raise ValidationError(f"expected an (n, d, d) operator stack, got shape {f0s.shape}")
         if not is_hermitian(f0s):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
-        vals = np.linalg.eigvalsh(f0s)
+        diag = f0s.diagonal(axis1=1, axis2=2)
+        diagonal = np.count_nonzero(f0s) == np.count_nonzero(diag)
+        vals = diag.real if diagonal else np.linalg.eigvalsh(f0s)
         if vals.min() < -TOL_PSD or vals.max() > 1.0 + TOL_PSD:
             raise ValidationError("measurement element has a negative eigenvalue")
         object.__setattr__(self, "f0s", _frozen(f0s))

@@ -14,6 +14,7 @@ from qraclab.compression import (
 )
 from qraclab.errors import DomainError
 from qraclab.info import ClassicalChannel
+from qraclab.rng import TAG_BOB, TAG_ENCODE, TAG_SHARED, counter_stream
 
 
 def identity_channel(k):
@@ -145,20 +146,53 @@ class TestRunProtocol:
         assert fails > 150
         assert len(seen) >= 4
 
-    def test_stream_path_override_is_reproducible(self):
-        s = build_scheme(identity_channel(4), eta=0.1)
-        a = run_protocol(s, x=1, shared_seed=7, stream_path=(42, 0))
-        b = run_protocol(s, x=1, shared_seed=7, stream_path=(42, 0))
-        assert a == b
-        c = run_protocol(s, x=1, shared_seed=7, stream_path=(43, 0))
-        assert isinstance(c.sent_index, int)
-
     def test_bad_input_rejected(self):
         s = build_scheme(identity_channel(4), eta=0.1)
         with pytest.raises(DomainError):
             run_protocol(s, x=4, shared_seed=0)
         with pytest.raises(DomainError):
             run_protocol(s, x=-1, shared_seed=0)
+
+    @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1), (2**128, 0), (0, 2**64)])
+    def test_seed_or_replicate_out_of_range_is_a_domain_error(self, seed, replicate):
+        s = build_scheme(identity_channel(4), eta=0.1)
+        with pytest.raises(DomainError, match=r"2\^(128|64)"):
+            run_protocol(s, x=1, shared_seed=seed, replicate=replicate)
+
+
+class TestCounterStream:
+    def test_reproducible_and_distinct_paths_independent(self):
+        def raw(seed, *path):
+            return counter_stream(seed, *path).bit_generator.random_raw(4096)
+
+        base = raw(7, TAG_SHARED, 42, 0)
+        np.testing.assert_array_equal(base, raw(7, TAG_SHARED, 42, 0))
+        # the same stream as Philox keyed by the seed at counter (0, *path)
+        ref = np.random.Philox(key=7, counter=(TAG_SHARED << 64) | (42 << 128))
+        np.testing.assert_array_equal(base, ref.random_raw(4096))
+        u = counter_stream(7, TAG_SHARED, 42, 0).random(10_000)
+        for other in [(7, TAG_SHARED, 43, 0), (7, TAG_SHARED, 42, 1), (7, TAG_BOB, 42, 0),
+                      (7, TAG_ENCODE, 42), (8, TAG_SHARED, 42, 0)]:
+            # no 64-bit word in common, so no stream is a shifted copy of another
+            assert np.intersect1d(base, raw(*other)).size == 0
+            v = counter_stream(*other).random(10_000)
+            assert abs(np.corrcoef(u, v)[0, 1]) < 0.05  # 5 sigma
+            assert abs(np.corrcoef(u[1:], v[:-1])[0, 1]) < 0.05
+
+    @pytest.mark.parametrize(
+        "seed, path, match",
+        [
+            (-1, (0,), "seed"),
+            (2**128, (0,), "seed"),
+            (0, (-1,), "path word"),
+            (0, (1, 2**64), "path word"),
+            (0, (1, 2, 3, 4), "at most 3 words"),
+        ],
+    )
+    def test_out_of_range_is_a_domain_error(self, seed, path, match):
+        with pytest.raises(DomainError, match=match):
+            counter_stream(seed, *path)
+        assert counter_stream(2**128 - 1, 2**64 - 1, 0, 2**64 - 1).random() < 1.0
 
 
 class TestExactOutput:

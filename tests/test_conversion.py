@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qraclab.conversion as cv
-from qraclab.bits import bit_column
-from qraclab.compression import FAIL_INDEX, CompressionScheme, build_scheme, run_protocol
+from qraclab.bits import bit_at, bit_column
+from qraclab.compression import FAIL_INDEX, CompressionScheme, _transcript, build_scheme
 from qraclab.errors import (
     BadShiftError,
     DerandomizationFailedError,
@@ -27,6 +29,7 @@ from qraclab.qrac import (
     build_standard_2to1,
     build_tensor_power,
 )
+from qraclab.rng import TAG_BOB, TAG_ENCODE, TAG_SHARED, counter_stream
 
 
 def uniform_pgm(q, full=True):
@@ -544,6 +547,38 @@ class TestValidateRac:
         assert lines[1].startswith("00,1,")
 
 
+DECODE_CODES = {
+    "std": build_standard_2to1,
+    "std2": lambda: build_tensor_power(build_standard_2to1(), 2),
+    "identity3": lambda: build_identity_encoding(3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def decode_codebook(code, eta):
+    return cv.build_rac(DECODE_CODES[code](), eta=eta, seed=11)
+
+
+def assert_decodes_base_transcript(cb, x, seed, rep):
+    """rac_encode runs the base scheme on SharedShift.apply(x) with Alice's
+    stream, and each decoded bit is bit i of SharedShift.invert(y) for the
+    accepted draw y, or of Bob's uniform sample on the failure flag."""
+    n = cb.n
+    msg = cv.rac_encode(cb, x, shared_seed=seed, replicate=rep)
+    alice = counter_stream(seed, TAG_ENCODE, rep)
+    s_index = int(alice.integers(cb.size_s))
+    shift = cv.SharedShift(*cb.s_set[s_index].tolist(), n)
+    shared = counter_stream(seed, TAG_SHARED, s_index, rep)
+    sent, y = _transcript(cb.scheme, shift.apply(x), shared, alice)
+    assert (msg.s_index, msg.sent_index) == (s_index, sent)
+    if y is None:
+        decoded = int(counter_stream(seed, TAG_BOB, s_index, rep).integers(2**n))
+    else:
+        decoded = shift.invert(y)
+    for i in range(1, n + 1):
+        assert cv.rac_decode(cb, msg, i, seed, rep) == bit_at(decoded, i, n)
+
+
 class TestEncodeDecode:
     def test_identity_code_decodes_exactly_on_acceptance(self):
         q = build_identity_encoding(3)
@@ -557,18 +592,34 @@ class TestEncodeDecode:
                 assert got == [1, 0, 1]
 
     def test_decode_matches_protocol_transcript(self):
-        q = build_standard_2to1()
-        cb = cv.build_rac(q, eta=0.2, seed=3)
-        x = 0b10
+        cb = cv.build_rac(build_standard_2to1(), eta=0.2, seed=3)
         for rep in range(30):
-            msg = cv.rac_encode(cb, x, shared_seed=21, replicate=rep)
-            run = run_protocol(
-                cb.schemes[msg.s_index], x, 21,
-                replicate=rep, stream_path=(msg.s_index, rep),
-            )
-            assert run.sent_index == msg.sent_index
-            for i in (1, 2):
-                assert cv.rac_decode(cb, msg, i, 21, rep) == (run.output_y >> (2 - i)) & 1
+            assert_decodes_base_transcript(cb, 0b10, 21, rep)
+
+    @given(
+        code=st.sampled_from(sorted(DECODE_CODES)),
+        eta=st.sampled_from([0.2, 0.3]),
+        x=st.integers(min_value=0),
+        seed=st.integers(min_value=0, max_value=2**128 - 1),
+        replicate=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decode_identity_property(self, code, eta, x, seed, replicate):
+        cb = decode_codebook(code, eta)
+        assert_decodes_base_transcript(cb, x % 2**cb.n, seed, replicate)
+
+    def test_first_roundtrip_builds_no_permutation_table(self):
+        # |S| = 100 000 shifts: a (|S|, 2^n) int64 table would be 25 MB
+        cb = cv.build_rac(build_identity_encoding(5), eta=0.02, seed=0)
+        assert cb.size_s == 100_000
+        tracemalloc.start()
+        try:
+            msg = cv.rac_encode(cb, 0b10110, shared_seed=4, replicate=1)
+            cv.rac_decode(cb, msg, 3, 4, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_encode_deterministic(self):
         q = build_standard_2to1()
@@ -593,6 +644,16 @@ class TestEncodeDecode:
             exact = val.table[i, x]
             sigma = math.sqrt(exact * (1 - exact) / reps)
             assert abs(emp[i] - exact) <= 4 * sigma
+
+    @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1), (2**128, 0), (0, 2**64)])
+    def test_seed_or_replicate_out_of_range_is_a_domain_error(self, seed, replicate):
+        cb = cv.build_rac(build_standard_2to1(), eta=0.3, seed=3)
+        with pytest.raises(DomainError, match=r"2\^(128|64)"):
+            cv.rac_encode(cb, 1, shared_seed=seed, replicate=replicate)
+        for sent in (FAIL_INDEX, 1):
+            msg = cv.RacMessage(s_index=0, sent_index=sent, total_bits=cb.total_message_bits)
+            with pytest.raises(DomainError, match=r"2\^(128|64)"):
+                cv.rac_decode(cb, msg, 1, seed, replicate)
 
     def test_decode_rejects_bad_bit_index(self):
         q = build_standard_2to1()

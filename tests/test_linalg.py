@@ -601,6 +601,22 @@ class TestBitPovms:
         assert len(BitPovms(f0s)) == 5
         as_povm(f0s[where])
 
+    @pytest.mark.parametrize("entry", [-1e-6, 1.0 + 1e-6])
+    def test_diagonal_stack_spectrum_is_its_diagonal(self, entry, monkeypatch):
+        f0s = np.stack([np.diag([1.0, 0.0, 0.5]), np.diag([0.0, 1.0, -0.5 * TOL_PSD])])
+        bad = f0s.copy()
+        bad[1, 2, 2] = entry
+        expected = raised(lambda: as_povm(bad[1]))
+        assert expected == (ValidationError, "measurement element has a negative eigenvalue")
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
+        assert len(BitPovms(f0s)) == 2
+        assert raised(lambda: BitPovms(bad)) == expected
+        assert solved == []
+        f0s[0, :2, :2] = 0.5  # the same spectrum, no longer diagonal
+        assert len(BitPovms(f0s)) == 2 and solved == [(2, 3, 3)]
+
     def test_members_read_back_as_f0_and_complement(self):
         f0s = valid_f0s(35)
         bits = BitPovms(f0s)
