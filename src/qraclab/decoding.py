@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LabelMismatchError, ValidationError
+from .errors import DomainError, ValidationError
 from .linalg import GramPovm, Povm
-from .pgm import PgmBundle, marginal_f0s
+from .pgm import PgmBundle, marginal_f0s, string_labels
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_SAMPLE, stream
 from .serialize import SCHEMA_VERSION, rows_to_csv
@@ -88,10 +88,9 @@ def sample_decode(q: Qrac, x: int, measurement, seed: int, size: int | None = No
         measurement = measurement.full
     if not 0 <= x < 2**q.n:
         raise ValidationError(f"x = {x} outside 0..{2**q.n - 1}")
-    order = np.argsort(measurement.outcomes)
-    labels = np.asarray(measurement.outcomes)[order]
-    if any(not 0 <= y < 2**q.n for y in labels):
-        raise LabelMismatchError(f"outcome labels must lie in 0..{2**q.n - 1}")
+    labels = string_labels(measurement, q.n)
+    order = np.argsort(labels)
+    labels = labels[order]
     probs = measurement.probabilities(q.encoder[x].mat)[order]
     probs = np.clip(probs, 0.0, None)
     cdf = np.cumsum(probs)
@@ -122,9 +121,7 @@ def identification_bound_check(
         if measurement.full is None:
             raise ValidationError("measurement bundle has no full outcome table")
         measurement = measurement.full
-    labels = measurement.outcomes
-    if any(not 0 <= y < 2**q.n for y in labels):
-        raise LabelMismatchError(f"outcome labels must lie in 0..{2**q.n - 1}")
+    string_labels(measurement, q.n)
     lhs = measurement.diagonal(q.encoder).sum()
     rhs = float(2**q.m)
     return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + tol))

@@ -11,12 +11,15 @@ unit vector (r = 1), checked by its norm alone; matrix input is factored
 by one batched ``eigh``, which is also its PSD check, and cut to the
 stack's numerical rank, so a pure state read as a matrix is a vector
 again.  ``GramPovm`` holds a measurement as factors B_k plus one PSD
-matrix on its first element, validated by its identity sum.  Five kernels
+matrix on its first element, validated by its identity sum.  Six kernels
 act on factor stacks without forming d x d members: ``trace_table``
 (Tr(F rho_x) for a few dense F), ``gram_table`` (Tr(rho_x E_k) between two
 factor stacks, one matrix product), ``gram_paired`` (the same for paired
-members only), ``gram_sums`` (weighted sums of members) and ``gram_dense``
-(the members themselves, when a caller reads them).
+members only), ``gram_sums`` (sums of members under arbitrary weights, one
+product per row of weights), ``bit_sums`` (every bit's sum over the strings
+whose bit is 0, and the total, of a stack indexed by n-bit strings, from
+two products whatever n) and ``gram_dense`` (the members themselves, when a
+caller reads them).
 
 A dense ``Povm`` validates its elements as one (k, d, d) array, with one
 batched Hermiticity reduction and one batched ``eigvalsh``; per-bit
@@ -30,9 +33,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .bits import bit_columns
 from .errors import (
     BadSplitError,
     DimensionMismatchError,
@@ -51,6 +56,7 @@ SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TOL_TIE = 1e-12
 DIM_CAP = 2**10
 _HERM_BLOCK = 2**16  # entries per block of the Hermiticity check
+_GRAM_CHUNK = 2**13  # entries of copies and Gram sums per chunk of bit_sums
 
 
 def _as_array(a) -> np.ndarray:
@@ -198,6 +204,65 @@ def gram_sums(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
         np.conjugate(np.multiply(cols.T, w, out=weighted), out=weighted)
         np.matmul(weighted, cols, out=out)
     return np.conjugate(sums, out=sums)
+
+
+@lru_cache(maxsize=None)
+def _zero_weights(bits: int) -> np.ndarray:
+    """(bits + 1, 2^bits) 0/1 rows over the strings of ``bits`` bits: row 0 is
+    all ones, and row i marks the strings whose bit i is 0; built once per
+    size and shared read-only."""
+    weights = np.vstack([np.ones(1 << bits), bit_columns(bits) == 0])
+    weights.flags.writeable = False
+    return weights
+
+
+def _add_block_sums(blocks: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """Add the sums sum_b weights[j, b] G_b into the real view ``out`` (j, 2 d^2)
+    of j complex d x d sums, where G_b = sum_a a a^dag over the rows a^T of
+    block b of a (B, K, r, d) view: one (d, K r)(K r, d) product per block,
+    taken over chunks of blocks whose G_b are added in before the next chunk
+    is formed.
+
+    A chunk takes at least j blocks, so that adding it in costs no more than
+    forming it, and otherwise about ``_GRAM_CHUNK`` entries of copies and
+    G_b.  It copies its rows once, conjugated, or for r > 1 twice (made
+    contiguous, then conjugated), and then takes at most half the blocks."""
+    count, length, rank, dim = blocks.shape
+    copies = 1 if rank == 1 else 2
+    per_block = copies * length * rank * dim + dim * dim
+    step = max(1, min(count // copies, max(len(weights), _GRAM_CHUNK // per_block)))
+    grams = np.empty((min(step, count), dim, dim), dtype=complex)
+    part = np.empty_like(out)
+    for k in range(0, count, step):
+        rows = blocks[k : k + step].reshape(-1, length * rank, dim)
+        chunk = np.matmul(rows.transpose(0, 2, 1), rows.conj(), out=grams[: len(rows)])
+        flat = chunk.reshape(len(rows), -1).view(float)
+        out += np.matmul(weights[:, k : k + step], flat, out=part)
+
+
+def bit_sums(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every bit's zero-sum and the total of a stack of 2^n Gram factors
+    indexed by n-bit strings: the (n, d, d) sums sum_{x: x_i = 0} A_x A_x^dag,
+    bit 1 most significant, and the (d, d) sum over all x.
+
+    Each string splits into its high floor(n/2) bits and its low ceil(n/2)
+    bits.  The Gram sums of the 2^floor(n/2) high blocks and of the
+    2^ceil(n/2) low blocks are two batched products of the stack, and a bit's
+    zero-sum is the 0/1-weighted sum of the blocks whose part of the string
+    has that bit 0: two stack products in all, where a product per bit
+    makes n."""
+    size, dim, rank = factors.shape
+    if not size or size & (size - 1):
+        raise ValidationError(f"expected 2^n factors, got {size}")
+    n = size.bit_length() - 1
+    high = n // 2
+    # x = (high part) * 2^(n - high) + (low part); rows a^T of every A_x
+    rows = factors.transpose(0, 2, 1).reshape(1 << high, 1 << (n - high), rank, dim)
+    sums = np.zeros((n + 1, 2 * dim * dim))  # real view: the total, then bit 1..n's zero-sums
+    _add_block_sums(rows, _zero_weights(high), sums[: high + 1])
+    _add_block_sums(rows.transpose(1, 0, 2, 3), _zero_weights(n - high)[1:], sums[high + 1 :])
+    sums = sums.view(complex).reshape(n + 1, dim, dim)
+    return sums[1:], sums[0]
 
 
 def gram_dense(factors: np.ndarray) -> np.ndarray:
@@ -570,11 +635,6 @@ class GramPovm:
     @property
     def elements(self) -> "_GramElements":
         return _GramElements(self)
-
-    def sums(self, weights) -> np.ndarray:
-        """(j, d, d) weighted sums sum_k weights[j, k] E_k over stored order."""
-        weights = np.asarray(weights, dtype=float)
-        return gram_sums(self.factors, weights) + weights[:, 0, None, None] * self.extra
 
     def table(self, states: GramStates) -> np.ndarray:
         """(N, k) table Tr(E_k rho_x): ||A_x^dag B_k||^2, plus Tr(extra rho_x)

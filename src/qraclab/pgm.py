@@ -14,13 +14,16 @@ rho_y = A_y A_y^dag, element y is B_y B_y^dag with B_y = sqrt(P_y) R S A_y,
 and R L R sits on outcome 0, so a build factors two d x d matrices, rho and
 the family total, whatever n, and checks the family by one identity sum.
 The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, the default evaluation path,
-are n masked sums of the stack from one ``gram_sums`` call, held as a
-:class:`~qraclab.linalg.BitPovms`.  For a pure code A_y is the state
-vector, the 2^n elements cost one (d, d)(d, 2^n) product, and the outcome
-table T[x, y] = Tr(rho_x Q_y) is one (2^n r, d)(d, 2^n r) product
-(:meth:`~qraclab.linalg.GramPovm.table`).  The full-string success and the
-identification sum read only its diagonal, one (r, d)(d, r) product per
-string (:meth:`~qraclab.linalg.GramPovm.diagonal`).
+come from one :func:`~qraclab.linalg.bit_sums` call, which forms the Gram
+sums of the blocks of strings sharing their high half and of those sharing
+their low half, two products of the stack whatever n, and adds up each
+bit's blocks; they are held as a :class:`~qraclab.linalg.BitPovms`.  For a
+pure code A_y is the state vector, the 2^n elements cost one (d, d)(d, 2^n)
+product, and the outcome table T[x, y] = Tr(rho_x Q_y) is one
+(2^n r, d)(d, 2^n r) product (:meth:`~qraclab.linalg.GramPovm.table`).
+The full-string success and the identification sum read only its
+diagonal, one (r, d)(d, r) product per string
+(:meth:`~qraclab.linalg.GramPovm.diagonal`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .linalg import (
     GramStates,
     Povm,
     _sqrt_pinv_with_support,
-    gram_sums,
+    bit_sums,
     positive_projectors,
     trace_norm,
 )
@@ -101,8 +104,7 @@ def _pgm_raw(
     factors = rows.reshape(size, rank, dim).transpose(0, 2, 1)
     extra = _hermitize(ren @ leftover @ ren)
 
-    # row i sums the factors of the strings whose bit i + 1 is 0
-    return _hermitize(gram_sums(factors, bit_columns(n) == 0) + extra), GramPovm(factors, extra)
+    return _hermitize(bit_sums(factors)[0] + extra), GramPovm(factors, extra)
 
 
 def build_pgm(
@@ -122,6 +124,15 @@ def build_pgm(
     return PgmBundle(n, BitPovms(f0s), full if full_table else None, support_cutoff)
 
 
+def string_labels(measurement: Povm | GramPovm, n: int) -> np.ndarray:
+    """The outcome labels of a measurement labelled by n-bit strings, in
+    stored order; LabelMismatchError if one lies outside 0..2^n - 1."""
+    labels = np.asarray(measurement.outcomes)
+    if labels.min() < 0 or labels.max() >= 2**n:
+        raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
+    return labels
+
+
 def marginal_f0s(measurement: PgmBundle | Povm | GramPovm, n: int) -> np.ndarray:
     """Outcome-0 marginal operator of every bit, shape (n, dim, dim), from a
     bundle or from a measurement labelled by n-bit strings: F0_i is the sum
@@ -132,10 +143,13 @@ def marginal_f0s(measurement: PgmBundle | Povm | GramPovm, n: int) -> np.ndarray
         return measurement.marginals.f0s
     if not isinstance(measurement, (Povm, GramPovm)):
         raise TypeError(f"expected PgmBundle or Povm, got {type(measurement).__name__}")
-    labels = np.asarray(measurement.outcomes)
-    if labels.min() < 0 or labels.max() >= 2**n:
-        raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
-    return measurement.sums(bit_columns(n)[:, labels] == 0)
+    labels = string_labels(measurement, n)
+    if isinstance(measurement, Povm):
+        return measurement.sums(bit_columns(n)[:, labels] == 0)
+    factors = measurement.factors
+    if len(factors) < 2**n:  # the missing outcomes are zero members
+        factors = np.concatenate([factors, np.zeros((2**n - len(factors), *factors.shape[1:]))])
+    return bit_sums(factors)[0] + measurement.extra
 
 
 def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:

@@ -29,9 +29,9 @@ from .linalg import (
     GramStates,
     Povm,
     as_states,
+    bit_sums,
     check_dim_cap,
     positive_projectors,
-    tensor,
     trace_table,
 )
 from .rng import stream
@@ -61,7 +61,7 @@ class Qrac:
     m: int
     encoder: GramStates
     decoders: BitPovms
-    claimed_p: float
+    claimed_p: float | None = None  # None claims the measured worst case
     tol: float = field(default=1e-9, repr=False)
 
     def __post_init__(self):
@@ -83,7 +83,9 @@ class Qrac:
         if self.decoders.f0s.shape[1] != dim:
             raise ValidationError("decoder dimension differs from 2^m")
         worst = success_table(self).min()
-        if worst < self.claimed_p - self.tol:
+        if self.claimed_p is None:
+            self.claimed_p = float(worst)
+        elif worst < self.claimed_p - self.tol:
             raise ValidationError(
                 f"claimed success {self.claimed_p} not met: worst pair achieves {worst}"
             )
@@ -229,22 +231,30 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
             factors[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]
         ).reshape(size * len(blocks), dim * block_dim, rank * blocks.shape[2])
     encoder = GramStates(factors) if k > 1 else base.encoder
-    f0s = [
-        tensor(tensor(np.eye(block_dim**j), f0), np.eye(block_dim ** (k - 1 - j)))
-        for j in range(k)
-        for f0 in base.decoders.f0s
-    ]
+    # block j's decoders I_(D^j) (x) F0 (x) I_(D^(k-1-j)), entry by entry the
+    # Kronecker products' I[i1, j1] F0[i2, j2] I[i3, j3], as one broadcast product
+    f0s = base.decoders.f0s
+    f0s = np.concatenate(
+        [
+            (
+                np.eye(block_dim**j)[:, None, None, :, None, None]
+                * f0s[:, None, :, None, None, :, None]
+                * np.eye(block_dim ** (k - 1 - j))[:, None, None, :]
+            ).reshape(len(f0s), 2**m, 2**m)
+            for j in range(k)
+        ]
+    )
     return Qrac(n, m, encoder, BitPovms(f0s), claimed_p=base.claimed_p)
 
 
 def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     """Haar-random pure-state encoder with per-bit Helstrom decoders.
 
-    Bit i's decoder discriminates the averages rho_b = V_b^dag V_b / 2^(n-1)
-    of the states whose bit i is b, with V_b the matrix of their vectors as
-    conjugated rows.  The claimed success is the measured worst case over
-    (bit, string) pairs, so the returned object always validates; codes that
-    land at or below 1/2 are still returned and flagged by validate_qrac.
+    Bit i's decoder projects onto the positive part of rho_0 - rho_1, where
+    rho_b is the average of the states whose bit i is b.  The claimed success
+    is the measured worst case over (bit, string) pairs, so the returned
+    object always validates; codes that land at or below 1/2 are still
+    returned and flagged by validate_qrac.
     """
     if n > 12 or m > 6:
         raise SizeCapError(f"random codes capped at n <= 12, m <= 6, got ({n}, {m})")
@@ -252,11 +262,10 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     # one draw in the order of a per-string loop: real parts, then imaginary
     gauss = stream(seed, 0).normal(size=(2**n, 2, dim))
     encoder = GramStates.from_vectors(_unit_rows(gauss[:, 0] + 1j * gauss[:, 1]))
-    cols = bit_columns(n)
-    halves = encoder.sums(np.concatenate([cols == 0, cols == 1]) * 2.0 ** (1 - n))
-    decoders = BitPovms(positive_projectors(halves[:n] * 0.5 - halves[n:] * 0.5))
-    worst = float(1.0 - bit_error_table(decoders.f0s, encoder).max())
-    return Qrac(n, m, encoder, decoders, claimed_p=worst)
+    # (rho_0 - rho_1) / 2 = (Z - T/2) 2^(1-n), Z the bit's zero-sum, T the total
+    zeros, total = bit_sums(encoder.factors)
+    decoders = BitPovms(positive_projectors((zeros - total / 2) * 2.0 ** (1 - n)))
+    return Qrac(n, m, encoder, decoders)
 
 
 # ---------------------------------------------------------------------------

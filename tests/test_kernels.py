@@ -10,10 +10,10 @@ import pytest
 
 from qraclab.compression import index_bits_cap
 from qraclab.conversion import message_bits_budget
-from qraclab.decoding import expected_hamming_exact
+from qraclab.decoding import expected_hamming_exact, identification_bound_check, sample_decode
 from qraclab.errors import LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
-from qraclab.linalg import Povm, trace_table
+from qraclab.linalg import GramPovm, Povm, gram_dense, trace_table
 from qraclab.minimax import evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm, marginal_f0s
 from qraclab.qrac import (
@@ -149,6 +149,37 @@ def test_out_of_range_labels_rejected(evaluate):
     povm = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(1, 4))
     with pytest.raises(LabelMismatchError, match=r"outcome labels must lie in 0\.\.3"):
         evaluate(q, povm)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize(
+    "caller",
+    [
+        lambda q, m: marginal_f0s(m, q.n),
+        identification_bound_check,
+        lambda q, m: sample_decode(q, 0, m, seed=0),
+    ],
+    ids=["marginal_f0s", "identification_bound_check", "sample_decode"],
+)
+def test_label_outside_the_strings_rejected_by_every_caller(caller, bad):
+    q = build_standard_2to1()
+    povm = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, bad))
+    with pytest.raises(LabelMismatchError, match=r"outcome labels must lie in 0\.\.3"):
+        caller(q, povm)
+
+
+def test_gram_povm_marginals_pad_missing_outcomes_with_zero():
+    """A GramPovm with fewer than 2^n outcomes reads as the dense measurement
+    with the same labels; one with more is rejected."""
+    q = build_tensor_power(build_standard_2to1(), 2)
+    full = build_pgm(Ensemble.uniform(q), full_table=True).full
+    short = GramPovm(full.factors[:2], full.extra + gram_dense(full.factors[2:]).sum(axis=0))
+    dense = Povm(short.element_stack, outcomes=short.outcomes)
+    np.testing.assert_allclose(marginal_f0s(short, 4), marginal_f0s(dense, 4), rtol=0, atol=1e-13)
+    dense = Povm(full.element_stack)
+    np.testing.assert_allclose(marginal_f0s(full, 4), marginal_f0s(dense, 4), rtol=0, atol=1e-13)
+    with pytest.raises(LabelMismatchError, match=r"outcome labels must lie in 0\.\.7"):
+        marginal_f0s(full, 3)
 
 
 def test_bundle_for_another_n_rejected():

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qraclab.bits import bit_columns
 from qraclab.errors import (
     DimensionMismatchError,
     NotHermitianError,
@@ -20,7 +23,9 @@ from qraclab.linalg import (
     GramStates,
     Povm,
     argmax_first,
+    bit_sums,
     eig_hermitian,
+    gram_sums,
     is_hermitian,
     partial_trace,
     sqrt_pinv_on_support,
@@ -307,6 +312,52 @@ def test_hermiticity_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < stack.nbytes / 4
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    rank=st.sampled_from([1, 2, 3]),
+    dim=st.integers(min_value=1, max_value=5),
+    zero_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_bit_sums_equal_masked_gram_sums(n, rank, dim, zero_share, seed):
+    """Every bit's zero-sum and the total match ``gram_sums`` under the bit
+    masks and under all ones within 1e-12 of the largest entry, on stacks
+    whose members are zero with probability ``zero_share``."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(2**n, dim, rank)) + 1j * rng.normal(size=(2**n, dim, rank))
+    factors[rng.random(2**n) < zero_share] = 0.0
+    zeros, total = bit_sums(factors)
+    want_zeros = gram_sums(factors, bit_columns(n) == 0)
+    want_total = gram_sums(factors, np.ones((1, 2**n)))[0]
+    assert zeros.shape == (n, dim, dim) and total.shape == (dim, dim)
+    assert np.abs(zeros - want_zeros).max() <= 1e-12 * np.abs(want_zeros).max()
+    assert np.abs(total - want_total).max() <= 1e-12 * np.abs(want_total).max()
+
+
+@pytest.mark.parametrize("n, dim, rank", [(14, 8, 1), (12, 8, 2), (13, 4, 3), (10, 32, 1)])
+def test_bit_sums_memory_is_bounded(n, dim, rank):
+    """The kernel's peak, its outputs included, stays within 1.25 times the
+    stack: it never holds a whole copy of it.  The last stack is a (10, 5)
+    pure code's, whose (n + 1) d x d sums are a third of the stack."""
+    rng = np.random.default_rng(n)
+    factors = rng.normal(size=(2**n, dim, rank)) + 1j * rng.normal(size=(2**n, dim, rank))
+    bit_sums(factors)  # builds the cached weights before tracing
+    tracemalloc.start()
+    try:
+        bit_sums(factors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * factors.nbytes
+
+
+@pytest.mark.parametrize("size", [0, 3, 12])
+def test_bit_sums_needs_a_power_of_two_members(size):
+    with pytest.raises(ValidationError, match="expected 2\\^n factors"):
+        bit_sums(np.zeros((size, 2, 1), dtype=complex))
 
 
 def test_argmax_first_breaks_rounding_ties_toward_first():

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qraclab import pgm
+from qraclab import linalg, pgm
 from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
-from qraclab.linalg import SUPPORT_CUTOFF, DensityMatrix, Povm, eig_hermitian, support_projector
+from qraclab.linalg import (
+    SUPPORT_CUTOFF,
+    DensityMatrix,
+    Povm,
+    bit_sums,
+    eig_hermitian,
+    support_projector,
+)
 from qraclab.decoding import identification_bound_check
 from qraclab.pgm import (
     PgmBundle,
@@ -240,15 +247,17 @@ class TestHelstrom:
     def test_random_code_decoders_match_a_per_bit_loop(self, n, m, seed):
         """A random code's projectors, from one batched ``eigh``, and
         ``helstrom_measurement`` equal a per-bit ``eig_hermitian`` loop bit
-        for bit."""
+        for bit, on the differences (Z_i - T/2) 2^(1-n) = (rho_0 - rho_1) / 2
+        of the bit's zero-sum Z_i and the total T from ``bit_sums``."""
         q = build_random_qrac(n, m, seed)
-        cols = bit_columns(n)
-        halves = q.encoder.sums(np.concatenate([cols == 0, cols == 1]) * 2.0 ** (1 - n))
+        zeros, total = bit_sums(q.encoder.factors)
         for i in range(n):
-            vals, vecs = eig_hermitian(halves[i] * 0.5 - halves[n + i] * 0.5)
+            delta = (zeros[i] - total / 2) * 2.0 ** (1 - n)
+            vals, vecs = eig_hermitian(delta)
             pos = vecs[:, vals > 0]
             np.testing.assert_array_equal(q.decoders.f0s[i], pos @ pos.conj().T)
-            povm = helstrom_measurement(0.5, halves[i], 0.5, halves[n + i])
+            # priors (1, 0) make helstrom_measurement's difference delta exactly
+            povm = helstrom_measurement(1.0, delta, 0.0, total)
             np.testing.assert_array_equal(povm.elements[0], q.decoders.f0s[i])
 
 
@@ -402,7 +411,9 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     ``eigvalsh``, a random code's Helstrom projectors take one batched
     ``eigh`` besides, and the full PGM makes 2 ``eigh`` (the average and the
     renormalizer) and 2 ``eigvalsh`` (the marginal stack and the full table's
-    leftover), with its marginals one ``gram_sums`` row per bit."""
+    leftover), with its marginals from one ``bit_sums`` call and every
+    ``gram_sums`` call one row of weights (rho and the identity sum), none a
+    bit mask."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -413,13 +424,18 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    mask_rows = []
+    kernels = []
 
-    def counted_sums(factors, weights, _original=pgm.gram_sums):
-        mask_rows.append(len(weights))
+    def counted_bit_sums(factors, _original=pgm.bit_sums):
+        kernels.append("bit_sums")
+        return _original(factors)
+
+    def counted_gram_sums(factors, weights, _original=linalg.gram_sums):
+        kernels.append(f"gram_sums x{len(weights)}")
         return _original(factors, weights)
 
-    monkeypatch.setattr(pgm, "gram_sums", counted_sums)
+    monkeypatch.setattr(pgm, "bit_sums", counted_bit_sums)
+    monkeypatch.setattr(linalg, "gram_sums", counted_gram_sums)
     n = 10
     steps = {
         "tensor power": (lambda: build_tensor_power(std, 5), (0, 1)),
@@ -430,7 +446,7 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         q = build()
         assert (calls.count("eigh"), calls.count("eigvalsh")) == build_calls, (label, calls)
         calls.clear()
-        mask_rows.clear()
+        kernels.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
         assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 2), (label, calls)
-        assert mask_rows == [n], (label, mask_rows)
+        assert sorted(kernels) == ["bit_sums", "gram_sums x1", "gram_sums x1"], (label, kernels)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qraclab import qrac
 from qraclab.bits import (
     bit_at,
     bit_column,
@@ -18,6 +19,7 @@ from qraclab.qrac import (
     P_STANDARD,
     Ensemble,
     Qrac,
+    bit_error_table,
     build_identity_encoding,
     build_random_qrac,
     build_standard_2to1,
@@ -160,6 +162,20 @@ class TestTensorPower:
         with pytest.raises(SizeCapError):
             build_tensor_power(build_standard_2to1(), 9)
 
+    @pytest.mark.parametrize(
+        "base, k",
+        [("std", 1), ("std", 2), ("std", 3), ("std", 5), ("haar-3-2", 2)],
+    )
+    def test_decoders_equal_per_decoder_kron_chain(self, base, k):
+        base = build_standard_2to1() if base == "std" else build_random_qrac(3, 2, seed=4)
+        blocks = [base.dim**j for j in range(k)]
+        chain = [
+            np.kron(np.kron(np.eye(left), f0), np.eye(base.dim**k // (left * base.dim)))
+            for left in blocks
+            for f0 in base.decoders.f0s
+        ]
+        np.testing.assert_array_equal(build_tensor_power(base, k).decoders.f0s, np.stack(chain))
+
 
 class TestRandomQrac:
     def test_deterministic_in_seed(self):
@@ -180,6 +196,27 @@ class TestRandomQrac:
         report = validate_qrac(q)
         assert report.offending == ()
         assert report.worst_case_p == pytest.approx(q.claimed_p)
+
+    def test_one_success_table_per_code(self, monkeypatch):
+        """The claim is the minimum of the success table that validation
+        computes; no second table is made for it."""
+        calls = []
+
+        def counted(ops, factors, _original=qrac.trace_table):
+            calls.append(len(ops))
+            return _original(ops, factors)
+
+        monkeypatch.setattr(qrac, "trace_table", counted)
+        q = build_random_qrac(10, 5, seed=4)
+        assert calls == [10]
+        assert q.claimed_p == float(1.0 - bit_error_table(q.decoders.f0s, q.encoder).max())
+
+    def test_explicit_claim_still_checked(self):
+        q = build_random_qrac(4, 2, seed=6)
+        same = Qrac(q.n, q.m, q.encoder, q.decoders, claimed_p=q.claimed_p)
+        assert same.claimed_p == q.claimed_p
+        with pytest.raises(ValidationError, match="not met"):
+            Qrac(q.n, q.m, q.encoder, q.decoders, claimed_p=q.claimed_p + 1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_single_bit_codes_balance_helstrom(self, seed):
