@@ -57,6 +57,15 @@ class CompressionScheme:
         """Cumulative reference distribution, which sampling searches."""
         return np.cumsum(self.z)
 
+    @cached_property
+    def accept(self) -> np.ndarray:
+        """(in, out) table of Alice's chance of accepting draw y on input x:
+        E(x)(y) / (2^{a(x)} Z(y)), and 0 where Z(y) = 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(
+                self.z > 0.0, self.channel.table / (self.ratio[:, None] * self.z), 0.0
+            )
+
     def to_json_dict(self) -> dict:
         return {
             "eta": self.eta,
@@ -143,15 +152,6 @@ def _sample_from(scheme: CompressionScheme, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, scheme.out_size - 1)
 
 
-def _accept_prob(scheme: CompressionScheme, x: int, draws: np.ndarray) -> np.ndarray:
-    """Alice's chance of accepting each drawn sample y on input x:
-    E(x)(y) / (2^{a(x)} Z(y)), and 0 where Z(y) = 0."""
-    row = scheme.channel.row(x)
-    z = scheme.z[draws]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(z > 0.0, row[draws] / (scheme.ratio[x] * z), 0.0)
-
-
 def _transcript(
     scheme: CompressionScheme, x: int, shared: np.random.Generator, alice: np.random.Generator
 ) -> tuple[int, int | None]:
@@ -159,7 +159,7 @@ def _transcript(
     n_cap acceptance coins.  Returns (sent index, accepted draw), or
     (FAIL_INDEX, None) when no attempt accepts."""
     draws = _sample_from(scheme, shared.random(scheme.n_cap))
-    hits = np.flatnonzero(alice.random(scheme.n_cap) < _accept_prob(scheme, x, draws))
+    hits = np.flatnonzero(alice.random(scheme.n_cap) < scheme.accept[x, draws])
     if hits.size:
         return int(hits[0]) + 1, int(draws[hits[0]])
     return FAIL_INDEX, None
@@ -200,7 +200,7 @@ def run_protocol_batch(
     bob = stream(shared_seed, TAG_BATCH, TAG_BOB, x)
 
     draws = _sample_from(scheme, shared.random((runs, scheme.n_cap)))
-    accepted = alice.random((runs, scheme.n_cap)) < _accept_prob(scheme, x, draws)
+    accepted = alice.random((runs, scheme.n_cap)) < scheme.accept[x, draws]
     any_hit = accepted.any(axis=1)
     first = np.argmax(accepted, axis=1)
     sent = np.where(any_hit, first + 1, FAIL_INDEX)
@@ -235,7 +235,7 @@ def estimate_acceptance_rate(
     shared = stream(seed, TAG_BATCH, TAG_SHARED, x, 1)
     alice = stream(seed, TAG_BATCH, TAG_ALICE, x, 1)
     draws = _sample_from(scheme, shared.random(runs))
-    return float(np.mean(alice.random(runs) < _accept_prob(scheme, x, draws)))
+    return float(np.mean(alice.random(runs) < scheme.accept[x, draws]))
 
 
 def runs_to_csv(runs: list[ProtocolRun]) -> str:

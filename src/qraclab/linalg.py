@@ -13,13 +13,15 @@ stack's numerical rank, so a pure state read as a matrix is a vector
 again.  ``GramPovm`` holds a measurement as factors B_k plus one PSD
 matrix on its first element, validated by its identity sum.  Six kernels
 act on factor stacks without forming d x d members: ``trace_table``
-(Tr(F rho_x) for a few dense F), ``gram_table`` (Tr(rho_x E_k) between two
-factor stacks, one matrix product), ``gram_paired`` (the same for paired
-members only), ``gram_sums`` (sums of members under arbitrary weights, one
-product per row of weights), ``bit_sums`` (every bit's sum over the strings
-whose bit is 0, and the total, of a stack indexed by n-bit strings, from
-two products whatever n) and ``gram_dense`` (the members themselves, when a
-caller reads them).
+(Tr(F rho_x) for a few dense F: one batched product per chunk of operators
+whose products hold about ``_GRAM_CHUNK`` entries, or one 2-D product per
+operator where a single product fills the chunk), ``gram_table``
+(Tr(rho_x E_k) between two factor stacks, one matrix product),
+``gram_paired`` (the same for paired members only), ``gram_sums`` (sums of
+members under arbitrary weights, one product per row of weights),
+``bit_sums`` (every bit's sum over the strings whose bit is 0, and the
+total, of a stack indexed by n-bit strings, from two products whatever n)
+and ``gram_dense`` (the members themselves, when a caller reads them).
 
 A dense ``Povm`` validates its elements as one (k, d, d) array, with one
 batched Hermiticity reduction and one batched ``eigvalsh``; per-bit
@@ -56,7 +58,7 @@ SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TOL_TIE = 1e-12
 DIM_CAP = 2**10
 _HERM_BLOCK = 2**16  # entries per block of the Hermiticity check
-_GRAM_CHUNK = 2**13  # entries of copies and Gram sums per chunk of bit_sums
+_GRAM_CHUNK = 2**13  # entries per chunk of bit_sums and trace_table
 
 
 def _as_array(a) -> np.ndarray:
@@ -124,8 +126,11 @@ def positive_projectors(a) -> np.ndarray:
 
 
 def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse square root on the support of ``a`` plus the support projector."""
-    vals, vecs = eig_hermitian(a)
+    """Inverse square root on the support of ``a`` plus the support projector.
+    ``a`` must be exactly Hermitian, as a hermitized matrix is: the ``eigh``
+    runs unchecked, its order reversed as :func:`eig_hermitian` reverses it."""
+    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     top = vals[0]
     if top <= 0.0:
         dim = a.shape[0]
@@ -135,20 +140,6 @@ def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, n
     inv_sqrt = (kept_vecs * (vals[keep] ** -0.5)) @ kept_vecs.conj().T
     proj = kept_vecs @ kept_vecs.conj().T
     return inv_sqrt, proj
-
-
-def sqrt_pinv_on_support(rho, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """rho^{-1/2} restricted to the support of rho.
-
-    Eigenvalues below ``cutoff`` times the largest eigenvalue are treated
-    as zero and excluded from the inversion.
-    """
-    return _sqrt_pinv_with_support(_as_array(rho), cutoff)[0]
-
-
-def support_projector(rho, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Orthogonal projector onto the support of rho."""
-    return _sqrt_pinv_with_support(_as_array(rho), cutoff)[1]
 
 
 def trace_norm(a) -> float:
@@ -164,11 +155,25 @@ def trace_norm(a) -> float:
 def trace_table(ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Real (k, N) table Tr(ops[k] A_x A_x^dag) for k square matrices and N
     Gram factors A_x, shape (N, d, r): each entry is the sum of a^dag F a over
-    the r columns a of A_x, one (N r, d)(d, d) product per operator."""
+    the r columns a of A_x, one (N r, d)(d, d) product per operator.
+
+    The products are batched over chunks of operators whose products hold
+    about ``_GRAM_CHUNK`` entries.  Where one operator's product fills a
+    chunk alone, it is a 2-D product, which runs faster than a batch of one;
+    both forms give the same bits."""
     size, dim, rank = factors.shape
     cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)  # rows a^T
     conj = cols.conj()
-    table = np.stack([(conj * (cols @ op.T)).sum(axis=1).real for op in ops])
+    step = _GRAM_CHUNK // cols.size
+    if step > 1:
+        table = np.concatenate(
+            [
+                (conj * (cols @ ops[k : k + step].transpose(0, 2, 1))).sum(axis=2).real
+                for k in range(0, len(ops), step)
+            ]
+        )
+    else:
+        table = np.stack([(conj * (cols @ op.T)).sum(axis=1).real for op in ops])
     return table.reshape(len(ops), size, rank).sum(axis=2)
 
 
@@ -478,6 +483,14 @@ def _check_identity_sum(total: np.ndarray, tol: float) -> None:
         raise ValidationError(f"elements sum to identity only within {deviation:.3e} > {tol}")
 
 
+def _check_extra_and_sum(extra: np.ndarray, total: np.ndarray) -> None:
+    """A GramPovm's checks: ``extra`` PSD within ``TOL_PSD``, and the factor
+    total ``total`` plus ``extra`` the identity within ``TOL_POVM``."""
+    if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
+        raise ValidationError("measurement element has a negative eigenvalue")
+    _check_identity_sum(total + extra, TOL_POVM)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Povm:
     """A positive operator-valued measure with integer outcome labels.
@@ -590,9 +603,10 @@ class GramPovm:
     PSD matrix ``extra`` on the first element.
 
     Each B_k B_k^dag is PSD by construction, so validation is the PSD check
-    of ``extra`` and the identity sum, one (d, k s)(k s, d) product.  The
-    outcome labels are 0..k-1.  ``element_stack`` is formed when read, and
-    each of ``elements`` when indexed; neither is kept.
+    of ``extra`` and the identity sum, one (d, k s)(k s, d) product;
+    :meth:`_from_total` runs the same two checks on a total the caller has
+    already summed.  The outcome labels are 0..k-1.  ``element_stack`` is
+    formed when read, and each of ``elements`` when indexed; neither is kept.
     """
 
     factors: np.ndarray
@@ -609,11 +623,21 @@ class GramPovm:
             raise DimensionMismatchError("measurement elements differ in dimension")
         if not is_hermitian(extra):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
-        if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
-            raise ValidationError("measurement element has a negative eigenvalue")
-        _check_identity_sum(gram_sums(factors, np.ones((1, len(factors))))[0] + extra, TOL_POVM)
+        _check_extra_and_sum(extra, gram_sums(factors, np.ones((1, len(factors))))[0])
         object.__setattr__(self, "factors", _frozen(factors))
         object.__setattr__(self, "extra", _frozen(extra))
+
+    @classmethod
+    def _from_total(cls, factors: np.ndarray, extra: np.ndarray, total: np.ndarray) -> "GramPovm":
+        """The measurement of a complex (k, d, s) stack ``factors`` whose sum
+        sum_k B_k B_k^dag the caller holds as ``total``, with an exactly
+        Hermitian (d, d) ``extra``: the PSD check of ``extra`` and the identity
+        sum run on them, and raise as the public constructor would."""
+        _check_extra_and_sum(extra, total)
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "factors", _frozen(factors))
+        object.__setattr__(povm, "extra", _frozen(extra))
+        return povm
 
     @property
     def outcomes(self) -> tuple[int, ...]:

@@ -12,12 +12,14 @@ One factor stack gives the per-bit marginals and the full table alike
 (Hausladen, Jozsa, Schumacher, Westmoreland and Wootters, PRA 1996): with
 rho_y = A_y A_y^dag, element y is B_y B_y^dag with B_y = sqrt(P_y) R S A_y,
 and R L R sits on outcome 0, so a build factors two d x d matrices, rho and
-the family total, whatever n, and checks the family by one identity sum.
-The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, the default evaluation path,
-come from one :func:`~qraclab.linalg.bit_sums` call, which forms the Gram
-sums of the blocks of strings sharing their high half and of those sharing
-their low half, two products of the stack whatever n, and adds up each
-bit's blocks; they are held as a :class:`~qraclab.linalg.BitPovms`.  For a
+the family total, whatever n.  The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y,
+the default evaluation path, come from one
+:func:`~qraclab.linalg.bit_sums` call, which forms the Gram sums of the
+blocks of strings sharing their high half and of those sharing their low
+half, two products of the stack whatever n, and adds up each bit's blocks;
+they are held as a :class:`~qraclab.linalg.BitPovms`.  The same call
+returns the total sum_y B_y B_y^dag, and the family is checked by one
+identity sum read off that total, with R L R checked PSD.  For a
 pure code A_y is the state vector, the 2^n elements cost one (d, d)(d, 2^n)
 product, and the outcome table T[x, y] = Tr(rho_x Q_y) is one
 (2^n r, d)(d, 2^n r) product (:meth:`~qraclab.linalg.GramPovm.table`).
@@ -58,7 +60,11 @@ MARGINAL_MAX_N = 16
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().swapaxes(-2, -1)) / 2
+    """(A + A^dag) / 2, which is exactly Hermitian: the sum is formed once, in
+    a new array, and halved in place."""
+    out = a + a.conj().swapaxes(-2, -1)
+    out *= 0.5
+    return out
 
 
 def _family_renormalizer(total: np.ndarray) -> np.ndarray:
@@ -89,7 +95,9 @@ def _pgm_raw(
 ) -> tuple[np.ndarray, GramPovm]:
     """Square-root measurement: the per-bit outcome-0 marginal stack of shape
     (n, dim, dim), and the full table as a GramPovm with factors R B_y
-    (2^n, dim, r) and R L R on outcome 0, validated by its identity sum.
+    (2^n, dim, r) and R L R on outcome 0.  Every call checks that R L R is
+    PSD and that the family sums to the identity, the total read off the
+    same ``bit_sums`` call as the marginals.
     """
     size, dim, rank = states.factors.shape
     rho = states.sums(prior[None])[0]
@@ -104,7 +112,8 @@ def _pgm_raw(
     factors = rows.reshape(size, rank, dim).transpose(0, 2, 1)
     extra = _hermitize(ren @ leftover @ ren)
 
-    return _hermitize(bit_sums(factors)[0] + extra), GramPovm(factors, extra)
+    zeros, total = bit_sums(factors)
+    return _hermitize(zeros + extra), GramPovm._from_total(factors, extra, total)
 
 
 def build_pgm(

@@ -177,8 +177,14 @@ class Ensemble:
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    """Each row divided by its np.linalg.norm, as from_state_vector divides."""
-    return vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    """Each row divided by its np.linalg.norm, as from_state_vector divides.
+
+    A row's squared norm is re.re + im.im over its strided real and imaginary
+    views, the ``ddot`` pair that np.linalg.norm runs, here batched over rows
+    so the norms keep their bits."""
+    re, im = vecs.real, vecs.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return vecs / np.sqrt(sq[:, :, 0])
 
 
 def build_standard_2to1() -> Qrac:

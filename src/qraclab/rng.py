@@ -63,9 +63,9 @@ def counter_stream(seed: int, *path: int) -> np.random.Generator:
         raise DomainError(f"a counter path has at most 3 words, got {len(path)}")
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2^128), got {seed}")
-    if not all(0 <= word < 2**64 for word in path):
-        raise DomainError(f"stream path words must lie in [0, 2^64), got {path}")
-    key = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[1 : len(path) + 1] = path
+    for word in path:
+        if not 0 <= word < 2**64:
+            raise DomainError(f"stream path words must lie in [0, 2^64), got {path}")
+    key = np.array((seed & (2**64 - 1), seed >> 64), dtype=np.uint64)
+    counter = np.array((0, *path, *(0,) * (3 - len(path))), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_Key(key), counter=counter))

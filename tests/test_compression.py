@@ -52,6 +52,25 @@ class TestBuildScheme:
         np.testing.assert_allclose(s.a, np.zeros(5), atol=1e-12)
         assert s.n_cap >= 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accept_table_is_the_per_draw_formula(self, seed):
+        """Each entry is E(x)(y) / (ratio[x] Z(y)) as computed per draw, and 0
+        on an output that no input reaches, where Z(y) = 0."""
+        rng = np.random.default_rng(seed)
+        table = rng.dirichlet(np.ones(6), size=5)
+        table[:, 2] = 0.0
+        table /= table.sum(axis=1, keepdims=True)
+        s = build_scheme(ClassicalChannel(table), eta=0.1)
+        assert s.z[2] == 0.0
+        draws = np.arange(6)
+        z = s.z[draws]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.stack(
+                [np.where(z > 0.0, table[x, draws] / (s.ratio[x] * z), 0.0) for x in range(5)]
+            )
+        np.testing.assert_array_equal(s.accept, expected)
+        assert not s.accept[:, 2].any()
+
     def test_two_row_example(self):
         ch = ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]]))
         s = build_scheme(ch, eta=0.05)

@@ -14,6 +14,8 @@ from qraclab.errors import (
     ValidationError,
 )
 from qraclab.linalg import (
+    _GRAM_CHUNK,
+    SUPPORT_CUTOFF,
     TOL_POVM,
     TOL_PSD,
     TOL_TRACE,
@@ -22,18 +24,19 @@ from qraclab.linalg import (
     GramPovm,
     GramStates,
     Povm,
+    _sqrt_pinv_with_support,
     argmax_first,
     bit_sums,
     eig_hermitian,
     gram_sums,
     is_hermitian,
     partial_trace,
-    sqrt_pinv_on_support,
-    support_projector,
     tensor,
     trace_distance,
     trace_norm,
+    trace_table,
 )
+from qraclab.pgm import _hermitize
 from qraclab.qrac import (
     build_random_qrac,
     build_standard_2to1,
@@ -98,17 +101,23 @@ class TestEigHermitian:
             eig_hermitian(np.ones((2, 3)))
 
 
+def sqrt_pinv(rho, cutoff=SUPPORT_CUTOFF):
+    """The PGM's inverse square root on the support and support projector of
+    ``rho``, hermitized as the PGM hands it over."""
+    return _sqrt_pinv_with_support(_hermitize(np.asarray(rho, dtype=complex)), cutoff)
+
+
 class TestSqrtPinv:
     def test_maximally_mixed_qubit(self):
-        got = sqrt_pinv_on_support(np.eye(2) / 2)
+        got, _ = sqrt_pinv(np.eye(2) / 2)
         np.testing.assert_allclose(got, np.sqrt(2) * np.eye(2), atol=1e-12)
 
     def test_pure_state_is_own_pinv_sqrt(self):
         proj = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(sqrt_pinv_on_support(proj), proj, atol=1e-12)
+        np.testing.assert_allclose(sqrt_pinv(proj)[0], proj, atol=1e-12)
 
     def test_quarter_three_quarter(self):
-        got = sqrt_pinv_on_support(np.diag([0.25, 0.75]))
+        got, _ = sqrt_pinv(np.diag([0.25, 0.75]))
         np.testing.assert_allclose(got, np.diag([2.0, 2 / np.sqrt(3)]), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -120,15 +129,14 @@ class TestSqrtPinv:
         g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
         rho = g @ g.conj().T
         rho /= rho.trace()
-        isqrt = sqrt_pinv_on_support(rho)
-        proj = support_projector(rho)
+        isqrt, proj = sqrt_pinv(rho)
         np.testing.assert_allclose(isqrt @ rho @ isqrt, proj, atol=1e-9)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-9)
         assert np.linalg.matrix_rank(proj, tol=1e-8) == rank
 
     def test_cutoff_drops_small_eigenvalues(self):
         rho = np.diag([1.0, 1e-13]) / (1 + 1e-13)
-        got = sqrt_pinv_on_support(rho, cutoff=1e-12)
+        got, _ = sqrt_pinv(rho, cutoff=1e-12)
         assert abs(got[1, 1]) < 1e-6  # small direction excluded, not inverted
 
 
@@ -360,6 +368,33 @@ def test_bit_sums_needs_a_power_of_two_members(size):
         bit_sums(np.zeros((size, 2, 1), dtype=complex))
 
 
+def per_operator_trace_table(ops, factors):
+    """trace_table as one 2-D product per operator, its form before chunking."""
+    size, dim, rank = factors.shape
+    cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)
+    table = np.stack([(cols.conj() * (cols @ op.T)).sum(axis=1).real for op in ops])
+    return table.reshape(len(ops), size, rank).sum(axis=2)
+
+
+@pytest.mark.parametrize(
+    "size, dim, rank, count, per_chunk",
+    [
+        (256, 16, 2, 6, 1),  # one operator's product fills a chunk: 2-D products
+        (128, 32, 1, 6, 2),
+        (256, 16, 1, 7, 2),  # a last chunk of one operator, batched
+        (32, 16, 1, 5, 16),  # the (5, 4) solver's shape: one batch
+        (16, 4, 3, 4, 42),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_table_chunks_keep_the_per_operator_bits(size, dim, rank, count, per_chunk, seed):
+    assert _GRAM_CHUNK // (size * rank * dim) == per_chunk
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(size, dim, rank)) + 1j * rng.normal(size=(size, dim, rank))
+    ops = _hermitize(rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim)))
+    np.testing.assert_array_equal(trace_table(ops, factors), per_operator_trace_table(ops, factors))
+
+
 def test_argmax_first_breaks_rounding_ties_toward_first():
     assert argmax_first([0.1, 0.3, 0.3 + 1e-15, 0.2]) == 1
     assert argmax_first([0.1, 0.3, 0.3 + 1e-9, 0.2]) == 2
@@ -484,6 +519,27 @@ class TestGramContainers:
         negative = np.diag([-2 * TOL_PSD, 0.0, 0.0])
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             GramPovm(vecs * np.sqrt(1 + 2 * TOL_PSD), negative)
+
+    @pytest.mark.parametrize("case", ["valid", "sum", "psd"])
+    def test_povm_from_total_checks_as_the_public_constructor(self, case):
+        """The private constructor, given the factor total, runs the public
+        constructor's PSD check of ``extra`` and its identity sum."""
+        vecs = np.eye(3, dtype=complex)[:, :, None]
+        extra = np.zeros((3, 3), dtype=complex)
+        if case == "sum":
+            vecs = vecs[:2]
+        elif case == "psd":
+            vecs = vecs * np.sqrt(1 + 2 * TOL_PSD)
+            extra = np.diag([-2 * TOL_PSD, 0.0, 0.0]).astype(complex)
+        total = gram_sums(vecs, np.ones((1, len(vecs))))[0]
+        if case == "valid":
+            np.testing.assert_array_equal(
+                GramPovm._from_total(vecs, extra, total).element_stack,
+                GramPovm(vecs, extra).element_stack,
+            )
+        else:
+            expected = raised(lambda: GramPovm(vecs, extra))
+            assert raised(lambda: GramPovm._from_total(vecs, extra, total)) == expected
 
     def test_matrix_input_keeps_numerical_rank(self):
         rng = np.random.default_rng(19)

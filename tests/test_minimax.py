@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qraclab.linalg as linalg
 import qraclab.minimax as mm
 from qraclab.corpus import DEFAULT_P_MIN
 from qraclab.errors import LabelMismatchError, NotConvergedError, SizeCapError
@@ -291,3 +292,32 @@ class TestEvaluateWorstcase:
         np.testing.assert_allclose(per_x, sol.per_x, atol=1e-10)
         assert arg == sol.worst_x
         np.testing.assert_allclose(worst, sol.worst_x_value, atol=1e-10)
+
+
+def test_solver_iterations_build_no_public_gram_povm(monkeypatch):
+    """Each iteration checks its square-root measurement from the sums it
+    already holds: no public ``GramPovm(...)`` validation, one ``eigvalsh``
+    (the leftover's PSD check) and one ``gram_sums`` (rho) per iteration,
+    besides one ``eigvalsh`` that validates the returned dense average."""
+    counts = {"GramPovm": 0, "eigvalsh": 0, "gram_sums": 0}
+
+    def counted_post_init(self, _original=GramPovm.__post_init__):
+        counts["GramPovm"] += 1
+        _original(self)
+
+    def counted_eigvalsh(a, _original=np.linalg.eigvalsh):
+        counts["eigvalsh"] += 1
+        return _original(a)
+
+    def counted_gram_sums(factors, weights, _original=linalg.gram_sums):
+        counts["gram_sums"] += 1
+        return _original(factors, weights)
+
+    monkeypatch.setattr(GramPovm, "__post_init__", counted_post_init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(linalg, "gram_sums", counted_gram_sums)
+    q = build_random_qrac(3, 2, seed=29)  # p 0.601: the game is not trivial
+    counts.update(GramPovm=0, eigvalsh=0, gram_sums=0)
+    sol = solve_worstcase(q, eps=0.02)
+    assert sol.converged and sol.iterations > 10
+    assert counts == {"GramPovm": 0, "eigvalsh": sol.iterations + 1, "gram_sums": sol.iterations}

@@ -12,7 +12,6 @@ from qraclab.linalg import (
     Povm,
     bit_sums,
     eig_hermitian,
-    support_projector,
 )
 from qraclab.decoding import identification_bound_check
 from qraclab.pgm import (
@@ -89,8 +88,7 @@ class TestBuildPgm:
         q = build_standard_2to1()
         e = Ensemble(np.array([1.0, 0.0, 0.0, 0.0]), q.encoder)
         pg = build_pgm(e, full_table=True)
-        proj = support_projector(q.encoder[0].mat)
-        assert np.linalg.matrix_rank(proj, tol=1e-8) == 1
+        assert np.linalg.matrix_rank(q.encoder[0].mat, tol=1e-8) == 1
         np.testing.assert_allclose(pg.full.elements[0], np.eye(2), atol=1e-9)
         for y in range(1, 4):
             np.testing.assert_allclose(pg.full.elements[y], np.zeros((2, 2)), atol=1e-9)
@@ -411,9 +409,8 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     ``eigvalsh``, a random code's Helstrom projectors take one batched
     ``eigh`` besides, and the full PGM makes 2 ``eigh`` (the average and the
     renormalizer) and 2 ``eigvalsh`` (the marginal stack and the full table's
-    leftover), with its marginals from one ``bit_sums`` call and every
-    ``gram_sums`` call one row of weights (rho and the identity sum), none a
-    bit mask."""
+    leftover), with its marginals and its identity sum from one ``bit_sums``
+    call and one ``gram_sums`` call of one row of weights, rho's."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -449,4 +446,22 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         kernels.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
         assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 2), (label, calls)
-        assert sorted(kernels) == ["bit_sums", "gram_sums x1", "gram_sums x1"], (label, kernels)
+        assert sorted(kernels) == ["bit_sums", "gram_sums x1"], (label, kernels)
+
+
+@pytest.mark.parametrize("full_table", [False, True])
+def test_identity_sum_is_checked_on_the_bit_sums_total(monkeypatch, full_table):
+    """The family's identity sum is read off the total that ``bit_sums``
+    returns with the marginals: a total off by 1e-6 I fails the build, with
+    or without the full table."""
+
+    def off_total(factors, _original=pgm.bit_sums):
+        zeros, total = _original(factors)
+        return zeros, total + 1e-6 * np.eye(len(total))
+
+    q = build_random_qrac(3, 2, seed=29)
+    build_pgm(Ensemble.uniform(q), full_table=full_table)
+    monkeypatch.setattr(pgm, "bit_sums", off_total)
+    with pytest.raises(ValidationError, match="sum to identity"):
+        build_pgm(Ensemble.uniform(q), full_table=full_table)
+

@@ -233,6 +233,16 @@ class TestRandomQrac:
             build_random_qrac(13, 2, seed=0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("rows, dim", [(4, 2), (8, 4), (32, 16), (256, 16), (1024, 32), (64, 64)])
+def test_unit_rows_equal_per_row_norms(seed, rows, dim):
+    """The batched norms keep the bits of np.linalg.norm row by row."""
+    gauss = np.random.default_rng(seed).normal(size=(rows, 2, dim))
+    vecs = gauss[:, 0] + 1j * gauss[:, 1]
+    reference = vecs / np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    np.testing.assert_array_equal(qrac._unit_rows(vecs), reference)
+
+
 class TestEnsemble:
     def test_uniform(self):
         e = Ensemble.uniform(build_standard_2to1())
