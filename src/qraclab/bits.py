@@ -22,25 +22,9 @@ def bit_at(x: int, i: int, n: int) -> int:
     return (x >> (n - i)) & 1
 
 
-def int_to_bits(x: int, n: int) -> tuple[int, ...]:
-    """Expand x into its n bits, most significant first."""
-    return tuple((x >> (n - i)) & 1 for i in range(1, n + 1))
-
-
-def bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
 def format_bits(x: int, n: int) -> str:
     """Render x as a literal bit string, e.g. format_bits(6, 4) == '0110'."""
     return format(x, f"0{n}b")
-
-
-def hamming_distance(x: int, y: int) -> int:
-    return bin(x ^ y).count("1")
 
 
 def bit_column(i: int, n: int) -> np.ndarray:

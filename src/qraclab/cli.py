@@ -35,7 +35,6 @@ from .compression import (
 )
 from .conversion import (
     RAC_MAX_N,
-    ROUNDTRIP_MAX_N,
     SharedShift,
     build_rac,
     effective_channel,
@@ -54,7 +53,7 @@ from .info import (
 )
 from .linalg import argmax_first
 from .minimax import SOLVER_MAX_N, solve_worstcase
-from .pgm import build_pgm, helstrom_pmax, per_bit_success, success_prob_full
+from .pgm import build_pgm, helstrom_pmax, per_bit_success, pgm_lower_bound, success_prob_full
 from .qrac import (
     P_STANDARD,
     Ensemble,
@@ -271,7 +270,7 @@ def suite_pgm(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
         p_max = helstrom_pmax(
             ens.prior[0], ens.states[0].mat, ens.prior[1], ens.states[1].mat
         )
-        return p_pgm - (p_max**2 + (1.0 - p_max) ** 2)
+        return p_pgm - pgm_lower_bound(p_max)
 
     margins = _parallel_map(margin, ensembles, jobs)
 
@@ -284,7 +283,7 @@ def suite_pgm(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
         _check("pgm_standard_bit_success", bit_value, 0.75, 1e-9, "=="),
         _check(
             "pgm_standard_equality_margin",
-            bit_value - (P_STANDARD**2 + (1.0 - P_STANDARD) ** 2),
+            bit_value - pgm_lower_bound(P_STANDARD),
             0.0,
             1e-9,
             "==",
@@ -537,7 +536,7 @@ def cmd_convert(cfg: dict) -> tuple[list[dict], dict]:
 def cmd_compress(cfg: dict) -> tuple[list[dict], dict]:
     """Compress one code's readout channel."""
     n, m, eta = cfg["n"], cfg["m"], cfg["eta"]
-    q = _select_code(n, m, cfg["seed"], ROUNDTRIP_MAX_N)
+    q = _select_code(n, m, cfg["seed"], RAC_MAX_N)
     channel = effective_channel(q, SharedShift(0, q.n, q.n))
     scheme, tv_excess, bits_cap, sigmas = _audit_compress(channel, eta, cfg["seed"])
     extra = {

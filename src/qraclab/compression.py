@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .info import ClassicalChannel, max_channel_capacity
 from .rng import TAG_ALICE, TAG_BATCH, TAG_BOB, TAG_SHARED, counter_stream, stream
-from .serialize import fmt17, rows_to_csv
+from .serialize import fmt17
 
 FAIL_INDEX = 0
 
@@ -188,30 +188,6 @@ def run_protocol(
     )
 
 
-def run_protocol_batch(
-    scheme: CompressionScheme, x: int, shared_seed: int, runs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized protocol transcript: (sent_index, output_y) arrays over
-    ``runs`` independent executions sharing one batch stream."""
-    if not 0 <= x < scheme.in_size:
-        raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
-    shared = stream(shared_seed, TAG_BATCH, TAG_SHARED, x)
-    alice = stream(shared_seed, TAG_BATCH, TAG_ALICE, x)
-    bob = stream(shared_seed, TAG_BATCH, TAG_BOB, x)
-
-    draws = _sample_from(scheme, shared.random((runs, scheme.n_cap)))
-    accepted = alice.random((runs, scheme.n_cap)) < scheme.accept[x, draws]
-    any_hit = accepted.any(axis=1)
-    first = np.argmax(accepted, axis=1)
-    sent = np.where(any_hit, first + 1, FAIL_INDEX)
-    outputs = np.where(
-        any_hit,
-        draws[np.arange(runs), first],
-        bob.integers(scheme.out_size, size=runs),
-    )
-    return sent, outputs
-
-
 def exact_output_distribution(scheme: CompressionScheme, x: int) -> ExactOutput:
     """Closed-form output law: E(x) on acceptance, uniform on failure."""
     if not 0 <= x < scheme.in_size:
@@ -237,8 +213,3 @@ def estimate_acceptance_rate(
     draws = _sample_from(scheme, shared.random(runs))
     return float(np.mean(alice.random(runs) < scheme.accept[x, draws]))
 
-
-def runs_to_csv(runs: list[ProtocolRun]) -> str:
-    header = ["replicate", "x", "sent_index", "output_y"]
-    rows = [[r.replicate, r.x, r.sent_index, r.output_y] for r in runs]
-    return rows_to_csv(header, rows)

@@ -35,8 +35,7 @@ from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, counter_stream, stream
 from .serialize import rows_to_csv
 
-ROUNDTRIP_MAX_N = 8
-RAC_MAX_N = ROUNDTRIP_MAX_N
+RAC_MAX_N = 8
 NEWMAN_MAX_SIZE = 2**20
 
 
@@ -128,40 +127,6 @@ def per_bit_error_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     return bit_error_table(marginal_f0s(pgm_uniform, q.n), q.encoder)
 
 
-def symmetrized_roundtrip(
-    q: Qrac, x: int, s: SharedShift, pgm_uniform: PgmBundle
-) -> np.ndarray:
-    """Exact distribution of the final output y: encode shift_d(x XOR r),
-    measure, then undo the shift and mask on the outcome."""
-    if q.n > ROUNDTRIP_MAX_N:
-        raise SizeCapError(f"roundtrip capped at n = {ROUNDTRIP_MAX_N}, got {q.n}")
-    if not 0 <= x < 2**q.n:
-        raise DomainError(f"{x} is not an {q.n}-bit string")
-    table = full_outcome_table(q, pgm_uniform)
-    perm = perm_array(s)
-    return table[perm[x]][perm]
-
-
-def per_bit_success_symmetrized(q: Qrac) -> float:
-    """Shared-shift-averaged per-bit success probability, identical for every
-    (x, i) pair; equals 1 minus the mean per-bit error of the uniform-prior
-    square-root measurement.
-
-    Guaranteed at least 1 - 2p(1-p) when the code's success probability p is
-    at least one half; below that the guarantee degrades to the coin-flip
-    floor of one half.
-    """
-    pgm = build_pgm(Ensemble.uniform(q))
-    err = per_bit_error_table(q, pgm)
-    value = 1.0 - float(err.mean())
-    floor = 1.0 - hamming_budget(q.claimed_p, 1)
-    if value < floor - 1e-9:
-        raise ValidationError(
-            f"symmetrized per-bit success {value:.12f} fell below its floor {floor:.12f}"
-        )
-    return value
-
-
 def effective_channel(
     q: Qrac, s: SharedShift, pgm_uniform: PgmBundle | None = None
 ) -> ClassicalChannel:
@@ -172,8 +137,8 @@ def effective_channel(
     relabelled, so :func:`build_rac` builds and checks one channel, the
     identity shift's, and indexes it through each shift's permutation.
     """
-    if q.n > ROUNDTRIP_MAX_N:
-        raise SizeCapError(f"channel table capped at n = {ROUNDTRIP_MAX_N}, got {q.n}")
+    if q.n > RAC_MAX_N:
+        raise SizeCapError(f"channel table capped at n = {RAC_MAX_N}, got {q.n}")
     if pgm_uniform is None:
         pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
     perm = perm_array(s)
@@ -536,13 +501,18 @@ def rac_decode(
     n = codebook.n
     if not 1 <= i <= n:
         raise DomainError(f"bit index must lie in 1..{n}, got {i}")
-    path = (message.s_index, replicate)
-    if message.sent_index == FAIL_INDEX:
+    s_index, sent, n_cap = message.s_index, message.sent_index, codebook.scheme.n_cap
+    if not 0 <= s_index < codebook.size_s:
+        raise DomainError(f"shift index must lie in 0..{codebook.size_s - 1}, got {s_index}")
+    if not FAIL_INDEX <= sent <= n_cap:
+        raise DomainError(f"sample index must lie in {FAIL_INDEX}..{n_cap}, got {sent}")
+    path = (s_index, replicate)
+    if sent == FAIL_INDEX:
         y = int(counter_stream(shared_seed, TAG_BOB, *path).integers(2**n))
     else:
         # the accepted base-label sample is the sent_index-th shared draw; a
         # shorter draw is a prefix of the sender's, so only that many are replayed
-        u = counter_stream(shared_seed, TAG_SHARED, *path).random(message.sent_index)[-1]
-        r, d = codebook.s_set[message.s_index].tolist()
+        u = counter_stream(shared_seed, TAG_SHARED, *path).random(sent)[-1]
+        r, d = codebook.s_set[s_index].tolist()
         y = unshift_bits(int(_sample_from(codebook.scheme, u)), d, n) ^ r
     return (y >> (n - i)) & 1

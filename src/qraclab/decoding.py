@@ -1,4 +1,4 @@
-"""Exact and sampled evaluation of string decoders.
+"""Exact evaluation of string decoders.
 
 The central quantity is the expected Hamming distance between the encoded
 string and the measurement outcome, which for the square-root measurement
@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .linalg import GramPovm, Povm
 from .pgm import PgmBundle, marginal_f0s, string_labels
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
-from .rng import TAG_SAMPLE, stream
 from .serialize import SCHEMA_VERSION, rows_to_csv
 
 
@@ -75,35 +74,6 @@ def expected_hamming_exact(q: Qrac, prior, measurement) -> HammingReport:
     )
 
 
-def sample_decode(q: Qrac, x: int, measurement, seed: int, size: int | None = None, replicate: int = 0):
-    """Draw outcome strings for input ``x`` from a full measurement.
-
-    Sampling inverts the CDF over the outcome table ordered by label, so a
-    given (seed, x, replicate) triple always reproduces the same draws.
-    Returns a single label, or an array of them when ``size`` is given.
-    """
-    if isinstance(measurement, PgmBundle):
-        if measurement.full is None:
-            raise ValidationError("measurement bundle has no full outcome table")
-        measurement = measurement.full
-    if not 0 <= x < 2**q.n:
-        raise ValidationError(f"x = {x} outside 0..{2**q.n - 1}")
-    labels = string_labels(measurement, q.n)
-    order = np.argsort(labels)
-    labels = labels[order]
-    probs = measurement.probabilities(q.encoder[x].mat)[order]
-    probs = np.clip(probs, 0.0, None)
-    cdf = np.cumsum(probs)
-    if abs(cdf[-1] - 1.0) > 1e-9:
-        raise ValidationError(f"outcome probabilities sum to {cdf[-1]}, not 1")
-    rng = stream(seed, TAG_SAMPLE, x, replicate)
-    u = rng.random(1 if size is None else size)
-    idx = np.searchsorted(cdf, u * cdf[-1], side="right")
-    idx = np.minimum(idx, len(labels) - 1)
-    drawn = labels[idx]
-    return int(drawn[0]) if size is None else drawn
-
-
 @dataclass(frozen=True)
 class IdentificationCheck:
     """Sum of diagonal success terms against the 2^m packing limit."""
@@ -126,14 +96,3 @@ def identification_bound_check(
     rhs = float(2**q.m)
     return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + tol))
 
-
-def markov_tail(report: HammingReport, c: float) -> float:
-    """Guaranteed bound on Pr[d_H > c * expected_dh], which is 1/c.
-
-    A zero expected distance forces the tail probability to zero.
-    """
-    if c <= 1.0:
-        raise DomainError(f"c must exceed 1, got {c}")
-    if report.expected_dh == 0.0:
-        return 0.0
-    return 1.0 / c

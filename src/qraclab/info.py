@@ -1,9 +1,8 @@
 """Entropies, max-relative entropy, and one-shot channel capacities.
 
-All logarithms are base 2.  Eigenvalues and probabilities below 1e-15
-(relative to the largest) are treated as exact zeros inside x*log(x).
-Quantum registers enter only through cq-states; the max-information of a
-genuinely quantum side register is out of scope here, which is why the
+All logarithms are base 2.  Probabilities below 1e-15 (relative to the
+largest) are treated as exact zeros inside x*log(x).  The max-information
+of a genuinely quantum side register is out of scope here, which is why the
 capacity routines take classical channel tables.
 """
 
@@ -16,7 +15,6 @@ import numpy as np
 
 from .bits import hamming_table
 from .errors import BadSplitError, DomainError, ValidationError
-from .linalg import DensityMatrix
 from .serialize import SCHEMA_VERSION, rows_to_csv
 
 EIG_ZERO_CUTOFF = 1e-15  # relative, inside x*log2(x) sums
@@ -31,24 +29,10 @@ def _xlog2x_sum(vals: np.ndarray) -> float:
     return float(-(kept * np.log2(kept)).sum())
 
 
-def shannon_entropy(p) -> float:
-    """Entropy of a classical distribution, in bits."""
-    p = np.asarray(p, dtype=float)
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise DomainError("argument is not a probability distribution")
-    return _xlog2x_sum(np.clip(p, 0.0, None))
-
-
 def binary_entropy(q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"binary entropy needs q in [0, 1], got {q}")
     return _xlog2x_sum(np.array([q, 1.0 - q]))
-
-
-def von_neumann_entropy(rho) -> float:
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh(mat)
-    return _xlog2x_sum(np.clip(vals, 0.0, None))
 
 
 def max_relative_entropy(p, q) -> float:
@@ -96,22 +80,9 @@ class ClassicalChannel:
     def row(self, x: int) -> np.ndarray:
         return self.table[x]
 
-    def compose(self, post: "ClassicalChannel") -> "ClassicalChannel":
-        """Feed this channel's output through ``post``."""
-        if post.in_size != self.out_size:
-            raise BadSplitError(
-                f"post-processing expects {post.in_size} inputs, channel emits {self.out_size}"
-            )
-        return ClassicalChannel(self.table @ post.table)
-
     @classmethod
     def identity(cls, k: int) -> "ClassicalChannel":
         return cls(np.eye(k))
-
-    @classmethod
-    def constant(cls, k_in: int, row) -> "ClassicalChannel":
-        row = np.asarray(row, dtype=float)
-        return cls(np.tile(row, (k_in, 1)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,20 +96,6 @@ class ClassicalChannel:
         header = ("x",) + tuple(f"y{y}" for y in range(self.out_size))
         rows = [(x,) + tuple(float(v) for v in self.table[x]) for x in range(self.in_size)]
         return rows_to_csv(header, rows, path)
-
-
-def channel_from_json_dict(data: dict) -> ClassicalChannel:
-    return ClassicalChannel(np.array(data["table"], dtype=float))
-
-
-def channel_mutual_information(channel: ClassicalChannel, prior) -> float:
-    """Shannon I(X:Y) of the joint induced by ``prior`` and the channel."""
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (channel.in_size,):
-        raise BadSplitError("prior length differs from channel input size")
-    joint = prior[:, None] * channel.table
-    py = joint.sum(axis=0)
-    return shannon_entropy(prior) + shannon_entropy(py) - _xlog2x_sum(joint.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -179,73 +136,6 @@ def max_channel_capacity_lp(channel: ClassicalChannel) -> float:
     if not res.success:
         raise RuntimeError(f"capacity LP failed: {res.message}")
     return float(np.log2(res.fun))
-
-
-def postprocessing_monotonicity_check(
-    channel: ClassicalChannel, post: ClassicalChannel, tol: float = 1e-9
-) -> bool:
-    """Post-processing never raises the capacity, which itself never
-    exceeds the log of the intermediate alphabet size."""
-    before = max_channel_capacity(channel).value
-    after = max_channel_capacity(channel.compose(post)).value
-    return after <= before + tol and before <= math.log2(channel.out_size) + tol
-
-
-# ---------------------------------------------------------------------------
-# cq-states
-
-
-@dataclass(frozen=True)
-class CqState:
-    """Classical register X correlated with a quantum register A."""
-
-    probs: np.ndarray
-    states: tuple[DensityMatrix, ...]
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (len(self.states),):
-            raise ValidationError("one probability per state required")
-        if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValidationError("probs is not a distribution")
-        dim = self.states[0].dim
-        for st in self.states:
-            if st.dim != dim:
-                raise ValidationError("cq component states differ in dimension")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", tuple(self.states))
-
-    @property
-    def x_size(self) -> int:
-        return len(self.states)
-
-    @property
-    def dim_a(self) -> int:
-        return self.states[0].dim
-
-    def joint(self) -> DensityMatrix:
-        """Block-diagonal joint state sum_x p_x |x><x| (x) rho_x."""
-        d = self.dim_a
-        out = np.zeros((self.x_size * d, self.x_size * d), dtype=complex)
-        for x, (p, st) in enumerate(zip(self.probs, self.states)):
-            out[x * d : (x + 1) * d, x * d : (x + 1) * d] = p * st.mat
-        return DensityMatrix(out)
-
-    def average_state(self) -> np.ndarray:
-        return np.einsum("x,xij->ij", self.probs, np.stack([s.mat for s in self.states]))
-
-
-def cq_operator_dominance_check(cq: CqState, tol: float = 1e-9) -> bool:
-    """The joint cq-state is dominated by both of its marginal extensions:
-    rho_XA <= I_X (x) rho_A and rho_XA <= rho_X (x) I_A."""
-    joint = cq.joint().mat
-    ext_a = np.kron(np.eye(cq.x_size), cq.average_state())
-    ext_x = np.kron(np.diag(cq.probs).astype(complex), np.eye(cq.dim_a))
-    ok_a = np.linalg.eigvalsh(ext_a - joint).min() >= -tol
-    ok_x = np.linalg.eigvalsh(ext_x - joint).min() >= -tol
-    return bool(ok_a and ok_x)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ import numpy as np
 
 from .bits import bit_columns
 from .errors import (
-    BadSplitError,
     DimensionMismatchError,
     NotHermitianError,
     SizeCapError,
@@ -276,38 +275,6 @@ def gram_dense(factors: np.ndarray) -> np.ndarray:
         vecs = factors[:, :, 0]
         return vecs[:, :, None] * vecs.conj()[:, None, :]
     return factors @ factors.conj().swapaxes(1, 2)
-
-
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference of two states."""
-    r, s = _as_array(rho), _as_array(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    return 0.5 * trace_norm(r - s)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the first factor is the most significant register."""
-    return np.kron(_as_array(a), _as_array(b))
-
-
-def partial_trace(a, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` are the subsystem dimensions in register order; their product
-    must equal the matrix dimension.
-    """
-    a = _as_array(a)
-    total = int(np.prod(dims))
-    if a.shape != (total, total):
-        raise BadSplitError(f"dims {dims} do not factor shape {a.shape}")
-    k = len(dims)
-    keep = tuple(sorted(keep))
-    reshaped = a.reshape(dims + dims)
-    for sub in sorted(set(range(k)) - set(keep), reverse=True):
-        reshaped = np.trace(reshaped, axis1=sub, axis2=sub + reshaped.ndim // 2)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reshaped.reshape(d_keep, d_keep)
 
 
 def _validated_states(

@@ -50,7 +50,6 @@ from .linalg import (
     Povm,
     _sqrt_pinv_with_support,
     bit_sums,
-    positive_projectors,
     trace_norm,
 )
 from .qrac import Ensemble, bit_error_table
@@ -195,17 +194,7 @@ def helstrom_pmax(p0: float, rho0, p1: float, rho1) -> float:
     return 0.5 * (1.0 + trace_norm(p0 * rho0 - p1 * rho1))
 
 
-def helstrom_measurement(p0: float, rho0, p1: float, rho1) -> Povm:
-    """The measurement achieving helstrom_pmax: outcome 0 projects onto the
-    positive eigenspace of p0*rho0 - p1*rho1."""
-    if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9:
-        raise DomainError(f"priors ({p0}, {p1}) are not a distribution")
-    delta = np.asarray(rho0, dtype=complex) * p0 - np.asarray(rho1, dtype=complex) * p1
-    return BitPovms(positive_projectors(delta[None]))[0]
-
-
-def check_pgm_lower_bound(p_pgm: float, p_max: float, outcomes: int, tol: float = 1e-9) -> bool:
-    """Square-root-measurement guarantee: p_pgm >= p_max^2 + (1-p_max)^2/(k-1)."""
-    if outcomes < 2:
-        raise DomainError("need at least two outcomes")
-    return p_pgm >= p_max**2 + (1.0 - p_max) ** 2 / (outcomes - 1) - tol
+def pgm_lower_bound(p_max: float) -> float:
+    """Square-root-measurement guarantee for two outcomes: the PGM succeeds
+    with probability at least p_max^2 + (1 - p_max)^2."""
+    return p_max**2 + (1.0 - p_max) ** 2

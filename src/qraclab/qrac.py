@@ -10,8 +10,8 @@ stack of Gram factors.  The builders here make pure codes, so they pass
 unit state vectors: a Haar draw, the standard code's four vectors, basis
 vectors, and the Kronecker products of a tensor power.  Each is checked by
 its norm, with no eigendecomposition and no 2^n x d x d array.  A code
-read from JSON is factored from its matrices and cut to their numerical
-rank, so a pure one is held as vectors again.  Reading ``q.encoder[x].mat``
+given as matrices is factored and cut to their numerical rank, so a pure
+one is held as vectors again.  Reading ``q.encoder[x].mat``
 forms that one density matrix.
 """
 
@@ -25,9 +25,7 @@ from .bits import bit_columns
 from .errors import SizeCapError, ValidationError
 from .linalg import (
     BitPovms,
-    DensityMatrix,
     GramStates,
-    Povm,
     as_states,
     bit_sums,
     check_dim_cap,
@@ -35,7 +33,6 @@ from .linalg import (
     trace_table,
 )
 from .rng import stream
-from .serialize import SCHEMA_VERSION, matrix_to_reim, reim_to_matrix
 
 # Worst-case success of the two-decoder single-qubit code on which most
 # worked values in the tests are based.
@@ -273,25 +270,3 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     decoders = BitPovms(positive_projectors((zeros - total / 2) * 2.0 ** (1 - n)))
     return Qrac(n, m, encoder, decoders)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def qrac_to_json_dict(q: Qrac) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": q.n,
-        "m": q.m,
-        "claimed_p": q.claimed_p,
-        "encoder": [matrix_to_reim(rho.mat) for rho in q.encoder],
-        "decoders": [[matrix_to_reim(e) for e in dec.elements] for dec in q.decoders],
-    }
-
-
-def qrac_from_json_dict(data: dict) -> Qrac:
-    encoder = DensityMatrix.stack([reim_to_matrix(mat) for mat in data["encoder"]])
-    decoders = tuple(
-        Povm(tuple(reim_to_matrix(e) for e in dec), outcomes=(0, 1)) for dec in data["decoders"]
-    )
-    return Qrac(int(data["n"]), int(data["m"]), encoder, decoders, float(data["claimed_p"]))

@@ -22,7 +22,6 @@ from .errors import DomainError
 TAG_SHARED = 0
 TAG_ALICE = 1
 TAG_BOB = 2
-TAG_SAMPLE = 3
 TAG_NEWMAN = 4
 TAG_BATCH = 5
 TAG_CORPUS = 6

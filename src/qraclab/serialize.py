@@ -21,10 +21,6 @@ def matrix_to_reim(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def reim_to_matrix(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
-
-
 def fmt17(x) -> str:
     """Render a number with up to 17 significant digits (round-trip exact)."""
     if isinstance(x, (int, np.integer)):

@@ -9,8 +9,6 @@ from qraclab.compression import (
     estimate_acceptance_rate,
     exact_output_distribution,
     run_protocol,
-    run_protocol_batch,
-    runs_to_csv,
 )
 from qraclab.errors import DomainError
 from qraclab.info import ClassicalChannel
@@ -275,30 +273,22 @@ class TestMonteCarlo:
     def test_batch_histogram_matches_exact_law(self):
         s = build_scheme(identity_channel(4), eta=0.1)
         out = exact_output_distribution(s, x=1)
-        runs = 200_000
-        sent, ys = run_protocol_batch(s, x=1, shared_seed=3, runs=runs)
-        assert sent.shape == (runs,)
+        runs = [run_protocol(s, x=1, shared_seed=3, replicate=r) for r in range(20_000)]
+        sent = np.array([r.sent_index for r in runs])
+        ys = np.array([r.output_y for r in runs])
         fail_rate = np.mean(sent == FAIL_INDEX)
-        sigma_f = math.sqrt(out.fail_prob * (1 - out.fail_prob) / runs)
+        sigma_f = math.sqrt(out.fail_prob * (1 - out.fail_prob) / len(runs))
         assert abs(fail_rate - out.fail_prob) <= 4 * sigma_f
-        hist = np.bincount(ys, minlength=4) / runs
+        hist = np.bincount(ys, minlength=4) / len(runs)
         for y in range(4):
-            sigma = math.sqrt(max(out.dist[y] * (1 - out.dist[y]), 1e-12) / runs)
+            sigma = math.sqrt(max(out.dist[y] * (1 - out.dist[y]), 1e-12) / len(runs))
             assert abs(hist[y] - out.dist[y]) <= 4 * sigma + 1e-9
 
     def test_batch_agrees_with_scalar_runner_statistics(self):
         s = build_scheme(identity_channel(4), eta=0.1)
-        sent, ys = run_protocol_batch(s, x=2, shared_seed=8, runs=50_000)
+        runs = [run_protocol(s, x=2, shared_seed=8, replicate=r) for r in range(50_000)]
+        sent = np.array([r.sent_index for r in runs])
+        ys = np.array([r.output_y for r in runs])
         assert np.all((sent >= FAIL_INDEX) & (sent <= s.n_cap))
         ok = sent != FAIL_INDEX
         assert np.all(ys[ok] == 2)
-
-
-class TestCsv:
-    def test_runs_csv_layout(self):
-        s = build_scheme(identity_channel(4), eta=0.1)
-        runs = [run_protocol(s, x=1, shared_seed=0, replicate=r) for r in range(3)]
-        text = runs_to_csv(runs)
-        lines = text.split("\r\n")
-        assert lines[0] == "replicate,x,sent_index,output_y"
-        assert len(lines) == 5  # header + 3 rows + trailing terminator

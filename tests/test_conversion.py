@@ -103,27 +103,18 @@ class TestSharedShift:
 
 
 class TestSymmetrizedRoundtrip:
+    """Row x of a shift's effective channel is the law of the decoded string
+    after encoding shift_d(x XOR r), measuring, and undoing the shift."""
+
     def test_identity_code_returns_input(self):
         q = build_identity_encoding(3)
         pgm = uniform_pgm(q)
         for s in [cv.SharedShift(5, 2, 3), cv.SharedShift(0, 3, 3), cv.SharedShift(7, 1, 3)]:
             for x in (0b000, 0b101, 0b110):
-                dist = cv.symmetrized_roundtrip(q, x, s, pgm)
+                dist = cv.effective_channel(q, s, pgm).table[x]
                 expected = np.zeros(8)
                 expected[x] = 1.0
                 np.testing.assert_allclose(dist, expected, atol=1e-9)
-
-    def test_matches_bruteforce_unshift_xor(self):
-        q = build_random_qrac(2, 2, seed=0)
-        pgm = uniform_pgm(q)
-        s = cv.SharedShift(r=0b01, d=1, n=2)
-        x = 0b10
-        dist = cv.symmetrized_roundtrip(q, x, s, pgm)
-        probs = pgm.full.probabilities(q.encoder[s.apply(x)])
-        brute = np.zeros(4)
-        for y_prime in range(4):
-            brute[s.invert(y_prime)] += probs[y_prime]
-        np.testing.assert_allclose(dist, brute, atol=1e-12)
 
     def test_standard_code_per_bit_averaged_over_all_s(self):
         q = build_standard_2to1()
@@ -132,7 +123,7 @@ class TestSymmetrizedRoundtrip:
         for x in range(4):
             hit = np.zeros(2)
             for s in all_s:
-                dist = cv.symmetrized_roundtrip(q, x, s, pgm)
+                dist = cv.effective_channel(q, s, pgm).table[x]
                 for i in (1, 2):
                     mask = np.array(
                         [(y >> (2 - i)) & 1 == (x >> (2 - i)) & 1 for y in range(4)]
@@ -143,29 +134,32 @@ class TestSymmetrizedRoundtrip:
     def test_distribution_normalized(self):
         q = build_random_qrac(3, 2, seed=29)
         pgm = uniform_pgm(q)
-        s = cv.SharedShift(3, 2, 3)
-        for x in range(8):
-            dist = cv.symmetrized_roundtrip(q, x, s, pgm)
+        table = cv.effective_channel(q, cv.SharedShift(3, 2, 3), pgm).table
+        for dist in table:
             assert dist.min() >= 0.0
             np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
+
+
+def averaged_success(q):
+    """Shift-averaged per-bit success: every (x, i) pair sees 1 minus the
+    mean per-bit error of the uniform-prior square-root measurement."""
+    return 1.0 - float(cv.per_bit_error_table(q, uniform_pgm(q, full=False)).mean())
 
 
 class TestPerBitSuccess:
     def test_standard_is_three_quarters_exactly_at_floor(self):
         q = build_standard_2to1()
-        value = cv.per_bit_success_symmetrized(q)
+        value = averaged_success(q)
         np.testing.assert_allclose(value, 0.75, atol=1e-12)
         p = q.claimed_p
         np.testing.assert_allclose(1 - 2 * p * (1 - p), 0.75, atol=1e-12)
 
     def test_identity_is_one(self):
-        assert cv.per_bit_success_symmetrized(build_identity_encoding(3)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert averaged_success(build_identity_encoding(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_tensor_square_is_three_quarters(self):
         q = build_tensor_power(build_standard_2to1(), 2)
-        np.testing.assert_allclose(cv.per_bit_success_symmetrized(q), 0.75, atol=1e-9)
+        np.testing.assert_allclose(averaged_success(q), 0.75, atol=1e-9)
 
     def test_sampled_average_constant_over_x_and_i(self):
         # full shift set: every (x, i) pair sees exactly the same error
@@ -177,9 +171,6 @@ class TestPerBitSuccess:
             all_s = np.array([(r, d) for r in range(2**n) for d in range(1, n + 1)])
             avg = cv.shift_average(err, all_s)
             np.testing.assert_allclose(avg, err.mean(), atol=1e-9)
-            np.testing.assert_allclose(
-                1 - err.mean(), cv.per_bit_success_symmetrized(q), atol=1e-12
-            )
 
 
 class TestEffectiveChannel:
@@ -187,6 +178,18 @@ class TestEffectiveChannel:
         q = build_identity_encoding(2)
         ch = cv.effective_channel(q, cv.SharedShift(2, 1, 2))
         np.testing.assert_allclose(ch.table, np.eye(4), atol=1e-9)
+
+    def test_rows_match_bruteforce_unshift_xor(self):
+        q = build_random_qrac(2, 2, seed=0)
+        pgm = uniform_pgm(q)
+        s = cv.SharedShift(r=0b01, d=1, n=2)
+        x = 0b10
+        row = cv.effective_channel(q, s, pgm).table[x]
+        probs = pgm.full.probabilities(q.encoder[s.apply(x)])
+        brute = np.zeros(4)
+        for y_prime in range(4):
+            brute[s.invert(y_prime)] += probs[y_prime]
+        np.testing.assert_allclose(row, brute, atol=1e-12)
 
     def test_standard_code_capacity_below_message_size(self):
         q = build_standard_2to1()
@@ -663,3 +666,18 @@ class TestEncodeDecode:
             cv.rac_decode(cb, msg, 0, 0)
         with pytest.raises(DomainError):
             cv.rac_decode(cb, msg, 3, 0)
+
+    def test_decode_rejects_a_message_the_sender_cannot_send(self):
+        cb = cv.build_rac(build_standard_2to1(), eta=0.2, seed=3)
+        size_s, n_cap = cb.size_s, cb.scheme.n_cap
+        for s_index, sent, match in [
+            (size_s, 1, rf"shift index must lie in 0\.\.{size_s - 1}, got {size_s}"),
+            (0, -3, rf"sample index must lie in 0\.\.{n_cap}, got -3"),
+            (0, n_cap + 5, rf"sample index must lie in 0\.\.{n_cap}, got {n_cap + 5}"),
+        ]:
+            msg = cv.RacMessage(s_index=s_index, sent_index=sent, total_bits=cb.total_message_bits)
+            with pytest.raises(DomainError, match=match):
+                cv.rac_decode(cb, msg, 1, 0)
+        # the largest indices the sender can emit still decode
+        msg = cv.RacMessage(s_index=size_s - 1, sent_index=n_cap, total_bits=cb.total_message_bits)
+        assert cv.rac_decode(cb, msg, 1, 0) in (0, 1)

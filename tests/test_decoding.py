@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from qraclab.bits import bit_at, hamming_distance
+from qraclab.bits import bit_at
 from qraclab.decoding import (
     HammingReport,
     expected_hamming_exact,
     identification_bound_check,
-    markov_tail,
-    sample_decode,
 )
-from qraclab.errors import DomainError, LabelMismatchError, ValidationError
+from qraclab.errors import LabelMismatchError, ValidationError
 from qraclab.linalg import Povm
 from qraclab.pgm import build_pgm
 from qraclab.qrac import (
@@ -92,63 +90,6 @@ class TestExpectedHamming:
             expected_hamming_exact(q, e, povm)
 
 
-class TestSampleDecode:
-    def test_identity_always_returns_x(self):
-        q = build_identity_encoding(2)
-        e = Ensemble.uniform(q)
-        pg = build_pgm(e, full_table=True)
-        for x in range(4):
-            draws = sample_decode(q, x, pg, seed=3, size=50)
-            assert (draws == x).all()
-
-    def test_single_outcome_povm_is_constant(self, standard):
-        q, _, _ = standard
-        povm = Povm((np.eye(2),), outcomes=(0,))
-        assert sample_decode(q, 2, povm, seed=0) == 0
-
-    def test_deterministic_in_seed(self, standard):
-        q, _, pg = standard
-        a = sample_decode(q, 1, pg, seed=9, size=100)
-        b = sample_decode(q, 1, pg, seed=9, size=100)
-        np.testing.assert_array_equal(a, b)
-        c = sample_decode(q, 1, pg, seed=10, size=100)
-        assert (a != c).any()
-
-    def test_replicates_are_independent_streams(self, standard):
-        q, _, pg = standard
-        a = sample_decode(q, 1, pg, seed=9, size=100, replicate=0)
-        b = sample_decode(q, 1, pg, seed=9, size=100, replicate=1)
-        assert (a != b).any()
-
-    def test_empirical_matches_exact(self, standard):
-        # exact distribution first, then Monte Carlo within 4 sigma per cell
-        q, _, pg = standard
-        x = 0b01
-        exact = pg.full.probabilities(q.encoder[x].mat)
-        runs = 40000
-        draws = sample_decode(q, x, pg, seed=123, size=runs)
-        counts = np.bincount(draws, minlength=4) / runs
-        for y in range(4):
-            sigma = np.sqrt(max(exact[y] * (1 - exact[y]), 0.0) / runs)
-            assert abs(counts[y] - exact[y]) <= 4 * sigma + 1e-12
-
-    def test_empirical_hamming_tracks_exact_report(self, standard):
-        q, e, pg = standard
-        report = expected_hamming_exact(q, e, pg)
-        runs = 20000
-        total = 0
-        for x in range(4):
-            draws = sample_decode(q, x, pg, seed=77, size=runs // 4)
-            total += sum(hamming_distance(x, int(y)) for y in draws)
-        empirical = total / runs
-        assert abs(empirical - report.expected_dh) < 0.02
-
-    def test_rejects_out_of_range_x(self, standard):
-        q, _, pg = standard
-        with pytest.raises(ValidationError):
-            sample_decode(q, 4, pg, seed=0)
-
-
 class TestIdentificationBound:
     def test_standard_attains_two(self, standard):
         q, _, pg = standard
@@ -185,25 +126,6 @@ class TestIdentificationBound:
         elems = tuple(inv_sqrt @ p @ inv_sqrt for p in parts)
         povm = Povm(elems, outcomes=(0, 1, 2, 3))
         assert identification_bound_check(q, povm).ok
-
-
-class TestMarkovTail:
-    def test_basic_value(self, standard):
-        q, e, pg = standard
-        report = expected_hamming_exact(q, e, pg)
-        assert markov_tail(report, 4.0) == 0.25
-
-    def test_zero_distance_gives_zero_tail(self):
-        q = build_identity_encoding(2)
-        e = Ensemble.uniform(q)
-        report = expected_hamming_exact(q, e, build_pgm(e))
-        assert markov_tail(report, 2.0) == 0.0
-
-    def test_rejects_c_at_most_one(self, standard):
-        q, e, pg = standard
-        report = expected_hamming_exact(q, e, pg)
-        with pytest.raises(DomainError):
-            markov_tail(report, 1.0)
 
 
 class TestReportSerialization:

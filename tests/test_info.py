@@ -7,28 +7,14 @@ import pytest
 from qraclab.errors import BadSplitError, DomainError, ValidationError
 from qraclab.info import (
     ClassicalChannel,
-    CqState,
     MaxCapacityResult,
     binary_entropy,
-    channel_from_json_dict,
-    channel_mutual_information,
-    cq_operator_dominance_check,
     distance_conditioning_check,
     max_channel_capacity,
     max_channel_capacity_lp,
     max_relative_entropy,
-    postprocessing_monotonicity_check,
     qubit_lower_bound,
-    shannon_entropy,
-    von_neumann_entropy,
 )
-from qraclab.linalg import DensityMatrix
-
-
-def random_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / rho.trace())
 
 
 def random_channel(rng, n_in=None, n_out=None):
@@ -42,23 +28,6 @@ def random_channel(rng, n_in=None, n_out=None):
         table /= table.sum(axis=1, keepdims=True)
     return ClassicalChannel(table)
 
-
-class TestEntropies:
-    def test_pure_state_zero(self):
-        assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
-
-    def test_maximally_mixed(self):
-        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0)
-        assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0)
-
-    def test_quarter_three_quarter(self):
-        assert von_neumann_entropy(np.diag([0.25, 0.75])) == pytest.approx(
-            0.8112781244591328, abs=1e-12
-        )
-
-    def test_shannon_matches_diagonal(self):
-        p = np.array([0.1, 0.2, 0.3, 0.4])
-        assert shannon_entropy(p) == pytest.approx(von_neumann_entropy(np.diag(p)), abs=1e-12)
 
 class TestBinaryEntropy:
     def test_endpoints(self):
@@ -119,30 +88,14 @@ class TestChannel:
         with pytest.raises(ValidationError):
             ClassicalChannel(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
-    def test_compose(self):
-        flip = ClassicalChannel(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        noisy = ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        composed = noisy.compose(flip)
-        np.testing.assert_allclose(composed.table, [[0.1, 0.9], [0.8, 0.2]])
-
     def test_csv_and_json_round_trip(self, tmp_path):
         ch = ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        again = channel_from_json_dict(json.loads(json.dumps(ch.to_json_dict())))
-        np.testing.assert_array_equal(again.table, ch.table)
+        again = json.loads(json.dumps(ch.to_json_dict()))
+        np.testing.assert_array_equal(np.array(again["table"]), ch.table)
         text = ch.to_csv(tmp_path / "ch.csv")
         lines = text.strip().split("\r\n")
         assert lines[0] == "x,y0,y1"
         assert [float(v) for v in lines[1].split(",")[1:]] == [0.9, 0.1]
-
-    def test_mutual_information_of_identity(self):
-        ch = ClassicalChannel.identity(4)
-        assert channel_mutual_information(ch, np.full(4, 0.25)) == pytest.approx(2.0)
-
-    def test_mutual_information_of_constant(self):
-        ch = ClassicalChannel.constant(3, [0.2, 0.8])
-        assert channel_mutual_information(ch, np.array([0.5, 0.3, 0.2])) == pytest.approx(
-            0.0, abs=1e-12
-        )
 
 
 class TestMaxCapacity:
@@ -152,7 +105,7 @@ class TestMaxCapacity:
         np.testing.assert_allclose(res.sigma, np.full(4, 0.25))
 
     def test_constant_channel_zero(self):
-        res = max_channel_capacity(ClassicalChannel.constant(5, [0.3, 0.7]))
+        res = max_channel_capacity(ClassicalChannel(np.tile([0.3, 0.7], (5, 1))))
         assert res.value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(res.sigma, [0.3, 0.7])
 
@@ -188,28 +141,19 @@ class TestMaxCapacity:
         for _ in range(15):
             ch = random_channel(rng, 5, 6)
             post = random_channel(rng, 6, 3)
-            assert postprocessing_monotonicity_check(ch, post)
+            before = max_channel_capacity(ch).value
+            after = max_channel_capacity(ClassicalChannel(ch.table @ post.table)).value
+            # post-processing never raises the capacity, which never exceeds
+            # the log of the intermediate alphabet size
+            assert after <= before + 1e-9
+            assert before <= math.log2(ch.out_size) + 1e-9
 
     def test_constant_postprocessing_kills_capacity(self):
         ch = ClassicalChannel(np.array([[0.9, 0.1], [0.2, 0.8]]))
-        post = ClassicalChannel.constant(2, [0.5, 0.5])
-        assert max_channel_capacity(ch.compose(post)).value == pytest.approx(0.0, abs=1e-12)
-        assert postprocessing_monotonicity_check(ch, post)
+        post = np.full((2, 2), 0.5)
+        composed = ClassicalChannel(ch.table @ post)
+        assert max_channel_capacity(composed).value == pytest.approx(0.0, abs=1e-12)
 
-class TestCqState:
-    def test_joint_is_valid_density_matrix(self):
-        rng = np.random.default_rng(8)
-        cq = CqState(np.array([0.25, 0.75]), (random_density(rng, 2), random_density(rng, 2)))
-        joint = cq.joint()
-        assert joint.dim == 4
-        assert joint.mat.trace().real == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_operator_dominance(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 5))
-        cq = CqState(rng.dirichlet(np.ones(k)), tuple(random_density(rng, 3) for _ in range(k)))
-        assert cq_operator_dominance_check(cq)
 
 class TestQubitLowerBound:
     def test_frozen_example_p85(self):

@@ -10,7 +10,7 @@ import pytest
 
 from qraclab.compression import index_bits_cap
 from qraclab.conversion import message_bits_budget
-from qraclab.decoding import expected_hamming_exact, identification_bound_check, sample_decode
+from qraclab.decoding import expected_hamming_exact, identification_bound_check
 from qraclab.errors import LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
 from qraclab.linalg import GramPovm, Povm, gram_dense, trace_table
@@ -157,9 +157,8 @@ def test_out_of_range_labels_rejected(evaluate):
     [
         lambda q, m: marginal_f0s(m, q.n),
         identification_bound_check,
-        lambda q, m: sample_decode(q, 0, m, seed=0),
     ],
-    ids=["marginal_f0s", "identification_bound_check", "sample_decode"],
+    ids=["marginal_f0s", "identification_bound_check"],
 )
 def test_label_outside_the_strings_rejected_by_every_caller(caller, bad):
     q = build_standard_2to1()

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -30,9 +29,6 @@ from qraclab.linalg import (
     eig_hermitian,
     gram_sums,
     is_hermitian,
-    partial_trace,
-    tensor,
-    trace_distance,
     trace_norm,
     trace_table,
 )
@@ -41,8 +37,6 @@ from qraclab.qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
-    qrac_from_json_dict,
-    qrac_to_json_dict,
 )
 from qraclab.rng import stream
 
@@ -140,6 +134,11 @@ class TestSqrtPinv:
         assert abs(got[1, 1]) < 1e-6  # small direction excluded, not inverted
 
 
+def distance(a, b):
+    """Trace distance, the half trace norm that helstrom_pmax reads."""
+    return 0.5 * trace_norm(a - b)
+
+
 class TestTraceNormAndDistance:
     def test_zero(self):
         assert trace_norm(np.zeros((3, 3))) == 0.0
@@ -155,29 +154,29 @@ class TestTraceNormAndDistance:
         # difference is 2*cos*sin times Pauli-X, eigenvalues +-sin(pi/4)
         diff = angle_state(C, S) - angle_state(C, -S)
         assert trace_norm(diff) == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert trace_distance(angle_state(C, S), angle_state(C, -S)) == pytest.approx(
+        assert distance(angle_state(C, S), angle_state(C, -S)) == pytest.approx(
             np.sqrt(2) / 2, abs=1e-12
         )
 
     def test_orthogonal_pure_states(self):
-        assert trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
+        assert distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
 
     def test_identical_states(self):
         rho = np.eye(4) / 4
-        assert trace_distance(rho, rho) == 0.0
+        assert distance(rho, rho) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            trace_distance(np.eye(2) / 2, np.eye(4) / 4)
+            trace_norm(np.ones((2, 4)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_metric_properties(self, seed):
         rng = np.random.default_rng(100 + seed)
         a, b, c = (random_density(rng, 4) for _ in range(3))
-        dab = trace_distance(a, b)
+        dab = distance(a, b)
         assert 0.0 <= dab <= 1.0 + 1e-12
-        assert dab == pytest.approx(trace_distance(b, a), abs=1e-12)
-        assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
+        assert dab == pytest.approx(distance(b, a), abs=1e-12)
+        assert dab <= distance(a, c) + distance(c, b) + 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_max_projector_characterization(self, seed):
@@ -189,41 +188,7 @@ class TestTraceNormAndDistance:
         pos = vecs[:, vals > 0]
         proj = pos @ pos.conj().T
         achieved = np.einsum("ij,ji->", proj, a - b).real
-        assert trace_distance(a, b) == pytest.approx(achieved, abs=1e-10)
-
-
-class TestTensor:
-    def test_identities(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), np.diag([3.0, 4.0, 6.0, 8.0])
-        )
-
-    def test_basis_states_order(self):
-        # first factor is the most significant register: |0><0| (x) |1><1| = |01><01|
-        got = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(got, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(7)
-        a, b = random_density(rng, 2), random_density(rng, 3)
-        assert tensor(a, b).trace() == pytest.approx(a.trace() * b.trace())
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(3)
-        a, b = random_density(rng, 2), random_density(rng, 3)
-        joint = tensor(a, b)
-        np.testing.assert_allclose(partial_trace(joint, (2, 3), (0,)), a, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(joint, (2, 3), (1,)), b, atol=1e-12)
-
-    def test_bell_state_marginal(self):
-        v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        bell = np.outer(v, v.conj())
-        np.testing.assert_allclose(partial_trace(bell, (2, 2), (1,)), np.eye(2) / 2, atol=1e-12)
+        assert distance(a, b) == pytest.approx(achieved, abs=1e-10)
 
 
 class TestDensityMatrix:
@@ -552,11 +517,11 @@ class TestGramContainers:
             states.factors @ states.factors.conj().swapaxes(1, 2), stack, rtol=0, atol=1e-14
         )
 
-    def test_pure_code_read_from_json_is_vectors(self):
+    def test_pure_code_read_as_matrices_is_vectors(self):
         q = build_random_qrac(6, 3, 0)
-        back = qrac_from_json_dict(json.loads(json.dumps(qrac_to_json_dict(q))))
-        assert back.encoder.factors.shape == (64, 8, 1)
-        np.testing.assert_allclose(back.encoder.dense(), q.encoder.dense(), rtol=0, atol=1e-15)
+        back = DensityMatrix.stack(q.encoder.dense())
+        assert back.factors.shape == (64, 8, 1)
+        np.testing.assert_allclose(back.dense(), q.encoder.dense(), rtol=0, atol=1e-15)
 
 
 def valid_povm(seed, k=4, dim=3):

@@ -17,11 +17,10 @@ from qraclab.decoding import identification_bound_check
 from qraclab.pgm import (
     PgmBundle,
     build_pgm,
-    check_pgm_lower_bound,
-    helstrom_measurement,
     helstrom_pmax,
     marginal_f0s,
     per_bit_success,
+    pgm_lower_bound,
     success_prob_full,
 )
 from qraclab.qrac import (
@@ -215,10 +214,11 @@ class TestHelstrom:
         e = two_state_ensemble(seed, dim=4)
         p0, p1 = e.prior
         rho0, rho1 = e.states[0].mat, e.states[1].mat
-        povm = helstrom_measurement(p0, rho0, p1, rho1)
+        # outcome 0 projects onto the positive eigenspace of p0 rho0 - p1 rho1
+        proj = linalg.positive_projectors((p0 * rho0 - p1 * rho1)[None])[0]
         achieved = (
-            p0 * np.einsum("ij,ji->", povm.elements[0], rho0).real
-            + p1 * np.einsum("ij,ji->", povm.elements[1], rho1).real
+            p0 * np.einsum("ij,ji->", proj, rho0).real
+            + p1 * np.einsum("ij,ji->", np.eye(len(proj)) - proj, rho1).real
         )
         assert achieved == pytest.approx(helstrom_pmax(p0, rho0, p1, rho1), abs=1e-10)
 
@@ -243,9 +243,8 @@ class TestHelstrom:
 
     @pytest.mark.parametrize("n, m, seed", [(3, 1, 0), (4, 2, 1), (5, 4, 2)])
     def test_random_code_decoders_match_a_per_bit_loop(self, n, m, seed):
-        """A random code's projectors, from one batched ``eigh``, and
-        ``helstrom_measurement`` equal a per-bit ``eig_hermitian`` loop bit
-        for bit, on the differences (Z_i - T/2) 2^(1-n) = (rho_0 - rho_1) / 2
+        """A random code's projectors, from one batched ``eigh``, equal a
+        per-bit ``eig_hermitian`` loop bit for bit, on the differences (Z_i - T/2) 2^(1-n) = (rho_0 - rho_1) / 2
         of the bit's zero-sum Z_i and the total T from ``bit_sums``."""
         q = build_random_qrac(n, m, seed)
         zeros, total = bit_sums(q.encoder.factors)
@@ -254,17 +253,12 @@ class TestHelstrom:
             vals, vecs = eig_hermitian(delta)
             pos = vecs[:, vals > 0]
             np.testing.assert_array_equal(q.decoders.f0s[i], pos @ pos.conj().T)
-            # priors (1, 0) make helstrom_measurement's difference delta exactly
-            povm = helstrom_measurement(1.0, delta, 0.0, total)
-            np.testing.assert_array_equal(povm.elements[0], q.decoders.f0s[i])
 
 
 class TestLowerBound:
     def test_worked_false_case(self):
-        assert not check_pgm_lower_bound(0.81, 0.9, 2)
-
-    def test_worked_true_case(self):
-        assert check_pgm_lower_bound(0.9, 0.9, 16)
+        assert pgm_lower_bound(0.9) == pytest.approx(0.82, abs=1e-15)
+        assert 0.81 < pgm_lower_bound(0.9)
 
     def test_standard_bit_ensemble_attains_equality(self):
         # p_max = cos^2(pi/8) gives p_max^2 + (1-p_max)^2 = 3/4 exactly
@@ -273,8 +267,7 @@ class TestLowerBound:
         pg = build_pgm(e, full_table=True)
         p_pgm = success_prob_full(e, pg)
         assert p_pgm == pytest.approx(0.75, abs=1e-12)
-        assert p_pgm == pytest.approx(P_STANDARD**2 + (1 - P_STANDARD) ** 2, abs=1e-12)
-        assert check_pgm_lower_bound(p_pgm, P_STANDARD, 2)
+        assert p_pgm == pytest.approx(pgm_lower_bound(P_STANDARD), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_two_state_bound_holds(self, seed):
@@ -283,12 +276,8 @@ class TestLowerBound:
         pg = build_pgm(e, full_table=True)
         p_pgm = success_prob_full(e, pg)
         p_max = helstrom_pmax(e.prior[0], e.states[0].mat, e.prior[1], e.states[1].mat)
-        assert p_pgm >= p_max**2 + (1 - p_max) ** 2 - 1e-8
+        assert p_pgm >= pgm_lower_bound(p_max) - 1e-8
         assert p_pgm <= p_max + 1e-9  # square-root measurement never beats optimal
-
-    def test_rejects_single_outcome(self):
-        with pytest.raises(DomainError):
-            check_pgm_lower_bound(1.0, 1.0, 1)
 
 
 def test_bundle_is_dataclass_with_marginals():

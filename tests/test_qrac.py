@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,10 +6,8 @@ from qraclab.bits import (
     bit_at,
     bit_column,
     bit_columns,
-    bits_to_int,
     format_bits,
-    hamming_distance,
-    int_to_bits,
+    hamming_table,
 )
 from qraclab.errors import SizeCapError, ValidationError
 from qraclab.linalg import BitPovms, DensityMatrix, Povm
@@ -24,8 +20,6 @@ from qraclab.qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
-    qrac_from_json_dict,
-    qrac_to_json_dict,
     success_table,
     validate_qrac,
 )
@@ -40,10 +34,6 @@ class TestBits:
         assert bit_at(0b100, 1, 3) == 1
         assert bit_at(0b100, 2, 3) == 0
         assert bit_at(0b100, 3, 3) == 0
-
-    def test_round_trip(self):
-        for x in range(16):
-            assert bits_to_int(int_to_bits(x, 4)) == x
 
     def test_format(self):
         assert format_bits(6, 4) == "0110"
@@ -60,8 +50,9 @@ class TestBits:
             cols[0, 0] = 1
 
     def test_hamming(self):
-        assert hamming_distance(0b1010, 0b0110) == 2
-        assert hamming_distance(5, 5) == 0
+        table = hamming_table(4)
+        assert table[0b1010, 0b0110] == 2
+        assert table[5, 5] == 0
 
 
 class TestStandardCode:
@@ -266,30 +257,6 @@ class TestEnsemble:
             Ensemble(np.full(3, 1 / 3), states)
 
 
-class TestSerialization:
-    def test_round_trip_bit_faithful(self):
-        q = build_random_qrac(2, 2, seed=42)
-        text = json.dumps(qrac_to_json_dict(q))
-        q2 = qrac_from_json_dict(json.loads(text))
-        assert (q2.n, q2.m) == (q.n, q.m)
-        assert q2.claimed_p == q.claimed_p  # exact, not approximate
-        for x in range(4):
-            np.testing.assert_array_equal(q2.encoder[x].mat, q.encoder[x].mat)
-        for i in range(q.n):
-            for b in range(2):
-                np.testing.assert_array_equal(
-                    q2.decoders[i].elements[b], q.decoders[i].elements[b]
-                )
-
-    def test_schema_fields(self):
-        d = qrac_to_json_dict(build_standard_2to1())
-        assert d["schema_version"] == 1
-        assert d["n"] == 2 and d["m"] == 1
-        assert len(d["encoder"]) == 4 and len(d["decoders"]) == 2
-        # entries are [re, im] pairs
-        assert d["encoder"][0][0][0] == [pytest.approx(C * C), 0.0]
-
-
 def _codes():
     std = build_standard_2to1()
     return {
@@ -323,16 +290,12 @@ class TestDecoderStack:
         with pytest.raises(ValidationError, match="decoder dimension differs"):
             Qrac(2, 1, q.encoder, wide, claimed_p=0.0)
 
-    @pytest.mark.parametrize("name", ["std", "std-tensor-2", "identity-3", "haar-4-2"])
-    def test_json_round_trip_keeps_f0_bit_for_bit(self, name):
-        q = _codes()[name]
-        back = qrac_from_json_dict(json.loads(json.dumps(qrac_to_json_dict(q))))
-        assert isinstance(back.decoders, BitPovms)
-        np.testing.assert_array_equal(back.decoders.f0s, q.decoders.f0s)
-        assert back.claimed_p == q.claimed_p
-
-    def test_json_decoders_off_identity_rejected(self):
-        data = qrac_to_json_dict(build_standard_2to1())
-        data["decoders"][1][1] = data["decoders"][1][0]  # |+><+| twice
+    def test_decoders_off_identity_rejected(self):
+        # a decoder reaches a code as a Povm or as a BitPovms row, and each
+        # rejects elements that do not sum to the identity
+        q = build_standard_2to1()
+        plus = q.decoders.f0s[1]
         with pytest.raises(ValidationError, match="sum to identity"):
-            qrac_from_json_dict(data)
+            Qrac(2, 1, q.encoder, (q.decoders[0], Povm((plus, plus), outcomes=(0, 1))))
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            Qrac(2, 1, q.encoder, BitPovms(np.stack([q.decoders.f0s[0], 2 * plus])))
