@@ -124,21 +124,20 @@ def positive_projectors(a) -> np.ndarray:
     return np.stack([v @ v.conj().T for v in kept])
 
 
-def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse square root on the support of ``a`` plus the support projector.
-    ``a`` must be exactly Hermitian, as a hermitized matrix is: the ``eigh``
-    runs unchecked, its order reversed as :func:`eig_hermitian` reverses it."""
+def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Inverse square root on the support of ``a``, the eigenvectors off the
+    support as the columns of a (d, l) matrix, so that the projector off the
+    support is their Gram product, and the condition number of ``a`` on its
+    support (1 if it has none).  ``a`` must be exactly Hermitian, as a
+    hermitized matrix is: the ``eigh`` runs unchecked, its order reversed as
+    :func:`eig_hermitian` reverses it."""
     vals, vecs = np.linalg.eigh(a)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    top = vals[0]
-    if top <= 0.0:
-        dim = a.shape[0]
-        return np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
-    keep = vals >= cutoff * top
+    keep = vals >= cutoff * vals[0] if vals[0] > 0.0 else np.zeros(len(vals), dtype=bool)
     kept_vecs = vecs[:, keep]
     inv_sqrt = (kept_vecs * (vals[keep] ** -0.5)) @ kept_vecs.conj().T
-    proj = kept_vecs @ kept_vecs.conj().T
-    return inv_sqrt, proj
+    condition = float(vals[0] / vals[keep][-1]) if keep.any() else 1.0
+    return inv_sqrt, vecs[:, ~keep], condition
 
 
 def trace_norm(a) -> float:
@@ -450,12 +449,21 @@ def _check_identity_sum(total: np.ndarray, tol: float) -> None:
         raise ValidationError(f"elements sum to identity only within {deviation:.3e} > {tol}")
 
 
-def _check_extra_and_sum(extra: np.ndarray, total: np.ndarray) -> None:
-    """A GramPovm's checks: ``extra`` PSD within ``TOL_PSD``, and the factor
-    total ``total`` plus ``extra`` the identity within ``TOL_POVM``."""
-    if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
-        raise ValidationError("measurement element has a negative eigenvalue")
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2, which is exactly Hermitian: the sum is formed once, in
+    a new array, and halved in place."""
+    out = a + a.conj().swapaxes(-2, -1)
+    out *= 0.5
+    return out
+
+
+def _leftover_extra(leftover: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian C C^dag of a (d, l) factor C = ``leftover``, PSD
+    by construction, once the identity sum of ``total`` plus it is checked
+    within ``TOL_POVM``."""
+    extra = _hermitize(leftover @ leftover.conj().T)
     _check_identity_sum(total + extra, TOL_POVM)
+    return extra
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -570,10 +578,12 @@ class GramPovm:
     PSD matrix ``extra`` on the first element.
 
     Each B_k B_k^dag is PSD by construction, so validation is the PSD check
-    of ``extra`` and the identity sum, one (d, k s)(k s, d) product;
-    :meth:`_from_total` runs the same two checks on a total the caller has
-    already summed.  The outcome labels are 0..k-1.  ``element_stack`` is
-    formed when read, and each of ``elements`` when indexed; neither is kept.
+    of ``extra`` and the identity sum, one (d, k s)(k s, d) product.
+    :meth:`_from_total` takes ``extra`` as the Gram product of a factor,
+    PSD by construction too, and checks the identity sum on a total the
+    caller has already summed.  The outcome labels are 0..k-1.
+    ``element_stack`` is formed when read, and each of ``elements`` when
+    indexed; neither is kept.
     """
 
     factors: np.ndarray
@@ -590,20 +600,21 @@ class GramPovm:
             raise DimensionMismatchError("measurement elements differ in dimension")
         if not is_hermitian(extra):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
-        _check_extra_and_sum(extra, gram_sums(factors, np.ones((1, len(factors))))[0])
+        if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
+            raise ValidationError("measurement element has a negative eigenvalue")
+        _check_identity_sum(extra + gram_sums(factors, np.ones((1, len(factors))))[0], TOL_POVM)
         object.__setattr__(self, "factors", _frozen(factors))
         object.__setattr__(self, "extra", _frozen(extra))
 
     @classmethod
-    def _from_total(cls, factors: np.ndarray, extra: np.ndarray, total: np.ndarray) -> "GramPovm":
+    def _from_total(cls, factors: np.ndarray, leftover: np.ndarray, total: np.ndarray) -> "GramPovm":
         """The measurement of a complex (k, d, s) stack ``factors`` whose sum
-        sum_k B_k B_k^dag the caller holds as ``total``, with an exactly
-        Hermitian (d, d) ``extra``: the PSD check of ``extra`` and the identity
-        sum run on them, and raise as the public constructor would."""
-        _check_extra_and_sum(extra, total)
+        sum_k B_k B_k^dag the caller holds as ``total``, with ``extra`` the
+        Gram product C C^dag of the (d, l) factor ``leftover``: the identity
+        sum is checked, and raises as the public constructor would."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "factors", _frozen(factors))
-        object.__setattr__(povm, "extra", _frozen(extra))
+        object.__setattr__(povm, "extra", _frozen(_leftover_extra(leftover, total)))
         return povm
 
     @property

@@ -9,38 +9,43 @@ directly by evaluating all 2^n inputs.
 
 A bit's error on input x is affine in that bit's outcome-0 operator, so
 the average's value on every input is the running mean of the iterates'
-per-input values: one per-bit table per iteration.  The iterates stay
-factored, and the average is formed once, when the solver returns: element
-y of the mean of t iterates is C_y C_y^dag / t, with C_y their factors for
-y side by side, plus the mean leftover on the first element.
+per-input values: one per-bit table per iteration, from the iterate's
+marginals alone.  The solver keeps the priors, the only input to each
+iterate, and no measurement: the averaged measurement is rebuilt from
+them, iterate by iterate, when :attr:`GameSolution.measurement` is first
+read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bits import format_bits
 from .errors import DomainError, NotConvergedError, SizeCapError
-from .linalg import SUPPORT_CUTOFF, GramPovm, Povm, argmax_first, gram_dense
+from .linalg import SUPPORT_CUTOFF, GramPovm, GramStates, Povm, argmax_first, gram_dense
 from .pgm import PgmBundle, _pgm_raw, marginal_f0s
 from .qrac import Qrac, bit_error_table, hamming_budget
-from .serialize import matrix_to_reim
 
 SOLVER_MAX_N = 8
 SOLVER_MAX_M = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSolution:
-    """Outcome of the worst-case decoding game."""
+    """Outcome of the worst-case decoding game.
+
+    ``priors`` holds the adversary's prior at each of the ``iterations``
+    iterates the certificate averages; with ``states`` and
+    ``support_cutoff`` they determine the averaged measurement.  Equality
+    is identity, as it was while the solution held its measurement.
+    """
 
     n: int
     eps: float
     bound: float
-    measurement: Povm
     per_x: np.ndarray
     worst_x: int
     worst_x_value: float
@@ -49,33 +54,26 @@ class GameSolution:
     iterations: int
     converged: bool
     prior_trace: tuple[int, ...] = field(repr=False)
+    priors: np.ndarray = field(repr=False)
+    states: GramStates = field(repr=False)
+    support_cutoff: float = field(repr=False)
 
     @property
     def certified(self) -> bool:
         return self.worst_x_value <= self.bound + self.eps * self.n
 
-    def to_json_dict(self, *, include_measurement: bool = False) -> dict:
-        out = {
-            "n": self.n,
-            "eps": self.eps,
-            "bound": self.bound,
-            "per_x": {
-                format_bits(x, self.n): float(v) for x, v in enumerate(self.per_x)
-            },
-            "worst_x": format_bits(self.worst_x, self.n),
-            "worst_x_value": self.worst_x_value,
-            "avg_value_at_final_prior": self.avg_value_at_final_prior,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "certified": self.certified,
-        }
-        if include_measurement:
-            out["measurement"] = {
-                "outcomes": list(self.measurement.outcomes),
-                "elements": [matrix_to_reim(e) for e in self.measurement.elements],
-            }
-        return out
+    @cached_property
+    def measurement(self) -> Povm:
+        """The averaged measurement, the mean of the square-root measurements
+        at ``priors``, as a dense Povm over the 2^n strings.  Formed on first
+        read, one iterate's elements added at a time, and kept."""
+        mean = np.zeros((2**self.n, self.states.dim, self.states.dim), dtype=complex)
+        for prior in self.priors:
+            _, full = _pgm_raw(prior, self.states, self.support_cutoff, full_table=True)
+            mean += gram_dense(full.factors)
+            mean[0] += full.extra
+        mean /= len(self.priors)
+        return Povm(mean, outcomes=tuple(range(2**self.n)))
 
 
 def evaluate_worstcase(
@@ -112,8 +110,8 @@ def solve_worstcase(
     uniform initial weights, exact best responses.
 
     The worst case of the average is read from the running mean of the
-    iterates' per-input values; the averaged measurement is formed once,
-    for the returned iterate, from the factors of the iterates up to it.
+    iterates' per-input values; each iterate builds its marginals alone,
+    and the solution keeps the priors of the iterates it averages.
     """
     n = q.n
     if n > SOLVER_MAX_N:
@@ -128,20 +126,16 @@ def solve_worstcase(
 
     weights = np.ones(size)
     per_x = np.zeros(size)
-    factors: list[np.ndarray] = []  # each iterate's full-table factor stack
-    extra_sum = np.zeros((q.dim, q.dim), dtype=complex)
+    priors: list[np.ndarray] = []
     prior_trace: list[int] = []
     best_snapshot: dict | None = None
 
     def finish(snap: dict, converged: bool) -> GameSolution:
         t = snap["t"]
-        elements = gram_dense(np.concatenate(factors[:t], axis=2)) / t
-        elements[0] += snap["extra_sum"] / t
         return GameSolution(
             n=n,
             eps=eps,
             bound=bound,
-            measurement=Povm(elements, outcomes=tuple(range(size))),
             per_x=snap["per_x"],
             worst_x=snap["worst_x"],
             worst_x_value=snap["worst"],
@@ -150,15 +144,17 @@ def solve_worstcase(
             iterations=t,
             converged=converged,
             prior_trace=tuple(prior_trace[:t]),
+            priors=np.array(priors[:t]),
+            states=q.encoder,
+            support_cutoff=support_cutoff,
         )
 
     for t in range(1, max_iters + 1):
         prior = weights / weights.sum()
-        f0s, full = _pgm_raw(prior, q.encoder, n, support_cutoff)
+        priors.append(prior)
+        f0s, _ = _pgm_raw(prior, q.encoder, support_cutoff)
         d_t = bit_error_table(f0s, q.encoder).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
-        factors.append(full.factors)
-        extra_sum += full.extra
 
         # a bit's error is affine in its F0, so the average's per-input value
         # is the mean of the iterates' values
@@ -179,10 +175,8 @@ def solve_worstcase(
             "gap": gap,
         }
         if worst <= bound + eps * n and gap <= gap_tol * n:
-            snap["extra_sum"] = extra_sum
             return finish(snap, converged=True)
         if best_snapshot is None or worst < best_snapshot["worst"]:
-            snap["extra_sum"] = extra_sum.copy()
             best_snapshot = snap
 
         weights = weights * np.exp(lr * d_t / n)

@@ -8,21 +8,24 @@ elements always form a complete measurement.  A renormalizer R, the
 inverse square root of the computed family total, makes the sum exactly
 the identity up to rounding: the stored element is R Q_y R.
 
-One factor stack gives the per-bit marginals and the full table alike
-(Hausladen, Jozsa, Schumacher, Westmoreland and Wootters, PRA 1996): with
-rho_y = A_y A_y^dag, element y is B_y B_y^dag with B_y = sqrt(P_y) R S A_y,
-and R L R sits on outcome 0, so a build factors two d x d matrices, rho and
-the family total, whatever n.  The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y,
-the default evaluation path, come from one
-:func:`~qraclab.linalg.bit_sums` call, which forms the Gram sums of the
-blocks of strings sharing their high half and of those sharing their low
-half, two products of the stack whatever n, and adds up each bit's blocks;
-they are held as a :class:`~qraclab.linalg.BitPovms`.  The same call
-returns the total sum_y B_y B_y^dag, and the family is checked by one
-identity sum read off that total, with R L R checked PSD.  For a
-pure code A_y is the state vector, the 2^n elements cost one (d, d)(d, 2^n)
-product, and the outcome table T[x, y] = Tr(rho_x Q_y) is one
-(2^n r, d)(d, 2^n r) product (:meth:`~qraclab.linalg.GramPovm.table`).
+The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, the default evaluation
+path, are sandwiches of sums the build forms once (Hausladen, Jozsa,
+Schumacher, Westmoreland and Wootters, PRA 1996).  With rho_y = A_y A_y^dag,
+one :func:`~qraclab.linalg.bit_sums` call on the weighted factors
+sqrt(P_y) A_y gives every bit's prior-weighted zero-sum Z_i and the average
+rho, two products of the stack whatever n.  One ``eigh`` of rho gives S and
+the eigenvectors V_L off its support, so L = V_L V_L^dag, and a second
+gives R; F0^{(i)} is R S Z_i S R + C C^dag with C = R V_L, held as a
+:class:`~qraclab.linalg.BitPovms`.  The family is checked by one identity
+sum, R S rho S R + C C^dag, and C C^dag is PSD by construction.  Where rho
+is ill-conditioned on its support, the dense sandwich would amplify the
+rounding of Z_i, so the weighted factors are whitened by S first and summed
+again.  On request the full table is a factored measurement: element y is
+B_y B_y^dag with B_y = sqrt(P_y) R S A_y, one product of the stack, and
+C C^dag sits on outcome 0.  For a pure code A_y is the state vector, the
+2^n elements cost one (d, d)(d, 2^n) product, and the outcome table
+T[x, y] = Tr(rho_x Q_y) is one (2^n r, d)(d, 2^n r) product
+(:meth:`~qraclab.linalg.GramPovm.table`).
 The full-string success and the identification sum read only its
 diagonal, one (r, d)(d, r) product per string
 (:meth:`~qraclab.linalg.GramPovm.diagonal`).
@@ -48,6 +51,8 @@ from .linalg import (
     GramPovm,
     GramStates,
     Povm,
+    _hermitize,
+    _leftover_extra,
     _sqrt_pinv_with_support,
     bit_sums,
     trace_norm,
@@ -56,14 +61,12 @@ from .qrac import Ensemble, bit_error_table
 
 FULL_TABLE_MAX_N = 12
 MARGINAL_MAX_N = 16
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    """(A + A^dag) / 2, which is exactly Hermitian: the sum is formed once, in
-    a new array, and halved in place."""
-    out = a + a.conj().swapaxes(-2, -1)
-    out *= 0.5
-    return out
+# Largest condition number of the average, on its support, at which its
+# dense sums are sandwiched by S.  The sandwich's rounding grows with it,
+# about 1e-17 per unit (3e-10 at 2e7); above it the weighted rows are
+# whitened by S and summed again, which keeps the rounding at that of the
+# rows.  Every solver iterate on the certify corpus stays below 32.
+SANDWICH_MAX_CONDITION = 1e3
 
 
 def _family_renormalizer(total: np.ndarray) -> np.ndarray:
@@ -90,29 +93,42 @@ class PgmBundle:
 
 
 def _pgm_raw(
-    prior: np.ndarray, states: GramStates, n: int, cutoff: float
-) -> tuple[np.ndarray, GramPovm]:
+    prior: np.ndarray, states: GramStates, cutoff: float, full_table: bool = False
+) -> tuple[np.ndarray, GramPovm | None]:
     """Square-root measurement: the per-bit outcome-0 marginal stack of shape
-    (n, dim, dim), and the full table as a GramPovm with factors R B_y
-    (2^n, dim, r) and R L R on outcome 0.  Every call checks that R L R is
-    PSD and that the family sums to the identity, the total read off the
-    same ``bit_sums`` call as the marginals.
+    (n, dim, dim), and, with ``full_table``, the full table as a GramPovm
+    with factors sqrt(P_y) R S A_y (2^n, dim, r) and C C^dag on outcome 0.
+
+    One ``bit_sums`` call on the sqrt(P)-weighted states gives each bit's
+    zero-sum Z_i and the average rho; the marginals are the sandwiches
+    R S Z_i S R plus C C^dag, with C = R V_L the renormalized eigenvectors
+    off rho's support.  Above ``SANDWICH_MAX_CONDITION`` the sums are taken
+    again over the whitened rows, and S is the identity from there on.
+    Every call checks that R S rho S R + C C^dag is the identity.
     """
     size, dim, rank = states.factors.shape
-    rho = states.sums(prior[None])[0]
-    isqrt, proj = _sqrt_pinv_with_support(_hermitize(rho), cutoff)
-    leftover = _hermitize(np.eye(dim) - proj)
-
-    # row y r + k is column k of B_y transposed: (S a)^T = a^T S^T
-    rows = states.factors.transpose(0, 2, 1).reshape(size * rank, dim) @ isqrt.T
-    rows *= np.repeat(np.sqrt(prior), rank)[:, None]
-    ren = _family_renormalizer(rows.T @ rows.conj() + leftover)
-    rows = rows @ ren.T  # frees the unrenormalized rows
-    factors = rows.reshape(size, rank, dim).transpose(0, 2, 1)
-    extra = _hermitize(ren @ leftover @ ren)
-
-    zeros, total = bit_sums(factors)
-    return _hermitize(zeros + extra), GramPovm._from_total(factors, extra, total)
+    # row y r + k is column k of sqrt(P_y) A_y transposed
+    rows = states.factors.transpose(0, 2, 1) * np.sqrt(prior)[:, None, None]
+    zeros, rho = bit_sums(rows.transpose(0, 2, 1))
+    isqrt, off_support, condition = _sqrt_pinv_with_support(_hermitize(rho), cutoff)
+    if condition > SANDWICH_MAX_CONDITION:
+        # whiten the rows, (S a)^T = a^T S^T, and sum them again: S Z_i S and
+        # S rho S as sums of Gram products, rounded as the rows are
+        rows = rows @ isqrt.T
+        zeros, rho = bit_sums(rows.transpose(0, 2, 1))
+        isqrt = np.eye(dim)
+    ren = _family_renormalizer(isqrt @ rho @ isqrt + off_support @ off_support.conj().T)
+    sandwich = ren @ isqrt
+    spill = ren @ off_support
+    total = sandwich @ rho @ sandwich.conj().T
+    if full_table:
+        # the factors' rows a^T (R S)^T in one product
+        rows = rows.reshape(size * rank, dim) @ sandwich.T
+        full = GramPovm._from_total(rows.reshape(size, rank, dim).transpose(0, 2, 1), spill, total)
+        extra = full.extra
+    else:
+        full, extra = None, _leftover_extra(spill, total)
+    return _hermitize(sandwich @ zeros @ sandwich.conj().T + extra), full
 
 
 def build_pgm(
@@ -128,8 +144,8 @@ def build_pgm(
         raise SizeCapError(f"full outcome table capped at n = {FULL_TABLE_MAX_N}, got {n}")
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
-    f0s, full = _pgm_raw(ensemble.prior, ensemble.states, n, support_cutoff)
-    return PgmBundle(n, BitPovms(f0s), full if full_table else None, support_cutoff)
+    f0s, full = _pgm_raw(ensemble.prior, ensemble.states, support_cutoff, full_table)
+    return PgmBundle(n, BitPovms(f0s), full, support_cutoff)
 
 
 def string_labels(measurement: Povm | GramPovm, n: int) -> np.ndarray:

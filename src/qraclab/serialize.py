@@ -1,7 +1,6 @@
 """Shared serialization helpers.
 
-Complex matrices are stored as nested arrays of [re, im] pairs.  JSON
-floats use Python's shortest round-trip repr, which is bit-faithful on
+JSON floats use Python's shortest round-trip repr, which is bit-faithful on
 reload; CSV cells are printed with 17 significant digits.
 """
 
@@ -14,11 +13,6 @@ import json
 import numpy as np
 
 SCHEMA_VERSION = 1
-
-
-def matrix_to_reim(mat: np.ndarray) -> list:
-    m = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def fmt17(x) -> str:

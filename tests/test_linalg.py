@@ -96,9 +96,11 @@ class TestEigHermitian:
 
 
 def sqrt_pinv(rho, cutoff=SUPPORT_CUTOFF):
-    """The PGM's inverse square root on the support and support projector of
-    ``rho``, hermitized as the PGM hands it over."""
-    return _sqrt_pinv_with_support(_hermitize(np.asarray(rho, dtype=complex)), cutoff)
+    """The PGM's inverse square root on the support of ``rho``, hermitized as
+    the PGM hands it over, and the support projector: the identity less the
+    Gram product of the eigenvectors off the support."""
+    isqrt, off, _ = _sqrt_pinv_with_support(_hermitize(np.asarray(rho, dtype=complex)), cutoff)
+    return isqrt, np.eye(len(isqrt)) - off @ off.conj().T
 
 
 class TestSqrtPinv:
@@ -487,24 +489,34 @@ class TestGramContainers:
 
     @pytest.mark.parametrize("case", ["valid", "sum", "psd"])
     def test_povm_from_total_checks_as_the_public_constructor(self, case):
-        """The private constructor, given the factor total, runs the public
-        constructor's PSD check of ``extra`` and its identity sum."""
-        vecs = np.eye(3, dtype=complex)[:, :, None]
-        extra = np.zeros((3, 3), dtype=complex)
-        if case == "sum":
-            vecs = vecs[:2]
-        elif case == "psd":
-            vecs = vecs * np.sqrt(1 + 2 * TOL_PSD)
-            extra = np.diag([-2 * TOL_PSD, 0.0, 0.0]).astype(complex)
+        """The private constructor, given the factor total and a factor C of
+        ``extra``, runs the public constructor's identity sum.  Its ``extra``
+        is C C^dag, PSD by construction, where the public constructor checks
+        the ``extra`` it is given for a negative eigenvalue."""
+        vecs = np.eye(3, dtype=complex)[1:, :, None]
+        leftover = np.eye(3, dtype=complex)[:, :1] if case != "sum" else np.zeros((3, 0))
         total = gram_sums(vecs, np.ones((1, len(vecs))))[0]
+        extra = leftover @ leftover.conj().T
         if case == "valid":
             np.testing.assert_array_equal(
-                GramPovm._from_total(vecs, extra, total).element_stack,
+                GramPovm._from_total(vecs, leftover, total).element_stack,
                 GramPovm(vecs, extra).element_stack,
             )
-        else:
+        elif case == "sum":
             expected = raised(lambda: GramPovm(vecs, extra))
-            assert raised(lambda: GramPovm._from_total(vecs, extra, total)) == expected
+            assert raised(lambda: GramPovm._from_total(vecs, leftover, total)) == expected
+        else:
+            rng = np.random.default_rng(3)
+            small = 1e-3 * (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+            made = GramPovm._from_total(vecs, small, np.eye(3) - small @ small.conj().T).extra
+            np.testing.assert_array_equal(made, made.conj().T)
+            assert np.linalg.eigvalsh(made).min() >= -TOL_PSD
+            scaled = np.eye(3, dtype=complex)[:, :, None] * np.sqrt(1 + 2 * TOL_PSD)
+            negative = np.diag([-2 * TOL_PSD, 0.0, 0.0])
+            assert raised(lambda: GramPovm(scaled, negative)) == (
+                ValidationError,
+                "measurement element has a negative eigenvalue",
+            )
 
     def test_matrix_input_keeps_numerical_rank(self):
         rng = np.random.default_rng(19)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qraclab.linalg as linalg
 import qraclab.minimax as mm
+from qraclab.cli import main
 from qraclab.corpus import DEFAULT_P_MIN
 from qraclab.errors import LabelMismatchError, NotConvergedError, SizeCapError
 from qraclab.linalg import GramPovm, Povm
@@ -154,16 +157,6 @@ class TestSolveWorstcase:
         with pytest.raises(SizeCapError):
             solve_worstcase(flat, eps=0.1)
 
-    def test_solution_json_dict(self):
-        sol = solve_worstcase(build_standard_2to1(), eps=0.01)
-        d = sol.to_json_dict()
-        assert d["worst_x"] in {"00", "01", "10", "11"}
-        assert d["converged"] is True
-        assert "measurement" not in d
-        assert set(d["per_x"]) == {"00", "01", "10", "11"}
-        d2 = sol.to_json_dict(include_measurement=True)
-        assert len(d2["measurement"]["elements"]) == 4
-
 
 @pytest.mark.parametrize(
     "code",
@@ -188,26 +181,21 @@ def test_each_iteration_factors_two_matrices(code, monkeypatch):
     assert sum(factored) == 2 * sol.iterations
 
 
-def test_no_iteration_densifies_the_full_table(monkeypatch):
-    """The iterates stay factored: the certificate is formed once, at the end,
-    by one ``gram_dense`` call over every iterate's factors."""
-    q = build_random_qrac(4, 3, seed=37)  # the first Haar (4, 3) code above the corpus floor
-    assert q.claimed_p > DEFAULT_P_MIN
-    dense_calls = []
-    original = mm.gram_dense
+def test_no_iteration_densifies_the_full_table(monkeypatch, capsys):
+    """No command reads the certificate's measurement: ``minimax`` and
+    ``suite --kind minimax`` run with every Gram densification refused."""
 
-    def refuse(self):
-        raise AssertionError("an iterate was densified")
+    def refuse(factors):
+        raise AssertionError("the certificate was densified")
 
-    def counted(factors):
-        dense_calls.append(factors.shape)
-        return original(factors)
-
-    monkeypatch.setattr(GramPovm, "element_stack", property(refuse))
-    monkeypatch.setattr(mm, "gram_dense", counted)
-    sol = solve_worstcase(q, eps=0.02)
-    assert sol.converged and sol.iterations > 1
-    assert dense_calls == [(16, q.dim, sol.iterations)]
+    monkeypatch.setattr(mm, "gram_dense", refuse)
+    monkeypatch.setattr(linalg, "gram_dense", refuse)
+    for argv in (
+        ["minimax", "--n", "4", "--m", "2", "--deterministic"],
+        ["suite", "--kind", "minimax", "--seeds", "3", "--deterministic"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_certify_corpus_is_pinned():
@@ -295,11 +283,11 @@ class TestEvaluateWorstcase:
 
 
 def test_solver_iterations_build_no_public_gram_povm(monkeypatch):
-    """Each iteration checks its square-root measurement from the sums it
-    already holds: no public ``GramPovm(...)`` validation, one ``eigvalsh``
-    (the leftover's PSD check) and one ``gram_sums`` (rho) per iteration,
-    besides one ``eigvalsh`` that validates the returned dense average."""
-    counts = {"GramPovm": 0, "eigvalsh": 0, "gram_sums": 0}
+    """The solver builds marginals only: no public ``GramPovm(...)``, no
+    ``gram_dense`` and no ``eigvalsh``.  The first read of the measurement
+    rebuilds it from exactly ``iterations`` priors, one full table each, and
+    validates it by one ``eigvalsh``; a second read returns the same object."""
+    counts = {"GramPovm": 0, "eigvalsh": 0, "gram_dense": 0, "full": 0}
 
     def counted_post_init(self, _original=GramPovm.__post_init__):
         counts["GramPovm"] += 1
@@ -309,15 +297,44 @@ def test_solver_iterations_build_no_public_gram_povm(monkeypatch):
         counts["eigvalsh"] += 1
         return _original(a)
 
-    def counted_gram_sums(factors, weights, _original=linalg.gram_sums):
-        counts["gram_sums"] += 1
-        return _original(factors, weights)
+    def counted_gram_dense(factors, _original=mm.gram_dense):
+        counts["gram_dense"] += 1
+        return _original(factors)
+
+    def counted_pgm_raw(*args, _original=mm._pgm_raw, **kwargs):
+        counts["full"] += bool(kwargs.get("full_table"))
+        return _original(*args, **kwargs)
 
     monkeypatch.setattr(GramPovm, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(linalg, "gram_sums", counted_gram_sums)
+    monkeypatch.setattr(mm, "gram_dense", counted_gram_dense)
+    monkeypatch.setattr(mm, "_pgm_raw", counted_pgm_raw)
     q = build_random_qrac(3, 2, seed=29)  # p 0.601: the game is not trivial
-    counts.update(GramPovm=0, eigvalsh=0, gram_sums=0)
+    counts.update(dict.fromkeys(counts, 0))
     sol = solve_worstcase(q, eps=0.02)
     assert sol.converged and sol.iterations > 10
-    assert counts == {"GramPovm": 0, "eigvalsh": sol.iterations + 1, "gram_sums": sol.iterations}
+    assert "priors" not in repr(sol) and sol == sol and sol != solve_worstcase(q, eps=0.02)
+    assert counts == {"GramPovm": 0, "eigvalsh": 0, "gram_dense": 0, "full": 0}
+    assert sol.priors.shape == (sol.iterations, 2**q.n)
+    first = sol.measurement
+    assert counts == {
+        "GramPovm": 0, "eigvalsh": 1, "gram_dense": sol.iterations, "full": sol.iterations
+    }
+    assert sol.measurement is first
+    assert counts["gram_dense"] == sol.iterations
+
+
+def test_solver_memory_stays_below_the_factors_it_no_longer_keeps():
+    """Haar(3, 2) seed 29 squared, n = 6, takes 141 iterations; the solver's
+    traced peak stays below T 2^n d r complex entries, what the iterates'
+    factor stacks alone held when the solver kept them."""
+    q = build_tensor_power(build_random_qrac(3, 2, seed=29), 2)
+    size, dim, rank = q.encoder.factors.shape
+    tracemalloc.start()
+    try:
+        sol = solve_worstcase(q, eps=0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged and sol.iterations == 141
+    assert peak < sol.iterations * size * dim * rank * 16

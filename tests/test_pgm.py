@@ -8,6 +8,7 @@ from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
 from qraclab.linalg import (
     SUPPORT_CUTOFF,
+    TOL_PSD,
     DensityMatrix,
     Povm,
     bit_sums,
@@ -397,9 +398,8 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     than 2^n = 1024: the decoders of a tensor power are checked by one
     ``eigvalsh``, a random code's Helstrom projectors take one batched
     ``eigh`` besides, and the full PGM makes 2 ``eigh`` (the average and the
-    renormalizer) and 2 ``eigvalsh`` (the marginal stack and the full table's
-    leftover), with its marginals and its identity sum from one ``bit_sums``
-    call and one ``gram_sums`` call of one row of weights, rho's."""
+    renormalizer) and 1 ``eigvalsh`` (the marginal stack), with its
+    marginals, the average and its identity sum from one ``bit_sums`` call."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -434,23 +434,65 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         calls.clear()
         kernels.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 2), (label, calls)
-        assert sorted(kernels) == ["bit_sums", "gram_sums x1"], (label, kernels)
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 1), (label, calls)
+        assert kernels == ["bit_sums"], (label, kernels)
 
 
 @pytest.mark.parametrize("full_table", [False, True])
 def test_identity_sum_is_checked_on_the_bit_sums_total(monkeypatch, full_table):
-    """The family's identity sum is read off the total that ``bit_sums``
-    returns with the marginals: a total off by 1e-6 I fails the build, with
-    or without the full table."""
+    """The family's identity sum R S rho S R + C C^dag, with rho the total
+    that ``bit_sums`` returns with the zero-sums, is checked on every build:
+    a renormalizer off by 1e-6 fails the build, with or without the full
+    table."""
 
-    def off_total(factors, _original=pgm.bit_sums):
-        zeros, total = _original(factors)
-        return zeros, total + 1e-6 * np.eye(len(total))
+    def off_renormalizer(total, _original=pgm._family_renormalizer):
+        return (1.0 + 1e-6) * _original(total)
 
     q = build_random_qrac(3, 2, seed=29)
     build_pgm(Ensemble.uniform(q), full_table=full_table)
-    monkeypatch.setattr(pgm, "bit_sums", off_total)
+    monkeypatch.setattr(pgm, "_family_renormalizer", off_renormalizer)
     with pytest.raises(ValidationError, match="sum to identity"):
         build_pgm(Ensemble.uniform(q), full_table=full_table)
 
+
+def test_leftover_is_zero_on_a_full_support_average():
+    """A Haar (5, 4) code's uniform average has full support: no eigenvector
+    lies off it, so ``extra`` is exactly zero."""
+    q = build_random_qrac(5, 4, seed=0)
+    assert not build_pgm(Ensemble.uniform(q), full_table=True).full.extra.any()
+
+
+def test_leftover_is_the_renormalized_projector_off_the_support():
+    """The identity encoding with no mass on the strings whose first bit is
+    1 has an average of rank 4 in dimension 8: ``extra`` is R (I - P) R, with
+    P the support projector and R the renormalizer, and PSD."""
+    q = build_identity_encoding(3)
+    prior = np.concatenate([np.random.default_rng(4).dirichlet(np.ones(4)), np.zeros(4)])
+    extra = build_pgm(Ensemble(prior, q.encoder), full_table=True).full.extra
+    rho = np.diag(prior).astype(complex)
+    w, v = np.linalg.eigh(rho)
+    kept = v[:, w >= SUPPORT_CUTOFF * w.max()]
+    s = (kept * w[w >= SUPPORT_CUTOFF * w.max()] ** -0.5) @ kept.conj().T
+    off = np.eye(8) - kept @ kept.conj().T
+    wr, vr = np.linalg.eigh(s @ rho @ s + off)
+    r = (vr * wr**-0.5) @ vr.conj().T
+    np.testing.assert_allclose(extra, r @ off @ r, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(extra).min() >= -TOL_PSD
+    assert np.linalg.matrix_rank(extra) == 4
+
+
+def test_ill_conditioned_average_whitens_the_rows(monkeypatch):
+    """A Dirichlet(0.01) prior leaves the average with condition number
+    5.8e9 on its support.  Sandwiching its dense sums by S would amplify
+    their rounding past the identity-sum check, so the weighted rows are
+    whitened first: the build passes its checks, and its marginals are the
+    sums of its full table."""
+    q = build_random_qrac(4, 3, seed=37)
+    ens = Ensemble(np.random.default_rng(1).dirichlet(np.full(16, 0.01)), q.encoder)
+    pg = build_pgm(ens, full_table=True)
+    np.testing.assert_allclose(
+        marginal_f0s(pg, q.n), marginal_f0s(pg.full, q.n), rtol=0, atol=1e-12
+    )
+    monkeypatch.setattr(pgm, "SANDWICH_MAX_CONDITION", np.inf)
+    with pytest.raises(ValidationError, match="sum to identity"):
+        build_pgm(ens)
