@@ -15,7 +15,8 @@ matrix on its first element, validated by its identity sum.  Six kernels
 act on factor stacks without forming d x d members: ``trace_table``
 (Tr(F rho_x) for a few dense F: one batched product per chunk of operators
 whose products hold about ``_GRAM_CHUNK`` entries, or one 2-D product per
-operator where a single product fills the chunk), ``gram_table``
+operator where a single product fills the chunk, each entry reduced as a
+real dot product of float64 views), ``gram_table``
 (Tr(rho_x E_k) between two factor stacks, one matrix product),
 ``gram_paired`` (the same for paired members only), ``gram_sums`` (sums of
 members under arbitrary weights, one product per row of weights),
@@ -52,7 +53,6 @@ TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_POVM = 1e-9
 TOL_PSD = 1e-10
-TOL_EIG = 1e-8
 SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TOL_TIE = 1e-12
 DIM_CAP = 2**10
@@ -129,15 +129,15 @@ def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, n
     support as the columns of a (d, l) matrix, so that the projector off the
     support is their Gram product, and the condition number of ``a`` on its
     support (1 if it has none).  ``a`` must be exactly Hermitian, as a
-    hermitized matrix is: the ``eigh`` runs unchecked, its order reversed as
-    :func:`eig_hermitian` reverses it."""
+    hermitized matrix is: the ``eigh`` runs unchecked.  Its eigenvalues come
+    in ascending order, so the support is the slice from the first one at or
+    above ``cutoff`` times the largest."""
     vals, vecs = np.linalg.eigh(a)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    keep = vals >= cutoff * vals[0] if vals[0] > 0.0 else np.zeros(len(vals), dtype=bool)
-    kept_vecs = vecs[:, keep]
-    inv_sqrt = (kept_vecs * (vals[keep] ** -0.5)) @ kept_vecs.conj().T
-    condition = float(vals[0] / vals[keep][-1]) if keep.any() else 1.0
-    return inv_sqrt, vecs[:, ~keep], condition
+    start = int(np.searchsorted(vals, cutoff * vals[-1])) if vals[-1] > 0.0 else len(vals)
+    kept_vecs = vecs[:, start:]
+    inv_sqrt = (kept_vecs * (vals[start:] ** -0.5)) @ kept_vecs.conj().T
+    condition = float(vals[-1] / vals[start]) if start < len(vals) else 1.0
+    return inv_sqrt, vecs[:, :start], condition
 
 
 def trace_norm(a) -> float:
@@ -152,26 +152,29 @@ def trace_norm(a) -> float:
 
 def trace_table(ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Real (k, N) table Tr(ops[k] A_x A_x^dag) for k square matrices and N
-    Gram factors A_x, shape (N, d, r): each entry is the sum of a^dag F a over
-    the r columns a of A_x, one (N r, d)(d, d) product per operator.
+    Gram factors A_x, shape (N, d, r): each entry is the sum of Re(a^dag F a)
+    over the r columns a of A_x, one (N r, d)(d, d) product per operator.
+    Re(a^dag F a) is the real dot product of the float64 views of the rows
+    a^T and (F a)^T, so the imaginary half is never summed.
 
     The products are batched over chunks of operators whose products hold
     about ``_GRAM_CHUNK`` entries.  Where one operator's product fills a
     chunk alone, it is a 2-D product, which runs faster than a batch of one;
     both forms give the same bits."""
     size, dim, rank = factors.shape
-    cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)  # rows a^T
-    conj = cols.conj()
-    step = _GRAM_CHUNK // cols.size
+    # rows a^T, made complex and contiguous once, so their float64 view pairs
+    # each real part with its imaginary part
+    rows = np.ascontiguousarray(factors.transpose(0, 2, 1), dtype=complex).reshape(size * rank, dim)
+    flat = rows.view(float)[..., None]
+    step = _GRAM_CHUNK // rows.size
     if step > 1:
-        table = np.concatenate(
-            [
-                (conj * (cols @ ops[k : k + step].transpose(0, 2, 1))).sum(axis=2).real
-                for k in range(0, len(ops), step)
-            ]
-        )
+        prods = (rows @ ops[k : k + step].transpose(0, 2, 1) for k in range(0, len(ops), step))
+        table = np.concatenate([(p.view(float)[..., None, :] @ flat)[..., 0, 0] for p in prods])
     else:
-        table = np.stack([(conj * (cols @ op.T)).sum(axis=1).real for op in ops])
+        # each product is reduced before the next is formed: a generator of
+        # products, which keeps one alive while the next is formed, ran 20%
+        # slower at 1024 rows, d = 32
+        table = np.stack([((rows @ op.T).view(float)[..., None, :] @ flat)[..., 0, 0] for op in ops])
     return table.reshape(len(ops), size, rank).sum(axis=2)
 
 
@@ -420,10 +423,6 @@ class GramStates(Sequence):
     def dense(self) -> np.ndarray:
         """All states as one (k, d, d) array."""
         return self.mats if self.mats is not None else gram_dense(self.factors)
-
-    def sums(self, weights) -> np.ndarray:
-        """(j, d, d) weighted sums sum_x weights[j, x] rho_x."""
-        return gram_sums(self.factors, weights)
 
 
 def as_states(states) -> GramStates:

@@ -5,8 +5,8 @@ Q_y = P_y S rho_y S, with S = rho^{-1/2} the inverse square root of the
 ensemble average on its support.  Whatever identity mass L falls outside
 that support is assigned to the lexicographically first outcome, so the
 elements always form a complete measurement.  A renormalizer R, the
-inverse square root of the computed family total, makes the sum exactly
-the identity up to rounding: the stored element is R Q_y R.
+inverse square root of the computed family total, makes the sum the
+identity up to rounding: the stored element is R Q_y R.
 
 The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, the default evaluation
 path, are sandwiches of sums the build forms once (Hausladen, Jozsa,
@@ -14,8 +14,10 @@ Schumacher, Westmoreland and Wootters, PRA 1996).  With rho_y = A_y A_y^dag,
 one :func:`~qraclab.linalg.bit_sums` call on the weighted factors
 sqrt(P_y) A_y gives every bit's prior-weighted zero-sum Z_i and the average
 rho, two products of the stack whatever n.  One ``eigh`` of rho gives S and
-the eigenvectors V_L off its support, so L = V_L V_L^dag, and a second
-gives R; F0^{(i)} is R S Z_i S R + C C^dag with C = R V_L, held as a
+the eigenvectors V_L off its support, so L = V_L V_L^dag.  The family
+total S rho S + L is I + E with E at rounding level, so R needs no second
+``eigh``: it is the binomial series I - E/2 + (3/8) E^2.  F0^{(i)} is
+R S Z_i S R + C C^dag with C = R V_L, held as a
 :class:`~qraclab.linalg.BitPovms`.  The family is checked by one identity
 sum, R S rho S R + C C^dag, and C C^dag is PSD by construction.  Where rho
 is ill-conditioned on its support, the dense sandwich would amplify the
@@ -70,15 +72,25 @@ SANDWICH_MAX_CONDITION = 1e3
 
 
 def _family_renormalizer(total: np.ndarray) -> np.ndarray:
-    """Inverse square root of the computed outcome-family total.
+    """Inverse square root of the computed outcome-family total X = I + E,
+    as its binomial series to second order, R = I - E/2 + (3/8) E^2.
 
     The sandwich rho^{-1/2} rho_y rho^{-1/2} leaves the family summing to
     identity only up to rounding amplified by small support eigenvalues;
-    conjugating every element by this factor restores the sum exactly while
-    preserving positivity."""
-    w, v = np.linalg.eigh(_hermitize(total))
-    w = np.clip(w, 1e-30, None)
-    return (v * w**-0.5) @ v.conj().T
+    conjugating every element by R restores the sum while preserving
+    positivity.  R X R^dag is I up to (5/8) E^3 and rounding.  E is
+    rounding amplified by the average's conditioning: its largest entry is
+    near 1e-15 on well-conditioned averages and stayed below 1e-4 on the
+    worst-conditioned ones measured, where the cubic term is far inside the
+    identity-sum check, within ``TOL_POVM``, that every build makes."""
+    eye = np.eye(len(total))
+    dev = _hermitize(total)
+    dev -= eye
+    ren = dev @ dev
+    ren *= 0.375
+    ren -= 0.5 * dev
+    ren += eye
+    return ren
 
 
 @dataclass(frozen=True)
@@ -102,8 +114,9 @@ def _pgm_raw(
     One ``bit_sums`` call on the sqrt(P)-weighted states gives each bit's
     zero-sum Z_i and the average rho; the marginals are the sandwiches
     R S Z_i S R plus C C^dag, with C = R V_L the renormalized eigenvectors
-    off rho's support.  Above ``SANDWICH_MAX_CONDITION`` the sums are taken
-    again over the whitened rows, and S is the identity from there on.
+    off rho's support.  S rho S is formed once, for R and for the total.
+    Above ``SANDWICH_MAX_CONDITION`` the sums are taken again over the
+    whitened rows, and S is the identity from there on.
     Every call checks that R S rho S R + C C^dag is the identity.
     """
     size, dim, rank = states.factors.shape
@@ -115,12 +128,14 @@ def _pgm_raw(
         # whiten the rows, (S a)^T = a^T S^T, and sum them again: S Z_i S and
         # S rho S as sums of Gram products, rounded as the rows are
         rows = rows @ isqrt.T
-        zeros, rho = bit_sums(rows.transpose(0, 2, 1))
+        zeros, whitened = bit_sums(rows.transpose(0, 2, 1))
         isqrt = np.eye(dim)
-    ren = _family_renormalizer(isqrt @ rho @ isqrt + off_support @ off_support.conj().T)
+    else:
+        whitened = isqrt @ rho @ isqrt
+    ren = _family_renormalizer(whitened + off_support @ off_support.conj().T)
     sandwich = ren @ isqrt
     spill = ren @ off_support
-    total = sandwich @ rho @ sandwich.conj().T
+    total = ren @ whitened @ ren.conj().T
     if full_table:
         # the factors' rows a^T (R S)^T in one product
         rows = rows.reshape(size * rank, dim) @ sandwich.T

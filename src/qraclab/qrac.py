@@ -165,9 +165,6 @@ class Ensemble:
     def from_qrac(cls, q: Qrac, prior) -> "Ensemble":
         return cls(np.asarray(prior, dtype=float), q.encoder)
 
-    def average_state(self) -> np.ndarray:
-        return self.states.sums(self.prior[None])[0]
-
 
 # ---------------------------------------------------------------------------
 # constructors

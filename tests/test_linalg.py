@@ -336,10 +336,14 @@ def test_bit_sums_needs_a_power_of_two_members(size):
 
 
 def per_operator_trace_table(ops, factors):
-    """trace_table as one 2-D product per operator, its form before chunking."""
+    """trace_table as one 2-D product per operator, its form before chunking:
+    each entry sums the real dot products of the float64 views of a^T and
+    (F a)^T."""
     size, dim, rank = factors.shape
-    cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)
-    table = np.stack([(cols.conj() * (cols @ op.T)).sum(axis=1).real for op in ops])
+    cols = np.ascontiguousarray(factors.transpose(0, 2, 1)).reshape(size * rank, dim)
+    flat = cols.view(float)
+    prods = [cols @ op.T for op in ops]
+    table = np.stack([(p.view(float)[:, None, :] @ flat[:, :, None])[:, 0, 0] for p in prods])
     return table.reshape(len(ops), size, rank).sum(axis=2)
 
 
@@ -360,6 +364,49 @@ def test_trace_table_chunks_keep_the_per_operator_bits(size, dim, rank, count, p
     factors = rng.normal(size=(size, dim, rank)) + 1j * rng.normal(size=(size, dim, rank))
     ops = _hermitize(rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim)))
     np.testing.assert_array_equal(trace_table(ops, factors), per_operator_trace_table(ops, factors))
+
+
+def random_factor_stack(rng, size, dim, rank):
+    """A (size, dim, rank) complex stack whose members have unit trace."""
+    factors = rng.normal(size=(size, dim, rank)) + 1j * rng.normal(size=(size, dim, rank))
+    return factors / np.linalg.norm(factors, axis=(1, 2))[:, None, None]
+
+
+@pytest.mark.parametrize(
+    "size, dim, rank, per_chunk",
+    [
+        (32, 16, 1, 16),  # batched
+        (512, 16, 1, 1),  # 2-D products
+        (16, 4, 3, 42),
+        (128, 16, 3, 1),
+    ],
+)
+def test_trace_table_is_the_complex_trace(size, dim, rank, per_chunk):
+    """Each entry is sum_a Re(conj(a) . (F a)) over the columns a of A_x,
+    within 1e-14 ||F|| for unit-trace members, on both branches."""
+    assert _GRAM_CHUNK // (size * rank * dim) == per_chunk
+    rng = np.random.default_rng(size + rank)
+    factors = random_factor_stack(rng, size, dim, rank)
+    ops = _hermitize(rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim)))
+    want = np.einsum("xdr,kde,xer->kx", factors.conj(), ops, factors).real
+    scale = np.linalg.norm(ops, ord=2, axis=(1, 2))[:, None]
+    assert np.all(np.abs(trace_table(ops, factors) - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("size, dim, rank", [(32, 16, 1), (1024, 16, 1), (16, 4, 3), (256, 16, 3)])
+def test_trace_table_reads_strided_and_real_stacks_as_their_complex_copies(size, dim, rank):
+    """The rows' float64 view needs contiguous complex rows: a strided view
+    of a stack and a real stack give the table of their contiguous complex
+    copies, bit for bit."""
+    rng = np.random.default_rng(rank)
+    factors = random_factor_stack(rng, size, dim, rank)
+    ops = _hermitize(rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)))
+    strided = factors[::2]
+    np.testing.assert_array_equal(
+        trace_table(ops, strided), trace_table(ops, np.ascontiguousarray(strided))
+    )
+    real = factors.real.copy()
+    np.testing.assert_array_equal(trace_table(ops, real), trace_table(ops, real.astype(complex)))
 
 
 def test_argmax_first_breaks_rounding_ties_toward_first():

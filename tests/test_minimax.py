@@ -164,9 +164,11 @@ class TestSolveWorstcase:
     ids=["haar-5-4", "std-tensor-3"],
 )
 def test_each_iteration_factors_two_matrices(code, monkeypatch):
-    """One solver iteration factors the average state and the family total,
-    2 matrices, whatever n: the per-bit marginals are sums of the full
-    table's factors, not factored on their own."""
+    """Of the two matrices one solver iteration inverts the square root of,
+    the average state and the family total, it factors the average alone,
+    whatever n: the family total's inverse square root is a closed-form
+    series, and the per-bit marginals are sandwiches of bit sums, not
+    factored on their own."""
     q = code()
     factored = []
     original = np.linalg.eigh
@@ -178,7 +180,7 @@ def test_each_iteration_factors_two_matrices(code, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sol = solve_worstcase(q, eps=0.02)
     assert sol.converged
-    assert sum(factored) == 2 * sol.iterations
+    assert sum(factored) == sol.iterations
 
 
 def test_no_iteration_densifies_the_full_table(monkeypatch, capsys):

@@ -8,9 +8,11 @@ from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
 from qraclab.linalg import (
     SUPPORT_CUTOFF,
+    TOL_POVM,
     TOL_PSD,
     DensityMatrix,
     Povm,
+    _hermitize,
     bit_sums,
     eig_hermitian,
 )
@@ -397,9 +399,10 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     bounded in n, never once per state, where a per-matrix path makes more
     than 2^n = 1024: the decoders of a tensor power are checked by one
     ``eigvalsh``, a random code's Helstrom projectors take one batched
-    ``eigh`` besides, and the full PGM makes 2 ``eigh`` (the average and the
-    renormalizer) and 1 ``eigvalsh`` (the marginal stack), with its
-    marginals, the average and its identity sum from one ``bit_sums`` call."""
+    ``eigh`` besides, and the full PGM makes 1 ``eigh`` (the average; the
+    renormalizer is a closed-form series) and 1 ``eigvalsh`` (the marginal
+    stack), with its marginals, the average and its identity sum from one
+    ``bit_sums`` call."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -434,7 +437,7 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         calls.clear()
         kernels.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == (2, 1), (label, calls)
+        assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 1), (label, calls)
         assert kernels == ["bit_sums"], (label, kernels)
 
 
@@ -496,3 +499,39 @@ def test_ill_conditioned_average_whitens_the_rows(monkeypatch):
     monkeypatch.setattr(pgm, "SANDWICH_MAX_CONDITION", np.inf)
     with pytest.raises(ValidationError, match="sum to identity"):
         build_pgm(ens)
+
+
+def test_renormalizer_matches_the_inverse_square_root_on_a_whitened_build(monkeypatch):
+    """On the whitened build of the condition-5.8e9 average above, the
+    family total is X = I + E with ||E||_max about 1e-7, far above rounding:
+    the series R matches the ``eigh``-formed X^{-1/2}, and R X R^dag is the
+    identity, both to 1e-14."""
+    totals = []
+
+    def recorded(total, _original=pgm._family_renormalizer):
+        totals.append(total)
+        return _original(total)
+
+    monkeypatch.setattr(pgm, "_family_renormalizer", recorded)
+    q = build_random_qrac(4, 3, seed=37)
+    build_pgm(Ensemble(np.random.default_rng(1).dirichlet(np.full(16, 0.01)), q.encoder))
+    (total,) = totals
+    x = _hermitize(total)
+    eye = np.eye(len(x))
+    assert np.abs(x - eye).max() > 1e-8
+    w, v = np.linalg.eigh(x)
+    ren = pgm._family_renormalizer(total)
+    np.testing.assert_allclose(ren, (v * w**-0.5) @ v.conj().T, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ren @ x @ ren.conj().T, eye, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [4, 16, 32])
+def test_renormalizer_passes_the_identity_check_at_the_cutoffs_bound(dim):
+    """A Hermitian X = I + E with ||E||_max = 1e-4, the largest E the support
+    cutoff allows: the series' O(||E||^3) error leaves R X R^dag the identity
+    within ``TOL_POVM``."""
+    rng = np.random.default_rng(dim)
+    dev = _hermitize(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    x = np.eye(dim) + dev * (1e-4 / np.abs(dev).max())
+    ren = pgm._family_renormalizer(x)
+    assert np.abs(ren @ x @ ren.conj().T - np.eye(dim)).max() <= TOL_POVM

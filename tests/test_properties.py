@@ -1,7 +1,9 @@
 """Pipeline properties over Haar-random codes with n <= 4 and m <= 3, kept by
 the corpus rule (worst-case p above DEFAULT_P_MIN): the channels of a
 codebook, its audited success against a per-shift rebuild, and the
-per-input Hamming error of the code's own decoders."""
+per-input Hamming error of the code's own decoders.  The square-root
+measurement is checked on Haar (4, 3) and (5, 4) codes under Dirichlet
+priors."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,10 +16,11 @@ from qraclab.conversion import SharedShift, build_rac, effective_channel, valida
 from qraclab.decoding import expected_hamming_exact
 from qraclab.info import max_channel_capacity
 from qraclab.linalg import SUPPORT_CUTOFF
-from qraclab.pgm import PgmBundle, build_pgm
+from qraclab.pgm import PgmBundle, build_pgm, marginal_f0s
 from qraclab.qrac import (
     Ensemble,
     build_identity_encoding,
+    build_random_qrac,
     build_standard_2to1,
     success_table,
 )
@@ -89,3 +92,23 @@ def test_decoder_hamming_error_is_the_success_table_complement(seed):
     report = expected_hamming_exact(q, Ensemble.uniform(q), own)
     want = (1.0 - success_table(q)).sum(axis=0)
     np.testing.assert_allclose(report.per_x_expected_dh, want, rtol=0, atol=1e-12)
+
+
+@given(
+    seed=CODE_SEEDS,
+    shape=st.sampled_from([(4, 3), (5, 4)]),
+    alpha=st.sampled_from([0.01, 0.1, 1.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pgm_under_dirichlet_priors_passes_its_checks(seed, shape, alpha):
+    """Every build passes its identity-sum check, and its marginals are the
+    sums of its full table to 1e-12.  Spiky priors (alpha 0.01) leave the
+    average ill-conditioned and take the whitening path; flat ones take the
+    sandwich path.  The PGM's checks do not depend on the code's worst-case
+    p, so the codes are drawn without the corpus floor."""
+    q = build_random_qrac(*shape, seed=seed)
+    prior = np.random.default_rng(seed).dirichlet(np.full(2**q.n, alpha))
+    pg = build_pgm(Ensemble(prior, q.encoder), full_table=True)
+    np.testing.assert_allclose(
+        marginal_f0s(pg, q.n), marginal_f0s(pg.full, q.n), rtol=0, atol=1e-12
+    )

@@ -240,10 +240,6 @@ class TestEnsemble:
         np.testing.assert_allclose(e.prior, np.full(4, 0.25))
         assert e.n == 2 and e.dim == 2
 
-    def test_average_state_of_standard_is_maximally_mixed(self):
-        e = Ensemble.uniform(build_standard_2to1())
-        np.testing.assert_allclose(e.average_state(), np.eye(2) / 2, atol=1e-12)
-
     def test_rejects_bad_prior(self):
         q = build_standard_2to1()
         with pytest.raises(ValidationError):
