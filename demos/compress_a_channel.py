@@ -6,8 +6,6 @@ sends only the index of the first hit; Bob looks the sample up.  The index
 fits in roughly the channel's max-capacity worth of bits.
 """
 
-import math
-
 import numpy as np
 
 from qraclab import (
@@ -19,6 +17,7 @@ from qraclab import (
     max_channel_capacity,
     run_protocol,
 )
+from qraclab.compression import index_bits_cap
 
 ETA = 0.1
 SHARED_SEED = 2024
@@ -35,8 +34,7 @@ def main():
 
     scheme = build_scheme(channel, ETA)
     print(f"eta = {ETA}: keep {scheme.n_cap} shared samples,")
-    print(f"index costs {scheme.index_bits} bits "
-          f"(cap {math.ceil(scheme.c_max) + math.ceil(math.log2(math.log(1 / ETA))) + 2})")
+    print(f"index costs {scheme.index_bits} bits (cap {index_bits_cap(scheme.c_max, ETA)})")
 
     for x in range(channel.in_size):
         exact = exact_output_distribution(scheme, x)

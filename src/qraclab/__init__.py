@@ -7,11 +7,14 @@ The public surface re-exported here covers the usual workflow: build a code
 convert it to a classical code (`build_rac`, `validate_rac`).  Submodules
 stay importable directly for the long tail (bits, corpus, serialize, cli).
 
-Every public function and class in the package is read by a command, a
-demo or the benchmark, except two reference implementations that the tests
+Every public function, class, method and property in the package is read
+by a command, a demo or the benchmark, and every defaulted parameter is
+passed by one, except for the reference implementations that the tests
 compare against: `evaluate_worstcase`, which re-evaluates a certificate,
-and `max_relative_entropy`, which checks a capacity's reference
-distribution.  ``tests/test_surface.py`` keeps it that way.
+`max_relative_entropy`, which checks a capacity's reference distribution,
+and `SharedShift.apply` and `.invert`, which check the shift tables.
+Tolerances, the support cutoff and the solver's gap share are module
+constants.  ``tests/test_surface.py`` keeps it that way.
 """
 
 from .compression import (

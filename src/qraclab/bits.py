@@ -22,11 +22,6 @@ def bit_at(x: int, i: int, n: int) -> int:
     return (x >> (n - i)) & 1
 
 
-def format_bits(x: int, n: int) -> str:
-    """Render x as a literal bit string, e.g. format_bits(6, 4) == '0110'."""
-    return format(x, f"0{n}b")
-
-
 def bit_column(i: int, n: int) -> np.ndarray:
     """Array of bit i over all x in 0..2^n-1, in index order."""
     if not 1 <= i <= n:

@@ -52,7 +52,7 @@ from .info import (
     qubit_lower_bound,
 )
 from .linalg import argmax_first
-from .minimax import SOLVER_MAX_N, solve_worstcase
+from .minimax import GAP_SHARE, SOLVER_MAX_N, solve_worstcase
 from .pgm import build_pgm, helstrom_pmax, per_bit_success, pgm_lower_bound, success_prob_full
 from .qrac import (
     P_STANDARD,
@@ -291,17 +291,16 @@ def suite_pgm(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     ]
 
 
-def _hamming_worst_excess(q, seed: int, n_priors: int) -> float:
-    """Max over the uniform and ``n_priors`` random priors of expected_dH - bound."""
+def _hamming_worst_excess(q, seed: int) -> float:
+    """Max over the uniform and 20 random priors of expected_dH - bound."""
     bound = hamming_budget(q.claimed_p, q.n)
-    priors = corpus.random_priors(2**q.n, n_priors, seed)
+    priors = corpus.random_priors(2**q.n, 20, seed)
     ensembles = [Ensemble.uniform(q)] + [Ensemble.from_qrac(q, prior) for prior in priors]
     return max(expected_hamming_exact(q, e, build_pgm(e)).expected_dh - bound for e in ensembles)
 
 
 def suite_hamming(
-    *, seed: int, seeds: int, jobs: int, n: int | None = None, m: int | None = None,
-    n_priors: int = 20, **_,
+    *, seed: int, seeds: int, jobs: int, n: int | None = None, m: int | None = None, **_
 ) -> list[dict]:
     """Random (n, m) codes when both are given, else the reference corpus."""
     if n is not None and m is not None:
@@ -310,7 +309,7 @@ def suite_hamming(
         codes = corpus.reference_corpus(seeds, seed)
 
     worst = max(_parallel_map(
-        lambda pair: _hamming_worst_excess(pair[1], seed + 7919 * pair[0], n_priors),
+        lambda pair: _hamming_worst_excess(pair[1], seed + 7919 * pair[0]),
         list(enumerate(codes)),
         jobs,
     ))
@@ -340,7 +339,7 @@ def suite_minimax(
         _check("minimax_cases", len(results), len(codes), 0, "=="),
         _check("minimax_all_converged", min(r[2] for r in results), 1, 0, "=="),
         _check("minimax_certificate_max_excess", max(r[0] for r in results), 0.0, 1e-12),
-        _check("minimax_gap_max_share", max(r[1] for r in results), 0.05, 1e-12),
+        _check("minimax_gap_max_share", max(r[1] for r in results), GAP_SHARE, 1e-12),
     ]
 
 
@@ -571,7 +570,7 @@ def cmd_minimax(cfg: dict) -> tuple[list[dict], dict]:
     checks = [
         _check("minimax_converged", 1 if sol.converged else 0, 1, 0, "=="),
         _check("minimax_certificate", sol.worst_x_value, ceiling, 1e-12),
-        _check("minimax_gap_share", sol.gap / q.n, 0.05, 1e-12),
+        _check("minimax_gap_share", sol.gap / q.n, GAP_SHARE, 1e-12),
     ]
     return checks, extra
 

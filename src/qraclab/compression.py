@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError
 from .info import ClassicalChannel, max_channel_capacity
 from .rng import TAG_ALICE, TAG_BATCH, TAG_BOB, TAG_SHARED, counter_stream, stream
-from .serialize import fmt17
 
 FAIL_INDEX = 0
 
@@ -66,17 +65,6 @@ class CompressionScheme:
                 self.z > 0.0, self.channel.table / (self.ratio[:, None] * self.z), 0.0
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "c_max": self.c_max,
-            "n_cap": self.n_cap,
-            "index_bits": self.index_bits,
-            "z": [fmt17(v) for v in self.z],
-            "a": [fmt17(v) for v in self.a],
-            "channel": self.channel.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ProtocolRun:
@@ -92,17 +80,6 @@ class ProtocolRun:
     @property
     def failed(self) -> bool:
         return self.sent_index == FAIL_INDEX
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "sent_index": self.sent_index,
-            "failed": self.failed,
-            "output_y": self.output_y,
-            "message_bits": self.message_bits,
-            "shared_seed": self.shared_seed,
-            "replicate": self.replicate,
-        }
 
 
 @dataclass(frozen=True)

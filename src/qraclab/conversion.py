@@ -12,7 +12,6 @@ above 1 - 2p(1-p) - eta.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import format_bits
 from .compression import FAIL_INDEX, CompressionScheme, _sample_from, _transcript, build_scheme
 from .errors import (
     BadShiftError,
@@ -33,10 +31,10 @@ from .info import ClassicalChannel, max_channel_capacity
 from .pgm import PgmBundle, build_pgm, marginal_f0s
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, counter_stream, stream
-from .serialize import rows_to_csv
 
 RAC_MAX_N = 8
 NEWMAN_MAX_SIZE = 2**20
+NEWMAN_MAX_ATTEMPTS = 16
 
 
 def shift_bits(x: int, d: int, n: int) -> int:
@@ -67,10 +65,7 @@ class SharedShift:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.d <= self.n:
-            raise BadShiftError(f"shift must lie in 1..{self.n}, got {self.d}")
-        if not 0 <= self.r < 2**self.n:
-            raise DomainError(f"mask {self.r} is not an {self.n}-bit string")
+        _shift_pairs([[self.r, self.d]], self.n)
 
     def apply(self, z: int) -> int:
         """Encoder direction: shift_d(z XOR r)."""
@@ -83,8 +78,12 @@ class SharedShift:
 
 def _shift_pairs(pairs, n: int) -> np.ndarray:
     """A set of shifts as one frozen (|S|, 2) int array of (r, d) rows, each
-    checked as :class:`SharedShift` checks its own."""
-    pairs = np.array(pairs, dtype=np.int64)
+    checked for 1 <= d <= n and 0 <= r < 2^n; :class:`SharedShift` checks
+    its own (r, d) here too."""
+    try:
+        pairs = np.array(pairs, dtype=np.int64)
+    except OverflowError:  # beyond int64, so outside both ranges
+        raise DomainError(f"an (r, d) row lies outside the {n}-bit shifts") from None
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError(f"expected (r, d) rows, got shape {pairs.shape}")
     bad_d = np.flatnonzero((pairs[:, 1] < 1) | (pairs[:, 1] > n))
@@ -319,36 +318,12 @@ class RacCodebook:
     def schemes(self) -> _ShiftSchemes:
         return _ShiftSchemes(self.scheme, self.s_set, self.n)
 
-    def to_json_dict(self) -> dict:
-        sc = self.scheme
-        return {
-            "n": self.n,
-            "m": self.m,
-            "eta": self.eta,
-            "claimed_p": self.claimed_p,
-            "success_floor": self.success_floor,
-            "index_bits_s": self.index_bits_s,
-            "total_message_bits": self.total_message_bits,
-            "c_newman": self.c_newman,
-            "seed": self.seed,
-            "newman_attempts": self.newman_attempts,
-            "worst_margin": self.worst_margin,
-            "s_set": self.s_set.tolist(),
-            "scheme": {
-                "channel_sha256": hashlib.sha256(sc.channel.to_csv().encode()).hexdigest(),
-                "n_cap": sc.n_cap,
-                "index_bits": sc.index_bits,
-                "c_max": sc.c_max,
-            },
-        }
-
 
 def build_rac(
     q: Qrac,
     eta: float,
     seed: int,
     c_newman: float = 8.0,
-    max_resamples: int = 16,
 ) -> RacCodebook:
     """Sample a shift set free of bad events (resampling on failure), then
     attach one eta/2-error compression scheme, that of the identity shift's
@@ -365,7 +340,7 @@ def build_rac(
     best_margin = math.inf
     report = None
     s_set = None
-    for attempt in range(max_resamples):
+    for attempt in range(NEWMAN_MAX_ATTEMPTS):
         candidate = sample_newman_set(n, eta, seed, c_newman, attempt=attempt)
         report = verify_no_bad_event(q, candidate, eta, bit_errors=err)
         best_margin = min(best_margin, report.worst_margin)
@@ -375,7 +350,7 @@ def build_rac(
             break
     if s_set is None:
         raise DerandomizationFailedError(
-            f"no shift set within {max_resamples} attempts cleared the "
+            f"no shift set within {NEWMAN_MAX_ATTEMPTS} attempts cleared the "
             f"{eta / 2.0:.6f} margin (best worst-margin {best_margin:.6f})",
             worst_margin=best_margin,
         )
@@ -412,26 +387,8 @@ class RacValidation:
     table: np.ndarray
     argmin: tuple[int, int]
 
-    def to_csv(self, path=None) -> str:
-        n, size = self.table.shape
-        rows = [
-            [format_bits(x, n), i + 1, float(self.table[i, x])]
-            for x in range(size)
-            for i in range(n)
-        ]
-        return rows_to_csv(["x", "i", "success"], rows, path)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_success": self.min_success,
-            "floor": self.floor,
-            "ok": self.ok,
-            "argmin_x": self.argmin[0],
-            "argmin_i": self.argmin[1],
-        }
-
-
-def validate_rac(codebook: RacCodebook, q: Qrac, tol: float = 1e-9) -> RacValidation:
+def validate_rac(codebook: RacCodebook, q: Qrac) -> RacValidation:
     """Success probability of every (input, queried bit) pair, computed in
     closed form: acceptance reproduces the channel row exactly, failure falls
     back to a fair coin per bit.
@@ -456,7 +413,7 @@ def validate_rac(codebook: RacCodebook, q: Qrac, tol: float = 1e-9) -> RacValida
     min_success = float(table[i, x])
     return RacValidation(
         min_success=min_success,
-        ok=min_success >= codebook.success_floor - tol,
+        ok=min_success >= codebook.success_floor - 1e-9,
         floor=codebook.success_floor,
         table=table,
         argmin=(x, i + 1),

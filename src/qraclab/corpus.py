@@ -28,10 +28,10 @@ def random_qrac_corpus(
     seed: int,
     n_max: int = 6,
     m_max: int = 3,
-    p_min: float = DEFAULT_P_MIN,
 ) -> list[Qrac]:
     """``count`` random codes with uniformly drawn (n, m) and validated
-    worst-case success above ``p_min``; rejection keeps only usable codes."""
+    worst-case success above ``DEFAULT_P_MIN``; rejection keeps only usable
+    codes."""
     picker = stream(seed, TAG_CORPUS, 0)
     out: list[Qrac] = []
     attempt = 0
@@ -41,21 +41,21 @@ def random_qrac_corpus(
         m = int(picker.integers(1, m_max + 1))
         q = build_random_qrac(n, m, seed=seed * cap + attempt)
         attempt += 1
-        if q.claimed_p > p_min:
+        if q.claimed_p > DEFAULT_P_MIN:
             out.append(q)
     if len(out) < count:
         raise RuntimeError(
-            f"only {len(out)} of {count} codes cleared p > {p_min} in {cap} attempts"
+            f"only {len(out)} of {count} codes cleared p > {DEFAULT_P_MIN} in {cap} attempts"
         )
     return out
 
 
-def reference_corpus(count: int, seed: int, k_max: int = 4) -> list[Qrac]:
-    """The standard code, its tensor powers up to ``k_max``, then ``count``
+def reference_corpus(count: int, seed: int) -> list[Qrac]:
+    """The standard code, its tensor powers up to the fourth, then ``count``
     random codes."""
     base = build_standard_2to1()
     out = [base]
-    out.extend(build_tensor_power(base, k) for k in range(2, k_max + 1))
+    out.extend(build_tensor_power(base, k) for k in range(2, 5))
     out.extend(random_qrac_corpus(count, seed))
     return out
 
@@ -70,19 +70,17 @@ def random_priors(size: int, count: int, seed: int) -> list[np.ndarray]:
     return out
 
 
-def random_channels(
-    count: int, seed: int, max_size: int = 16, zero_frac: float = 0.25
-) -> list[ClassicalChannel]:
-    """Random row-stochastic tables with |X|, |Y| up to ``max_size``; roughly
-    half the instances carry exact zero entries."""
+def random_channels(count: int, seed: int) -> list[ClassicalChannel]:
+    """Random row-stochastic tables with |X|, |Y| from 2 to 16; every other
+    instance has about a quarter of its entries set to exact zeros."""
     out = []
     for idx in range(count):
         rng = stream(seed, TAG_CORPUS, 2, idx)
-        n_in = int(rng.integers(2, max_size + 1))
-        n_out = int(rng.integers(2, max_size + 1))
+        n_in = int(rng.integers(2, 17))
+        n_out = int(rng.integers(2, 17))
         table = rng.dirichlet(np.ones(n_out), size=n_in)
         if idx % 2:
-            mask = rng.random((n_in, n_out)) < zero_frac
+            mask = rng.random((n_in, n_out)) < 0.25
             mask[np.arange(n_in), table.argmax(axis=1)] = False
             table = np.where(mask, 0.0, table)
             table /= table.sum(axis=1, keepdims=True)

@@ -15,7 +15,6 @@ from .errors import ValidationError
 from .linalg import GramPovm, Povm
 from .pgm import PgmBundle, marginal_f0s, string_labels
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
-from .serialize import SCHEMA_VERSION, rows_to_csv
 
 
 @dataclass(frozen=True)
@@ -28,22 +27,6 @@ class HammingReport:
     per_x_expected_dh: np.ndarray
     bound: float
     satisfied: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "expected_dh": self.expected_dh,
-            "per_bit_error": [float(v) for v in self.per_bit_error],
-            "per_x_expected_dh": [float(v) for v in self.per_x_expected_dh],
-            "bound": self.bound,
-            "satisfied": bool(self.satisfied),
-        }
-
-    def to_csv(self, path=None) -> str:
-        share = self.bound / self.n
-        rows = [(i + 1, float(e), share) for i, e in enumerate(self.per_bit_error)]
-        return rows_to_csv(("i", "per_bit_error", "bound_share"), rows, path)
 
 
 def expected_hamming_exact(q: Qrac, prior, measurement) -> HammingReport:
@@ -84,7 +67,7 @@ class IdentificationCheck:
 
 
 def identification_bound_check(
-    q: Qrac, measurement: Povm | GramPovm | PgmBundle, tol: float = 1e-8
+    q: Qrac, measurement: Povm | GramPovm | PgmBundle
 ) -> IdentificationCheck:
     """Check sum_x Tr(Q_x rho_x) <= 2^m for a string-labeled measurement."""
     if isinstance(measurement, PgmBundle):
@@ -94,5 +77,5 @@ def identification_bound_check(
     string_labels(measurement, q.n)
     lhs = measurement.diagonal(q.encoder).sum()
     rhs = float(2**q.m)
-    return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + tol))
+    return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + 1e-8))
 

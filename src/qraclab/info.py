@@ -15,7 +15,6 @@ import numpy as np
 
 from .bits import hamming_table
 from .errors import BadSplitError, DomainError, ValidationError
-from .serialize import SCHEMA_VERSION, rows_to_csv
 
 EIG_ZERO_CUTOFF = 1e-15  # relative, inside x*log2(x) sums
 
@@ -79,23 +78,6 @@ class ClassicalChannel:
 
     def row(self, x: int) -> np.ndarray:
         return self.table[x]
-
-    @classmethod
-    def identity(cls, k: int) -> "ClassicalChannel":
-        return cls(np.eye(k))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "in_size": self.in_size,
-            "out_size": self.out_size,
-            "table": [[float(v) for v in row] for row in self.table],
-        }
-
-    def to_csv(self, path=None) -> str:
-        header = ("x",) + tuple(f"y{y}" for y in range(self.out_size))
-        rows = [(x,) + tuple(float(v) for v in self.table[x]) for x in range(self.in_size)]
-        return rows_to_csv(header, rows, path)
 
 
 @dataclass(frozen=True)
@@ -176,7 +158,7 @@ class DistanceConditioningReport:
     ok_recover: bool  # H(X|Y) <= H(X|Y,D) + log2(n+1)
 
 
-def distance_conditioning_check(joint_xy: np.ndarray, n: int, tol: float = 1e-9) -> DistanceConditioningReport:
+def distance_conditioning_check(joint_xy: np.ndarray, n: int) -> DistanceConditioningReport:
     """Check the chain H(X|Y,D) <= H(X|Y) <= H(X|Y,D) + log2(n+1) on an
     exact classical joint over string pairs, with D the Hamming distance."""
     joint = np.asarray(joint_xy, dtype=float)
@@ -200,6 +182,6 @@ def distance_conditioning_check(joint_xy: np.ndarray, n: int, tol: float = 1e-9)
         h_x_given_y=h_x_given_y,
         h_x_given_yd=h_x_given_yd,
         side_information=side,
-        ok_monotone=bool(h_x_given_yd <= h_x_given_y + tol),
-        ok_recover=bool(h_x_given_y <= h_x_given_yd + side + tol),
+        ok_monotone=bool(h_x_given_yd <= h_x_given_y + 1e-9),
+        ok_recover=bool(h_x_given_y <= h_x_given_yd + side + 1e-9),
     )

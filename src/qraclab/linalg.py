@@ -1,8 +1,8 @@
 """Hermitian linear algebra kernels and the basic quantum containers.
 
 Everything downstream (measurements, decoders, solvers) is built on the
-handful of operations here, so tolerances and support-cutoff semantics
-are fixed in this module and imported elsewhere.
+handful of operations here, so the tolerances and the support cutoff are
+fixed in this module, as constants that no caller overrides.
 
 States and the full square-root measurement are held as Gram factors:
 a PSD matrix M is kept as A with M = A A^dag.  ``GramStates`` stacks the
@@ -22,7 +22,7 @@ real dot product of float64 views), ``gram_table``
 members under arbitrary weights, one product per row of weights),
 ``bit_sums`` (every bit's sum over the strings whose bit is 0, and the
 total, of a stack indexed by n-bit strings, from two products whatever n)
-and ``gram_dense`` (the members themselves, when a caller reads them).
+and ``gram_dense`` (the members themselves, for a dense measurement).
 
 A dense ``Povm`` validates its elements as one (k, d, d) array, with one
 batched Hermiticity reduction and one batched ``eigvalsh``; per-bit
@@ -93,25 +93,25 @@ def _hermitian_deviation(a: np.ndarray) -> float:
     return float(devs[0] if len(devs) == 1 else np.max(devs))  # np.max keeps a NaN
 
 
-def is_hermitian(a, tol: float = TOL_HERM) -> bool:
+def is_hermitian(a) -> bool:
     """Whether a matrix, or every member of a (k, d, d) stack, equals its
-    conjugate transpose within ``tol`` in every entry."""
+    conjugate transpose within ``TOL_HERM`` in every entry."""
     a = _as_array(a)
-    return a.shape[-2] == a.shape[-1] and _hermitian_deviation(a) <= tol
+    return a.shape[-2] == a.shape[-1] and _hermitian_deviation(a) <= TOL_HERM
 
 
-def eig_hermitian(a, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a, or
     of each member of a (k, d, d) stack, from one batched ``eigh``.
 
     Raises NotHermitianError if ``a`` deviates from Hermitian symmetry by
-    more than ``tol`` in any entry.
+    more than ``TOL_HERM`` in any entry.
     """
     a = _as_array(a)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     deviation = _hermitian_deviation(a)
-    if not deviation <= tol:  # NaN fails too
+    if not deviation <= TOL_HERM:  # NaN fails too
         raise NotHermitianError(f"matrix deviates from Hermitian symmetry by {deviation:.3e}")
     vals, vecs = np.linalg.eigh(a)
     return vals[..., ::-1], vecs[..., ::-1]
@@ -124,16 +124,16 @@ def positive_projectors(a) -> np.ndarray:
     return np.stack([v @ v.conj().T for v in kept])
 
 
-def _sqrt_pinv_with_support(a: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _sqrt_pinv_with_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Inverse square root on the support of ``a``, the eigenvectors off the
     support as the columns of a (d, l) matrix, so that the projector off the
     support is their Gram product, and the condition number of ``a`` on its
     support (1 if it has none).  ``a`` must be exactly Hermitian, as a
     hermitized matrix is: the ``eigh`` runs unchecked.  Its eigenvalues come
     in ascending order, so the support is the slice from the first one at or
-    above ``cutoff`` times the largest."""
+    above ``SUPPORT_CUTOFF`` times the largest."""
     vals, vecs = np.linalg.eigh(a)
-    start = int(np.searchsorted(vals, cutoff * vals[-1])) if vals[-1] > 0.0 else len(vals)
+    start = int(np.searchsorted(vals, SUPPORT_CUTOFF * vals[-1])) if vals[-1] > 0.0 else len(vals)
     kept_vecs = vecs[:, start:]
     inv_sqrt = (kept_vecs * (vals[start:] ** -0.5)) @ kept_vecs.conj().T
     condition = float(vals[-1] / vals[start]) if start < len(vals) else 1.0
@@ -279,9 +279,7 @@ def gram_dense(factors: np.ndarray) -> np.ndarray:
     return factors @ factors.conj().swapaxes(1, 2)
 
 
-def _validated_states(
-    mats, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE
-) -> tuple[np.ndarray, np.ndarray]:
+def _validated_states(mats) -> tuple[np.ndarray, np.ndarray]:
     """Check a (k, d, d) stack of density matrices, each Hermitian, unit
     trace and PSD within tolerance, and return it as one frozen complex
     array together with its Gram factors V sqrt(w), from one batched ``eigh``
@@ -294,15 +292,15 @@ def _validated_states(
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"expected a square matrix, got shape {stack.shape[1:]}")
     check_dim_cap(stack.shape[1])
-    if not is_hermitian(stack, tol_herm):
+    if not is_hermitian(stack):
         raise NotHermitianError("density matrix is not Hermitian within tolerance")
     traces = np.trace(stack, axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(traces - 1.0) > tol_trace)
+    off = np.flatnonzero(np.abs(traces - 1.0) > TOL_TRACE)
     if off.size:
-        raise ValidationError(f"trace {traces[off[0]]} is not 1 within {tol_trace}")
+        raise ValidationError(f"trace {traces[off[0]]} is not 1 within {TOL_TRACE}")
     w, v = np.linalg.eigh(stack)
     factors = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]  # rounding negatives clipped
-    if w.min() < -tol_psd:
+    if w.min() < -TOL_PSD:
         raise ValidationError("density matrix has a negative eigenvalue beyond tolerance")
     return _frozen(stack), _rank_truncated(w, factors)
 
@@ -329,14 +327,9 @@ class DensityMatrix:
     """A validated density matrix: Hermitian, PSD, unit trace."""
 
     mat: np.ndarray
-    tol_herm: float = field(default=TOL_HERM, repr=False)
-    tol_psd: float = field(default=TOL_PSD, repr=False)
-    tol_trace: float = field(default=TOL_TRACE, repr=False)
 
     def __post_init__(self):
-        stack, _ = _validated_states(
-            _as_array(self.mat)[None], self.tol_herm, self.tol_psd, self.tol_trace
-        )
+        stack, _ = _validated_states(_as_array(self.mat)[None])
         object.__setattr__(self, "mat", stack[0])
 
     @property
@@ -345,17 +338,16 @@ class DensityMatrix:
 
     @classmethod
     def _member(cls, mat: np.ndarray) -> "DensityMatrix":
-        """A member of an already validated stack; the tolerances read the
-        class defaults."""
+        """A member of an already validated stack, not checked again."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "mat", mat)
         return rho
 
     @classmethod
     def stack(cls, mats) -> "GramStates":
-        """Validate a (k, d, d) stack once, with the default tolerances, and
-        return it as GramStates factored by one batched ``eigh``; its members
-        read back as the matrices given."""
+        """Validate a (k, d, d) stack once and return it as GramStates
+        factored by one batched ``eigh``; its members read back as the
+        matrices given."""
         stack, factors = _validated_states(mats)
         return GramStates(factors, stack)
 
@@ -368,10 +360,6 @@ class DensityMatrix:
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
 
 @dataclass(frozen=True, eq=False)
 class GramStates(Sequence):
@@ -382,8 +370,8 @@ class GramStates(Sequence):
     squared Frobenius norm of A_x.  Pure states are unit vectors, r = 1
     (:meth:`from_vectors`).  Matrix input goes through
     :meth:`DensityMatrix.stack`, whose ``eigh`` gives factors with r the
-    stack's numerical rank and keeps the matrices as given in ``mats``.  Indexing forms one
-    :class:`DensityMatrix` on demand; :meth:`dense` forms them all.
+    stack's numerical rank and keeps the matrices as given in ``mats``.
+    Indexing forms one :class:`DensityMatrix` on demand.
     """
 
     factors: np.ndarray
@@ -420,10 +408,6 @@ class GramStates(Sequence):
             return DensityMatrix._member(self.mats[x])
         return DensityMatrix._member(_frozen(gram_dense(self.factors[x][None])[0]))
 
-    def dense(self) -> np.ndarray:
-        """All states as one (k, d, d) array."""
-        return self.mats if self.mats is not None else gram_dense(self.factors)
-
 
 def as_states(states) -> GramStates:
     """``states`` as GramStates: returned as is, or factored from a sequence
@@ -442,10 +426,10 @@ def _outcome_labels(outcomes, count: int) -> tuple[int, ...]:
     return labels
 
 
-def _check_identity_sum(total: np.ndarray, tol: float) -> None:
+def _check_identity_sum(total: np.ndarray) -> None:
     deviation = np.abs(total - np.eye(len(total))).max()
-    if deviation > tol:
-        raise ValidationError(f"elements sum to identity only within {deviation:.3e} > {tol}")
+    if deviation > TOL_POVM:
+        raise ValidationError(f"elements sum to identity only within {deviation:.3e} > {TOL_POVM}")
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -461,7 +445,7 @@ def _leftover_extra(leftover: np.ndarray, total: np.ndarray) -> np.ndarray:
     by construction, once the identity sum of ``total`` plus it is checked
     within ``TOL_POVM``."""
     extra = _hermitize(leftover @ leftover.conj().T)
-    _check_identity_sum(total + extra, TOL_POVM)
+    _check_identity_sum(total + extra)
     return extra
 
 
@@ -470,21 +454,17 @@ class Povm:
     """A positive operator-valued measure with integer outcome labels.
 
     Elements must each be Hermitian and PSD within tolerance and must sum
-    to the identity entrywise within ``tol_povm``.  They are validated and
+    to the identity entrywise within ``TOL_POVM``.  They are validated and
     kept as one frozen (k, d, d) array, ``element_stack``; ``elements``
     hands out read-only views into it when read.
     """
 
     element_stack: np.ndarray = field(repr=False)
     outcomes: tuple[int, ...]
-    tol_povm: float = field(default=TOL_POVM, repr=False)
-    tol_psd: float = field(default=TOL_PSD, repr=False)
 
-    def __init__(self, elements, outcomes=None, tol_povm: float = TOL_POVM, tol_psd: float = TOL_PSD):
+    def __init__(self, elements, outcomes=None):
         object.__setattr__(self, "element_stack", elements)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "tol_povm", tol_povm)
-        object.__setattr__(self, "tol_psd", tol_psd)
         self.__post_init__()
 
     def __post_init__(self):
@@ -499,9 +479,9 @@ class Povm:
         stack = np.stack(members)
         if not is_hermitian(stack):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
-        if np.linalg.eigvalsh(stack).min() < -self.tol_psd:
+        if np.linalg.eigvalsh(stack).min() < -TOL_PSD:
             raise ValidationError("measurement element has a negative eigenvalue")
-        _check_identity_sum(stack.sum(axis=0), self.tol_povm)  # member after member
+        _check_identity_sum(stack.sum(axis=0))  # member after member
         object.__setattr__(self, "element_stack", _frozen(stack))
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -531,10 +511,6 @@ class Povm:
         label names, in stored order."""
         a = states.factors[list(self.outcomes)]
         return (a.conj() * (self.element_stack @ a)).sum(axis=(1, 2)).real
-
-    def probabilities(self, rho) -> np.ndarray:
-        """Outcome probabilities for measuring ``rho``, in stored order."""
-        return np.einsum("kij,ji->k", self.element_stack, _as_array(rho)).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,7 +577,7 @@ class GramPovm:
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
         if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
             raise ValidationError("measurement element has a negative eigenvalue")
-        _check_identity_sum(extra + gram_sums(factors, np.ones((1, len(factors))))[0], TOL_POVM)
+        _check_identity_sum(extra + gram_sums(factors, np.ones((1, len(factors))))[0])
         object.__setattr__(self, "factors", _frozen(factors))
         object.__setattr__(self, "extra", _frozen(extra))
 
@@ -650,13 +626,6 @@ class GramPovm:
         diag = gram_paired(states.factors, self.factors)
         diag[0] += trace_table(self.extra[None], states.factors[:1])[0, 0]
         return diag
-
-    def probabilities(self, rho) -> np.ndarray:
-        """Outcome probabilities for measuring ``rho``, in stored order."""
-        rho = _as_array(rho)
-        probs = (self.factors.conj() * (rho @ self.factors)).sum(axis=(1, 2)).real
-        probs[0] += np.einsum("ij,ji->", self.extra, rho).real
-        return probs
 
 
 class _GramElements(Sequence):

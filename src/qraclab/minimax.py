@@ -25,12 +25,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NotConvergedError, SizeCapError
-from .linalg import SUPPORT_CUTOFF, GramPovm, GramStates, Povm, argmax_first, gram_dense
+from .linalg import GramPovm, GramStates, Povm, argmax_first, gram_dense
 from .pgm import PgmBundle, _pgm_raw, marginal_f0s
 from .qrac import Qrac, bit_error_table, hamming_budget
 
 SOLVER_MAX_N = 8
 SOLVER_MAX_M = 4
+# Largest duality gap per bit at which the solver stops.
+GAP_SHARE = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +40,9 @@ class GameSolution:
     """Outcome of the worst-case decoding game.
 
     ``priors`` holds the adversary's prior at each of the ``iterations``
-    iterates the certificate averages; with ``states`` and
-    ``support_cutoff`` they determine the averaged measurement.  Equality
-    is identity, as it was while the solution held its measurement.
+    iterates the certificate averages; with ``states`` they determine the
+    averaged measurement.  Equality is identity, as it was while the
+    solution held its measurement.
     """
 
     n: int
@@ -56,7 +58,6 @@ class GameSolution:
     prior_trace: tuple[int, ...] = field(repr=False)
     priors: np.ndarray = field(repr=False)
     states: GramStates = field(repr=False)
-    support_cutoff: float = field(repr=False)
 
     @property
     def certified(self) -> bool:
@@ -69,7 +70,7 @@ class GameSolution:
         read, one iterate's elements added at a time, and kept."""
         mean = np.zeros((2**self.n, self.states.dim, self.states.dim), dtype=complex)
         for prior in self.priors:
-            _, full = _pgm_raw(prior, self.states, self.support_cutoff, full_table=True)
+            _, full = _pgm_raw(prior, self.states, full_table=True)
             mean += gram_dense(full.factors)
             mean[0] += full.extra
         mean /= len(self.priors)
@@ -88,21 +89,14 @@ def evaluate_worstcase(
     return float(per_x.max()), argmax_first(per_x), per_x
 
 
-def solve_worstcase(
-    q: Qrac,
-    eps: float = 0.01,
-    max_iters: int = 2000,
-    *,
-    gap_tol: float = 0.05,
-    support_cutoff: float = SUPPORT_CUTOFF,
-) -> GameSolution:
+def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSolution:
     """Run multiplicative weights on the adversary's prior until the averaged
     square-root measurement is certified.
 
     Stops once the worst-case expected distance of the averaged measurement
     is within ``eps * n`` of the 2p(1-p)n bound of
     :func:`~qraclab.qrac.hamming_budget` and the duality gap is at most
-    ``gap_tol * n``.  The gap is measured against the value of the
+    ``GAP_SHARE * n``.  The gap is measured against the value of the
     current best-response measurement at the current prior, which the
     average-case theorem keeps at or below the bound at every iteration.
     Raises :class:`NotConvergedError` with the best iterate attached if
@@ -146,13 +140,12 @@ def solve_worstcase(
             prior_trace=tuple(prior_trace[:t]),
             priors=np.array(priors[:t]),
             states=q.encoder,
-            support_cutoff=support_cutoff,
         )
 
     for t in range(1, max_iters + 1):
         prior = weights / weights.sum()
         priors.append(prior)
-        f0s, _ = _pgm_raw(prior, q.encoder, support_cutoff)
+        f0s, _ = _pgm_raw(prior, q.encoder)
         d_t = bit_error_table(f0s, q.encoder).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
 
@@ -174,7 +167,7 @@ def solve_worstcase(
             "avg": avg_at_prior,
             "gap": gap,
         }
-        if worst <= bound + eps * n and gap <= gap_tol * n:
+        if worst <= bound + eps * n and gap <= GAP_SHARE * n:
             return finish(snap, converged=True)
         if best_snapshot is None or worst < best_snapshot["worst"]:
             best_snapshot = snap

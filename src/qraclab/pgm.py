@@ -48,7 +48,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    SUPPORT_CUTOFF,
     BitPovms,
     GramPovm,
     GramStates,
@@ -101,11 +100,10 @@ class PgmBundle:
     n: int
     marginals: BitPovms
     full: GramPovm | None
-    support_cutoff: float
 
 
 def _pgm_raw(
-    prior: np.ndarray, states: GramStates, cutoff: float, full_table: bool = False
+    prior: np.ndarray, states: GramStates, full_table: bool = False
 ) -> tuple[np.ndarray, GramPovm | None]:
     """Square-root measurement: the per-bit outcome-0 marginal stack of shape
     (n, dim, dim), and, with ``full_table``, the full table as a GramPovm
@@ -123,7 +121,7 @@ def _pgm_raw(
     # row y r + k is column k of sqrt(P_y) A_y transposed
     rows = states.factors.transpose(0, 2, 1) * np.sqrt(prior)[:, None, None]
     zeros, rho = bit_sums(rows.transpose(0, 2, 1))
-    isqrt, off_support, condition = _sqrt_pinv_with_support(_hermitize(rho), cutoff)
+    isqrt, off_support, condition = _sqrt_pinv_with_support(_hermitize(rho))
     if condition > SANDWICH_MAX_CONDITION:
         # whiten the rows, (S a)^T = a^T S^T, and sum them again: S Z_i S and
         # S rho S as sums of Gram products, rounded as the rows are
@@ -146,9 +144,7 @@ def _pgm_raw(
     return _hermitize(sandwich @ zeros @ sandwich.conj().T + extra), full
 
 
-def build_pgm(
-    ensemble: Ensemble, *, full_table: bool = False, support_cutoff: float = SUPPORT_CUTOFF
-) -> PgmBundle:
+def build_pgm(ensemble: Ensemble, *, full_table: bool = False) -> PgmBundle:
     """Construct the square-root measurement of ``ensemble``.
 
     With ``full_table`` the 2^n-outcome table is stored as well (n <= 12),
@@ -159,8 +155,8 @@ def build_pgm(
         raise SizeCapError(f"full outcome table capped at n = {FULL_TABLE_MAX_N}, got {n}")
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
-    f0s, full = _pgm_raw(ensemble.prior, ensemble.states, support_cutoff, full_table)
-    return PgmBundle(n, BitPovms(f0s), full, support_cutoff)
+    f0s, full = _pgm_raw(ensemble.prior, ensemble.states, full_table)
+    return PgmBundle(n, BitPovms(f0s), full)
 
 
 def string_labels(measurement: Povm | GramPovm, n: int) -> np.ndarray:

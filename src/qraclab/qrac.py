@@ -17,7 +17,7 @@ forms that one density matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .rng import stream
 # Worst-case success of the two-decoder single-qubit code on which most
 # worked values in the tests are based.
 P_STANDARD = float(np.cos(np.pi / 8) ** 2)
+# How far a measured success may fall below the claimed p before a pair
+# fails the claim, on construction and in validate_qrac alike.
+TOL_CLAIM = 1e-9
 
 
 def hamming_budget(p: float, n: int) -> float:
@@ -59,7 +62,6 @@ class Qrac:
     encoder: GramStates
     decoders: BitPovms
     claimed_p: float | None = None  # None claims the measured worst case
-    tol: float = field(default=1e-9, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -82,7 +84,7 @@ class Qrac:
         worst = success_table(self).min()
         if self.claimed_p is None:
             self.claimed_p = float(worst)
-        elif worst < self.claimed_p - self.tol:
+        elif worst < self.claimed_p - TOL_CLAIM:
             raise ValidationError(
                 f"claimed success {self.claimed_p} not met: worst pair achieves {worst}"
             )
@@ -112,7 +114,7 @@ class QracValidation:
     degenerate: bool
 
 
-def validate_qrac(q: Qrac, tol: float = 1e-9) -> QracValidation:
+def validate_qrac(q: Qrac) -> QracValidation:
     """Re-measure the worst-case success and list pairs below the claim.
 
     Codes whose worst pair does no better than a coin flip are flagged
@@ -120,7 +122,7 @@ def validate_qrac(q: Qrac, tol: float = 1e-9) -> QracValidation:
     """
     table = success_table(q)
     worst = float(table.min())
-    bad = np.argwhere(table < q.claimed_p - tol)
+    bad = np.argwhere(table < q.claimed_p - TOL_CLAIM)
     offending = tuple((int(i) + 1, int(x)) for i, x in bad)
     return QracValidation(worst, offending, degenerate=worst <= 0.5)
 

@@ -279,6 +279,9 @@ def test_out_writes_json_and_csv(tmp_path, capsys):
     assert on_disk["ok"] is True
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.startswith("check,value")
+    # values are written at 17 significant digits, so they read back exactly
+    rows = csv_text.strip().split("\n")[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [c["value"] for c in on_disk["checks"]]
 
 
 def test_deterministic_reports_byte_identical():

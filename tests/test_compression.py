@@ -102,14 +102,6 @@ class TestBuildScheme:
                 cap = math.ceil(s.c_max) + math.ceil(math.log2(math.log(1 / eta))) + 2
                 assert s.index_bits <= cap
 
-    def test_json_dict(self):
-        s = build_scheme(identity_channel(4), eta=0.1)
-        d = s.to_json_dict()
-        assert d["n_cap"] == 10
-        assert d["index_bits"] == 4
-        assert len(d["z"]) == 4
-        assert d["channel"]["in_size"] == 4
-
 
 class TestRunProtocol:
     def test_constant_channel_always_first_index(self):

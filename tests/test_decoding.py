@@ -128,37 +128,6 @@ class TestIdentificationBound:
         assert identification_bound_check(q, povm).ok
 
 
-class TestReportSerialization:
-    def test_json_fields(self, standard):
-        q, e, pg = standard
-        d = expected_hamming_exact(q, e, pg).to_json_dict()
-        assert d["schema_version"] == 1
-        assert d["expected_dh"] == pytest.approx(0.5)
-        assert d["satisfied"] is True
-        assert len(d["per_bit_error"]) == 2
-        assert len(d["per_x_expected_dh"]) == 4
-
-    def test_csv_shape(self, standard):
-        q, e, pg = standard
-        text = expected_hamming_exact(q, e, pg).to_csv()
-        lines = text.strip().split("\r\n")
-        assert lines[0] == "i,per_bit_error,bound_share"
-        assert len(lines) == 3
-        i, err, share = lines[1].split(",")
-        assert i == "1"
-        assert float(err) == pytest.approx(0.25)
-        assert float(share) == pytest.approx(0.25)
-
-    def test_csv_round_trips_17_digits(self, tmp_path, standard):
-        q, e, pg = standard
-        path = tmp_path / "report.csv"
-        report = expected_hamming_exact(q, e, pg)
-        report.to_csv(path)
-        body = path.read_bytes().decode().strip().split("\r\n")[1:]
-        parsed = [float(line.split(",")[1]) for line in body]
-        np.testing.assert_array_equal(parsed, report.per_bit_error)
-
-
 def test_report_is_frozen(standard):
     q, e, pg = standard
     report = expected_hamming_exact(q, e, pg)

@@ -104,9 +104,8 @@ class TestSolveWorstcase:
         # an adversarial claim the code cannot meet: claimed_p barely above
         # the true value makes the bound unreachable
         q = build_standard_2to1()
-        hopeless = Qrac(
-            n=2, m=1, encoder=q.encoder, decoders=q.decoders, claimed_p=0.999, tol=0.2
-        )
+        hopeless = Qrac(n=2, m=1, encoder=q.encoder, decoders=q.decoders)
+        hopeless.claimed_p = 0.999
         with pytest.raises(NotConvergedError) as exc_info:
             solve_worstcase(hopeless, eps=0.001, max_iters=25)
         best = exc_info.value.best
@@ -121,9 +120,8 @@ class TestSolveWorstcase:
         # here the best average is an earlier iterate than the last, so its
         # measurement must average that prefix of the iterates, not all of them
         q = build_random_qrac(4, 1, seed=5)
-        hopeless = Qrac(
-            n=4, m=1, encoder=q.encoder, decoders=q.decoders, claimed_p=0.999, tol=1.0
-        )
+        hopeless = Qrac(n=4, m=1, encoder=q.encoder, decoders=q.decoders)
+        hopeless.claimed_p = 0.999
         with pytest.raises(NotConvergedError) as exc_info:
             solve_worstcase(hopeless, eps=0.001, max_iters=25)
         best = exc_info.value.best
@@ -136,7 +134,7 @@ class TestSolveWorstcase:
     def test_size_caps(self):
         from qraclab.linalg import DensityMatrix
 
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = DensityMatrix(np.eye(2) / 2)
         coin = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, 1))
         q9 = Qrac(
             n=9,
@@ -150,7 +148,7 @@ class TestSolveWorstcase:
         flat = Qrac(
             n=1,
             m=5,
-            encoder=(DensityMatrix.maximally_mixed(32),) * 2,
+            encoder=(DensityMatrix(np.eye(32) / 32),) * 2,
             decoders=(Povm((np.eye(32) / 2, np.eye(32) / 2), outcomes=(0, 1)),),
             claimed_p=0.0,
         )

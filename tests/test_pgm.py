@@ -61,7 +61,7 @@ def bit_ensemble(q, i):
     from qraclab.bits import bit_column
 
     col = bit_column(i, q.n)
-    stack = q.encoder.dense()
+    stack = linalg.gram_dense(q.encoder.factors)
     rho0 = DensityMatrix(stack[col == 0].mean(axis=0))
     rho1 = DensityMatrix(stack[col == 1].mean(axis=0))
     return Ensemble(np.array([0.5, 0.5]), (rho0, rho1))

@@ -15,7 +15,6 @@ from qraclab.corpus import random_qrac_corpus
 from qraclab.conversion import SharedShift, build_rac, effective_channel, validate_rac
 from qraclab.decoding import expected_hamming_exact
 from qraclab.info import max_channel_capacity
-from qraclab.linalg import SUPPORT_CUTOFF
 from qraclab.pgm import PgmBundle, build_pgm, marginal_f0s
 from qraclab.qrac import (
     Ensemble,
@@ -88,7 +87,7 @@ def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
 @settings(max_examples=10, deadline=None)
 def test_decoder_hamming_error_is_the_success_table_complement(seed):
     q = corpus_code(seed)
-    own = PgmBundle(q.n, q.decoders, None, SUPPORT_CUTOFF)
+    own = PgmBundle(q.n, q.decoders, None)
     report = expected_hamming_exact(q, Ensemble.uniform(q), own)
     want = (1.0 - success_table(q)).sum(axis=0)
     np.testing.assert_allclose(report.per_x_expected_dh, want, rtol=0, atol=1e-12)

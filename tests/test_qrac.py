@@ -6,7 +6,6 @@ from qraclab.bits import (
     bit_at,
     bit_column,
     bit_columns,
-    format_bits,
     hamming_table,
 )
 from qraclab.errors import SizeCapError, ValidationError
@@ -34,9 +33,6 @@ class TestBits:
         assert bit_at(0b100, 1, 3) == 1
         assert bit_at(0b100, 2, 3) == 0
         assert bit_at(0b100, 3, 3) == 0
-
-    def test_format(self):
-        assert format_bits(6, 4) == "0110"
 
     def test_column_matches_bit_at(self):
         col = bit_column(2, 3)
@@ -80,7 +76,7 @@ class TestStandardCode:
 
     def test_first_decoder_on_10(self):
         q = build_standard_2to1()
-        probs = q.decoders[0].probabilities(q.encoder[0b10])
+        probs = np.einsum("kij,ji->k", q.decoders[0].element_stack, q.encoder[0b10].mat).real
         assert probs[1] == pytest.approx(C * C, abs=1e-12)
 
     def test_swapped_decoders_flag_every_pair(self):
