@@ -52,9 +52,11 @@ class CompressionScheme:
         return self.channel.out_size
 
     @cached_property
-    def cum_z(self) -> np.ndarray:
-        """Cumulative reference distribution, which sampling searches."""
-        return np.cumsum(self.z)
+    def bins(self) -> np.ndarray:
+        """Cumulative reference mass of outcomes 0..K-2: a uniform u in [0, 1)
+        samples outcome ``bins.searchsorted(u, "right")``, and the last
+        outcome takes whatever rounding leaves of the total."""
+        return np.cumsum(self.z[:-1])
 
     @cached_property
     def accept(self) -> np.ndarray:
@@ -76,10 +78,6 @@ class ProtocolRun:
     message_bits: int
     shared_seed: int
     replicate: int
-
-    @property
-    def failed(self) -> bool:
-        return self.sent_index == FAIL_INDEX
 
 
 @dataclass(frozen=True)
@@ -124,21 +122,17 @@ def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     )
 
 
-def _sample_from(scheme: CompressionScheme, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(scheme.cum_z, u, side="right")
-    return np.minimum(idx, scheme.out_size - 1)
-
-
 def _transcript(
     scheme: CompressionScheme, x: int, shared: np.random.Generator, alice: np.random.Generator
 ) -> tuple[int, int | None]:
     """Alice's side of one run on input x: n_cap shared draws, then her
     n_cap acceptance coins.  Returns (sent index, accepted draw), or
     (FAIL_INDEX, None) when no attempt accepts."""
-    draws = _sample_from(scheme, shared.random(scheme.n_cap))
-    hits = np.flatnonzero(alice.random(scheme.n_cap) < scheme.accept[x, draws])
-    if hits.size:
-        return int(hits[0]) + 1, int(draws[hits[0]])
+    draws = scheme.bins.searchsorted(shared.random(scheme.n_cap), "right")
+    hits = alice.random(scheme.n_cap) < scheme.accept[x][draws]
+    first = hits.argmax()
+    if hits[first]:
+        return int(first) + 1, int(draws[first])
     return FAIL_INDEX, None
 
 
@@ -187,6 +181,6 @@ def estimate_acceptance_rate(
         raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
     shared = stream(seed, TAG_BATCH, TAG_SHARED, x, 1)
     alice = stream(seed, TAG_BATCH, TAG_ALICE, x, 1)
-    draws = _sample_from(scheme, shared.random(runs))
+    draws = scheme.bins.searchsorted(shared.random(runs), "right")
     return float(np.mean(alice.random(runs) < scheme.accept[x, draws]))
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compression import FAIL_INDEX, CompressionScheme, _sample_from, _transcript, build_scheme
+from .compression import FAIL_INDEX, CompressionScheme, _transcript, build_scheme
 from .errors import (
     BadShiftError,
     DerandomizationFailedError,
@@ -30,7 +30,7 @@ from .errors import (
 from .info import ClassicalChannel, max_channel_capacity
 from .pgm import PgmBundle, build_pgm, marginal_f0s
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
-from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, counter_stream, stream
+from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, _Key, stream
 
 RAC_MAX_N = 8
 NEWMAN_MAX_SIZE = 2**20
@@ -44,8 +44,12 @@ def shift_bits(x: int, d: int, n: int) -> int:
         raise BadShiftError(f"shift must lie in 1..{n}, got {d}")
     if not 0 <= x < 2**n:
         raise DomainError(f"{x} is not an {n}-bit string")
-    width = (1 << n) - 1
-    return ((x << d) | (x >> (n - d))) & width
+    return _rotate(x, d, n)
+
+
+def _rotate(x, d, n: int):
+    """:func:`shift_bits` unchecked, for 0 <= d <= n, on ints or int arrays."""
+    return ((x << d) | (x >> (n - d))) & ((1 << n) - 1)
 
 
 def unshift_bits(x: int, d: int, n: int) -> int:
@@ -78,14 +82,16 @@ class SharedShift:
 
 def _shift_pairs(pairs, n: int) -> np.ndarray:
     """A set of shifts as one frozen (|S|, 2) int array of (r, d) rows, each
-    checked for 1 <= d <= n and 0 <= r < 2^n; :class:`SharedShift` checks
-    its own (r, d) here too."""
-    try:
-        pairs = np.array(pairs, dtype=np.int64)
-    except OverflowError:  # beyond int64, so outside both ranges
-        raise DomainError(f"an (r, d) row lies outside the {n}-bit shifts") from None
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError(f"expected (r, d) rows, got shape {pairs.shape}")
+    checked for integer entries, 1 <= d <= n and 0 <= r < 2^n;
+    :class:`SharedShift` checks its own (r, d) here too."""
+    rows = np.asarray(pairs)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValidationError(f"expected (r, d) rows, got shape {rows.shape}")
+    if rows.dtype.kind not in "biu":  # floats, or ints beyond int64 as objects
+        for entry in np.array(pairs, dtype=object).flat:  # entries as given
+            if not (isinstance(entry, (int, np.integer)) and -(2**63) <= entry < 2**63):
+                raise DomainError(f"an (r, d) entry must be a 64-bit integer, got {entry!r}")
+    pairs = rows.astype(np.int64)
     bad_d = np.flatnonzero((pairs[:, 1] < 1) | (pairs[:, 1] > n))
     if bad_d.size:
         raise BadShiftError(f"shift must lie in 1..{n}, got {pairs[bad_d[0], 1]}")
@@ -99,9 +105,7 @@ def _shift_pairs(pairs, n: int) -> np.ndarray:
 def perm_table(s_set: np.ndarray, n: int) -> np.ndarray:
     """Every shift's permutation z -> shift_d(z XOR r) over all 2^n strings,
     one row per (r, d) row of ``s_set``: shape (|S|, 2^n)."""
-    r, d = s_set[:, :1], s_set[:, 1:]
-    z = np.arange(2**n) ^ r
-    return ((z << d) | (z >> (n - d))) & ((1 << n) - 1)
+    return _rotate(np.arange(2**n) ^ s_set[:, :1], s_set[:, 1:], n)
 
 
 def perm_array(s: SharedShift) -> np.ndarray:
@@ -194,7 +198,7 @@ def shift_average(table: np.ndarray, s_set: np.ndarray) -> np.ndarray:
     by_pair = np.bincount((s_set[:, 1] - 1) * size + s_set[:, 0], minlength=n * size)
     d = np.arange(1, n + 1)[:, None]
     xs = np.arange(size)
-    unrotated = ((xs >> d) | (xs << (n - d))) & (size - 1)  # [d-1, x'] = unrotate_d(x')
+    unrotated = _rotate(xs, n - d, n)  # [d-1, x'] = unrotate_d(x')
     masks = xs[:, None] ^ unrotated[:, None, :]  # [d-1, x, x'] = the r sending x to x'
     counts = by_pair.reshape(n, size)[np.arange(n)[:, None, None], masks]
     rotated = table[(np.arange(n) - d) % n]  # [d-1, i] = row i - d
@@ -438,11 +442,12 @@ def rac_encode(
     n = codebook.n
     if not 0 <= x < 2**n:
         raise DomainError(f"{x} is not an {n}-bit string")
-    alice = counter_stream(shared_seed, TAG_ENCODE, replicate)
+    key = _Key(shared_seed, TAG_ENCODE, replicate)
+    alice = key.stream(TAG_ENCODE, replicate)
     s_index = int(alice.integers(codebook.size_s))
     r, d = codebook.s_set[s_index].tolist()
-    shared = counter_stream(shared_seed, TAG_SHARED, s_index, replicate)
-    sent, _ = _transcript(codebook.scheme, shift_bits(x ^ r, d, n), shared, alice)
+    shared = key.stream(TAG_SHARED, s_index, replicate)
+    sent, _ = _transcript(codebook.scheme, _rotate(x ^ r, d, n), shared, alice)
     return RacMessage(s_index=s_index, sent_index=sent, total_bits=codebook.total_message_bits)
 
 
@@ -463,13 +468,13 @@ def rac_decode(
         raise DomainError(f"shift index must lie in 0..{codebook.size_s - 1}, got {s_index}")
     if not FAIL_INDEX <= sent <= n_cap:
         raise DomainError(f"sample index must lie in {FAIL_INDEX}..{n_cap}, got {sent}")
-    path = (s_index, replicate)
+    key = _Key(shared_seed, s_index, replicate)
     if sent == FAIL_INDEX:
-        y = int(counter_stream(shared_seed, TAG_BOB, *path).integers(2**n))
+        y = int(key.stream(TAG_BOB, s_index, replicate).integers(2**n))
     else:
         # the accepted base-label sample is the sent_index-th shared draw; a
         # shorter draw is a prefix of the sender's, so only that many are replayed
-        u = counter_stream(shared_seed, TAG_SHARED, *path).random(sent)[-1]
+        u = key.stream(TAG_SHARED, s_index, replicate).random(sent)[-1]
         r, d = codebook.s_set[s_index].tolist()
-        y = unshift_bits(int(_sample_from(codebook.scheme, u)), d, n) ^ r
+        y = _rotate(int(codebook.scheme.bins.searchsorted(u, "right")), n - d, n) ^ r
     return (y >> (n - i)) & 1

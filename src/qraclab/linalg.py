@@ -502,10 +502,6 @@ class Povm:
         flat = np.asarray(weights).astype(complex) @ elems.reshape(len(elems), -1)
         return flat.reshape(-1, *elems.shape[1:])
 
-    def table(self, states: GramStates) -> np.ndarray:
-        """(N, k) table Tr(E_k rho_x) over states and elements in stored order."""
-        return trace_table(self.element_stack, states.factors).T
-
     def diagonal(self, states: GramStates) -> np.ndarray:
         """(k,) Tr(E_k rho_y) with y = outcomes[k], the state each element's
         label names, in stored order."""

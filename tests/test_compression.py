@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -103,13 +104,66 @@ class TestBuildScheme:
                 assert s.index_bits <= cap
 
 
+def zero_mass_scheme():
+    """A 6 -> 7 channel whose outputs 3 and 6, the last one, no input reaches."""
+    rng = np.random.default_rng(5)
+    table = rng.dirichlet(np.ones(7), size=6)
+    table[:, [3, 6]] = 0.0
+    table /= table.sum(axis=1, keepdims=True)
+    return build_scheme(ClassicalChannel(table), eta=0.3)
+
+
+def trailing_zero_mass_scheme():
+    table = np.random.default_rng(9).dirichlet(np.ones(5), size=4)
+    table[:, 3:] = 0.0
+    table /= table.sum(axis=1, keepdims=True)
+    return build_scheme(ClassicalChannel(table), eta=0.2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        zero_mass_scheme,
+        trailing_zero_mass_scheme,
+        lambda: build_scheme(identity_channel(4), eta=0.1),
+        lambda: build_scheme(ClassicalChannel(np.ones((3, 1))), eta=0.1),
+    ],
+)
+def test_bins_search_is_the_clamped_search_of_the_cumulative_mass(make):
+    """Sampling searches ``bins`` where it searched the whole cumulative mass
+    and clamped the index to the last outcome; both pick the same outcome,
+    also for u at a cumulative value, just below one, 0 and 1 - 2^-53."""
+    s = make()
+    cum = np.cumsum(s.z)
+    u = np.concatenate(
+        [cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53],
+         np.random.default_rng(0).random(1000)]
+    )
+    want = np.minimum(np.searchsorted(cum, u, side="right"), s.out_size - 1)
+    np.testing.assert_array_equal(s.bins.searchsorted(u, "right"), want)
+
+
 class TestRunProtocol:
+    def test_transcripts_match_the_recorded_digest(self):
+        """A SHA-256 of every transcript's (sent_index, output_y) and of each
+        input's acceptance-rate estimate: any change to a draw moves it."""
+        s = zero_mass_scheme()
+        h = hashlib.sha256()
+        fails = 0
+        for x in range(s.in_size):
+            for rep in range(40):
+                r = run_protocol(s, x, 2**100 + 12345, rep)
+                fails += r.sent_index == FAIL_INDEX
+                h.update(f"{r.sent_index},{r.output_y};".encode())
+            h.update(estimate_acceptance_rate(s, x, seed=3, runs=2000).hex().encode())
+        assert 0 < fails < 240
+        assert h.hexdigest() == "68a7ff575755d8cf39cbb4339a7d65b106f48e499e54245c7a568ea2490fe8a1"
+
     def test_constant_channel_always_first_index(self):
         s = build_scheme(constant_channel(3), eta=0.2)
         for seed in range(20):
             r = run_protocol(s, x=1, shared_seed=seed)
             assert r.sent_index == 1
-            assert not r.failed
             assert 0 <= r.output_y < 3
 
     def test_deterministic_replay(self):
@@ -126,7 +180,7 @@ class TestRunProtocol:
         hits = 0
         for rep in range(200):
             r = run_protocol(s, x=3, shared_seed=5, replicate=rep)
-            if not r.failed:
+            if r.sent_index != FAIL_INDEX:
                 hits += 1
                 assert r.output_y == 3
         assert hits > 150
@@ -147,7 +201,7 @@ class TestRunProtocol:
         seen = set()
         for rep in range(300):
             r = run_protocol(s, x=6, shared_seed=13, replicate=rep)
-            if r.failed:
+            if r.sent_index == FAIL_INDEX:
                 fails += 1
                 seen.add(r.output_y)
             else:

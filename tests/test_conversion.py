@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import time
 import tracemalloc
@@ -102,6 +103,10 @@ class TestSharedShift:
             cv.SharedShift(r=8, d=1, n=3)
         with pytest.raises(DomainError):  # beyond int64
             cv.SharedShift(r=2**70, d=1, n=3)
+        # a non-integer entry is named, not truncated
+        for r, d, named in [(1.5, 1, "1.5"), (2, 1.5, "1.5"), (2.0, 1, "2.0")]:
+            with pytest.raises(DomainError, match=f"integer, got {named}$"):
+                cv.SharedShift(r, d, 3)
 
 
 class TestSymmetrizedRoundtrip:
@@ -265,6 +270,8 @@ class TestNewmanSet:
             (((0, 1, 2),), ValidationError),
             ((0, 1), ValidationError),
             (((2**70, 1),), DomainError),
+            (((2.7, 1.9),), DomainError),
+            (((0, 1), (3, 1.0)), DomainError),
         ],
     )
     def test_codebook_checks_each_pair(self, s_set, error):
@@ -565,7 +572,63 @@ def assert_decodes_base_transcript(cb, x, seed, rep):
         assert cv.rac_decode(cb, msg, i, seed, rep) == bit_at(decoded, i, n)
 
 
+GOLDEN_SEED = 2**100 + 12345  # sets both Philox key words
+
+
+def golden_books():
+    return [cv.build_rac(q, eta=0.2, seed=1)
+            for q in (build_random_qrac(5, 4, seed=0), build_standard_2to1())]
+
+
+def golden_messages(cb):
+    """Every x's message at the lowest and highest replicate, with the bits
+    that each of its (x, i) pairs decodes."""
+    for x in range(2**cb.n):
+        for rep in (0, 2**64 - 1):
+            msg = cv.rac_encode(cb, x, GOLDEN_SEED, rep)
+            yield msg, [cv.rac_decode(cb, msg, i, GOLDEN_SEED, rep) for i in range(1, cb.n + 1)]
+
+
 class TestEncodeDecode:
+    def test_messages_and_bits_match_the_recorded_digest(self):
+        """A SHA-256 of every (s_index, sent_index, total_bits, bit): any
+        change to a draw, to the sampling search or to the shift moves it."""
+        digests, sent = [], set()
+        for cb in golden_books():
+            h = hashlib.sha256()
+            for msg, bits in golden_messages(cb):
+                sent.add(msg.sent_index == FAIL_INDEX)
+                for bit in bits:
+                    h.update(f"{msg.s_index},{msg.sent_index},{msg.total_bits},{bit};".encode())
+            digests.append(h.hexdigest())
+        assert sent == {True, False}  # both the accept and the failure-flag branch
+        assert digests == [
+            "0cd56fd420d2f08a638f66bb1dcf6883fdec8dd6bd959b7b798714bb51daa832",
+            "11a888709e773131551013c57d807e0a10d6314fcc957af47216d64826307dc8",
+        ]
+
+    def test_a_roundtrip_builds_two_streams_to_encode_and_one_to_decode(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        branches = set()
+        for cb in golden_books():
+            for x in range(2**cb.n):
+                for rep in (0, 2**64 - 1):
+                    built.clear()
+                    msg = cv.rac_encode(cb, x, GOLDEN_SEED, rep)
+                    assert len(built) == 2
+                    built.clear()
+                    cv.rac_decode(cb, msg, 1, GOLDEN_SEED, rep)
+                    assert len(built) == 1
+                    branches.add(msg.sent_index == FAIL_INDEX)
+        assert branches == {True, False}
+
     def test_identity_code_decodes_exactly_on_acceptance(self):
         q = build_identity_encoding(3)
         cb = cv.build_rac(q, eta=0.2, seed=1)
