@@ -7,12 +7,16 @@ The public surface re-exported here covers the usual workflow: build a code
 convert it to a classical code (`build_rac`, `validate_rac`).  Submodules
 stay importable directly for the long tail (bits, corpus, serialize, cli).
 
-Every public function, class, method and property in the package is read
-by a command, a demo or the benchmark, and every defaulted parameter is
-passed by one, except for the reference implementations that the tests
-compare against: `evaluate_worstcase`, which re-evaluates a certificate,
+Every public function, class, method, property and result field in the
+package is read by a command, a demo or the benchmark, and every defaulted
+parameter is passed by one, except for the references that the tests
+compare against: `evaluate_worstcase`, which re-evaluates a certificate
+from its dense `Povm`, labelled 0..k-1, with sums of its own,
 `max_relative_entropy`, which checks a capacity's reference distribution,
-and `SharedShift.apply` and `.invert`, which check the shift tables.
+`SharedShift.apply` and `.invert`, which check the shift tables, and the
+fields that the tests compare with those references (`GameSolution.per_x`,
+`.worst_x` and `.avg_value_at_final_prior`, and `ExactOutput.dist`).
+Each evaluator takes the one measurement form its callers pass.
 Tolerances, the support cutoff and the solver's gap share are module
 constants.  ``tests/test_surface.py`` keeps it that way.
 """

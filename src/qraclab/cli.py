@@ -180,7 +180,8 @@ def report_to_csv(report: dict, path=None) -> str:
 
 def emit_report(command: str, cfg: dict, checks: list[dict], extra: dict) -> int:
     """Print the report, and write it to PATH.json and PATH.csv for
-    ``--out PATH``; return the exit status its checks give."""
+    ``--out PATH``; return the exit status its checks give.  A file that
+    cannot be written is a usage error, raised before anything is printed."""
     report = {"schema_version": SCHEMA_VERSION, "command": command, "config": cfg}
     if not cfg["deterministic"]:
         report["created"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -190,8 +191,11 @@ def emit_report(command: str, cfg: dict, checks: list[dict], extra: dict) -> int
     report["ok"] = not failures
     report["failures"] = failures
     if cfg["out"]:
-        dump_json(report, f"{cfg['out']}.json")
-        report_to_csv(report, f"{cfg['out']}.csv")
+        try:
+            dump_json(report, f"{cfg['out']}.json")
+            report_to_csv(report, f"{cfg['out']}.csv")
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from exc
     if cfg["format"] == "csv":
         sys.stdout.write(report_to_csv(report))
     else:
@@ -428,8 +432,7 @@ def suite_bounds(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     codes = corpus.reference_corpus(seeds, seed)
 
     def slack(q):
-        p_val = validate_qrac(q).worst_case_p
-        return q.m - qubit_lower_bound(q.n, p_val).from_hamming
+        return q.m - qubit_lower_bound(q.n, validate_qrac(q)).from_hamming
 
     slacks = _parallel_map(slack, codes, jobs)
 
@@ -678,10 +681,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args, defaults)
         checks, extra = handler(cfg)
+        return emit_report(args.command, cfg, checks, extra)
     except (UsageError, DomainError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit_report(args.command, cfg, checks, extra)
 
 
 if __name__ == "__main__":

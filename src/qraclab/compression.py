@@ -72,12 +72,9 @@ class CompressionScheme:
 class ProtocolRun:
     """One execution transcript."""
 
-    x: int
     sent_index: int
     output_y: int
     message_bits: int
-    shared_seed: int
-    replicate: int
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,18 @@ class ExactOutput:
     tv_error: float
 
 
+def _log_inverse(eta: float) -> float:
+    """ln(1/eta); DomainError where 1/eta overflows, as at a subnormal eta."""
+    inverse = 1.0 / eta
+    if math.isinf(inverse):
+        raise DomainError(f"eta {eta} is too small: 1/eta overflows")
+    return math.log(inverse)
+
+
 def index_bits_cap(c_max: float, eta: float) -> int:
     """Most index bits a scheme of capacity ``c_max`` and error ``eta`` may
     use: ceil(c_max) + ceil(log2 ln(1/eta)) + 2."""
-    return math.ceil(c_max) + math.ceil(math.log2(math.log(1.0 / eta))) + 2
+    return math.ceil(c_max) + math.ceil(math.log2(_log_inverse(eta))) + 2
 
 
 def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
@@ -108,7 +113,7 @@ def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     ratio = ratios.max(axis=1)
     a = np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0.0)
     # 2^{c_max} held in linear scale to keep n_cap arithmetic exact
-    n_cap = math.ceil(cap.column_max_sum * math.log(1.0 / eta))
+    n_cap = math.ceil(cap.column_max_sum * _log_inverse(eta))
     n_cap = max(n_cap, 1)
     return CompressionScheme(
         channel=channel,
@@ -149,14 +154,7 @@ def run_protocol(
         # Bob's stream is forked only when he needs it
         bob = counter_stream(shared_seed, TAG_BOB, x, replicate)
         output = int(bob.integers(scheme.out_size))
-    return ProtocolRun(
-        x=x,
-        sent_index=sent,
-        output_y=output,
-        message_bits=scheme.index_bits,
-        shared_seed=shared_seed,
-        replicate=replicate,
-    )
+    return ProtocolRun(sent_index=sent, output_y=output, message_bits=scheme.index_bits)
 
 
 def exact_output_distribution(scheme: CompressionScheme, x: int) -> ExactOutput:

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .info import ClassicalChannel, max_channel_capacity
-from .pgm import PgmBundle, build_pgm, marginal_f0s
+from .pgm import PgmBundle, _check_bundle_size, build_pgm
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, _Key, stream
 
@@ -127,7 +127,8 @@ def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
 def per_bit_error_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     """err[i-1, x] = probability bit i is decoded wrongly on input x under
     the uniform-prior square-root measurement marginals."""
-    return bit_error_table(marginal_f0s(pgm_uniform, q.n), q.encoder)
+    _check_bundle_size(pgm_uniform, q.n)
+    return bit_error_table(pgm_uniform.marginals.f0s, q.encoder)
 
 
 def effective_channel(
@@ -178,9 +179,6 @@ def sample_newman_set(
 class NoBadEventReport:
     ok: bool
     worst_margin: float
-    threshold: float
-    uniform_error: float
-    offending: tuple[tuple[int, int], ...]
 
 
 def shift_average(table: np.ndarray, s_set: np.ndarray) -> np.ndarray:
@@ -222,15 +220,9 @@ def verify_no_bad_event(
         bit_errors = per_bit_error_table(q, build_pgm(Ensemble.uniform(q)))
     uniform_error = float(bit_errors.mean())
     margins = shift_average(bit_errors, _shift_pairs(s_set, n)) - uniform_error
-    threshold = eta / 2.0
-    bad = np.argwhere(margins > threshold + 1e-12)
-    offending = tuple((int(x), int(i) + 1) for i, x in bad)
     return NoBadEventReport(
-        ok=len(offending) == 0,
+        ok=not (margins > eta / 2.0 + 1e-12).any(),
         worst_margin=float(margins.max()),
-        threshold=threshold,
-        uniform_error=uniform_error,
-        offending=offending,
     )
 
 
@@ -294,10 +286,7 @@ class RacCodebook:
     index_bits_s: int
     total_message_bits: int
     success_floor: float
-    seed: int
-    c_newman: float
     newman_attempts: int
-    worst_margin: float
 
     def __post_init__(self):
         object.__setattr__(self, "s_set", _shift_pairs(self.s_set, self.n))
@@ -342,7 +331,6 @@ def build_rac(
     err = per_bit_error_table(q, pgm)
 
     best_margin = math.inf
-    report = None
     s_set = None
     for attempt in range(NEWMAN_MAX_ATTEMPTS):
         candidate = sample_newman_set(n, eta, seed, c_newman, attempt=attempt)
@@ -374,10 +362,7 @@ def build_rac(
         index_bits_s=index_bits_s,
         total_message_bits=index_bits_s + scheme.index_bits,
         success_floor=floor,
-        seed=seed,
-        c_newman=c_newman,
         newman_attempts=attempts_used,
-        worst_margin=report.worst_margin,
     )
 
 
@@ -387,9 +372,7 @@ class RacValidation:
 
     min_success: float
     ok: bool
-    floor: float
     table: np.ndarray
-    argmin: tuple[int, int]
 
 
 def validate_rac(codebook: RacCodebook, q: Qrac) -> RacValidation:
@@ -412,15 +395,11 @@ def validate_rac(codebook: RacCodebook, q: Qrac) -> RacValidation:
     # a shift relabels the failure chance with its input, like the error table
     fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
     table = shift_average((1.0 - fail) * (1.0 - codebook.bit_errors) + fail * 0.5, codebook.s_set)
-    flat = int(np.argmin(table))
-    i, x = divmod(flat, table.shape[1])
-    min_success = float(table[i, x])
+    min_success = float(table.min())
     return RacValidation(
         min_success=min_success,
         ok=min_success >= codebook.success_floor - 1e-9,
-        floor=codebook.success_floor,
         table=table,
-        argmin=(x, i + 1),
     )
 
 

@@ -1,8 +1,10 @@
-"""Exact evaluation of string decoders.
+"""Exact evaluation of the square-root measurement as a string decoder.
 
 The central quantity is the expected Hamming distance between the encoded
 string and the measurement outcome, which for the square-root measurement
-is guaranteed to stay below 2p(1-p)n for every prior.
+is guaranteed to stay below 2p(1-p)n for every prior.  It is read from the
+bundle's per-bit marginals; the identification sum is read from the full
+table's diagonal.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import GramPovm, Povm
-from .pgm import PgmBundle, marginal_f0s, string_labels
+from .errors import LabelMismatchError, ValidationError
+from .linalg import GramPovm
+from .pgm import PgmBundle, _check_bundle_size
 from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 
 
@@ -21,39 +23,25 @@ from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
 class HammingReport:
     """Exact error accounting for one (code, prior, measurement) triple."""
 
-    n: int
     expected_dh: float
     per_bit_error: np.ndarray
-    per_x_expected_dh: np.ndarray
     bound: float
-    satisfied: bool
 
 
-def expected_hamming_exact(q: Qrac, prior, measurement) -> HammingReport:
-    """Exact per-bit and total Hamming error of ``measurement`` on ``q``.
-
-    ``measurement`` may be a PgmBundle (marginals are used directly) or a
-    full measurement (Povm or GramPovm) labeled by string indices.  The
-    reported bound is :func:`~qraclab.qrac.hamming_budget` of the code's
+def expected_hamming_exact(q: Qrac, ens: Ensemble, pg: PgmBundle) -> HammingReport:
+    """Exact per-bit and total Hamming error on ``q``, under the prior of
+    ``ens``, of the square-root measurement ``pg``, read from its marginals.
+    The reported bound is :func:`~qraclab.qrac.hamming_budget` of the code's
     claimed worst-case success.
     """
-    if isinstance(prior, Ensemble):
-        prior = prior.prior
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (2**q.n,):
+    if ens.prior.shape != (2**q.n,):
         raise ValidationError(f"prior must have length {2**q.n}")
-    err = bit_error_table(marginal_f0s(measurement, q.n), q.encoder)
-    per_bit = err @ prior
-    per_x = err.sum(axis=0)
-    bound = hamming_budget(q.claimed_p, q.n)
-    expected = float(per_bit.sum())
+    _check_bundle_size(pg, q.n)
+    per_bit = bit_error_table(pg.marginals.f0s, q.encoder) @ ens.prior
     return HammingReport(
-        n=q.n,
-        expected_dh=expected,
+        expected_dh=float(per_bit.sum()),
         per_bit_error=per_bit,
-        per_x_expected_dh=per_x,
-        bound=bound,
-        satisfied=bool(expected <= bound + 1e-9),
+        bound=hamming_budget(q.claimed_p, q.n),
     )
 
 
@@ -66,16 +54,11 @@ class IdentificationCheck:
     ok: bool
 
 
-def identification_bound_check(
-    q: Qrac, measurement: Povm | GramPovm | PgmBundle
-) -> IdentificationCheck:
-    """Check sum_x Tr(Q_x rho_x) <= 2^m for a string-labeled measurement."""
-    if isinstance(measurement, PgmBundle):
-        if measurement.full is None:
-            raise ValidationError("measurement bundle has no full outcome table")
-        measurement = measurement.full
-    string_labels(measurement, q.n)
-    lhs = measurement.diagonal(q.encoder).sum()
+def identification_bound_check(q: Qrac, full: GramPovm) -> IdentificationCheck:
+    """Check sum_x Tr(Q_x rho_x) <= 2^m for a measurement with one outcome
+    per n-bit string."""
+    if len(full) != 2**q.n:
+        raise LabelMismatchError(f"measurement has {len(full)} outcomes, code has {2**q.n} strings")
+    lhs = float(full.diagonal(q.encoder).sum())
     rhs = float(2**q.m)
-    return IdentificationCheck(lhs=float(lhs), rhs=rhs, ok=bool(lhs <= rhs + 1e-8))
-
+    return IdentificationCheck(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + 1e-8))

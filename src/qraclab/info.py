@@ -154,13 +154,12 @@ class DistanceConditioningReport:
     h_x_given_y: float
     h_x_given_yd: float
     side_information: float  # log2(n+1)
-    ok_monotone: bool  # H(X|Y,D) <= H(X|Y)
-    ok_recover: bool  # H(X|Y) <= H(X|Y,D) + log2(n+1)
 
 
 def distance_conditioning_check(joint_xy: np.ndarray, n: int) -> DistanceConditioningReport:
-    """Check the chain H(X|Y,D) <= H(X|Y) <= H(X|Y,D) + log2(n+1) on an
-    exact classical joint over string pairs, with D the Hamming distance."""
+    """The three terms of the chain H(X|Y,D) <= H(X|Y) <= H(X|Y,D) + log2(n+1)
+    on an exact classical joint over string pairs, with D the Hamming
+    distance, for the caller to check."""
     joint = np.asarray(joint_xy, dtype=float)
     size = 2**n
     if joint.shape != (size, size):
@@ -177,11 +176,8 @@ def distance_conditioning_check(joint_xy: np.ndarray, n: int) -> DistanceConditi
     h_yd = _xlog2x_sum(p_yd.reshape(-1))
     h_x_given_y = h_xy - h_y
     h_x_given_yd = h_xy - h_yd  # H(X,Y,D) = H(X,Y) since D is determined
-    side = math.log2(n + 1)
     return DistanceConditioningReport(
         h_x_given_y=h_x_given_y,
         h_x_given_yd=h_x_given_yd,
-        side_information=side,
-        ok_monotone=bool(h_x_given_yd <= h_x_given_y + 1e-9),
-        ok_recover=bool(h_x_given_y <= h_x_given_yd + side + 1e-9),
+        side_information=math.log2(n + 1),
     )

@@ -24,12 +24,13 @@ members under arbitrary weights, one product per row of weights),
 total, of a stack indexed by n-bit strings, from two products whatever n)
 and ``gram_dense`` (the members themselves, for a dense measurement).
 
-A dense ``Povm`` validates its elements as one (k, d, d) array, with one
-batched Hermiticity reduction and one batched ``eigvalsh``; per-bit
-measurements (decoders, PGM marginals) are ``BitPovms``, one (n, d, d)
-stack of outcome-0 operators F0_i, with outcome 1 read as I - F0_i.  A bad
-member of any stack raises the error, with the message and tolerance, that
-its own per-matrix constructor would.
+A dense ``Povm`` is labelled 0..k-1: its one field, ``elements``, is the
+validated (k, d, d) array, checked by one batched Hermiticity reduction
+and one batched ``eigvalsh``.  Per-bit measurements (decoders, PGM
+marginals) are ``BitPovms``, one (n, d, d) stack of outcome-0 operators
+F0_i, with outcome 1 read as I - F0_i.  A bad member of any stack raises
+the error, with the message and tolerance, that its own per-matrix
+constructor would.
 """
 
 from __future__ import annotations
@@ -417,15 +418,6 @@ def as_states(states) -> GramStates:
     return DensityMatrix.stack([_as_array(st) for st in states])
 
 
-def _outcome_labels(outcomes, count: int) -> tuple[int, ...]:
-    labels = tuple(range(count)) if outcomes is None else tuple(int(o) for o in outcomes)
-    if len(labels) != count:
-        raise ValidationError("one outcome label per element required")
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate outcome labels")
-    return labels
-
-
 def _check_identity_sum(total: np.ndarray) -> None:
     deviation = np.abs(total - np.eye(len(total))).max()
     if deviation > TOL_POVM:
@@ -449,31 +441,23 @@ def _leftover_extra(leftover: np.ndarray, total: np.ndarray) -> np.ndarray:
     return extra
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measure with integer outcome labels.
+    """A positive operator-valued measure with outcomes labelled 0..k-1.
 
     Elements must each be Hermitian and PSD within tolerance and must sum
     to the identity entrywise within ``TOL_POVM``.  They are validated and
-    kept as one frozen (k, d, d) array, ``element_stack``; ``elements``
-    hands out read-only views into it when read.
+    kept as one frozen (k, d, d) array, ``elements``.
     """
 
-    element_stack: np.ndarray = field(repr=False)
-    outcomes: tuple[int, ...]
-
-    def __init__(self, elements, outcomes=None):
-        object.__setattr__(self, "element_stack", elements)
-        object.__setattr__(self, "outcomes", outcomes)
-        self.__post_init__()
+    elements: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        members = [_as_array(e) for e in self.element_stack]
+        members = [_as_array(e) for e in self.elements]
         if not members:
             raise ValidationError("measurement needs at least one element")
         dim = members[0].shape[0]
         check_dim_cap(dim)
-        outcomes = _outcome_labels(self.outcomes, len(members))
         if any(e.shape != (dim, dim) for e in members):
             raise DimensionMismatchError("measurement elements differ in dimension")
         stack = np.stack(members)
@@ -482,31 +466,10 @@ class Povm:
         if np.linalg.eigvalsh(stack).min() < -TOL_PSD:
             raise ValidationError("measurement element has a negative eigenvalue")
         _check_identity_sum(stack.sum(axis=0))  # member after member
-        object.__setattr__(self, "element_stack", _frozen(stack))
-        object.__setattr__(self, "outcomes", outcomes)
-
-    @property
-    def elements(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.element_stack)
-
-    @property
-    def dim(self) -> int:
-        return self.element_stack.shape[1]
+        object.__setattr__(self, "elements", _frozen(stack))
 
     def __len__(self) -> int:
-        return len(self.element_stack)
-
-    def sums(self, weights) -> np.ndarray:
-        """(j, d, d) weighted sums sum_k weights[j, k] E_k over stored order."""
-        elems = self.element_stack
-        flat = np.asarray(weights).astype(complex) @ elems.reshape(len(elems), -1)
-        return flat.reshape(-1, *elems.shape[1:])
-
-    def diagonal(self, states: GramStates) -> np.ndarray:
-        """(k,) Tr(E_k rho_y) with y = outcomes[k], the state each element's
-        label names, in stored order."""
-        a = states.factors[list(self.outcomes)]
-        return (a.conj() * (self.element_stack @ a)).sum(axis=(1, 2)).real
+        return len(self.elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,7 +503,7 @@ class BitPovms(Sequence):
 
     def __getitem__(self, i: int) -> Povm:
         f0 = self.f0s[i]
-        return Povm((f0, np.eye(len(f0)) - f0), outcomes=(0, 1))
+        return Povm((f0, np.eye(len(f0)) - f0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,9 +515,8 @@ class GramPovm:
     of ``extra`` and the identity sum, one (d, k s)(k s, d) product.
     :meth:`_from_total` takes ``extra`` as the Gram product of a factor,
     PSD by construction too, and checks the identity sum on a total the
-    caller has already summed.  The outcome labels are 0..k-1.
-    ``element_stack`` is formed when read, and each of ``elements`` when
-    indexed; neither is kept.
+    caller has already summed.  The outcome labels are 0..k-1.  Each of
+    ``elements`` is formed when indexed, and not kept.
     """
 
     factors: np.ndarray
@@ -589,21 +551,11 @@ class GramPovm:
         return povm
 
     @property
-    def outcomes(self) -> tuple[int, ...]:
-        return tuple(range(len(self.factors)))
-
-    @property
     def dim(self) -> int:
         return self.factors.shape[1]
 
     def __len__(self) -> int:
         return len(self.factors)
-
-    @property
-    def element_stack(self) -> np.ndarray:
-        stack = gram_dense(self.factors)
-        stack[0] += self.extra
-        return stack
 
     @property
     def elements(self) -> "_GramElements":

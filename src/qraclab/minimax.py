@@ -24,9 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NotConvergedError, SizeCapError
-from .linalg import GramPovm, GramStates, Povm, argmax_first, gram_dense
-from .pgm import PgmBundle, _pgm_raw, marginal_f0s
+from .bits import bit_columns
+from .errors import DomainError, LabelMismatchError, NotConvergedError, SizeCapError
+from .linalg import GramStates, Povm, argmax_first, gram_dense
+from .pgm import _pgm_raw
 from .qrac import Qrac, bit_error_table, hamming_budget
 
 SOLVER_MAX_N = 8
@@ -74,18 +75,26 @@ class GameSolution:
             mean += gram_dense(full.factors)
             mean[0] += full.extra
         mean /= len(self.priors)
-        return Povm(mean, outcomes=tuple(range(2**self.n)))
+        return Povm(mean)
 
 
-def evaluate_worstcase(
-    q: Qrac, measurement: Povm | GramPovm | PgmBundle
-) -> tuple[float, int, np.ndarray]:
-    """Worst-case expected Hamming distance of ``measurement`` on ``q``.
+def evaluate_worstcase(q: Qrac, measurement: Povm) -> tuple[float, int, np.ndarray]:
+    """Worst-case expected Hamming distance of ``measurement`` on ``q``, a
+    reference that shares no code with the solver's running mean.
 
+    Outcome k is the n-bit string k, so bit i's outcome-0 operator is the
+    0/1-weighted sum of the elements whose string has bit i equal to 0; a
+    measurement with more than 2^n outcomes raises LabelMismatchError.
     Returns (worst value, argmax input, per-input values); ties, up to
     rounding, break to the lexicographically first input string.
     """
-    per_x = bit_error_table(marginal_f0s(measurement, q.n), q.encoder).sum(axis=0)
+    elements = measurement.elements
+    if len(elements) > 2**q.n:
+        raise LabelMismatchError(
+            f"measurement has {len(elements)} outcomes, code has {2**q.n} strings"
+        )
+    f0s = np.tensordot(bit_columns(q.n)[:, : len(elements)] == 0, elements, axes=1)
+    per_x = bit_error_table(f0s, q.encoder).sum(axis=0)
     return float(per_x.max()), argmax_first(per_x), per_x
 
 

@@ -8,8 +8,9 @@ elements always form a complete measurement.  A renormalizer R, the
 inverse square root of the computed family total, makes the sum the
 identity up to rounding: the stored element is R Q_y R.
 
-The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, the default evaluation
-path, are sandwiches of sums the build forms once (Hausladen, Jozsa,
+The marginals F0^{(i)} = sum_{y: y_i = 0} Q_y, which every per-bit
+evaluation reads as ``marginals.f0s``, are sandwiches of sums the build
+forms once, never sums of the full table's elements (Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters, PRA 1996).  With rho_y = A_y A_y^dag,
 one :func:`~qraclab.linalg.bit_sums` call on the weighted factors
 sqrt(P_y) A_y gives every bit's prior-weighted zero-sum Z_i and the average
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bit_column, bit_columns
+from .bits import bit_column
 from .errors import (
     DomainError,
     IndexOutOfRangeError,
@@ -51,7 +52,6 @@ from .linalg import (
     BitPovms,
     GramPovm,
     GramStates,
-    Povm,
     _hermitize,
     _leftover_extra,
     _sqrt_pinv_with_support,
@@ -159,32 +159,10 @@ def build_pgm(ensemble: Ensemble, *, full_table: bool = False) -> PgmBundle:
     return PgmBundle(n, BitPovms(f0s), full)
 
 
-def string_labels(measurement: Povm | GramPovm, n: int) -> np.ndarray:
-    """The outcome labels of a measurement labelled by n-bit strings, in
-    stored order; LabelMismatchError if one lies outside 0..2^n - 1."""
-    labels = np.asarray(measurement.outcomes)
-    if labels.min() < 0 or labels.max() >= 2**n:
-        raise LabelMismatchError(f"outcome labels must lie in 0..{2**n - 1}")
-    return labels
-
-
-def marginal_f0s(measurement: PgmBundle | Povm | GramPovm, n: int) -> np.ndarray:
-    """Outcome-0 marginal operator of every bit, shape (n, dim, dim), from a
-    bundle or from a measurement labelled by n-bit strings: F0_i is the sum
-    of the elements whose label has bit i equal to 0."""
-    if isinstance(measurement, PgmBundle):
-        if measurement.n != n:
-            raise LabelMismatchError(f"measurement built for n = {measurement.n}, code has {n}")
-        return measurement.marginals.f0s
-    if not isinstance(measurement, (Povm, GramPovm)):
-        raise TypeError(f"expected PgmBundle or Povm, got {type(measurement).__name__}")
-    labels = string_labels(measurement, n)
-    if isinstance(measurement, Povm):
-        return measurement.sums(bit_columns(n)[:, labels] == 0)
-    factors = measurement.factors
-    if len(factors) < 2**n:  # the missing outcomes are zero members
-        factors = np.concatenate([factors, np.zeros((2**n - len(factors), *factors.shape[1:]))])
-    return bit_sums(factors)[0] + measurement.extra
+def _check_bundle_size(pg: PgmBundle, n: int) -> None:
+    """LabelMismatchError unless ``pg`` was built for n-bit strings."""
+    if pg.n != n:
+        raise LabelMismatchError(f"measurement built for n = {pg.n}, code has {n}")
 
 
 def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:
@@ -201,13 +179,14 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     If the prior puts zero mass on one value of bit i the bit is trivially
     known and the probability is reported as 1.
     """
+    _check_bundle_size(pg, ensemble.n)
     if not 1 <= i <= pg.n:
         raise IndexOutOfRangeError(f"bit index {i} outside 1..{pg.n}")
     col = bit_column(i, ensemble.n)
     prior = ensemble.prior
     if prior[col == 0].sum() == 0.0 or prior[col == 1].sum() == 0.0:
         return 1.0
-    err = bit_error_table(marginal_f0s(pg, ensemble.n), ensemble.states)[i - 1]
+    err = bit_error_table(pg.marginals.f0s, ensemble.states)[i - 1]
     return float(prior @ (1.0 - err))
 
 

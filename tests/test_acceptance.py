@@ -137,11 +137,11 @@ def test_criterion_05_identification_bound(reference_codes):
     worst_excess = -np.inf
     for q in reference_codes:
         pg = build_pgm(Ensemble.uniform(q), full_table=True)
-        res = identification_bound_check(q, pg)
+        res = identification_bound_check(q, pg.full)
         worst_excess = max(worst_excess, res.lhs - res.rhs)
     q = build_standard_2to1()
     std = identification_bound_check(
-        q, build_pgm(Ensemble.uniform(q), full_table=True)
+        q, build_pgm(Ensemble.uniform(q), full_table=True).full
     )
     elapsed = time.perf_counter() - start
     ok = worst_excess <= 1e-8 and abs(std.lhs - 2.0) <= 1e-9 and elapsed < 30.0
@@ -267,9 +267,8 @@ def test_criterion_09_qubit_bound_consistency(reference_codes):
     start = time.perf_counter()
     worst_slack = np.inf
     for q in reference_codes:
-        p_val = validate_qrac(q).worst_case_p
         worst_slack = min(
-            worst_slack, q.m - qubit_lower_bound(q.n, p_val).from_hamming
+            worst_slack, q.m - qubit_lower_bound(q.n, validate_qrac(q)).from_hamming
         )
     chain_ok = True
     base = build_standard_2to1()
@@ -277,7 +276,8 @@ def test_criterion_09_qubit_bound_consistency(reference_codes):
         pg = build_pgm(Ensemble.uniform(q), full_table=True)
         joint = full_outcome_table(q, pg) / 2**q.n
         rep = distance_conditioning_check(joint, q.n)
-        chain_ok &= bool(rep.ok_monotone) and bool(rep.ok_recover)
+        chain_ok &= rep.h_x_given_yd <= rep.h_x_given_y + 1e-9
+        chain_ok &= rep.h_x_given_y <= rep.h_x_given_yd + rep.side_information + 1e-9
     elapsed = time.perf_counter() - start
     ok = worst_slack >= -1e-8 and chain_ok and elapsed < 60.0
     _verdict(

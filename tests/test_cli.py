@@ -126,6 +126,9 @@ def test_config_key_wrong_command_exits_two(tmp_path, capsys):
         ["convert", "--eta", "1.5"],
         ["minimax", "--n", "9"],
         ["suite", "--kind", "pgm", "--seeds", "0"],
+        # 1/eta overflows to inf at a subnormal eta
+        ["compress", "--eta", "1e-310"],
+        ["suite", "--kind", "compress", "--seeds", "2", "--eta", "5e-324"],
     ],
 )
 def test_bad_input_exits_two_without_traceback(argv):
@@ -204,6 +207,17 @@ def test_out_into_missing_directory_exits_two(tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    # PATH.json is a directory, so the report cannot be written there
+    (tmp_path / "r.json").mkdir()
+    out = tmp_path / "r"
+    cmd = [sys.executable, "-m", "qraclab.cli", "demo-2to1", "--deterministic", "--out", str(out)]
+    res = subprocess.run(cmd, capture_output=True, text=True)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cannot write report: ") and res.stderr.count("\n") == 1
 
 
 def test_import_leaves_scipy_optimize_unloaded():

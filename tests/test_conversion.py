@@ -20,7 +20,7 @@ from qraclab.errors import (
     SizeCapError,
     ValidationError,
 )
-from qraclab.linalg import DensityMatrix, Povm
+from qraclab.linalg import BitPovms, DensityMatrix
 from qraclab.pgm import build_pgm
 from qraclab.qrac import (
     Ensemble,
@@ -192,7 +192,7 @@ class TestEffectiveChannel:
         s = cv.SharedShift(r=0b01, d=1, n=2)
         x = 0b10
         row = cv.effective_channel(q, s, pgm).table[x]
-        probs = np.einsum("kij,ji->k", pgm.full.element_stack, q.encoder[s.apply(x)].mat).real
+        probs = np.einsum("kij,ji->k", np.stack(pgm.full.elements), q.encoder[s.apply(x)].mat).real
         brute = np.zeros(4)
         for y_prime in range(4):
             brute[s.invert(y_prime)] += probs[y_prime]
@@ -222,8 +222,8 @@ class TestEffectiveChannel:
 
     def test_size_cap(self):
         mixed = DensityMatrix(np.eye(2) / 2)
-        coin = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, 1))
-        q9 = Qrac(n=9, m=1, encoder=(mixed,) * 512, decoders=(coin,) * 9, claimed_p=0.0)
+        coin = BitPovms(np.tile(np.eye(2) / 2, (9, 1, 1)))
+        q9 = Qrac(n=9, m=1, encoder=(mixed,) * 512, decoders=coin, claimed_p=0.0)
         with pytest.raises(SizeCapError):
             cv.effective_channel(q9, cv.SharedShift(0, 1, 9))
 
@@ -297,7 +297,6 @@ class TestBadEventAudit:
         report = cv.verify_no_bad_event(q, all_s, eta=0.1)
         assert report.ok
         np.testing.assert_allclose(report.worst_margin, 0.0, atol=1e-12)
-        assert report.offending == ()
 
     def test_identity_code_any_set_ok(self):
         q = build_identity_encoding(3)
@@ -305,7 +304,6 @@ class TestBadEventAudit:
         report = cv.verify_no_bad_event(q, s_set, eta=0.3)
         assert report.ok
         np.testing.assert_allclose(report.worst_margin, 0.0, atol=1e-12)
-        np.testing.assert_allclose(report.uniform_error, 0.0, atol=1e-12)
 
     def test_standard_code_twenty_seeds(self):
         q = build_standard_2to1()
@@ -326,13 +324,11 @@ class TestBadEventAudit:
             np.testing.assert_allclose(report.worst_margin, expected, atol=1e-12)
 
     def test_offending_pairs_reported(self):
+        # an offending pair fails the audit, and its margin is the worst
         q = build_random_qrac(3, 2, seed=29)
         report = cv.verify_no_bad_event(q, [(0, 1)], eta=0.01)
         assert not report.ok
-        assert len(report.offending) >= 1
-        for x, i in report.offending:
-            assert 0 <= x < 8
-            assert 1 <= i <= 3
+        assert report.worst_margin > 0.01 / 2
 
 
 class TestBuildRac:
@@ -355,7 +351,7 @@ class TestBuildRac:
         val = cv.validate_rac(cb, q)
         assert val.ok
         assert val.min_success >= 0.75 - 0.2 - 1e-9
-        assert val.floor == pytest.approx(0.75 - 0.2, abs=1e-12)
+        assert cb.success_floor == pytest.approx(0.75 - 0.2, abs=1e-12)
 
     def test_message_budget(self):
         for q, eta in [
@@ -394,8 +390,8 @@ class TestBuildRac:
         with pytest.raises(DomainError):
             cv.build_rac(q, eta=0.0, seed=0)
         mixed = DensityMatrix(np.eye(2) / 2)
-        coin = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, 1))
-        q9 = Qrac(n=9, m=1, encoder=(mixed,) * 512, decoders=(coin,) * 9, claimed_p=0.0)
+        coin = BitPovms(np.tile(np.eye(2) / 2, (9, 1, 1)))
+        q9 = Qrac(n=9, m=1, encoder=(mixed,) * 512, decoders=coin, claimed_p=0.0)
         with pytest.raises(SizeCapError):
             cv.build_rac(q9, eta=0.3, seed=0)
 
@@ -536,8 +532,7 @@ class TestValidateRac:
         cb = cv.build_rac(q, eta=0.2, seed=3)
         val = cv.validate_rac(cb, q)
         assert val.table.shape == (2, 4)
-        x, i = val.argmin
-        assert val.table[i - 1, x] == pytest.approx(val.min_success, abs=0)
+        assert val.table.min() == val.min_success
 
 
 DECODE_CODES = {

@@ -31,8 +31,7 @@ def test_random_corpus_respects_filter_and_ranges():
         assert 1 <= q.n <= 6
         assert 1 <= q.m <= 3
         assert q.claimed_p > DEFAULT_P_MIN
-        val = validate_qrac(q)
-        np.testing.assert_allclose(val.worst_case_p, q.claimed_p, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(validate_qrac(q), q.claimed_p, rtol=0, atol=1e-9)
 
 
 def test_different_seeds_differ():

@@ -1,7 +1,7 @@
 """The shared per-bit kernels against a per-bit einsum reference written here:
 the trace table Tr(F0_i rho_x), the bit-error table built on it, the
-marginalisation of a string-labelled measurement, and the single budget
-formulas."""
+reference's marginalisation of a dense measurement labelled 0..k-1, and the
+single budget formulas."""
 
 import math
 
@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from qraclab.compression import index_bits_cap
-from qraclab.conversion import message_bits_budget
+from qraclab.conversion import message_bits_budget, per_bit_error_table
 from qraclab.decoding import expected_hamming_exact, identification_bound_check
 from qraclab.errors import LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
-from qraclab.linalg import GramPovm, Povm, gram_dense, trace_table
+from qraclab.linalg import Povm, gram_dense, trace_table
 from qraclab.minimax import evaluate_worstcase, solve_worstcase
-from qraclab.pgm import build_pgm, marginal_f0s
+from qraclab.pgm import build_pgm, per_bit_success
 from qraclab.qrac import (
     Ensemble,
     bit_error_table,
@@ -77,7 +77,7 @@ def test_trace_table_matches_einsum(code_and_pgm):
 
 def test_bundle_marginals_and_error_table(code_and_pgm):
     q, pg = code_and_pgm
-    f0s = marginal_f0s(pg, q.n)
+    f0s = pg.marginals.f0s
     assert f0s.shape == (q.n, q.dim, q.dim)
     for i, mv in enumerate(pg.marginals):
         np.testing.assert_array_equal(f0s[i], mv.elements[0])
@@ -88,16 +88,19 @@ def test_bundle_marginals_and_error_table(code_and_pgm):
 
 
 def test_shuffled_full_povm_marginals(code_and_pgm):
+    """The full table's elements in a shuffled order are another measurement,
+    outcome k now reporting the string k: the dense reference marginalises
+    it by position.  In their own order they give the bundle's marginals."""
     q, pg = code_and_pgm
+    strings = range(2**q.n)
     order = np.random.default_rng(q.n).permutation(2**q.n)
-    shuffled = Povm(
-        tuple(pg.full.elements[y] for y in order), outcomes=tuple(int(y) for y in order)
-    )
-    got = marginal_f0s(shuffled, q.n)
-    want = reference_f0s(shuffled.elements, shuffled.outcomes, q.n)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # the full table's marginals are the bundle's marginals
-    np.testing.assert_allclose(got, marginal_f0s(pg, q.n), rtol=0, atol=1e-9)
+    shuffled = Povm(np.stack([pg.full.elements[y] for y in order]))
+    f0s = reference_f0s(shuffled.elements, strings, q.n)
+    want = reference_errors(f0s, gram_dense(q.encoder.factors), q.n).sum(axis=0)
+    _, _, per_x = evaluate_worstcase(q, shuffled)
+    np.testing.assert_allclose(per_x, want, rtol=0, atol=1e-12)
+    in_order = reference_f0s(pg.full.elements, strings, q.n)
+    np.testing.assert_allclose(in_order, pg.marginals.f0s, rtol=0, atol=1e-9)
 
 
 def test_success_table_is_one_minus_error(code_and_pgm):
@@ -113,18 +116,14 @@ def test_full_success_diagonal(code_and_pgm):
     want = [np.trace(e @ rho).real for e, rho in zip(elems, gram_dense(q.encoder.factors))]
     np.testing.assert_allclose(np.diagonal(pg.full.table(q.encoder)), want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(pg.full.diagonal(q.encoder), want, rtol=0, atol=1e-13)
-    dense = Povm(elems[::-1], outcomes=pg.full.outcomes[::-1])
-    np.testing.assert_allclose(dense.diagonal(q.encoder), want[::-1], rtol=0, atol=1e-13)
 
 
 def test_solver_average_marginals():
     q = build_tensor_power(build_standard_2to1(), 2)
     sol = solve_worstcase(q, eps=0.02)
     meas = sol.measurement
-    got = marginal_f0s(meas, q.n)
-    np.testing.assert_allclose(
-        got, reference_f0s(meas.elements, meas.outcomes, q.n), rtol=0, atol=1e-12
-    )
+    assert meas.elements.shape == (2**q.n, q.dim, q.dim)
+    got = reference_f0s(meas.elements, range(2**q.n), q.n)
     worst, _, per_x = evaluate_worstcase(q, meas)
     want = reference_errors(got, gram_dense(q.encoder.factors), q.n).sum(axis=0)
     np.testing.assert_allclose(per_x, want, rtol=0, atol=1e-12)
@@ -139,55 +138,41 @@ def test_probabilities_match_per_element_trace():
     np.testing.assert_allclose(pg.full.table(q.encoder)[5], want, rtol=0, atol=1e-13)
 
 
+def _four_bit_bundle(q):
+    """The tensor square's bundle, whose full table has one outcome per
+    4-bit string: more outcomes than the standard code has strings."""
+    return build_pgm(Ensemble.uniform(build_tensor_power(q, 2)), full_table=True)
+
+
 @pytest.mark.parametrize(
     "evaluate",
-    [lambda q, m: expected_hamming_exact(q, Ensemble.uniform(q), m), evaluate_worstcase],
-    ids=["expected_hamming_exact", "evaluate_worstcase"],
+    [
+        lambda q, pg: expected_hamming_exact(q, Ensemble.uniform(q), pg),
+        lambda q, pg: evaluate_worstcase(q, Povm(np.stack(pg.full.elements))),
+        lambda q, pg: identification_bound_check(q, pg.full),
+    ],
+    ids=["expected_hamming_exact", "evaluate_worstcase", "identification_bound_check"],
 )
 def test_out_of_range_labels_rejected(evaluate):
+    """Outcome k reports the string k, so a measurement for 4-bit strings
+    has outcomes beyond the standard code's 2-bit strings."""
     q = build_standard_2to1()
-    povm = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(1, 4))
-    with pytest.raises(LabelMismatchError, match=r"outcome labels must lie in 0\.\.3"):
-        evaluate(q, povm)
-
-
-@pytest.mark.parametrize("bad", [-1, 4])
-@pytest.mark.parametrize(
-    "caller",
-    [
-        lambda q, m: marginal_f0s(m, q.n),
-        identification_bound_check,
-    ],
-    ids=["marginal_f0s", "identification_bound_check"],
-)
-def test_label_outside_the_strings_rejected_by_every_caller(caller, bad):
-    q = build_standard_2to1()
-    povm = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, bad))
-    with pytest.raises(LabelMismatchError, match=r"outcome labels must lie in 0\.\.3"):
-        caller(q, povm)
-
-
-def test_gram_povm_marginals_pad_missing_outcomes_with_zero():
-    """A GramPovm with fewer than 2^n outcomes reads as the dense measurement
-    with the same labels; one with more is rejected."""
-    q = build_tensor_power(build_standard_2to1(), 2)
-    full = build_pgm(Ensemble.uniform(q), full_table=True).full
-    short = GramPovm(full.factors[:2], full.extra + gram_dense(full.factors[2:]).sum(axis=0))
-    dense = Povm(short.element_stack, outcomes=short.outcomes)
-    np.testing.assert_allclose(marginal_f0s(short, 4), marginal_f0s(dense, 4), rtol=0, atol=1e-13)
-    dense = Povm(full.element_stack)
-    np.testing.assert_allclose(marginal_f0s(full, 4), marginal_f0s(dense, 4), rtol=0, atol=1e-13)
-    with pytest.raises(LabelMismatchError, match=r"outcome labels must lie in 0\.\.7"):
-        marginal_f0s(full, 3)
+    with pytest.raises(LabelMismatchError, match="code has 2|code has 4 strings"):
+        evaluate(q, _four_bit_bundle(q))
 
 
 def test_bundle_for_another_n_rejected():
-    q = build_standard_2to1()
-    other = build_pgm(Ensemble.uniform(build_tensor_power(q, 2)))
-    with pytest.raises(LabelMismatchError):
-        marginal_f0s(other, q.n)
-    with pytest.raises(TypeError):
-        marginal_f0s("not a measurement", q.n)
+    """Every reader of a bundle's marginals refuses one built for another
+    n, here for fewer bits than the code's."""
+    square = build_tensor_power(build_standard_2to1(), 2)
+    other = build_pgm(Ensemble.uniform(build_standard_2to1()))
+    for read in (
+        lambda: expected_hamming_exact(square, Ensemble.uniform(square), other),
+        lambda: per_bit_success(Ensemble.uniform(square), other, 1),
+        lambda: per_bit_error_table(square, other),
+    ):
+        with pytest.raises(LabelMismatchError, match="measurement built for n = 2, code has 4"):
+            read()
 
 
 def test_ensemble_stack_is_built_once():

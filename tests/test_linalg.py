@@ -223,8 +223,7 @@ class TestDensityMatrix:
 class TestPovm:
     def test_computational_basis(self):
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        assert povm.outcomes == (0, 1)
-        probs = np.einsum("kij,ji->k", povm.element_stack, angle_state(C, S)).real
+        probs = np.einsum("kij,ji->k", povm.elements, angle_state(C, S)).real
         np.testing.assert_allclose(probs, [C * C, S * S], atol=1e-12)
         assert probs.sum() == pytest.approx(1.0)
 
@@ -235,10 +234,6 @@ class TestPovm:
     def test_rejects_negative_element(self):
         with pytest.raises(ValidationError):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValidationError):
-            Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, 0))
 
 
 def test_is_hermitian_tolerance():
@@ -512,7 +507,7 @@ class TestGramContainers:
         vecs = np.eye(3)[:, :, None]
         extra = np.diag([0.0, 0.0, 0.0])
         povm = GramPovm(vecs, extra)
-        assert povm.outcomes == (0, 1, 2) and len(povm.elements) == 3
+        assert len(povm) == len(povm.elements) == 3
         np.testing.assert_array_equal(povm.elements[2], np.diag([0, 0, 1]))
         with pytest.raises(ValidationError, match="sum to identity"):
             GramPovm(vecs[:2], extra)
@@ -532,8 +527,8 @@ class TestGramContainers:
         extra = leftover @ leftover.conj().T
         if case == "valid":
             np.testing.assert_array_equal(
-                GramPovm._from_total(vecs, leftover, total).element_stack,
-                GramPovm(vecs, extra).element_stack,
+                np.stack(GramPovm._from_total(vecs, leftover, total).elements),
+                np.stack(GramPovm(vecs, extra).elements),
             )
         elif case == "sum":
             expected = raised(lambda: GramPovm(vecs, extra))
@@ -617,14 +612,12 @@ class TestBatchedPovmValidation:
         assert raised(lambda: Povm(tuple(elements))) == expected
         assert raised(lambda: Povm(elements)) == expected
 
-    def test_elements_are_views_of_element_stack(self):
+    def test_elements_are_one_frozen_stack(self):
         elements, _, _ = valid_povm(24)
-        povm = Povm(elements)
-        assert povm.element_stack.shape == elements.shape
-        assert not povm.element_stack.flags.writeable
-        for k, e in enumerate(povm.elements):
-            assert e.base is povm.element_stack
-            np.testing.assert_array_equal(e, elements[k])
+        povm = Povm(tuple(elements))
+        assert isinstance(povm.elements, np.ndarray)
+        assert not povm.elements.flags.writeable
+        np.testing.assert_array_equal(povm.elements, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +686,7 @@ def valid_f0s(seed, n=5, dim=3):
 
 
 def as_povm(f0):
-    return Povm((f0, np.eye(len(f0)) - f0), outcomes=(0, 1))
+    return Povm((f0, np.eye(len(f0)) - f0))
 
 
 class TestBitPovms:
@@ -745,7 +738,7 @@ class TestBitPovms:
         f0s[0, 0, 0] = 7.0  # the caller's array is copied
         assert bits.f0s[0, 0, 0] != 7.0
         for i, dec in enumerate(bits):
-            assert isinstance(dec, Povm) and dec.outcomes == (0, 1)
+            assert isinstance(dec, Povm) and len(dec) == 2
             np.testing.assert_array_equal(dec.elements[0], bits.f0s[i])
             np.testing.assert_array_equal(dec.elements[1], np.eye(3) - bits.f0s[i])
 

@@ -8,7 +8,7 @@ import qraclab.minimax as mm
 from qraclab.cli import main
 from qraclab.corpus import DEFAULT_P_MIN
 from qraclab.errors import LabelMismatchError, NotConvergedError, SizeCapError
-from qraclab.linalg import GramPovm, Povm
+from qraclab.linalg import BitPovms, GramPovm, Povm
 from qraclab.minimax import GameSolution, evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm
 from qraclab.qrac import (
@@ -90,7 +90,7 @@ class TestSolveWorstcase:
         q = _filtered_random_codes(1, seed0=5, n_hi=3, m_hi=2)[0]
         sol = solve_worstcase(q, eps=0.02)
         assert isinstance(sol.measurement, Povm)
-        assert sol.measurement.outcomes == tuple(range(2**q.n))
+        assert sol.measurement.elements.shape == (2**q.n, q.dim, q.dim)
         total = sum(sol.measurement.elements)
         np.testing.assert_allclose(total, np.eye(q.dim), atol=1e-9)
 
@@ -135,12 +135,11 @@ class TestSolveWorstcase:
         from qraclab.linalg import DensityMatrix
 
         mixed = DensityMatrix(np.eye(2) / 2)
-        coin = Povm((np.eye(2) / 2, np.eye(2) / 2), outcomes=(0, 1))
         q9 = Qrac(
             n=9,
             m=1,
             encoder=(mixed,) * 512,
-            decoders=(coin,) * 9,
+            decoders=BitPovms(np.tile(np.eye(2) / 2, (9, 1, 1))),
             claimed_p=0.0,
         )
         with pytest.raises(SizeCapError):
@@ -149,7 +148,7 @@ class TestSolveWorstcase:
             n=1,
             m=5,
             encoder=(DensityMatrix(np.eye(32) / 32),) * 2,
-            decoders=(Povm((np.eye(32) / 2, np.eye(32) / 2), outcomes=(0, 1)),),
+            decoders=BitPovms([np.eye(32) / 2]),
             claimed_p=0.0,
         )
         with pytest.raises(SizeCapError):
@@ -217,11 +216,15 @@ def test_certify_corpus_is_pinned():
     )
 
 
+def _dense(full: GramPovm) -> Povm:
+    return Povm(np.stack(full.elements))
+
+
 class TestEvaluateWorstcase:
     def test_identity_pgm_all_zero(self):
         q = build_identity_encoding(2)
         bundle = build_pgm(Ensemble.uniform(q), full_table=True)
-        worst, arg, per_x = evaluate_worstcase(q, bundle.full)
+        worst, arg, per_x = evaluate_worstcase(q, _dense(bundle.full))
         np.testing.assert_allclose(per_x, np.zeros(4), atol=1e-12)
         assert worst <= 1e-12
         assert arg == 0  # lexicographic tie-break
@@ -229,30 +232,24 @@ class TestEvaluateWorstcase:
     def test_standard_uniform_pgm_is_half_everywhere(self):
         q = build_standard_2to1()
         bundle = build_pgm(Ensemble.uniform(q), full_table=True)
-        worst, arg, per_x = evaluate_worstcase(q, bundle.full)
+        worst, arg, per_x = evaluate_worstcase(q, _dense(bundle.full))
         np.testing.assert_allclose(per_x, np.full(4, 0.5), atol=1e-12)
         assert arg == 0
 
-    def test_accepts_bundle_directly(self):
-        q = build_standard_2to1()
-        bundle = build_pgm(Ensemble.uniform(q))
-        worst, _, per_x = evaluate_worstcase(q, bundle)
-        np.testing.assert_allclose(per_x, np.full(4, 0.5), atol=1e-12)
-
     def test_constant_output_povm(self):
-        # single outcome I labeled 00: decoder always reports 00, so input 11
-        # misses both bits
+        # single outcome I, which reports 00: input 11 misses both bits
         q = build_standard_2to1()
-        always_00 = Povm((np.eye(2, dtype=complex),), outcomes=(0,))
+        always_00 = Povm((np.eye(2, dtype=complex),))
         worst, arg, per_x = evaluate_worstcase(q, always_00)
         assert worst == pytest.approx(2.0)
         assert arg == 0b11
         np.testing.assert_allclose(per_x, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
     def test_label_outside_range_rejected(self):
+        # five outcomes: outcome 4 would report a string of three bits
         q = build_standard_2to1()
-        bad = Povm((np.eye(2, dtype=complex),), outcomes=(4,))
-        with pytest.raises(LabelMismatchError):
+        bad = Povm(np.tile(np.eye(2, dtype=complex) / 5, (5, 1, 1)))
+        with pytest.raises(LabelMismatchError, match="5 outcomes, code has 4 strings"):
             evaluate_worstcase(q, bad)
 
     def test_linear_in_measurement(self):
@@ -265,11 +262,10 @@ class TestEvaluateWorstcase:
             tuple(
                 (a + b) / 2
                 for a, b in zip(bundle_u.full.elements, bundle_w.full.elements)
-            ),
-            outcomes=bundle_u.full.outcomes,
+            )
         )
-        _, _, per_u = evaluate_worstcase(q, bundle_u.full)
-        _, _, per_w = evaluate_worstcase(q, bundle_w.full)
+        _, _, per_u = evaluate_worstcase(q, _dense(bundle_u.full))
+        _, _, per_w = evaluate_worstcase(q, _dense(bundle_w.full))
         _, _, per_mix = evaluate_worstcase(q, mix)
         np.testing.assert_allclose(per_mix, (per_u + per_w) / 2, atol=1e-8)
 

@@ -10,8 +10,8 @@ from qraclab.linalg import (
     SUPPORT_CUTOFF,
     TOL_POVM,
     TOL_PSD,
+    BitPovms,
     DensityMatrix,
-    Povm,
     _hermitize,
     bit_sums,
     eig_hermitian,
@@ -21,7 +21,6 @@ from qraclab.pgm import (
     PgmBundle,
     build_pgm,
     helstrom_pmax,
-    marginal_f0s,
     per_bit_success,
     pgm_lower_bound,
     success_prob_full,
@@ -288,7 +287,7 @@ def test_bundle_is_dataclass_with_marginals():
     pg = build_pgm(Ensemble.uniform(q))
     assert isinstance(pg, PgmBundle)
     assert pg.full is None and len(pg.marginals) == 2
-    assert pg.marginals[0].outcomes == (0, 1)
+    assert len(pg.marginals[0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +312,15 @@ def dense_pgm_reference(prior, states):
 def coin_code(n, states):
     """A code over ``states`` whose decoders flip coins: the full-table
     checks that take a Qrac read only its encoder."""
-    coin = Povm((np.eye(states.dim) / 2, np.eye(states.dim) / 2), outcomes=(0, 1))
+    coin = BitPovms(np.tile(np.eye(states.dim) / 2, (n, 1, 1)))
     m = int(np.log2(states.dim))
-    return Qrac(n, m, states, (coin,) * n, claimed_p=0.0)
+    return Qrac(n, m, states, coin, claimed_p=0.0)
+
+
+def table_marginals(full):
+    """F0_i summed from the full table: the bit sums of its factors, plus
+    ``extra`` on outcome 0, whose string has every bit 0."""
+    return bit_sums(full.factors)[0] + full.extra
 
 
 @given(
@@ -337,7 +342,7 @@ def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
     prior[0] += 1.0 - prior.sum()
     ens = Ensemble(prior, states)
     pg = build_pgm(ens, full_table=True)
-    full = pg.full.element_stack
+    full = np.stack(pg.full.elements)
 
     assert np.linalg.eigvalsh(full).min() >= -1e-9
     assert np.abs(full.sum(axis=0) - np.eye(dim)).max() <= 1e-9
@@ -348,7 +353,7 @@ def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
     table = np.einsum("yab,xba->xy", reference, dense).real
     np.testing.assert_allclose(pg.full.table(ens.states), table, rtol=0, atol=1e-10)
     assert success_prob_full(ens, pg) == pytest.approx(prior @ np.diagonal(table), abs=1e-10)
-    ident = identification_bound_check(coin_code(n, ens.states), pg)
+    ident = identification_bound_check(coin_code(n, ens.states), pg.full)
     assert ident.lhs == pytest.approx(np.trace(table), abs=1e-10)
     cols = bit_columns(n)
     for i, marginal in enumerate(pg.marginals):
@@ -356,7 +361,7 @@ def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
             table_sum = np.einsum("y,yab->ab", (cols[i] == b).astype(float), reference)
             np.testing.assert_allclose(marginal.elements[b], table_sum, rtol=0, atol=1e-9)
     np.testing.assert_allclose(
-        marginal_f0s(pg, n), marginal_f0s(pg.full, n), rtol=0, atol=1e-12
+        pg.marginals.f0s, table_marginals(pg.full), rtol=0, atol=1e-12
     )
 
 
@@ -371,7 +376,7 @@ def test_marginals_are_sums_of_the_full_table(code):
     q = code()
     pg = build_pgm(Ensemble.uniform(q), full_table=True)
     np.testing.assert_allclose(
-        marginal_f0s(pg, q.n), marginal_f0s(pg.full, q.n), rtol=0, atol=1e-12
+        pg.marginals.f0s, table_marginals(pg.full), rtol=0, atol=1e-12
     )
 
 
@@ -389,7 +394,7 @@ def test_near_pure_unnormalised_state_is_factored(seed):
         random_density(rng, dim, pure=True) for _ in range(2**n - 1)
     )
     ens = Ensemble(np.full(2**n, 2.0**-n), states)
-    full = build_pgm(ens, full_table=True).full.element_stack
+    full = np.stack(build_pgm(ens, full_table=True).full.elements)
     reference = dense_pgm_reference(ens.prior, np.stack([rho.mat for rho in states]))
     np.testing.assert_allclose(full, reference, rtol=0, atol=1e-12)
 
@@ -494,7 +499,7 @@ def test_ill_conditioned_average_whitens_the_rows(monkeypatch):
     ens = Ensemble(np.random.default_rng(1).dirichlet(np.full(16, 0.01)), q.encoder)
     pg = build_pgm(ens, full_table=True)
     np.testing.assert_allclose(
-        marginal_f0s(pg, q.n), marginal_f0s(pg.full, q.n), rtol=0, atol=1e-12
+        pg.marginals.f0s, table_marginals(pg.full), rtol=0, atol=1e-12
     )
     monkeypatch.setattr(pgm, "SANDWICH_MAX_CONDITION", np.inf)
     with pytest.raises(ValidationError, match="sum to identity"):

@@ -15,7 +15,8 @@ from qraclab.corpus import random_qrac_corpus
 from qraclab.conversion import SharedShift, build_rac, effective_channel, validate_rac
 from qraclab.decoding import expected_hamming_exact
 from qraclab.info import max_channel_capacity
-from qraclab.pgm import PgmBundle, build_pgm, marginal_f0s
+from qraclab.linalg import bit_sums
+from qraclab.pgm import PgmBundle, build_pgm
 from qraclab.qrac import (
     Ensemble,
     build_identity_encoding,
@@ -48,8 +49,8 @@ def test_shift_channels_are_stochastic_within_capacity(seed, eta):
 @settings(max_examples=8, deadline=None)
 def test_codebook_success_stays_above_its_floor(seed, eta):
     q = corpus_code(seed)
-    val = validate_rac(build_rac(q, eta, seed=seed), q)
-    assert val.min_success >= val.floor
+    cb = build_rac(q, eta, seed=seed)
+    assert validate_rac(cb, q).min_success >= cb.success_floor
 
 
 SMALL_CODES = st.one_of(
@@ -88,9 +89,10 @@ def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
 def test_decoder_hamming_error_is_the_success_table_complement(seed):
     q = corpus_code(seed)
     own = PgmBundle(q.n, q.decoders, None)
-    report = expected_hamming_exact(q, Ensemble.uniform(q), own)
-    want = (1.0 - success_table(q)).sum(axis=0)
-    np.testing.assert_allclose(report.per_x_expected_dh, want, rtol=0, atol=1e-12)
+    ens = Ensemble.uniform(q)
+    report = expected_hamming_exact(q, ens, own)
+    want = (1.0 - success_table(q)) @ ens.prior
+    np.testing.assert_allclose(report.per_bit_error, want, rtol=0, atol=1e-12)
 
 
 @given(
@@ -108,6 +110,5 @@ def test_pgm_under_dirichlet_priors_passes_its_checks(seed, shape, alpha):
     q = build_random_qrac(*shape, seed=seed)
     prior = np.random.default_rng(seed).dirichlet(np.full(2**q.n, alpha))
     pg = build_pgm(Ensemble(prior, q.encoder), full_table=True)
-    np.testing.assert_allclose(
-        marginal_f0s(pg, q.n), marginal_f0s(pg.full, q.n), rtol=0, atol=1e-12
-    )
+    table_f0s = bit_sums(pg.full.factors)[0] + pg.full.extra  # extra sits on the string 0...0
+    np.testing.assert_allclose(pg.marginals.f0s, table_f0s, rtol=0, atol=1e-12)

@@ -9,8 +9,11 @@ functions and classes, the public methods and properties of public
 classes, and the defaulted parameters of public functions, methods and
 constructors: each must be passed, by keyword or by position, by some call
 in those trees.  For a dataclass, or a named tuple, the constructor's
-parameters are its fields.  Every module of the package also reads each
-name it imports.
+parameters are its fields, and each public field must be read as an
+attribute, ``x.field``, in those trees or in the package: passing it by
+keyword is not a read.  Only the fields in ``FIELDS_READ_BY_TESTS``, which
+tests compare with their references, are exempt.  Every module of the
+package also reads each name it imports.
 """
 
 import ast
@@ -29,6 +32,12 @@ ORACLE_METHODS = {"SharedShift.apply", "SharedShift.invert"}
 # the resolved config as keywords, so their parameters are ``FLAGS`` keys
 UNPASSED_BY_DESIGN = {"main.argv"} | {
     f"{handler.__name__}.{key}" for handler, _ in cli.SUITES.values() for key in cli.FLAGS
+}
+FIELDS_READ_BY_TESTS = {
+    "GameSolution.per_x": "compared with evaluate_worstcase's per-input values",
+    "GameSolution.worst_x": "compared with evaluate_worstcase's argmax and pinned on a corpus",
+    "GameSolution.avg_value_at_final_prior": "checked against the average-case bound 2p(1-p)n",
+    "ExactOutput.dist": "compared with the law of the sampled protocol outputs",
 }
 
 
@@ -137,6 +146,36 @@ def _is_record(cls: ast.ClassDef) -> bool:
     return bool(names & {"dataclass", "NamedTuple"})
 
 
+def _fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
+    return [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Names read in ``tree`` as attributes, ``x.name`` in a load."""
+    return {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_fields() -> tuple[set[str], list[str]]:
+    """(every public field of a public dataclass or named tuple, as
+    Class.field; as module.Class.field, those whose name is read as an
+    attribute nowhere in the package, the demos or the benchmark)."""
+    modules = _modules()
+    trees = [*modules.values(), *_outside_trees()]
+    reads = set().union(*(_attribute_reads(tree) for tree in trees))
+    defined, unread = set(), []
+    for path, tree in modules.items():
+        for cls in filter(_is_record, _public_classes(tree)):
+            for name in (f.target.id for f in _fields(cls) if not f.target.id.startswith("_")):
+                defined.add(f"{cls.name}.{name}")
+                if name not in reads:
+                    unread.append(f"{path.stem}.{cls.name}.{name}")
+    return defined, unread
+
+
 def _has_default(field: ast.AnnAssign) -> bool:
     """Whether a record field has a default: a value other than a
     ``field(...)`` call without ``default`` or ``default_factory``."""
@@ -166,10 +205,7 @@ def defaulted_parameters(tree: ast.Module):
         if inits:
             params = _defaulted(inits[0].args, skip_first=True)
         elif _is_record(cls):
-            fields = [
-                n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
-            ]
-            params = [(f.target.id, k) for k, f in enumerate(fields) if _has_default(f)]
+            params = [(f.target.id, k) for k, f in enumerate(_fields(cls)) if _has_default(f)]
         else:
             params = []
         for param, pos in params:
@@ -248,6 +284,12 @@ def test_every_defaulted_parameter_is_passed():
     defined, unpassed = unpassed_parameters()
     assert "main.argv" in defined
     assert [name for name in unpassed if name.split(".", 1)[1] not in UNPASSED_BY_DESIGN] == []
+
+
+def test_every_record_field_is_read():
+    defined, unread = unread_fields()
+    assert set(FIELDS_READ_BY_TESTS) <= defined
+    assert [name for name in unread if name.split(".", 1)[1] not in FIELDS_READ_BY_TESTS] == []
 
 
 def test_every_import_is_read():
