@@ -319,7 +319,8 @@ def suite_hamming(
     ))
 
     q = build_standard_2to1()
-    std = expected_hamming_exact(q, Ensemble.uniform(q), build_pgm(Ensemble.uniform(q)))
+    ens = Ensemble.uniform(q)
+    std = expected_hamming_exact(q, ens, build_pgm(ens))
     return [
         _check("hamming_cases", len(codes), len(codes), 0, "=="),
         _check("hamming_max_excess", worst, 0.0, 1e-8),

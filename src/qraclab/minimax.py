@@ -28,7 +28,7 @@ from .bits import bit_columns
 from .errors import DomainError, LabelMismatchError, NotConvergedError, SizeCapError
 from .linalg import GramStates, Povm, argmax_first, gram_dense
 from .pgm import _pgm_raw
-from .qrac import Qrac, bit_error_table, hamming_budget
+from .qrac import Qrac, bit_error_table, hamming_budget, weighted_sums
 
 SOLVER_MAX_N = 8
 SOLVER_MAX_M = 4
@@ -71,7 +71,7 @@ class GameSolution:
         read, one iterate's elements added at a time, and kept."""
         mean = np.zeros((2**self.n, self.states.dim, self.states.dim), dtype=complex)
         for prior in self.priors:
-            _, full = _pgm_raw(prior, self.states, full_table=True)
+            _, full = _pgm_raw(weighted_sums(prior, self.states), full_table=True)
             mean += gram_dense(full.factors)
             mean[0] += full.extra
         mean /= len(self.priors)
@@ -154,7 +154,7 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
     for t in range(1, max_iters + 1):
         prior = weights / weights.sum()
         priors.append(prior)
-        f0s, _ = _pgm_raw(prior, q.encoder)
+        f0s, _ = _pgm_raw(weighted_sums(prior, q.encoder))
         d_t = bit_error_table(f0s, q.encoder).sum(axis=0)
         prior_trace.append(int(np.argmax(d_t)))
 

@@ -14,10 +14,16 @@ forms once, never sums of the full table's elements (Hausladen, Jozsa,
 Schumacher, Westmoreland and Wootters, PRA 1996).  With rho_y = A_y A_y^dag,
 one :func:`~qraclab.linalg.bit_sums` call on the weighted factors
 sqrt(P_y) A_y gives every bit's prior-weighted zero-sum Z_i and the average
-rho, two products of the stack whatever n.  One ``eigh`` of rho gives S and
-the eigenvectors V_L off its support, so L = V_L V_L^dag.  The family
-total S rho S + L is I + E with E at rounding level, so R needs no second
-``eigh``: it is the binomial series I - E/2 + (3/8) E^2.  F0^{(i)} is
+rho, two products of the stack whatever n.  The ensemble makes that call,
+once, and keeps the rows and sums (:attr:`~qraclab.qrac.Ensemble.weighted`):
+the build sandwiches them, and the per-bit evaluators, ``per_bit_success``
+here and :func:`~qraclab.decoding.expected_hamming_exact`, contract them
+with the marginals, P(x_i = 0) + Re Tr(F0^{(i)} (rho - 2 Z_i)) per bit.
+The solver, whose prior changes every iterate, forms its own.  One
+``eigh`` of rho gives S and the eigenvectors V_L off its support, so
+L = V_L V_L^dag.  The family total S rho S + L is I + E with E at rounding
+level, so R needs no second ``eigh``: it is the binomial series
+I - E/2 + (3/8) E^2.  F0^{(i)} is
 R S Z_i S R + C C^dag with C = R V_L, held as a
 :class:`~qraclab.linalg.BitPovms`.  The family is checked by one identity
 sum, R S rho S R + C C^dag, and C C^dag is PSD by construction.  Where rho
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bit_column
+from .bits import bit_column, bit_columns
 from .errors import (
     DomainError,
     IndexOutOfRangeError,
@@ -51,14 +57,13 @@ from .errors import (
 from .linalg import (
     BitPovms,
     GramPovm,
-    GramStates,
     _hermitize,
     _leftover_extra,
     _sqrt_pinv_with_support,
     bit_sums,
     trace_norm,
 )
-from .qrac import Ensemble, bit_error_table
+from .qrac import Ensemble
 
 FULL_TABLE_MAX_N = 12
 MARGINAL_MAX_N = 16
@@ -103,24 +108,24 @@ class PgmBundle:
 
 
 def _pgm_raw(
-    prior: np.ndarray, states: GramStates, full_table: bool = False
+    weighted: tuple[np.ndarray, np.ndarray, np.ndarray], full_table: bool = False
 ) -> tuple[np.ndarray, GramPovm | None]:
     """Square-root measurement: the per-bit outcome-0 marginal stack of shape
     (n, dim, dim), and, with ``full_table``, the full table as a GramPovm
     with factors sqrt(P_y) R S A_y (2^n, dim, r) and C C^dag on outcome 0.
 
-    One ``bit_sums`` call on the sqrt(P)-weighted states gives each bit's
-    zero-sum Z_i and the average rho; the marginals are the sandwiches
-    R S Z_i S R plus C C^dag, with C = R V_L the renormalized eigenvectors
-    off rho's support.  S rho S is formed once, for R and for the total.
-    Above ``SANDWICH_MAX_CONDITION`` the sums are taken again over the
-    whitened rows, and S is the identity from there on.
+    ``weighted`` is an ensemble's :func:`~qraclab.qrac.weighted_sums`: the
+    sqrt(P)-weighted rows, each bit's zero-sum Z_i and the average rho.
+    The marginals are the sandwiches R S Z_i S R plus C C^dag, with C = R V_L
+    the renormalized eigenvectors off rho's support.  S rho S is formed
+    once, for R and for the total.  Above ``SANDWICH_MAX_CONDITION`` the
+    sums are taken again over the whitened rows, and S is the identity from
+    there on; the given sums are left as they are.
     Every call checks that R S rho S R + C C^dag is the identity.
     """
-    size, dim, rank = states.factors.shape
+    rows, zeros, rho = weighted
     # row y r + k is column k of sqrt(P_y) A_y transposed
-    rows = states.factors.transpose(0, 2, 1) * np.sqrt(prior)[:, None, None]
-    zeros, rho = bit_sums(rows.transpose(0, 2, 1))
+    size, rank, dim = rows.shape
     isqrt, off_support, condition = _sqrt_pinv_with_support(_hermitize(rho))
     if condition > SANDWICH_MAX_CONDITION:
         # whiten the rows, (S a)^T = a^T S^T, and sum them again: S Z_i S and
@@ -155,7 +160,7 @@ def build_pgm(ensemble: Ensemble, *, full_table: bool = False) -> PgmBundle:
         raise SizeCapError(f"full outcome table capped at n = {FULL_TABLE_MAX_N}, got {n}")
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
-    f0s, full = _pgm_raw(ensemble.prior, ensemble.states, full_table)
+    f0s, full = _pgm_raw(ensemble.weighted, full_table)
     return PgmBundle(n, BitPovms(f0s), full)
 
 
@@ -173,6 +178,16 @@ def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:
     return float(ensemble.prior @ per_x)
 
 
+def _bit_errors(ensemble: Ensemble, f0s: np.ndarray, bits: int | slice) -> np.ndarray:
+    """Chance, under the ensemble's prior, that the outcome-0 operators
+    ``f0s`` read each bit in ``bits`` (0-based) wrongly:
+    P(x_i = 0) + Re Tr(F_i (T - 2 Z_i)), from the ensemble's bit sums Z_i
+    and T, one O(d^2) contraction per bit and no pass over the states."""
+    _, zeros, total = ensemble.weighted
+    zero_mass = (bit_columns(ensemble.n)[bits] == 0) @ ensemble.prior
+    return zero_mass + np.einsum("...jk,...kj->...", f0s[bits], total - 2.0 * zeros[bits]).real
+
+
 def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     """Probability that marginal i reports bit i correctly.
 
@@ -186,8 +201,7 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     prior = ensemble.prior
     if prior[col == 0].sum() == 0.0 or prior[col == 1].sum() == 0.0:
         return 1.0
-    err = bit_error_table(pg.marginals.f0s, ensemble.states)[i - 1]
-    return float(prior @ (1.0 - err))
+    return float(1.0 - _bit_errors(ensemble, pg.marginals.f0s, i - 1))
 
 
 def helstrom_pmax(p0: float, rho0, p1: float, rho1) -> float:

@@ -18,6 +18,7 @@ forms that one density matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +54,12 @@ def hamming_budget(p: float, n: int) -> float:
     return 2.0 * p * (1.0 - p) * n
 
 
-@dataclass
+@dataclass(frozen=True)
 class Qrac:
-    """An (n, m, p) random access code with explicit per-bit decoders."""
+    """An (n, m, p) random access code with explicit per-bit decoders.
+
+    Frozen, so the claim checked on construction is the claim every later
+    reader sees."""
 
     n: int
     m: int
@@ -67,7 +71,7 @@ class Qrac:
         if self.n < 1 or self.m < 1:
             raise ValidationError("n and m must be positive")
         check_dim_cap(2**self.m)
-        self.encoder = as_states(self.encoder)
+        object.__setattr__(self, "encoder", as_states(self.encoder))
         if len(self.encoder) != 2**self.n:
             raise ValidationError(f"encoder needs {2**self.n} states, got {len(self.encoder)}")
         dim = 2**self.m
@@ -81,7 +85,7 @@ class Qrac:
             raise ValidationError("decoder dimension differs from 2^m")
         worst = success_table(self).min()
         if self.claimed_p is None:
-            self.claimed_p = float(worst)
+            object.__setattr__(self, "claimed_p", float(worst))
         elif worst < self.claimed_p - TOL_CLAIM:
             raise ValidationError(
                 f"claimed success {self.claimed_p} not met: worst pair achieves {worst}"
@@ -111,9 +115,24 @@ def validate_qrac(q: Qrac) -> float:
     return float(success_table(q).min())
 
 
+def weighted_sums(
+    prior: np.ndarray, states: GramStates
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows a^T of the sqrt(P_x)-weighted Gram factors of ``states``,
+    shape (2^n, r, d), and their :func:`~qraclab.linalg.bit_sums`: each
+    bit's prior-weighted zero-sum Z_i = sum_{x: x_i = 0} P_x rho_x, shape
+    (n, d, d), and the average T = sum_x P_x rho_x."""
+    rows = states.factors.transpose(0, 2, 1) * np.sqrt(prior)[:, None, None]
+    zeros, total = bit_sums(rows.transpose(0, 2, 1))
+    return rows, zeros, total
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """A prior over n-bit strings paired with the states that encode them."""
+    """A prior over n-bit strings paired with the states that encode them.
+
+    Its bit sums, :attr:`weighted`, are formed once, on first read, and
+    shared by the PGM build and the per-bit evaluators."""
 
     prior: np.ndarray
     states: GramStates
@@ -142,6 +161,14 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.states.dim
+
+    @cached_property
+    def weighted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, Z, T), the :func:`weighted_sums` of the prior and states."""
+        arrays = weighted_sums(self.prior, self.states)
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
 
     @classmethod
     def uniform(cls, q: Qrac) -> "Ensemble":

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qraclab import linalg, pgm, qrac
 from qraclab.bits import bit_at
 from qraclab.decoding import (
     HammingReport,
@@ -8,9 +9,9 @@ from qraclab.decoding import (
     identification_bound_check,
 )
 from qraclab.errors import LabelMismatchError, ValidationError
-from qraclab.linalg import GramPovm, Povm
+from qraclab.linalg import GramPovm, GramStates, Povm, _hermitize, _sqrt_pinv_with_support
 from qraclab.minimax import evaluate_worstcase
-from qraclab.pgm import build_pgm
+from qraclab.pgm import SANDWICH_MAX_CONDITION, build_pgm, per_bit_success
 from qraclab.qrac import (
     P_STANDARD,
     Ensemble,
@@ -76,6 +77,71 @@ class TestExpectedHamming:
         e = Ensemble.from_qrac(q, rng.dirichlet(np.ones(4)))
         report = expected_hamming_exact(q, e, build_pgm(e))
         assert report.expected_dh <= report.bound + 1e-8
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (5, 4), (6, 3), (8, 4)])
+    def test_closed_form_is_the_trace_table(self, shape):
+        """per_bit[i] = P(x_i = 0) + Re Tr(F_i (T - 2 Z_i)), read from the
+        ensemble's bit sums, is the trace table's prior-weighted error, and
+        ``per_bit_success`` its complement, under flat and spiky Dirichlet
+        priors and a prior with no mass on x_1 = 1.  alpha = 0.01 leaves
+        the average ill-conditioned: the build whitens, and the evaluator
+        still reads the unwhitened sums."""
+        whitened = 0
+        n = shape[0]
+        for seed in range(4):
+            q = build_random_qrac(*shape, seed=seed)
+            rng = np.random.default_rng(seed)
+            priors = [rng.dirichlet(np.full(2**n, alpha)) for alpha in (1.0, 0.1, 0.01)]
+            half = 2 ** (n - 1)
+            priors.append(np.concatenate([rng.dirichlet(np.ones(half)), np.zeros(half)]))
+            for prior in priors:
+                e = Ensemble.from_qrac(q, prior)
+                pg = build_pgm(e)
+                report = expected_hamming_exact(q, e, pg)
+                want = bit_error_table(pg.marginals.f0s, q.encoder) @ prior
+                np.testing.assert_allclose(report.per_bit_error, want, rtol=0, atol=1e-12)
+                success = [per_bit_success(e, pg, i) for i in range(1, n + 1)]
+                if not prior[half:].any():
+                    want[0] = 0.0  # bit 1 is known: its success is reported as 1
+                np.testing.assert_allclose(success, 1.0 - want, rtol=0, atol=1e-12)
+                _, _, total = e.weighted
+                condition = _sqrt_pinv_with_support(_hermitize(total))[2]
+                whitened += condition > SANDWICH_MAX_CONDITION
+        assert whitened
+
+    def test_one_bit_sums_pass_and_no_trace_table(self, monkeypatch):
+        """The build and the evaluator share the ensemble's bit sums: one
+        ``bit_sums`` call in all, and no pass over the 2^n states."""
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for module in (qrac, pgm):
+            monkeypatch.setattr(module, "bit_sums", counted("bit_sums", linalg.bit_sums))
+        monkeypatch.setattr(qrac, "trace_table", counted("trace_table", linalg.trace_table))
+        q = build_random_qrac(6, 3, seed=2)
+        e = Ensemble.uniform(q)
+        calls.clear()
+        expected_hamming_exact(q, e, build_pgm(e))
+        assert calls == ["bit_sums"]
+
+    def test_rejects_a_foreign_ensemble(self):
+        """A bundle and ensemble of another code, of the same size, gave
+        1.553 against this code's bound 1.439: a breach that is not one."""
+        q = build_random_qrac(3, 2, seed=29)
+        foreign = Ensemble.uniform(build_random_qrac(3, 2, seed=54))
+        with pytest.raises(ValidationError, match="differ from the code's encoder"):
+            expected_hamming_exact(q, foreign, build_pgm(foreign))
+        # the same states in a new container are the code's own
+        own = Ensemble.uniform(q)
+        twin = Ensemble(own.prior, GramStates(q.encoder.factors.copy()))
+        want = expected_hamming_exact(q, own, build_pgm(own)).expected_dh
+        assert expected_hamming_exact(q, twin, build_pgm(twin)).expected_dh == want
 
     def test_rejects_wrong_prior_length(self, standard):
         q, _, pg = standard

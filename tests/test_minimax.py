@@ -105,7 +105,7 @@ class TestSolveWorstcase:
         # the true value makes the bound unreachable
         q = build_standard_2to1()
         hopeless = Qrac(n=2, m=1, encoder=q.encoder, decoders=q.decoders)
-        hopeless.claimed_p = 0.999
+        object.__setattr__(hopeless, "claimed_p", 0.999)  # Qrac is frozen
         with pytest.raises(NotConvergedError) as exc_info:
             solve_worstcase(hopeless, eps=0.001, max_iters=25)
         best = exc_info.value.best
@@ -121,7 +121,7 @@ class TestSolveWorstcase:
         # measurement must average that prefix of the iterates, not all of them
         q = build_random_qrac(4, 1, seed=5)
         hopeless = Qrac(n=4, m=1, encoder=q.encoder, decoders=q.decoders)
-        hopeless.claimed_p = 0.999
+        object.__setattr__(hopeless, "claimed_p", 0.999)  # Qrac is frozen
         with pytest.raises(NotConvergedError) as exc_info:
             solve_worstcase(hopeless, eps=0.001, max_iters=25)
         best = exc_info.value.best

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qraclab import linalg, pgm
+from qraclab import linalg, pgm, qrac
 from qraclab.bits import bit_columns
 from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
 from qraclab.linalg import (
@@ -407,7 +407,8 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
     ``eigh`` besides, and the full PGM makes 1 ``eigh`` (the average; the
     renormalizer is a closed-form series) and 1 ``eigvalsh`` (the marginal
     stack), with its marginals, the average and its identity sum from one
-    ``bit_sums`` call."""
+    ``bit_sums`` call.  The ensemble makes that call, in ``qrac``; ``pgm``
+    would make a second one only on the whitened branch."""
     std = build_standard_2to1()
     calls = []
     for name in ("eigvalsh", "eigh"):
@@ -420,7 +421,7 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     kernels = []
 
-    def counted_bit_sums(factors, _original=pgm.bit_sums):
+    def counted_bit_sums(factors, _original=linalg.bit_sums):
         kernels.append("bit_sums")
         return _original(factors)
 
@@ -428,6 +429,7 @@ def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
         kernels.append(f"gram_sums x{len(weights)}")
         return _original(factors, weights)
 
+    monkeypatch.setattr(qrac, "bit_sums", counted_bit_sums)
     monkeypatch.setattr(pgm, "bit_sums", counted_bit_sums)
     monkeypatch.setattr(linalg, "gram_sums", counted_gram_sums)
     n = 10

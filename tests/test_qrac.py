@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestStandardCode:
         q = build_standard_2to1()
         swapped = BitPovms(np.stack([dec.elements[1] for dec in q.decoders]))
         bad = Qrac(2, 1, q.encoder, swapped, claimed_p=0.0)
-        bad.claimed_p = P_STANDARD
+        object.__setattr__(bad, "claimed_p", P_STANDARD)  # Qrac is frozen
         assert validate_qrac(bad) == pytest.approx(1 - P_STANDARD, abs=1e-12)
         assert (success_table(bad) < bad.claimed_p).all()  # every (i, x) pair
 
@@ -88,6 +90,13 @@ class TestStandardCode:
         q = build_standard_2to1()
         with pytest.raises(ValidationError):
             Qrac(2, 1, q.encoder, q.decoders, claimed_p=0.9)
+
+    def test_claim_cannot_be_reassigned(self):
+        """A claim set after construction would skip the check above."""
+        q = build_standard_2to1()
+        with pytest.raises(FrozenInstanceError):
+            q.claimed_p = 0.999
+        assert q.claimed_p == P_STANDARD
 
 
 class TestIdentityEncoding:
