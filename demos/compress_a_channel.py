@@ -9,7 +9,6 @@ fits in roughly the channel's max-capacity worth of bits.
 import numpy as np
 
 from qraclab import (
-    SharedShift,
     build_scheme,
     build_standard_2to1,
     effective_channel,
@@ -25,7 +24,7 @@ SHARED_SEED = 2024
 
 def main():
     q = build_standard_2to1()
-    channel = effective_channel(q, SharedShift(0, q.n, q.n))
+    channel = effective_channel(q)
     print("readout channel of the standard (2,1) code (identity shift)")
     print(np.array_str(channel.table, precision=4, suppress_small=True))
 

@@ -11,11 +11,11 @@ Every public function, class, method, property and result field in the
 package is read by a command, a demo or the benchmark, and every defaulted
 parameter is passed by one, except for the references that the tests
 compare against: `evaluate_worstcase`, which re-evaluates a certificate
-from its dense `Povm`, labelled 0..k-1, with sums of its own,
-`max_relative_entropy`, which checks a capacity's reference distribution,
-`SharedShift.apply` and `.invert`, which check the shift tables, and the
-fields that the tests compare with those references (`GameSolution.per_x`,
-`.worst_x` and `.avg_value_at_final_prior`, and `ExactOutput.dist`).
+from its dense `Povm`, labelled 0..k-1, with sums of its own;
+`max_relative_entropy`, which checks a capacity's reference distribution;
+and the fields that the tests compare with those references
+(`GameSolution.per_x`, `.worst_x` and `.avg_value_at_final_prior`, and
+`ExactOutput.dist`).
 Each evaluator takes the one measurement form its callers pass.
 Tolerances, the support cutoff and the solver's gap share are module
 constants.  ``tests/test_surface.py`` keeps it that way.
@@ -30,7 +30,6 @@ from .compression import (
 )
 from .conversion import (
     RacCodebook,
-    SharedShift,
     build_rac,
     effective_channel,
     rac_decode,
@@ -86,7 +85,6 @@ __all__ = [
     "Povm",
     "Qrac",
     "RacCodebook",
-    "SharedShift",
     "binary_entropy",
     "build_identity_encoding",
     "build_pgm",

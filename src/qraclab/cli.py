@@ -21,7 +21,6 @@ import datetime
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,7 +34,6 @@ from .compression import (
 )
 from .conversion import (
     RAC_MAX_N,
-    SharedShift,
     build_rac,
     effective_channel,
     full_outcome_table,
@@ -52,7 +50,7 @@ from .info import (
     qubit_lower_bound,
 )
 from .linalg import argmax_first
-from .minimax import GAP_SHARE, SOLVER_MAX_N, solve_worstcase
+from .minimax import GAP_SHARE, SOLVER_MAX_N, certificate_ceiling, solve_worstcase
 from .pgm import build_pgm, helstrom_pmax, per_bit_success, pgm_lower_bound, success_prob_full
 from .qrac import (
     P_STANDARD,
@@ -203,13 +201,6 @@ def emit_report(command: str, cfg: dict, checks: list[dict], extra: dict) -> int
     return 0 if report["ok"] else 1
 
 
-def _parallel_map(fn, items, jobs):
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _select_code(n: int, m: int, seed: int, cap: int):
     """Single-run code choice: the standard code when it fits, an identity
     encoding when the message is as long as the input, a seeded random code
@@ -235,7 +226,7 @@ def _audit_minimax(q, eps: float, max_iters: int):
         sol = solve_worstcase(q, eps=eps, max_iters=max_iters)
     except NotConvergedError as exc:
         sol = exc.best
-    return sol, hamming_budget(q.claimed_p, q.n) + eps * q.n
+    return sol, certificate_ceiling(sol.bound, eps, q.n)
 
 
 def _audit_compress(channel: ClassicalChannel, eta: float, seed: int, runs: int = 100_000):
@@ -265,7 +256,7 @@ def _audit_convert(q, eta: float, seed: int, c_newman: float):
 # Each takes the resolved config as keywords and ignores the keys it does not use.
 
 
-def suite_pgm(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
+def suite_pgm(*, seed: int, seeds: int, **_) -> list[dict]:
     ensembles = corpus.random_two_state_ensembles(seeds, seed)
 
     def margin(ens: Ensemble) -> float:
@@ -276,7 +267,7 @@ def suite_pgm(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
         )
         return p_pgm - pgm_lower_bound(p_max)
 
-    margins = _parallel_map(margin, ensembles, jobs)
+    margins = [margin(ens) for ens in ensembles]
 
     q = build_standard_2to1()
     ens = Ensemble.uniform(q)
@@ -304,7 +295,7 @@ def _hamming_worst_excess(q, seed: int) -> float:
 
 
 def suite_hamming(
-    *, seed: int, seeds: int, jobs: int, n: int | None = None, m: int | None = None, **_
+    *, seed: int, seeds: int, n: int | None = None, m: int | None = None, **_
 ) -> list[dict]:
     """Random (n, m) codes when both are given, else the reference corpus."""
     if n is not None and m is not None:
@@ -312,11 +303,7 @@ def suite_hamming(
     else:
         codes = corpus.reference_corpus(seeds, seed)
 
-    worst = max(_parallel_map(
-        lambda pair: _hamming_worst_excess(pair[1], seed + 7919 * pair[0]),
-        list(enumerate(codes)),
-        jobs,
-    ))
+    worst = max(_hamming_worst_excess(q, seed + 7919 * k) for k, q in enumerate(codes))
 
     q = build_standard_2to1()
     ens = Ensemble.uniform(q)
@@ -329,7 +316,7 @@ def suite_hamming(
 
 
 def suite_minimax(
-    *, seed: int, seeds: int, jobs: int, eps: float, max_iters: int, **_
+    *, seed: int, seeds: int, eps: float, max_iters: int, **_
 ) -> list[dict]:
     base = build_standard_2to1()
     codes = [base, build_tensor_power(base, 2), build_tensor_power(base, 3)]
@@ -339,7 +326,7 @@ def suite_minimax(
         sol, ceiling = _audit_minimax(q, eps, max_iters)
         return sol.worst_x_value - ceiling, sol.gap / q.n, 1.0 if sol.converged else 0.0
 
-    results = _parallel_map(solve, codes, jobs)
+    results = [solve(q) for q in codes]
     return [
         _check("minimax_cases", len(results), len(codes), 0, "=="),
         _check("minimax_all_converged", min(r[2] for r in results), 1, 0, "=="),
@@ -355,13 +342,11 @@ _WORKED_CHANNELS = (
 )
 
 
-def suite_info(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
+def suite_info(*, seed: int, seeds: int, **_) -> list[dict]:
     channels = corpus.random_channels(seeds, seed)
-    mismatches = _parallel_map(
-        lambda ch: abs(max_channel_capacity(ch).value - max_channel_capacity_lp(ch)),
-        channels,
-        jobs,
-    )
+    mismatches = [
+        abs(max_channel_capacity(ch).value - max_channel_capacity_lp(ch)) for ch in channels
+    ]
 
     identity4 = max_channel_capacity(_WORKED_CHANNELS[0]()).value
     constant = max_channel_capacity(
@@ -374,7 +359,7 @@ def suite_info(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     def ident(q):
         return identification_bound_check(q, build_pgm(Ensemble.uniform(q), full_table=True).full)
 
-    idents = _parallel_map(ident, codes, jobs)  # the corpus opens with the standard code
+    idents = [ident(q) for q in codes]  # the corpus opens with the standard code
     excesses = [res.lhs - res.rhs for res in idents]
     return [
         _check("info_cmax_cases", len(mismatches), seeds, 0, "=="),
@@ -388,7 +373,7 @@ def suite_info(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
     ]
 
 
-def suite_compress(*, seed: int, seeds: int, jobs: int, etas, **_) -> list[dict]:
+def suite_compress(*, seed: int, seeds: int, etas, **_) -> list[dict]:
     channels = corpus.random_channels(seeds, seed) + [f() for f in _WORKED_CHANNELS]
 
     def audit(item):
@@ -397,7 +382,7 @@ def suite_compress(*, seed: int, seeds: int, jobs: int, etas, **_) -> list[dict]
         return tv_excess, scheme.index_bits - bits_cap, sigmas
 
     pairs = [(ch, eta) for eta in etas for ch in channels]
-    results = _parallel_map(audit, list(enumerate(pairs)), jobs)
+    results = [audit(item) for item in enumerate(pairs)]
     return [
         _check("compress_cases", len(results), len(pairs), 0, "=="),
         _check("compress_tv_error_max_excess", max(r[0] for r in results), 0.0, 1e-12),
@@ -406,7 +391,7 @@ def suite_compress(*, seed: int, seeds: int, jobs: int, etas, **_) -> list[dict]
     ]
 
 
-def suite_convert(*, seed: int, jobs: int, etas, c_newman: float, **_) -> list[dict]:
+def suite_convert(*, seed: int, etas, c_newman: float, **_) -> list[dict]:
     codes = [build_identity_encoding(n) for n in range(1, 5)]
     codes.append(build_standard_2to1())
 
@@ -420,7 +405,7 @@ def suite_convert(*, seed: int, jobs: int, etas, c_newman: float, **_) -> list[d
         )
 
     pairs = [(q, eta) for eta in etas for q in codes]
-    results = _parallel_map(audit, pairs, jobs)
+    results = [audit(pair) for pair in pairs]
     return [
         _check("convert_cases", len(results), len(pairs), 0, "=="),
         _check("convert_all_ok", min(r[2] for r in results), 1, 0, "=="),
@@ -429,13 +414,13 @@ def suite_convert(*, seed: int, jobs: int, etas, c_newman: float, **_) -> list[d
     ]
 
 
-def suite_bounds(*, seed: int, seeds: int, jobs: int, **_) -> list[dict]:
+def suite_bounds(*, seed: int, seeds: int, **_) -> list[dict]:
     codes = corpus.reference_corpus(seeds, seed)
 
     def slack(q):
         return q.m - qubit_lower_bound(q.n, validate_qrac(q)).from_hamming
 
-    slacks = _parallel_map(slack, codes, jobs)
+    slacks = [slack(q) for q in codes]
 
     checks = [
         _check("bounds_cases", len(slacks), len(codes), 0, "=="),
@@ -540,7 +525,7 @@ def cmd_compress(cfg: dict) -> tuple[list[dict], dict]:
     """Compress one code's readout channel."""
     n, m, eta = cfg["n"], cfg["m"], cfg["eta"]
     q = _select_code(n, m, cfg["seed"], RAC_MAX_N)
-    channel = effective_channel(q, SharedShift(0, q.n, q.n))
+    channel = effective_channel(q)
     scheme, tv_excess, bits_cap, sigmas = _audit_compress(channel, eta, cfg["seed"])
     extra = {
         "n": n,
@@ -623,7 +608,6 @@ FLAGS = {
     "m": Flag(int, 1, low=1),
     "seeds": Flag(int, low=1),
     "seed": Flag(int, 0, low=0),
-    "jobs": Flag(int, 1, low=1),
     "max_iters": Flag(int, 2000),
     "eta": Flag(float),
     "eps": Flag(float, 0.02),
@@ -646,7 +630,7 @@ COMMANDS = {
     "demo-2to1": _command(cmd_demo),
     "suite": _command(
         cmd_suite,
-        ("kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman", "max_iters", "jobs"),
+        ("kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman", "max_iters"),
         n=None,
         m=None,
     ),

@@ -94,6 +94,12 @@ def _log_inverse(eta: float) -> float:
     return math.log(inverse)
 
 
+def _fail_chance(ratio, n_cap: int):
+    """Chance that n_cap attempts all reject, each accepting with chance
+    1/ratio: (1 - 1/ratio)^n_cap, for one ratio or an array of them."""
+    return (1.0 - 1.0 / ratio) ** n_cap
+
+
 def index_bits_cap(c_max: float, eta: float) -> int:
     """Most index bits a scheme of capacity ``c_max`` and error ``eta`` may
     use: ceil(c_max) + ceil(log2 ln(1/eta)) + 2."""
@@ -164,7 +170,7 @@ def exact_output_distribution(scheme: CompressionScheme, x: int) -> ExactOutput:
     row = scheme.channel.row(x)
     k = scheme.out_size
     # each attempt accepts with probability exactly 2^{-a(x)} = 1/ratio
-    fail_prob = (1.0 - 1.0 / scheme.ratio[x]) ** scheme.n_cap
+    fail_prob = _fail_chance(scheme.ratio[x], scheme.n_cap)
     dist = (1.0 - fail_prob) * row + fail_prob / k
     tv = 0.5 * np.abs(row - 1.0 / k).sum()
     return ExactOutput(dist=dist, fail_prob=float(fail_prob), tv_error=float(fail_prob * tv))

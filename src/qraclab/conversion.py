@@ -7,6 +7,10 @@ rejection sampling, and replace the shared randomness with a small sampled
 set of shifts.  The end product is a classical codebook whose message length
 is m plus logarithmic overhead and whose per-bit success probability stays
 above 1 - 2p(1-p) - eta.
+
+A shift is one (r, d) row of an int array, and every shift sees the code's
+one readout channel relabelled by z -> shift_d(z XOR r): the channel, its
+compression scheme and its per-bit error table are built once per code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compression import FAIL_INDEX, CompressionScheme, _transcript, build_scheme
+from .compression import FAIL_INDEX, CompressionScheme, _fail_chance, _transcript, build_scheme
 from .errors import (
     BadShiftError,
     DerandomizationFailedError,
@@ -37,53 +41,16 @@ NEWMAN_MAX_SIZE = 2**20
 NEWMAN_MAX_ATTEMPTS = 16
 
 
-def shift_bits(x: int, d: int, n: int) -> int:
-    """Cyclic left rotation by d places: output bit j is input bit (j+d) mod n
-    (positions counted 0-based from the most significant end)."""
-    if not 1 <= d <= n:
-        raise BadShiftError(f"shift must lie in 1..{n}, got {d}")
-    if not 0 <= x < 2**n:
-        raise DomainError(f"{x} is not an {n}-bit string")
-    return _rotate(x, d, n)
-
-
 def _rotate(x, d, n: int):
-    """:func:`shift_bits` unchecked, for 0 <= d <= n, on ints or int arrays."""
+    """shift_d, the cyclic left rotation of n-bit strings by d places, for
+    0 <= d <= n, on ints or int arrays: output bit j is input bit (j+d) mod n
+    (positions counted 0-based from the most significant end)."""
     return ((x << d) | (x >> (n - d))) & ((1 << n) - 1)
-
-
-def unshift_bits(x: int, d: int, n: int) -> int:
-    """Inverse of :func:`shift_bits` for the same d."""
-    if not 1 <= d <= n:
-        raise BadShiftError(f"shift must lie in 1..{n}, got {d}")
-    return shift_bits(x, n - d, n) if d < n else x
-
-
-@dataclass(frozen=True)
-class SharedShift:
-    """One sample of the symmetrizing shared randomness: XOR mask r followed
-    by a cyclic shift d."""
-
-    r: int
-    d: int
-    n: int
-
-    def __post_init__(self):
-        _shift_pairs([[self.r, self.d]], self.n)
-
-    def apply(self, z: int) -> int:
-        """Encoder direction: shift_d(z XOR r)."""
-        return shift_bits(z ^ self.r, self.d, self.n)
-
-    def invert(self, y: int) -> int:
-        """Decoder direction: unshift_d(y) XOR r."""
-        return unshift_bits(y, self.d, self.n) ^ self.r
 
 
 def _shift_pairs(pairs, n: int) -> np.ndarray:
     """A set of shifts as one frozen (|S|, 2) int array of (r, d) rows, each
-    checked for integer entries, 1 <= d <= n and 0 <= r < 2^n;
-    :class:`SharedShift` checks its own (r, d) here too."""
+    checked for integer entries, 1 <= d <= n and 0 <= r < 2^n."""
     rows = np.asarray(pairs)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValidationError(f"expected (r, d) rows, got shape {rows.shape}")
@@ -108,11 +75,6 @@ def perm_table(s_set: np.ndarray, n: int) -> np.ndarray:
     return _rotate(np.arange(2**n) ^ s_set[:, :1], s_set[:, 1:], n)
 
 
-def perm_array(s: SharedShift) -> np.ndarray:
-    """The permutation z -> shift_d(z XOR r) over all 2^n strings."""
-    return perm_table(np.array([[s.r, s.d]]), s.n)[0]
-
-
 def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     """T[x, y] = probability the whole-string measurement reports y on the
     state encoding x."""
@@ -131,22 +93,19 @@ def per_bit_error_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
     return bit_error_table(pgm_uniform.marginals.f0s, q.encoder)
 
 
-def effective_channel(
-    q: Qrac, s: SharedShift, pgm_uniform: PgmBundle | None = None
-) -> ClassicalChannel:
-    """The classical channel x -> y realized by the symmetrized roundtrip
-    under shared shift s.
+def effective_channel(q: Qrac, pgm_uniform: PgmBundle | None = None) -> ClassicalChannel:
+    """The code's readout channel x -> y: row x is the law of the string the
+    whole-string measurement reports on the state encoding x.
 
-    Every shift sees the same outcome table with its rows and columns
-    relabelled, so :func:`build_rac` builds and checks one channel, the
-    identity shift's, and indexes it through each shift's permutation.
+    Shift (r, d) sees this channel with its rows and columns relabelled by
+    z -> shift_d(z XOR r), so :func:`build_rac` builds and checks it once
+    and indexes it through each shift's permutation.
     """
     if q.n > RAC_MAX_N:
         raise SizeCapError(f"channel table capped at n = {RAC_MAX_N}, got {q.n}")
     if pgm_uniform is None:
         pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
-    perm = perm_array(s)
-    channel = ClassicalChannel(full_outcome_table(q, pgm_uniform)[perm][:, perm])
+    channel = ClassicalChannel(full_outcome_table(q, pgm_uniform))
     # relabelling permutes the column maxima, so one check covers every shift
     c_max = max_channel_capacity(channel).value
     if c_max > q.m + 1e-9:
@@ -203,21 +162,15 @@ def shift_average(table: np.ndarray, s_set: np.ndarray) -> np.ndarray:
     return np.einsum("dxy,diy->ix", counts, rotated) / len(s_set)
 
 
-def verify_no_bad_event(
-    q: Qrac, s_set, eta: float, *, bit_errors: np.ndarray | None = None
-) -> NoBadEventReport:
+def verify_no_bad_event(bit_errors: np.ndarray, s_set, eta: float) -> NoBadEventReport:
     """Exhaustively check that no (x, i) pair has its S-averaged error exceed
-    the shared-randomness average by more than eta/2.  ``s_set`` holds the
-    shifts as (r, d) rows.
-
-    ``bit_errors`` is ``q``'s :func:`per_bit_error_table`, when the caller
-    already holds it.
+    the shared-randomness average by more than eta/2.  ``bit_errors`` is the
+    code's (n, 2^n) :func:`per_bit_error_table`; ``s_set`` holds the shifts
+    as (r, d) rows.
     """
-    n = q.n
+    n = len(bit_errors)
     if n > RAC_MAX_N:
         raise SizeCapError(f"bad-event audit capped at n = {RAC_MAX_N}, got {n}")
-    if bit_errors is None:
-        bit_errors = per_bit_error_table(q, build_pgm(Ensemble.uniform(q)))
     uniform_error = float(bit_errors.mean())
     margins = shift_average(bit_errors, _shift_pairs(s_set, n)) - uniform_error
     return NoBadEventReport(
@@ -266,46 +219,58 @@ class _ShiftSchemes(Sequence):
 
 @dataclass(frozen=True)
 class RacCodebook:
-    """Classical random access code distilled from a quantum one.
+    """Classical random access code distilled from a quantum one, ``code``.
 
-    ``scheme`` compresses the identity shift's channel; shift (r, d) sees
+    ``scheme`` compresses the code's readout channel; shift (r, d) sees
     that channel relabelled by z -> shift_d(z XOR r), so c_max, the attempt
     cap and the index width are the same for every shift.
     ``bit_errors`` is the code's per-bit error table that the Newman audit
     checked, shape (n, 2^n).  ``s_set`` holds the shifts as the (r, d) rows
-    of one frozen (|S|, 2) int array.
+    of one frozen (|S|, 2) int array.  The sizes, the message width and the
+    success floor are derived from these, once each, on first read.
     """
 
-    n: int
-    m: int
+    code: Qrac
     eta: float
-    claimed_p: float
     s_set: np.ndarray
     scheme: CompressionScheme
     bit_errors: np.ndarray
-    index_bits_s: int
-    total_message_bits: int
-    success_floor: float
     newman_attempts: int
 
     def __post_init__(self):
         object.__setattr__(self, "s_set", _shift_pairs(self.s_set, self.n))
         if self.scheme.in_size != 2**self.n or self.bit_errors.shape != (self.n, 2**self.n):
             raise ValidationError(f"scheme or error table does not cover {self.n}-bit strings")
-        parts = self.index_bits_s + self.scheme.index_bits
-        if self.total_message_bits != parts:
-            raise ValidationError(
-                f"message length {self.total_message_bits} does not match its parts {parts}"
-            )
         budget = message_bits_budget(self.m, len(self.s_set), self.eta)
         if self.total_message_bits > budget:
             raise ValidationError(
                 f"message length {self.total_message_bits} exceeds the budget {budget}"
             )
 
+    @cached_property
+    def n(self) -> int:
+        return self.code.n
+
+    @cached_property
+    def m(self) -> int:
+        return self.code.m
+
     @property
     def size_s(self) -> int:
         return len(self.s_set)
+
+    @cached_property
+    def index_bits_s(self) -> int:
+        return math.ceil(math.log2(len(self.s_set)))
+
+    @cached_property
+    def total_message_bits(self) -> int:
+        return self.index_bits_s + self.scheme.index_bits
+
+    @cached_property
+    def success_floor(self) -> float:
+        """1 - 2p(1-p) - eta, the per-pair success the codebook guarantees."""
+        return 1.0 - hamming_budget(self.code.claimed_p, 1) - self.eta
 
     @cached_property
     def schemes(self) -> _ShiftSchemes:
@@ -319,7 +284,7 @@ def build_rac(
     c_newman: float = 8.0,
 ) -> RacCodebook:
     """Sample a shift set free of bad events (resampling on failure), then
-    attach one eta/2-error compression scheme, that of the identity shift's
+    attach one eta/2-error compression scheme, that of the code's readout
     channel, which every shift indexes through its permutation.
     """
     n = q.n
@@ -334,7 +299,7 @@ def build_rac(
     s_set = None
     for attempt in range(NEWMAN_MAX_ATTEMPTS):
         candidate = sample_newman_set(n, eta, seed, c_newman, attempt=attempt)
-        report = verify_no_bad_event(q, candidate, eta, bit_errors=err)
+        report = verify_no_bad_event(err, candidate, eta)
         best_margin = min(best_margin, report.worst_margin)
         if report.ok:
             s_set = candidate
@@ -347,21 +312,13 @@ def build_rac(
             worst_margin=best_margin,
         )
 
-    # r = 0, d = n is the identity relabelling
-    scheme = build_scheme(effective_channel(q, SharedShift(0, n, n), pgm), eta / 2.0)
-    index_bits_s = math.ceil(math.log2(len(s_set)))
-    floor = 1.0 - hamming_budget(q.claimed_p, 1) - eta
+    scheme = build_scheme(effective_channel(q, pgm), eta / 2.0)
     return RacCodebook(
-        n=n,
-        m=q.m,
+        code=q,
         eta=eta,
-        claimed_p=q.claimed_p,
         s_set=s_set,
         scheme=scheme,
         bit_errors=err,
-        index_bits_s=index_bits_s,
-        total_message_bits=index_bits_s + scheme.index_bits,
-        success_floor=floor,
         newman_attempts=attempts_used,
     )
 
@@ -381,19 +338,24 @@ def validate_rac(codebook: RacCodebook, q: Qrac) -> RacValidation:
     back to a fair coin per bit.
 
     Reads the per-bit error table the codebook was audited with, after
-    checking that ``q`` is the code it was built from.
+    checking that ``q`` is the code it was built from: that code itself, or
+    one with the same m, the same claim and an encoder of equal factors.
     """
+    held = codebook.code
     n = q.n
     if n > RAC_MAX_N:
         raise SizeCapError(f"validation capped at n = {RAC_MAX_N}, got {n}")
-    if (n, q.m, q.claimed_p) != (codebook.n, codebook.m, codebook.claimed_p):
+    if (n, q.m, q.claimed_p) != (held.n, held.m, held.claimed_p):
         raise ValidationError(
-            f"codebook of an (n, m, p) = ({codebook.n}, {codebook.m}, {codebook.claimed_p}) "
+            f"codebook of an (n, m, p) = ({held.n}, {held.m}, {held.claimed_p}) "
             f"code, given ({n}, {q.m}, {q.claimed_p})"
         )
+    if q.encoder is not held.encoder:
+        if not np.array_equal(q.encoder.factors, held.encoder.factors):
+            raise ValidationError("codebook of a code with another encoder")
     sc = codebook.scheme
     # a shift relabels the failure chance with its input, like the error table
-    fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
+    fail = _fail_chance(sc.ratio, sc.n_cap)
     table = shift_average((1.0 - fail) * (1.0 - codebook.bit_errors) + fail * 0.5, codebook.s_set)
     min_success = float(table.min())
     return RacValidation(

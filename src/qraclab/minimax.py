@@ -36,6 +36,12 @@ SOLVER_MAX_M = 4
 GAP_SHARE = 0.05
 
 
+def certificate_ceiling(bound: float, eps: float, n: int) -> float:
+    """The worst-case value a certificate must stay within: the 2p(1-p)n
+    ``bound`` of :func:`~qraclab.qrac.hamming_budget` plus ``eps * n``."""
+    return bound + eps * n
+
+
 @dataclass(frozen=True, eq=False)
 class GameSolution:
     """Outcome of the worst-case decoding game.
@@ -62,7 +68,7 @@ class GameSolution:
 
     @property
     def certified(self) -> bool:
-        return self.worst_x_value <= self.bound + self.eps * self.n
+        return self.worst_x_value <= certificate_ceiling(self.bound, self.eps, self.n)
 
     @cached_property
     def measurement(self) -> Povm:
@@ -125,6 +131,7 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
         raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     size = 2**n
     bound = hamming_budget(q.claimed_p, n)
+    ceiling = certificate_ceiling(bound, eps, n)
     lr = math.sqrt(8.0 * math.log(size) / max_iters)
 
     weights = np.ones(size)
@@ -176,7 +183,7 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
             "avg": avg_at_prior,
             "gap": gap,
         }
-        if worst <= bound + eps * n and gap <= GAP_SHARE * n:
+        if worst <= ceiling and gap <= GAP_SHARE * n:
             return finish(snap, converged=True)
         if best_snapshot is None or worst < best_snapshot["worst"]:
             best_snapshot = snap

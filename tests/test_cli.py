@@ -154,7 +154,6 @@ def test_bad_input_exits_two_without_traceback(argv):
         ["suite", "--kind", "minimax", "--seeds", "1", "--max-iters", "-1"],
         ["convert", "--c-newman", "-1"],
         ["convert", "--c-newman", "0"],
-        ["suite", "--kind", "pgm", "--seeds", "1", "--jobs", "0"],
     ]
     + [
         ["minimax", "--eps", "inf", "--max-iters", "2", "--deterministic"],
@@ -333,17 +332,6 @@ def test_suite_hamming_default_uses_reference_corpus(capsys):
     assert rows["hamming_cases"]["value"] == 2 + 4
 
 
-def test_suite_jobs_reproduce_serial(capsys):
-    _, serial = run_cli(
-        capsys, "suite", "--kind", "info", "--seeds", "6", "--deterministic"
-    )
-    _, parallel = run_cli(
-        capsys,
-        "suite", "--kind", "info", "--seeds", "6", "--jobs", "3", "--deterministic",
-    )
-    assert json.loads(serial)["checks"] == json.loads(parallel)["checks"]
-
-
 def test_minimax_command(capsys):
     code, out = run_cli(
         capsys, "minimax", "--n", "2", "--m", "1", "--deterministic"
@@ -407,11 +395,11 @@ def test_compress_acceptance_input_ignores_rounding_in_a():
     perturbation of 1e-15 must not move the pick."""
     from qraclab.cli import _select_code
     from qraclab.compression import build_scheme
-    from qraclab.conversion import SharedShift, effective_channel
+    from qraclab.conversion import effective_channel
     from qraclab.linalg import argmax_first
 
     q = _select_code(3, 2, 0, cap=3)
-    a = build_scheme(effective_channel(q, SharedShift(0, q.n, q.n)), 0.1).a
+    a = build_scheme(effective_channel(q), 0.1).a
     pick = argmax_first(a)
     assert np.ptp(a) < 1e-12  # the entries do tie up to rounding
     rng = np.random.default_rng(0)
@@ -426,7 +414,7 @@ def test_cli_surface_is_pinned():
     keys = {
         "demo-2to1": output,
         "suite": output | {
-            "kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman", "max_iters", "jobs",
+            "kind", "n", "m", "seeds", "seed", "eta", "eps", "c_newman", "max_iters",
         },
         "convert": output | {"n", "m", "eta", "seed", "c_newman"},
         "compress": output | {"n", "m", "eta", "seed"},
@@ -437,7 +425,7 @@ def test_cli_surface_is_pinned():
         "demo-2to1": {"--format", "--out", "--deterministic", "--config"},
         "suite": {
             "--kind", "--n", "--m", "--seeds", "--seed", "--eta", "--eps", "--c-newman",
-            "--max-iters", "--jobs", "--format", "--out", "--deterministic", "--config",
+            "--max-iters", "--format", "--out", "--deterministic", "--config",
         },
         "convert": {
             "--n", "--m", "--eta", "--c-newman", "--seed",
@@ -473,7 +461,6 @@ FLAG_VALUES = {
     "m": [1, 2, 3, 0],
     "seeds": [1, 2, 0, -1],
     "seed": [0, 3, -1],
-    "jobs": [-1, 0, 1, 2],
     "max_iters": [1, 50, 0, -1],
     "eta": [0.2, 0.5, 0.0, 1.0, -0.5, 1.5, NAN, INF],
     "eps": [0.02, 0.1, -0.1, NAN, INF],

@@ -20,7 +20,8 @@ from qraclab.errors import (
     SizeCapError,
     ValidationError,
 )
-from qraclab.linalg import BitPovms, DensityMatrix
+from qraclab.info import ClassicalChannel
+from qraclab.linalg import BitPovms, DensityMatrix, GramStates
 from qraclab.pgm import build_pgm
 from qraclab.qrac import (
     Ensemble,
@@ -37,88 +38,102 @@ def uniform_pgm(q, full=True):
     return build_pgm(Ensemble.uniform(q), full_table=full)
 
 
+def rotate_ref(x, d, n):
+    """shift_d by slicing the n-character bit string: output bit j is input
+    bit (j + d) mod n, counted from the most significant end."""
+    bits = format(x, f"0{n}b")
+    return int(bits[d % n:] + bits[: d % n], 2)
+
+
+def shift_perm(r, d, n):
+    """The permutation z -> shift_d(z XOR r) over all 2^n strings."""
+    return np.array([rotate_ref(z ^ r, d, n) for z in range(2**n)])
+
+
+def perm_row(r, d, n):
+    """``perm_table``'s row for the single shift (r, d)."""
+    return cv.perm_table(np.array([[r, d]]), n)[0]
+
+
+def shifted_channel(q, pgm, r, d):
+    """The channel shift (r, d) sees: the code's readout channel with rows
+    and columns relabelled by the reference permutation."""
+    perm = shift_perm(r, d, q.n)
+    return ClassicalChannel(cv.effective_channel(q, pgm).table[perm][:, perm])
+
+
 class TestShift:
     def test_worked_example(self):
-        assert cv.shift_bits(0b011, 1, 3) == 0b110
+        assert rotate_ref(0b011, 1, 3) == 0b110
+        assert perm_row(0, 1, 3)[0b011] == 0b110
 
     def test_full_rotation_is_identity(self):
-        for x in range(16):
-            assert cv.shift_bits(x, 4, 4) == x
+        assert list(perm_row(0, 4, 4)) == list(range(16))
 
     def test_inverse_property_exhaustive(self):
+        # unrotation by d is rotation by n - d, and d = n is its own inverse
         n = 4
         for d in range(1, n + 1):
-            for x in range(2**n):
-                assert cv.unshift_bits(cv.shift_bits(x, d, n), d, n) == x
-                assert cv.shift_bits(cv.unshift_bits(x, d, n), d, n) == x
+            perm, back = perm_row(0, d, n), perm_row(0, n - d or n, n)
+            assert list(back[perm]) == list(range(2**n))
+            assert list(perm[back]) == list(range(2**n))
 
     def test_bad_shift_rejected(self):
         with pytest.raises(BadShiftError):
-            cv.shift_bits(0b01, 0, 2)
+            cv._shift_pairs([[0b01, 0]], 2)
         with pytest.raises(BadShiftError):
-            cv.shift_bits(0b01, 3, 2)
+            cv._shift_pairs([[0b01, 3]], 2)
         with pytest.raises(DomainError):
-            cv.shift_bits(4, 1, 2)
+            cv._shift_pairs([[4, 1]], 2)
 
     @given(st.integers(min_value=1, max_value=10), st.data())
     @settings(max_examples=60, deadline=None)
     def test_rotation_bijection(self, n, data):
         d = data.draw(st.integers(min_value=1, max_value=n))
-        x = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-        y = cv.shift_bits(x, d, n)
-        assert 0 <= y < 2**n
-        assert cv.unshift_bits(y, d, n) == x
+        perm = perm_row(0, d, n)
+        assert list(perm) == [rotate_ref(x, d, n) for x in range(2**n)]
+        assert sorted(perm) == list(range(2**n))
+        assert list(perm_row(0, n - d or n, n)[perm]) == list(range(2**n))
         # rotation preserves weight
-        assert bin(y).count("1") == bin(x).count("1")
+        assert [bin(y).count("1") for y in perm] == [bin(x).count("1") for x in range(2**n)]
 
 
 class TestSharedShift:
-    def test_apply_then_invert_is_identity(self):
-        n = 3
-        for r in range(8):
-            for d in range(1, 4):
-                s = cv.SharedShift(r, d, n)
-                for x in range(8):
-                    assert s.invert(s.apply(x)) == x
-                    assert s.apply(s.invert(x)) == x
-
-    def test_perm_array_matches_scalar(self):
-        s = cv.SharedShift(r=0b101, d=2, n=3)
-        perm = cv.perm_array(s)
-        for z in range(8):
-            assert perm[z] == s.apply(z)
+    """A shared shift is one (r, d) row of the codebook's shift array."""
 
     def test_perm_table_rows_match_scalar(self):
         s_set = cv.sample_newman_set(4, 0.5, seed=3)
         table = cv.perm_table(s_set, 4)
         assert table.shape == (len(s_set), 16)
         for (r, d), row in zip(s_set, table):
-            s = cv.SharedShift(int(r), int(d), 4)
-            assert list(row) == [s.apply(z) for z in range(16)]
+            assert list(row) == list(shift_perm(int(r), int(d), 4))
 
     def test_validation(self):
         with pytest.raises(BadShiftError):
-            cv.SharedShift(r=0, d=0, n=3)
+            cv._shift_pairs([[0, 0]], 3)
         with pytest.raises(DomainError):
-            cv.SharedShift(r=8, d=1, n=3)
+            cv._shift_pairs([[8, 1]], 3)
         with pytest.raises(DomainError):  # beyond int64
-            cv.SharedShift(r=2**70, d=1, n=3)
-        # a non-integer entry is named, not truncated
+            cv._shift_pairs([[2**70, 1]], 3)
+        # a non-integer entry is named, not truncated, in a codebook's rows too
+        cb = cv.build_rac(build_random_qrac(3, 2, seed=29), eta=0.3, seed=1)
         for r, d, named in [(1.5, 1, "1.5"), (2, 1.5, "1.5"), (2.0, 1, "2.0")]:
             with pytest.raises(DomainError, match=f"integer, got {named}$"):
-                cv.SharedShift(r, d, 3)
+                cv._shift_pairs([[r, d]], 3)
+            with pytest.raises(DomainError, match=f"integer, got {named}$"):
+                dataclasses.replace(cb, s_set=[[r, d]])
 
 
 class TestSymmetrizedRoundtrip:
-    """Row x of a shift's effective channel is the law of the decoded string
-    after encoding shift_d(x XOR r), measuring, and undoing the shift."""
+    """Row x of a shift's channel is the law of the decoded string after
+    encoding shift_d(x XOR r), measuring, and undoing the shift."""
 
     def test_identity_code_returns_input(self):
         q = build_identity_encoding(3)
         pgm = uniform_pgm(q)
-        for s in [cv.SharedShift(5, 2, 3), cv.SharedShift(0, 3, 3), cv.SharedShift(7, 1, 3)]:
+        for r, d in [(5, 2), (0, 3), (7, 1)]:
             for x in (0b000, 0b101, 0b110):
-                dist = cv.effective_channel(q, s, pgm).table[x]
+                dist = shifted_channel(q, pgm, r, d).table[x]
                 expected = np.zeros(8)
                 expected[x] = 1.0
                 np.testing.assert_allclose(dist, expected, atol=1e-9)
@@ -126,11 +141,11 @@ class TestSymmetrizedRoundtrip:
     def test_standard_code_per_bit_averaged_over_all_s(self):
         q = build_standard_2to1()
         pgm = uniform_pgm(q)
-        all_s = [cv.SharedShift(r, d, 2) for r in range(4) for d in (1, 2)]
+        all_s = [(r, d) for r in range(4) for d in (1, 2)]
         for x in range(4):
             hit = np.zeros(2)
-            for s in all_s:
-                dist = cv.effective_channel(q, s, pgm).table[x]
+            for r, d in all_s:
+                dist = shifted_channel(q, pgm, r, d).table[x]
                 for i in (1, 2):
                     mask = np.array(
                         [(y >> (2 - i)) & 1 == (x >> (2 - i)) & 1 for y in range(4)]
@@ -141,16 +156,22 @@ class TestSymmetrizedRoundtrip:
     def test_distribution_normalized(self):
         q = build_random_qrac(3, 2, seed=29)
         pgm = uniform_pgm(q)
-        table = cv.effective_channel(q, cv.SharedShift(3, 2, 3), pgm).table
+        table = shifted_channel(q, pgm, 3, 2).table
         for dist in table:
             assert dist.min() >= 0.0
             np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
 
 
+def bit_errors(q):
+    """The code's per-bit error table under the uniform-prior square-root
+    measurement."""
+    return cv.per_bit_error_table(q, uniform_pgm(q, full=False))
+
+
 def averaged_success(q):
     """Shift-averaged per-bit success: every (x, i) pair sees 1 minus the
     mean per-bit error of the uniform-prior square-root measurement."""
-    return 1.0 - float(cv.per_bit_error_table(q, uniform_pgm(q, full=False)).mean())
+    return 1.0 - float(bit_errors(q).mean())
 
 
 class TestPerBitSuccess:
@@ -183,19 +204,20 @@ class TestPerBitSuccess:
 class TestEffectiveChannel:
     def test_identity_code_gives_identity_channel(self):
         q = build_identity_encoding(2)
-        ch = cv.effective_channel(q, cv.SharedShift(2, 1, 2))
-        np.testing.assert_allclose(ch.table, np.eye(4), atol=1e-9)
+        for r, d in [(0, 2), (2, 1)]:
+            ch = shifted_channel(q, uniform_pgm(q), r, d)
+            np.testing.assert_allclose(ch.table, np.eye(4), atol=1e-9)
 
     def test_rows_match_bruteforce_unshift_xor(self):
         q = build_random_qrac(2, 2, seed=0)
         pgm = uniform_pgm(q)
-        s = cv.SharedShift(r=0b01, d=1, n=2)
-        x = 0b10
-        row = cv.effective_channel(q, s, pgm).table[x]
-        probs = np.einsum("kij,ji->k", np.stack(pgm.full.elements), q.encoder[s.apply(x)].mat).real
+        r, d, x = 0b01, 1, 0b10
+        row = shifted_channel(q, pgm, r, d).table[x]
+        sent = rotate_ref(x ^ r, d, 2)
+        probs = np.einsum("kij,ji->k", np.stack(pgm.full.elements), q.encoder[sent].mat).real
         brute = np.zeros(4)
         for y_prime in range(4):
-            brute[s.invert(y_prime)] += probs[y_prime]
+            brute[rotate_ref(y_prime, 2 - d, 2) ^ r] += probs[y_prime]
         np.testing.assert_allclose(row, brute, atol=1e-12)
 
     def test_standard_code_capacity_below_message_size(self):
@@ -205,7 +227,7 @@ class TestEffectiveChannel:
 
         for r in range(4):
             for d in (1, 2):
-                ch = cv.effective_channel(q, cv.SharedShift(r, d, 2), pgm)
+                ch = shifted_channel(q, pgm, r, d)
                 assert max_channel_capacity(ch).value <= 1 + 1e-9
                 np.testing.assert_allclose(ch.table.sum(axis=1), np.ones(4), atol=1e-12)
 
@@ -215,7 +237,7 @@ class TestEffectiveChannel:
         q = build_random_qrac(3, 2, seed=29)
         pgm = uniform_pgm(q)
         values = [
-            max_channel_capacity(cv.effective_channel(q, cv.SharedShift(r, d, 3), pgm)).value
+            max_channel_capacity(shifted_channel(q, pgm, r, d)).value
             for r, d in [(0, 1), (5, 2), (7, 3), (2, 1)]
         ]
         np.testing.assert_allclose(values, values[0], atol=1e-9)
@@ -225,7 +247,7 @@ class TestEffectiveChannel:
         coin = BitPovms(np.tile(np.eye(2) / 2, (9, 1, 1)))
         q9 = Qrac(n=9, m=1, encoder=(mixed,) * 512, decoders=coin, claimed_p=0.0)
         with pytest.raises(SizeCapError):
-            cv.effective_channel(q9, cv.SharedShift(0, 1, 9))
+            cv.effective_channel(q9)
 
 
 class TestNewmanSet:
@@ -275,13 +297,11 @@ class TestNewmanSet:
         ],
     )
     def test_codebook_checks_each_pair(self, s_set, error):
-        # the array of (r, d) rows is checked as each SharedShift checks itself
+        # every (r, d) row of the array is checked
         cb = cv.build_rac(build_random_qrac(3, 2, seed=29), eta=0.3, seed=1)
         assert not cb.s_set.flags.writeable
         with pytest.raises(error):
-            dataclasses.replace(
-                cb, s_set=s_set, index_bits_s=0, total_message_bits=cb.scheme.index_bits
-            )
+            dataclasses.replace(cb, s_set=s_set)
 
     def test_size_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cv, "NEWMAN_MAX_SIZE", 128)
@@ -294,22 +314,23 @@ class TestBadEventAudit:
     def test_full_set_has_zero_margins(self):
         q = build_random_qrac(2, 2, seed=0)
         all_s = [(r, d) for r in range(4) for d in (1, 2)]
-        report = cv.verify_no_bad_event(q, all_s, eta=0.1)
+        report = cv.verify_no_bad_event(bit_errors(q), all_s, eta=0.1)
         assert report.ok
         np.testing.assert_allclose(report.worst_margin, 0.0, atol=1e-12)
 
     def test_identity_code_any_set_ok(self):
         q = build_identity_encoding(3)
         s_set = cv.sample_newman_set(3, 0.3, seed=4)[:10]
-        report = cv.verify_no_bad_event(q, s_set, eta=0.3)
+        report = cv.verify_no_bad_event(bit_errors(q), s_set, eta=0.3)
         assert report.ok
         np.testing.assert_allclose(report.worst_margin, 0.0, atol=1e-12)
 
     def test_standard_code_twenty_seeds(self):
         q = build_standard_2to1()
+        err = bit_errors(q)
         for seed in range(20):
             s_set = cv.sample_newman_set(2, 0.3, seed=seed)
-            report = cv.verify_no_bad_event(q, s_set, eta=0.3)
+            report = cv.verify_no_bad_event(err, s_set, eta=0.3)
             assert report.ok
 
     def test_single_sample_margin_is_table_spread(self):
@@ -320,13 +341,13 @@ class TestBadEventAudit:
         err = cv.per_bit_error_table(q, pgm)
         expected = err.max() - err.mean()
         for s in [(0, 1), (6, 3)]:
-            report = cv.verify_no_bad_event(q, [s], eta=0.2)
+            report = cv.verify_no_bad_event(err, [s], eta=0.2)
             np.testing.assert_allclose(report.worst_margin, expected, atol=1e-12)
 
     def test_offending_pairs_reported(self):
         # an offending pair fails the audit, and its margin is the worst
         q = build_random_qrac(3, 2, seed=29)
-        report = cv.verify_no_bad_event(q, [(0, 1)], eta=0.01)
+        report = cv.verify_no_bad_event(bit_errors(q), [(0, 1)], eta=0.01)
         assert not report.ok
         assert report.worst_margin > 0.01 / 2
 
@@ -420,8 +441,7 @@ class TestBuildRac:
         pgm = uniform_pgm(q)
         cb = cv.build_rac(q, eta=eta, seed=4)
         for (r, d), sc in zip(cb.s_set, cb.schemes):
-            s = cv.SharedShift(int(r), int(d), q.n)
-            ref = build_scheme(cv.effective_channel(q, s, pgm), eta / 2)
+            ref = build_scheme(shifted_channel(q, pgm, int(r), int(d)), eta / 2)
             assert np.array_equal(sc.channel.table, ref.channel.table)
             np.testing.assert_array_max_ulp(sc.z, ref.z, maxulp=4)
             np.testing.assert_array_max_ulp(sc.c_max, ref.c_max, maxulp=4)
@@ -471,10 +491,7 @@ class TestValidateRac:
         q = build_random_qrac(3, 2, seed=29)
         cb = cv.build_rac(q, eta=0.2, seed=7)
         honest = cv.validate_rac(cb, q)
-        rigged = dataclasses.replace(
-            cb, s_set=((0, 1),), index_bits_s=0,
-            total_message_bits=cb.scheme.index_bits,
-        )
+        rigged = dataclasses.replace(cb, s_set=((0, 1),))
         adversarial = cv.validate_rac(rigged, q)
         spread_adv = float(adversarial.table.max() - adversarial.table.min())
         spread_honest = float(honest.table.max() - honest.table.min())
@@ -488,18 +505,14 @@ class TestValidateRac:
         q = build_random_qrac(3, 2, seed=29)
         n = q.n
         cb = cv.build_rac(q, eta=0.2, seed=7)
-        rigged = dataclasses.replace(
-            cb, s_set=((5, 1),), index_bits_s=0,
-            total_message_bits=cb.scheme.index_bits,
-        )
+        rigged = dataclasses.replace(cb, s_set=((5, 1),))
         pgm = uniform_pgm(q)
         bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
         same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
         for book in (cb, rigged):
             expected = np.zeros((n, 2**n))
             for r, d in book.s_set:
-                s = cv.SharedShift(int(r), int(d), n)
-                sc = build_scheme(cv.effective_channel(q, s, pgm), 0.1)
+                sc = build_scheme(shifted_channel(q, pgm, int(r), int(d)), 0.1)
                 fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
                 right = np.einsum("xy,ixy->ix", sc.channel.table, same)
                 expected += (1.0 - fail) * right + 0.5 * fail
@@ -527,6 +540,19 @@ class TestValidateRac:
         with pytest.raises(ValidationError, match="codebook of an"):
             cv.validate_rac(cb, build_identity_encoding(2))
 
+    def test_rejects_a_foreign_codebook(self):
+        # Haar (3, 2) seeds 29 and 54 claim the same (n, m, p); seed 29's
+        # codebook must not be read as seed 54's (0.6740 against its own 0.7366)
+        a, b = (build_random_qrac(3, 2, seed=seed) for seed in (29, 54))
+        a, b = (Qrac(3, 2, q.encoder, q.decoders, claimed_p=0.5784) for q in (a, b))
+        cb = cv.build_rac(a, 0.2, seed=1)
+        with pytest.raises(ValidationError, match="another encoder"):
+            cv.validate_rac(cb, b)
+        # the same code with its encoder held by another object is accepted
+        same = Qrac(3, 2, GramStates(a.encoder.factors.copy()), a.decoders, claimed_p=0.5784)
+        assert same.encoder is not a.encoder
+        np.testing.assert_array_equal(cv.validate_rac(cb, same).table, cv.validate_rac(cb, a).table)
+
     def test_table_shape_and_argmin(self):
         q = build_standard_2to1()
         cb = cv.build_rac(q, eta=0.2, seed=3)
@@ -548,21 +574,21 @@ def decode_codebook(code, eta):
 
 
 def assert_decodes_base_transcript(cb, x, seed, rep):
-    """rac_encode runs the base scheme on SharedShift.apply(x) with Alice's
-    stream, and each decoded bit is bit i of SharedShift.invert(y) for the
+    """rac_encode runs the base scheme on shift_d(x XOR r) with Alice's
+    stream, and each decoded bit is bit i of unshift_d(y) XOR r for the
     accepted draw y, or of Bob's uniform sample on the failure flag."""
     n = cb.n
     msg = cv.rac_encode(cb, x, shared_seed=seed, replicate=rep)
     alice = counter_stream(seed, TAG_ENCODE, rep)
     s_index = int(alice.integers(cb.size_s))
-    shift = cv.SharedShift(*cb.s_set[s_index].tolist(), n)
+    r, d = cb.s_set[s_index].tolist()
     shared = counter_stream(seed, TAG_SHARED, s_index, rep)
-    sent, y = _transcript(cb.scheme, shift.apply(x), shared, alice)
+    sent, y = _transcript(cb.scheme, rotate_ref(x ^ r, d, n), shared, alice)
     assert (msg.s_index, msg.sent_index) == (s_index, sent)
     if y is None:
         decoded = int(counter_stream(seed, TAG_BOB, s_index, rep).integers(2**n))
     else:
-        decoded = shift.invert(y)
+        decoded = rotate_ref(y, n - d, n) ^ r
     for i in range(1, n + 1):
         assert cv.rac_decode(cb, msg, i, seed, rep) == bit_at(decoded, i, n)
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from qraclab.bits import bit_column
 from qraclab.compression import build_scheme
 from qraclab.corpus import random_qrac_corpus
-from qraclab.conversion import SharedShift, build_rac, effective_channel, validate_rac
+from qraclab.conversion import build_rac, effective_channel, validate_rac
 from qraclab.decoding import expected_hamming_exact
-from qraclab.info import max_channel_capacity
+from qraclab.info import ClassicalChannel, max_channel_capacity
 from qraclab.linalg import bit_sums
 from qraclab.pgm import PgmBundle, build_pgm
 from qraclab.qrac import (
@@ -27,6 +27,13 @@ from qraclab.qrac import (
 
 CODE_SEEDS = st.integers(min_value=0, max_value=2**16)
 ETAS = st.sampled_from([0.3, 0.4])
+
+
+def shift_perm(r, d, n):
+    """z -> shift_d(z XOR r) over all 2^n strings, each rotated as the
+    n-character bit string it is."""
+    strings = [format(z ^ r, f"0{n}b") for z in range(2**n)]
+    return np.array([int(bits[d % n:] + bits[: d % n], 2) for bits in strings])
 
 
 def corpus_code(seed):
@@ -68,11 +75,13 @@ def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
     cb = build_rac(q, eta, seed=seed)
     pgm = build_pgm(Ensemble.uniform(q), full_table=True)
     n = q.n
+    table = effective_channel(q, pgm).table
     bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
     same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
     expected = np.zeros((n, 2**n))
     for (r, d), scheme in zip(cb.s_set, cb.schemes):
-        ref = build_scheme(effective_channel(q, SharedShift(int(r), int(d), n), pgm), eta / 2)
+        perm = shift_perm(int(r), int(d), n)
+        ref = build_scheme(ClassicalChannel(table[perm][:, perm]), eta / 2)
         assert np.array_equal(scheme.channel.table, ref.channel.table)
         assert (scheme.n_cap, scheme.index_bits) == (ref.n_cap, ref.index_bits)
         np.testing.assert_array_max_ulp(scheme.z, ref.z, maxulp=4)
