@@ -31,7 +31,7 @@ def main():
     for k in range(args.rows):
         alpha = 10.0 * 0.5**k
         prior = rng.dirichlet(np.full(2**q.n, alpha))
-        ens = Ensemble.from_qrac(q, prior)
+        ens = Ensemble(prior, q.encoder)
         rep = expected_hamming_exact(q, ens, build_pgm(ens))
         frac = rep.expected_dh / rep.bound
         print(f"{alpha:8.4f}  {rep.expected_dh:10.6f}  {rep.bound:10.6f}  {frac:5.1%}")

@@ -36,7 +36,6 @@ from .conversion import (
     RAC_MAX_N,
     build_rac,
     effective_channel,
-    full_outcome_table,
     message_bits_budget,
     validate_rac,
 )
@@ -290,7 +289,7 @@ def _hamming_worst_excess(q, seed: int) -> float:
     """Max over the uniform and 20 random priors of expected_dH - bound."""
     bound = hamming_budget(q.claimed_p, q.n)
     priors = corpus.random_priors(2**q.n, 20, seed)
-    ensembles = [Ensemble.uniform(q)] + [Ensemble.from_qrac(q, prior) for prior in priors]
+    ensembles = [Ensemble.uniform(q)] + [Ensemble(prior, q.encoder) for prior in priors]
     return max(expected_hamming_exact(q, e, build_pgm(e)).expected_dh - bound for e in ensembles)
 
 
@@ -428,8 +427,7 @@ def suite_bounds(*, seed: int, seeds: int, **_) -> list[dict]:
     ]
     base = build_standard_2to1()
     for label, q in (("standard", base), ("tensor2", build_tensor_power(base, 2))):
-        pg = build_pgm(Ensemble.uniform(q), full_table=True)
-        joint = full_outcome_table(q, pg) / 2**q.n
+        joint = effective_channel(q).table / 2**q.n
         rep = distance_conditioning_check(joint, q.n)
         margins = {
             "monotone": rep.h_x_given_y - rep.h_x_given_yd,

@@ -32,16 +32,28 @@ FAIL_INDEX = 0
 
 @dataclass(frozen=True)
 class CompressionScheme:
-    """Frozen protocol parameters for one channel and one error target."""
+    """Frozen protocol parameters for one channel: the reference
+    distribution ``z``, each input's ratio max_y E(x)(y) / Z(y), c_max and
+    the attempt cap n_cap, which the error target fixed.  The overhead and
+    the index width are derived from these."""
 
     channel: ClassicalChannel
     z: np.ndarray
-    a: np.ndarray
     ratio: np.ndarray
-    eta: float
     c_max: float
     n_cap: int
-    index_bits: int
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Per-input overhead a(x) = log2 max_y E(x)(y) / Z(y), the log of
+        ``ratio``, and 0 where the ratio is 0."""
+        ratio = self.ratio
+        return np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0.0)
+
+    @property
+    def index_bits(self) -> int:
+        """Width of the sent index, which runs over 0..n_cap."""
+        return self.n_cap.bit_length()
 
     @property
     def in_size(self) -> int:
@@ -117,19 +129,15 @@ def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(z > 0.0, table / z, 0.0)
     ratio = ratios.max(axis=1)
-    a = np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0.0)
     # 2^{c_max} held in linear scale to keep n_cap arithmetic exact
     n_cap = math.ceil(cap.column_max_sum * _log_inverse(eta))
     n_cap = max(n_cap, 1)
     return CompressionScheme(
         channel=channel,
         z=z,
-        a=a,
         ratio=ratio,
-        eta=eta,
         c_max=cap.value,
         n_cap=n_cap,
-        index_bits=n_cap.bit_length(),
     )
 
 
@@ -167,7 +175,7 @@ def exact_output_distribution(scheme: CompressionScheme, x: int) -> ExactOutput:
     """Closed-form output law: E(x) on acceptance, uniform on failure."""
     if not 0 <= x < scheme.in_size:
         raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
-    row = scheme.channel.row(x)
+    row = scheme.channel.table[x]
     k = scheme.out_size
     # each attempt accepts with probability exactly 2^{-a(x)} = 1/ratio
     fail_prob = _fail_chance(scheme.ratio[x], scheme.n_cap)

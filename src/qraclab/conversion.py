@@ -9,8 +9,11 @@ is m plus logarithmic overhead and whose per-bit success probability stays
 above 1 - 2p(1-p) - eta.
 
 A shift is one (r, d) row of an int array, and every shift sees the code's
-one readout channel relabelled by z -> shift_d(z XOR r): the channel, its
-compression scheme and its per-bit error table are built once per code.
+one readout channel relabelled by z -> shift_d(z XOR r).  That channel is
+built once per code, by :func:`effective_channel`, the only caller of the
+uniform-prior measurement here.  Everything else is read off its table:
+the compression scheme, and the per-bit error table, which is the
+channel's bit marginals.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bits import bit_columns
 from .compression import FAIL_INDEX, CompressionScheme, _fail_chance, _transcript, build_scheme
 from .errors import (
     BadShiftError,
@@ -32,8 +36,8 @@ from .errors import (
     ValidationError,
 )
 from .info import ClassicalChannel, max_channel_capacity
-from .pgm import PgmBundle, _check_bundle_size, build_pgm
-from .qrac import Ensemble, Qrac, bit_error_table, hamming_budget
+from .pgm import build_pgm
+from .qrac import Ensemble, Qrac, hamming_budget
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, _Key, stream
 
 RAC_MAX_N = 8
@@ -75,27 +79,10 @@ def perm_table(s_set: np.ndarray, n: int) -> np.ndarray:
     return _rotate(np.arange(2**n) ^ s_set[:, :1], s_set[:, 1:], n)
 
 
-def full_outcome_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
-    """T[x, y] = probability the whole-string measurement reports y on the
-    state encoding x."""
-    if pgm_uniform.full is None:
-        raise ValidationError("need a full-table measurement bundle")
-    table = pgm_uniform.full.table(q.encoder)
-    if table.min() < -1e-10:
-        raise ValidationError(f"outcome probability {table.min()} below zero")
-    return np.clip(table, 0.0, None)
-
-
-def per_bit_error_table(q: Qrac, pgm_uniform: PgmBundle) -> np.ndarray:
-    """err[i-1, x] = probability bit i is decoded wrongly on input x under
-    the uniform-prior square-root measurement marginals."""
-    _check_bundle_size(pgm_uniform, q.n)
-    return bit_error_table(pgm_uniform.marginals.f0s, q.encoder)
-
-
-def effective_channel(q: Qrac, pgm_uniform: PgmBundle | None = None) -> ClassicalChannel:
+def effective_channel(q: Qrac) -> ClassicalChannel:
     """The code's readout channel x -> y: row x is the law of the string the
-    whole-string measurement reports on the state encoding x.
+    uniform-prior whole-string measurement reports on the state encoding x,
+    T[x, y] = Tr(rho_x Q_y).
 
     Shift (r, d) sees this channel with its rows and columns relabelled by
     z -> shift_d(z XOR r), so :func:`build_rac` builds and checks it once
@@ -103,9 +90,10 @@ def effective_channel(q: Qrac, pgm_uniform: PgmBundle | None = None) -> Classica
     """
     if q.n > RAC_MAX_N:
         raise SizeCapError(f"channel table capped at n = {RAC_MAX_N}, got {q.n}")
-    if pgm_uniform is None:
-        pgm_uniform = build_pgm(Ensemble.uniform(q), full_table=True)
-    channel = ClassicalChannel(full_outcome_table(q, pgm_uniform))
+    table = build_pgm(Ensemble.uniform(q), full_table=True).full.table(q.encoder)
+    if table.min() < -1e-10:
+        raise ValidationError(f"outcome probability {table.min()} below zero")
+    channel = ClassicalChannel(np.clip(table, 0.0, None))
     # relabelling permutes the column maxima, so one check covers every shift
     c_max = max_channel_capacity(channel).value
     if c_max > q.m + 1e-9:
@@ -113,6 +101,17 @@ def effective_channel(q: Qrac, pgm_uniform: PgmBundle | None = None) -> Classica
             f"channel max capacity {c_max:.12f} exceeds the message size {q.m}"
         )
     return channel
+
+
+def _channel_bit_errors(table: np.ndarray) -> np.ndarray:
+    """err[i-1, x] = chance that bit i of the channel's output differs from
+    bit i of its input x: the sum of T[x, y] over y with y_i != x_i, shape
+    (n, 2^n).  Row x of T read at x XOR e is the law of the flip pattern e,
+    so the table is one product with the 0/1 bit columns."""
+    size = len(table)
+    xs = np.arange(size)
+    flips = table[xs[:, None], xs[:, None] ^ xs]  # [x, e] = T[x, x XOR e]
+    return (flips @ bit_columns(size.bit_length() - 1).T).T
 
 
 def sample_newman_set(
@@ -165,8 +164,8 @@ def shift_average(table: np.ndarray, s_set: np.ndarray) -> np.ndarray:
 def verify_no_bad_event(bit_errors: np.ndarray, s_set, eta: float) -> NoBadEventReport:
     """Exhaustively check that no (x, i) pair has its S-averaged error exceed
     the shared-randomness average by more than eta/2.  ``bit_errors`` is the
-    code's (n, 2^n) :func:`per_bit_error_table`; ``s_set`` holds the shifts
-    as (r, d) rows.
+    code's (n, 2^n) per-bit error table, :attr:`RacCodebook.bit_errors`;
+    ``s_set`` holds the shifts as (r, d) rows.
     """
     n = len(bit_errors)
     if n > RAC_MAX_N:
@@ -211,7 +210,6 @@ class _ShiftSchemes(Sequence):
                 base,
                 channel=ClassicalChannel(base.channel.table[perm][:, perm]),
                 z=base.z[perm],
-                a=base.a[perm],
                 ratio=base.ratio[perm],
             )
         return scheme
@@ -224,23 +222,22 @@ class RacCodebook:
     ``scheme`` compresses the code's readout channel; shift (r, d) sees
     that channel relabelled by z -> shift_d(z XOR r), so c_max, the attempt
     cap and the index width are the same for every shift.
-    ``bit_errors`` is the code's per-bit error table that the Newman audit
-    checked, shape (n, 2^n).  ``s_set`` holds the shifts as the (r, d) rows
-    of one frozen (|S|, 2) int array.  The sizes, the message width and the
-    success floor are derived from these, once each, on first read.
+    ``s_set`` holds the shifts as the (r, d) rows of one frozen (|S|, 2)
+    int array.  The sizes, the message width, the success floor and the
+    per-bit error table that the Newman audit checked are derived from
+    these, once each, on first read.
     """
 
     code: Qrac
     eta: float
     s_set: np.ndarray
     scheme: CompressionScheme
-    bit_errors: np.ndarray
     newman_attempts: int
 
     def __post_init__(self):
         object.__setattr__(self, "s_set", _shift_pairs(self.s_set, self.n))
-        if self.scheme.in_size != 2**self.n or self.bit_errors.shape != (self.n, 2**self.n):
-            raise ValidationError(f"scheme or error table does not cover {self.n}-bit strings")
+        if self.scheme.channel.table.shape != (2**self.n, 2**self.n):
+            raise ValidationError(f"scheme's channel is not one on {self.n}-bit strings")
         budget = message_bits_budget(self.m, len(self.s_set), self.eta)
         if self.total_message_bits > budget:
             raise ValidationError(
@@ -273,6 +270,12 @@ class RacCodebook:
         return 1.0 - hamming_budget(self.code.claimed_p, 1) - self.eta
 
     @cached_property
+    def bit_errors(self) -> np.ndarray:
+        """(n, 2^n) chance that bit i is read wrongly on input x: the bit
+        marginals of the readout channel the scheme compresses."""
+        return _channel_bit_errors(self.scheme.channel.table)
+
+    @cached_property
     def schemes(self) -> _ShiftSchemes:
         return _ShiftSchemes(self.scheme, self.s_set, self.n)
 
@@ -292,8 +295,8 @@ def build_rac(
         raise SizeCapError(f"codebook construction capped at n = {RAC_MAX_N}, got {n}")
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    pgm = build_pgm(Ensemble.uniform(q), full_table=True)
-    err = per_bit_error_table(q, pgm)
+    channel = effective_channel(q)
+    err = _channel_bit_errors(channel.table)
 
     best_margin = math.inf
     s_set = None
@@ -312,13 +315,11 @@ def build_rac(
             worst_margin=best_margin,
         )
 
-    scheme = build_scheme(effective_channel(q, pgm), eta / 2.0)
     return RacCodebook(
         code=q,
         eta=eta,
         s_set=s_set,
-        scheme=scheme,
-        bit_errors=err,
+        scheme=build_scheme(channel, eta / 2.0),
         newman_attempts=attempts_used,
     )
 

@@ -76,9 +76,6 @@ class ClassicalChannel:
     def out_size(self) -> int:
         return self.table.shape[1]
 
-    def row(self, x: int) -> np.ndarray:
-        return self.table[x]
-
 
 @dataclass(frozen=True)
 class MaxCapacityResult:

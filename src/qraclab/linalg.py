@@ -333,10 +333,6 @@ class DensityMatrix:
         stack, _ = _validated_states(_as_array(self.mat)[None])
         object.__setattr__(self, "mat", stack[0])
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     @classmethod
     def _member(cls, mat: np.ndarray) -> "DensityMatrix":
         """A member of an already validated stack, not checked again."""
@@ -549,10 +545,6 @@ class GramPovm:
         object.__setattr__(povm, "factors", _frozen(factors))
         object.__setattr__(povm, "extra", _frozen(_leftover_extra(leftover, total)))
         return povm
-
-    @property
-    def dim(self) -> int:
-        return self.factors.shape[1]
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -102,9 +102,12 @@ class PgmBundle:
     """Square-root measurement of an ensemble: per-bit marginals plus, on
     request, the full outcome table as a factored measurement."""
 
-    n: int
     marginals: BitPovms
     full: GramPovm | None
+
+    @property
+    def n(self) -> int:
+        return len(self.marginals)
 
 
 def _pgm_raw(
@@ -161,7 +164,7 @@ def build_pgm(ensemble: Ensemble, *, full_table: bool = False) -> PgmBundle:
     if n > MARGINAL_MAX_N:
         raise SizeCapError(f"marginal construction capped at n = {MARGINAL_MAX_N}, got {n}")
     f0s, full = _pgm_raw(ensemble.weighted, full_table)
-    return PgmBundle(n, BitPovms(f0s), full)
+    return PgmBundle(BitPovms(f0s), full)
 
 
 def _check_bundle_size(pg: PgmBundle, n: int) -> None:

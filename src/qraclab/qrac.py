@@ -158,10 +158,6 @@ class Ensemble:
     def n(self) -> int:
         return int(np.log2(len(self.states)))
 
-    @property
-    def dim(self) -> int:
-        return self.states.dim
-
     @cached_property
     def weighted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, Z, T), the :func:`weighted_sums` of the prior and states."""
@@ -173,10 +169,6 @@ class Ensemble:
     @classmethod
     def uniform(cls, q: Qrac) -> "Ensemble":
         return cls(np.full(2**q.n, 2.0**-q.n), q.encoder)
-
-    @classmethod
-    def from_qrac(cls, q: Qrac, prior) -> "Ensemble":
-        return cls(np.asarray(prior, dtype=float), q.encoder)
 
 
 # ---------------------------------------------------------------------------

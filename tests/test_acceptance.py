@@ -17,7 +17,7 @@ from qraclab.compression import (
     estimate_acceptance_rate,
     exact_output_distribution,
 )
-from qraclab.conversion import build_rac, full_outcome_table, validate_rac
+from qraclab.conversion import build_rac, effective_channel, validate_rac
 from qraclab.decoding import expected_hamming_exact, identification_bound_check
 from qraclab.info import (
     ClassicalChannel,
@@ -88,7 +88,7 @@ def test_criterion_03_expected_hamming_bound(reference_codes):
         priors = [np.full(2**q.n, 2.0**-q.n)]
         priors += corpus.random_priors(2**q.n, 20, seed=idx)
         for prior in priors:
-            ens = Ensemble.from_qrac(q, prior)
+            ens = Ensemble(prior, q.encoder)
             rep = expected_hamming_exact(q, ens, build_pgm(ens))
             worst_excess = max(worst_excess, rep.expected_dh - rep.bound)
     q = build_standard_2to1()
@@ -273,8 +273,7 @@ def test_criterion_09_qubit_bound_consistency(reference_codes):
     chain_ok = True
     base = build_standard_2to1()
     for q in (base, build_tensor_power(base, 2)):
-        pg = build_pgm(Ensemble.uniform(q), full_table=True)
-        joint = full_outcome_table(q, pg) / 2**q.n
+        joint = effective_channel(q).table / 2**q.n
         rep = distance_conditioning_check(joint, q.n)
         chain_ok &= rep.h_x_given_yd <= rep.h_x_given_y + 1e-9
         chain_ok &= rep.h_x_given_y <= rep.h_x_given_yd + rep.side_information + 1e-9

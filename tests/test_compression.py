@@ -295,11 +295,11 @@ class TestExactOutput:
             s = build_scheme(ch, eta=0.1)
             for x in range(ch.in_size):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    accept_p = np.where(s.z > 0, ch.row(x) / (s.ratio[x] * s.z), 0.0)
+                    accept_p = np.where(s.z > 0, ch.table[x] / (s.ratio[x] * s.z), 0.0)
                 joint = s.z * accept_p
                 total = joint.sum()
                 assert total == pytest.approx(1.0 / s.ratio[x], abs=1e-12)
-                np.testing.assert_allclose(joint / total, ch.row(x), atol=1e-12)
+                np.testing.assert_allclose(joint / total, ch.table[x], atol=1e-12)
 
 
 class TestMonteCarlo:

@@ -26,16 +26,13 @@ from qraclab.pgm import build_pgm
 from qraclab.qrac import (
     Ensemble,
     Qrac,
+    bit_error_table,
     build_identity_encoding,
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
 )
 from qraclab.rng import TAG_BOB, TAG_ENCODE, TAG_SHARED, counter_stream
-
-
-def uniform_pgm(q, full=True):
-    return build_pgm(Ensemble.uniform(q), full_table=full)
 
 
 def rotate_ref(x, d, n):
@@ -55,11 +52,11 @@ def perm_row(r, d, n):
     return cv.perm_table(np.array([[r, d]]), n)[0]
 
 
-def shifted_channel(q, pgm, r, d):
-    """The channel shift (r, d) sees: the code's readout channel with rows
-    and columns relabelled by the reference permutation."""
-    perm = shift_perm(r, d, q.n)
-    return ClassicalChannel(cv.effective_channel(q, pgm).table[perm][:, perm])
+def shifted_channel(base, r, d):
+    """The channel shift (r, d) sees: the code's readout channel ``base``
+    with rows and columns relabelled by the reference permutation."""
+    perm = shift_perm(r, d, base.in_size.bit_length() - 1)
+    return ClassicalChannel(base.table[perm][:, perm])
 
 
 class TestShift:
@@ -129,23 +126,21 @@ class TestSymmetrizedRoundtrip:
     encoding shift_d(x XOR r), measuring, and undoing the shift."""
 
     def test_identity_code_returns_input(self):
-        q = build_identity_encoding(3)
-        pgm = uniform_pgm(q)
+        base = cv.effective_channel(build_identity_encoding(3))
         for r, d in [(5, 2), (0, 3), (7, 1)]:
             for x in (0b000, 0b101, 0b110):
-                dist = shifted_channel(q, pgm, r, d).table[x]
+                dist = shifted_channel(base, r, d).table[x]
                 expected = np.zeros(8)
                 expected[x] = 1.0
                 np.testing.assert_allclose(dist, expected, atol=1e-9)
 
     def test_standard_code_per_bit_averaged_over_all_s(self):
-        q = build_standard_2to1()
-        pgm = uniform_pgm(q)
+        base = cv.effective_channel(build_standard_2to1())
         all_s = [(r, d) for r in range(4) for d in (1, 2)]
         for x in range(4):
             hit = np.zeros(2)
             for r, d in all_s:
-                dist = shifted_channel(q, pgm, r, d).table[x]
+                dist = shifted_channel(base, r, d).table[x]
                 for i in (1, 2):
                     mask = np.array(
                         [(y >> (2 - i)) & 1 == (x >> (2 - i)) & 1 for y in range(4)]
@@ -154,9 +149,8 @@ class TestSymmetrizedRoundtrip:
             np.testing.assert_allclose(hit / len(all_s), [0.75, 0.75], atol=1e-9)
 
     def test_distribution_normalized(self):
-        q = build_random_qrac(3, 2, seed=29)
-        pgm = uniform_pgm(q)
-        table = shifted_channel(q, pgm, 3, 2).table
+        base = cv.effective_channel(build_random_qrac(3, 2, seed=29))
+        table = shifted_channel(base, 3, 2).table
         for dist in table:
             assert dist.min() >= 0.0
             np.testing.assert_allclose(dist.sum(), 1.0, atol=1e-12)
@@ -164,8 +158,9 @@ class TestSymmetrizedRoundtrip:
 
 def bit_errors(q):
     """The code's per-bit error table under the uniform-prior square-root
-    measurement."""
-    return cv.per_bit_error_table(q, uniform_pgm(q, full=False))
+    measurement, from its per-bit marginals: an independent reference for
+    the readout channel's bit marginals, which ``build_rac`` reads."""
+    return bit_error_table(build_pgm(Ensemble.uniform(q)).marginals.f0s, q.encoder)
 
 
 def averaged_success(q):
@@ -193,8 +188,7 @@ class TestPerBitSuccess:
         # full shift set: every (x, i) pair sees exactly the same error
         for seed in (0, 29):
             q = build_random_qrac(2 if seed == 0 else 3, 2, seed=seed)
-            pgm = uniform_pgm(q, full=False)
-            err = cv.per_bit_error_table(q, pgm)
+            err = bit_errors(q)
             n = q.n
             all_s = np.array([(r, d) for r in range(2**n) for d in range(1, n + 1)])
             avg = cv.shift_average(err, all_s)
@@ -205,14 +199,14 @@ class TestEffectiveChannel:
     def test_identity_code_gives_identity_channel(self):
         q = build_identity_encoding(2)
         for r, d in [(0, 2), (2, 1)]:
-            ch = shifted_channel(q, uniform_pgm(q), r, d)
+            ch = shifted_channel(cv.effective_channel(q), r, d)
             np.testing.assert_allclose(ch.table, np.eye(4), atol=1e-9)
 
     def test_rows_match_bruteforce_unshift_xor(self):
         q = build_random_qrac(2, 2, seed=0)
-        pgm = uniform_pgm(q)
+        pgm = build_pgm(Ensemble.uniform(q), full_table=True)
         r, d, x = 0b01, 1, 0b10
-        row = shifted_channel(q, pgm, r, d).table[x]
+        row = shifted_channel(cv.effective_channel(q), r, d).table[x]
         sent = rotate_ref(x ^ r, d, 2)
         probs = np.einsum("kij,ji->k", np.stack(pgm.full.elements), q.encoder[sent].mat).real
         brute = np.zeros(4)
@@ -221,23 +215,21 @@ class TestEffectiveChannel:
         np.testing.assert_allclose(row, brute, atol=1e-12)
 
     def test_standard_code_capacity_below_message_size(self):
-        q = build_standard_2to1()
-        pgm = uniform_pgm(q)
+        base = cv.effective_channel(build_standard_2to1())
         from qraclab.info import max_channel_capacity
 
         for r in range(4):
             for d in (1, 2):
-                ch = shifted_channel(q, pgm, r, d)
+                ch = shifted_channel(base, r, d)
                 assert max_channel_capacity(ch).value <= 1 + 1e-9
                 np.testing.assert_allclose(ch.table.sum(axis=1), np.ones(4), atol=1e-12)
 
     def test_capacity_invariant_under_s(self):
         from qraclab.info import max_channel_capacity
 
-        q = build_random_qrac(3, 2, seed=29)
-        pgm = uniform_pgm(q)
+        base = cv.effective_channel(build_random_qrac(3, 2, seed=29))
         values = [
-            max_channel_capacity(shifted_channel(q, pgm, r, d)).value
+            max_channel_capacity(shifted_channel(base, r, d)).value
             for r, d in [(0, 1), (5, 2), (7, 3), (2, 1)]
         ]
         np.testing.assert_allclose(values, values[0], atol=1e-9)
@@ -336,9 +328,7 @@ class TestBadEventAudit:
     def test_single_sample_margin_is_table_spread(self):
         # for |S| = 1 the worst margin is exactly max(err) - mean(err),
         # whatever the shift: relabeling permutes the table
-        q = build_random_qrac(3, 2, seed=29)
-        pgm = uniform_pgm(q, full=False)
-        err = cv.per_bit_error_table(q, pgm)
+        err = bit_errors(build_random_qrac(3, 2, seed=29))
         expected = err.max() - err.mean()
         for s in [(0, 1), (6, 3)]:
             report = cv.verify_no_bad_event(err, [s], eta=0.2)
@@ -438,10 +428,10 @@ class TestBuildRac:
         # channel build would; z and c_max are summed in the base order, so
         # they may differ from a fresh build in the last bits
         q = make()
-        pgm = uniform_pgm(q)
+        base = cv.effective_channel(q)
         cb = cv.build_rac(q, eta=eta, seed=4)
         for (r, d), sc in zip(cb.s_set, cb.schemes):
-            ref = build_scheme(shifted_channel(q, pgm, int(r), int(d)), eta / 2)
+            ref = build_scheme(shifted_channel(base, int(r), int(d)), eta / 2)
             assert np.array_equal(sc.channel.table, ref.channel.table)
             np.testing.assert_array_max_ulp(sc.z, ref.z, maxulp=4)
             np.testing.assert_array_max_ulp(sc.c_max, ref.c_max, maxulp=4)
@@ -470,17 +460,33 @@ class TestBuildRac:
         assert cb.schemes[5] is first and len(built) == 2
         assert len(cb.schemes) == cb.size_s
 
+    def test_bit_errors_match_the_marginal_reference(self):
+        # the channel's bit marginals against the uniform-prior measurement's
+        # per-bit marginals, read from the states directly
+        std = build_standard_2to1()
+        codes = [std, build_tensor_power(std, 2), build_identity_encoding(3)]
+        for n, m in [(3, 2), (4, 3), (5, 4)]:
+            codes += [build_random_qrac(n, m, seed) for seed in range(4)]
+        for q in codes:
+            cb = cv.build_rac(q, eta=0.3, seed=1)
+            np.testing.assert_allclose(cb.bit_errors, bit_errors(q), rtol=0, atol=1e-12)
+
     def test_outcome_table_built_once(self, monkeypatch):
+        # one measurement per codebook: the Newman audit's error table and
+        # the scheme both read the channel it gives
         calls = []
-        original = cv.full_outcome_table
+        original = cv.build_pgm
 
-        def counting(q, pgm_uniform):
-            calls.append(q)
-            return original(q, pgm_uniform)
+        def counting(ensemble, **kwargs):
+            calls.append(kwargs)
+            return original(ensemble, **kwargs)
 
-        monkeypatch.setattr(cv, "full_outcome_table", counting)
-        cb = cv.build_rac(build_identity_encoding(3), eta=0.3, seed=1)
+        monkeypatch.setattr(cv, "build_pgm", counting)
+        q = build_identity_encoding(3)
+        cb = cv.build_rac(q, eta=0.3, seed=1)
         assert cb.size_s > 1
+        assert calls == [{"full_table": True}]
+        cv.validate_rac(cb, q)
         assert len(calls) == 1
 
 
@@ -506,13 +512,13 @@ class TestValidateRac:
         n = q.n
         cb = cv.build_rac(q, eta=0.2, seed=7)
         rigged = dataclasses.replace(cb, s_set=((5, 1),))
-        pgm = uniform_pgm(q)
+        base = cv.effective_channel(q)
         bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
         same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
         for book in (cb, rigged):
             expected = np.zeros((n, 2**n))
             for r, d in book.s_set:
-                sc = build_scheme(shifted_channel(q, pgm, int(r), int(d)), 0.1)
+                sc = build_scheme(shifted_channel(base, int(r), int(d)), 0.1)
                 fail = (1.0 - 1.0 / sc.ratio) ** sc.n_cap
                 right = np.einsum("xy,ixy->ix", sc.channel.table, same)
                 expected += (1.0 - fail) * right + 0.5 * fail
@@ -521,13 +527,19 @@ class TestValidateRac:
             np.testing.assert_allclose(table, expected, rtol=0, atol=1e-9)
 
     def test_reads_the_audited_error_table(self, monkeypatch):
-        # the codebook keeps the table its Newman audit checked, so
-        # validation builds no measurement of its own
+        # the error table is the bit marginals of the scheme's channel, the
+        # table the Newman audit checked, so validation builds no measurement
         q = build_random_qrac(3, 2, seed=29)
         cb = cv.build_rac(q, eta=0.3, seed=1)
-        np.testing.assert_array_equal(
-            cb.bit_errors, cv.per_bit_error_table(q, uniform_pgm(q, full=False))
-        )
+        table = cb.scheme.channel.table
+        marginals = np.zeros((3, 8))
+        for i in (1, 2, 3):
+            for x in range(8):
+                for y in range(8):
+                    if bit_at(x, i, 3) != bit_at(y, i, 3):
+                        marginals[i - 1, x] += table[x, y]
+        np.testing.assert_allclose(cb.bit_errors, marginals, rtol=0, atol=1e-15)
+        assert cv.verify_no_bad_event(cb.bit_errors, cb.s_set, cb.eta).ok
         builds = []
         monkeypatch.setattr(cv, "build_pgm", lambda *a, **k: builds.append(a))
         assert cv.validate_rac(cb, q).ok

@@ -55,7 +55,7 @@ class TestExpectedHamming:
 
     def test_expected_is_prior_weighted_per_x(self):
         q = build_random_qrac(3, 2, seed=29)
-        e = Ensemble.from_qrac(q, np.random.default_rng(3).dirichlet(np.ones(8)))
+        e = Ensemble(np.random.default_rng(3).dirichlet(np.ones(8)), q.encoder)
         pg = build_pgm(e)
         report = expected_hamming_exact(q, e, pg)
         per_x = bit_error_table(pg.marginals.f0s, q.encoder).sum(axis=0)
@@ -74,7 +74,7 @@ class TestExpectedHamming:
     def test_random_codes_meet_bound(self, seed):
         q = build_random_qrac(2, 2, seed=seed)
         rng = np.random.default_rng(seed)
-        e = Ensemble.from_qrac(q, rng.dirichlet(np.ones(4)))
+        e = Ensemble(rng.dirichlet(np.ones(4)), q.encoder)
         report = expected_hamming_exact(q, e, build_pgm(e))
         assert report.expected_dh <= report.bound + 1e-8
 
@@ -95,7 +95,7 @@ class TestExpectedHamming:
             half = 2 ** (n - 1)
             priors.append(np.concatenate([rng.dirichlet(np.ones(half)), np.zeros(half)]))
             for prior in priors:
-                e = Ensemble.from_qrac(q, prior)
+                e = Ensemble(prior, q.encoder)
                 pg = build_pgm(e)
                 report = expected_hamming_exact(q, e, pg)
                 want = bit_error_table(pg.marginals.f0s, q.encoder) @ prior

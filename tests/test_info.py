@@ -111,7 +111,7 @@ class TestMaxCapacity:
         for _ in range(10):
             ch = random_channel(rng)
             res = max_channel_capacity(ch)
-            ratios = [max_relative_entropy(ch.row(x), res.sigma) for x in range(ch.in_size)]
+            ratios = [max_relative_entropy(ch.table[x], res.sigma) for x in range(ch.in_size)]
             assert max(ratios) == pytest.approx(res.value, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(25))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qraclab.compression import index_bits_cap
-from qraclab.conversion import message_bits_budget, per_bit_error_table
+from qraclab.conversion import message_bits_budget
 from qraclab.decoding import expected_hamming_exact, identification_bound_check
 from qraclab.errors import LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
@@ -169,7 +169,6 @@ def test_bundle_for_another_n_rejected():
     for read in (
         lambda: expected_hamming_exact(square, Ensemble.uniform(square), other),
         lambda: per_bit_success(Ensemble.uniform(square), other, 1),
-        lambda: per_bit_error_table(square, other),
     ):
         with pytest.raises(LabelMismatchError, match="measurement built for n = 2, code has 4"):
             read()

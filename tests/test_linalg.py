@@ -196,7 +196,7 @@ class TestTraceNormAndDistance:
 class TestDensityMatrix:
     def test_accepts_valid(self):
         dm = DensityMatrix(np.eye(2) / 2)
-        assert dm.dim == 2
+        assert dm.mat.shape == (2, 2)
         assert not dm.mat.flags.writeable
 
     def test_from_state_vector_normalizes(self):

@@ -73,9 +73,8 @@ def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
     # the reference builds every shift's channel and scheme afresh; the
     # codebook sums z and c_max once, in the base order, hence the ulps
     cb = build_rac(q, eta, seed=seed)
-    pgm = build_pgm(Ensemble.uniform(q), full_table=True)
     n = q.n
-    table = effective_channel(q, pgm).table
+    table = effective_channel(q).table
     bits = np.stack([bit_column(i, n) for i in range(1, n + 1)])
     same = bits[:, :, None] == bits[:, None, :]  # (i, x, y)
     expected = np.zeros((n, 2**n))
@@ -97,7 +96,7 @@ def test_codebook_matches_a_per_shift_rebuild(q, eta, seed):
 @settings(max_examples=10, deadline=None)
 def test_decoder_hamming_error_is_the_success_table_complement(seed):
     q = corpus_code(seed)
-    own = PgmBundle(q.n, q.decoders, None)
+    own = PgmBundle(q.decoders, None)
     ens = Ensemble.uniform(q)
     report = expected_hamming_exact(q, ens, own)
     want = (1.0 - success_table(q)) @ ens.prior

@@ -235,7 +235,7 @@ class TestEnsemble:
     def test_uniform(self):
         e = Ensemble.uniform(build_standard_2to1())
         np.testing.assert_allclose(e.prior, np.full(4, 0.25))
-        assert e.n == 2 and e.dim == 2
+        assert e.n == 2 and e.states.dim == 2
 
     def test_rejects_bad_prior(self):
         q = build_standard_2to1()
