@@ -13,9 +13,8 @@ parameter is passed by one, except for the references that the tests
 compare against: `evaluate_worstcase`, which re-evaluates a certificate
 from its dense `Povm`, labelled 0..k-1, with sums of its own;
 `max_relative_entropy`, which checks a capacity's reference distribution;
-and the fields that the tests compare with those references
-(`GameSolution.per_x`, `.worst_x` and `.avg_value_at_final_prior`, and
-`ExactOutput.dist`).
+and `ExactOutput.dist`, the one field that the tests alone read, which
+they compare with the law of the sampled protocol outputs.
 Each evaluator takes the one measurement form its callers pass.
 Tolerances, the support cutoff and the solver's gap share are module
 constants.  ``tests/test_surface.py`` keeps it that way.

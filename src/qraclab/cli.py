@@ -7,7 +7,8 @@ default, choices and smallest value, and ``COMMANDS`` gives each command its
 handler, its keys and the defaults it overrides.  argparse, ``--config``
 files, ``QRACLAB_SEED``, the range checks and the dispatch all read it, so a
 config-file value passes the same choices and ranges as its flag.  Each
-suite shares one audit function with the single-shot command it mirrors.
+suite shares one audit function, or the solver itself, with the
+single-shot command it mirrors.
 
 Reports are versioned JSON (and RFC-4180 CSV) built from check rows; every
 checked number carries the threshold and tolerance it was compared against.
@@ -40,7 +41,7 @@ from .conversion import (
     validate_rac,
 )
 from .decoding import expected_hamming_exact, identification_bound_check
-from .errors import DerandomizationFailedError, DomainError, NotConvergedError, SizeCapError
+from .errors import DerandomizationFailedError, DomainError, SizeCapError
 from .info import (
     ClassicalChannel,
     distance_conditioning_check,
@@ -49,7 +50,7 @@ from .info import (
     qubit_lower_bound,
 )
 from .linalg import argmax_first
-from .minimax import GAP_SHARE, SOLVER_MAX_N, certificate_ceiling, solve_worstcase
+from .minimax import GAP_SHARE, SOLVER_MAX_N, solve_worstcase
 from .pgm import build_pgm, helstrom_pmax, per_bit_success, pgm_lower_bound, success_prob_full
 from .qrac import (
     P_STANDARD,
@@ -218,16 +219,6 @@ def _select_code(n: int, m: int, seed: int, cap: int):
 # callers build their own check rows from what it returns.
 
 
-def _audit_minimax(q, eps: float, max_iters: int):
-    """The solver's certificate for ``q`` (its best iterate if it did not
-    converge) and the ceiling 2p(1-p)n + eps·n its worst value must meet."""
-    try:
-        sol = solve_worstcase(q, eps=eps, max_iters=max_iters)
-    except NotConvergedError as exc:
-        sol = exc.best
-    return sol, certificate_ceiling(sol.bound, eps, q.n)
-
-
 def _audit_compress(channel: ClassicalChannel, eta: float, seed: int, runs: int = 100_000):
     """The scheme for ``channel``, its worst TV error above ``eta``, its
     index-bit cap, and how many standard deviations a seeded Monte Carlo
@@ -322,8 +313,8 @@ def suite_minimax(
     codes += corpus.random_qrac_corpus(seeds, seed, n_max=5, m_max=3)
 
     def solve(q):
-        sol, ceiling = _audit_minimax(q, eps, max_iters)
-        return sol.worst_x_value - ceiling, sol.gap / q.n, 1.0 if sol.converged else 0.0
+        sol = solve_worstcase(q, eps=eps, max_iters=max_iters)
+        return sol.worst_x_value - sol.ceiling, sol.gap / q.n, 1.0 if sol.converged else 0.0
 
     results = [solve(q) for q in codes]
     return [
@@ -545,7 +536,7 @@ def cmd_minimax(cfg: dict) -> tuple[list[dict], dict]:
     """Solve the worst-case decoding game."""
     n, m = cfg["n"], cfg["m"]
     q = _select_code(n, m, cfg["seed"], SOLVER_MAX_N)
-    sol, ceiling = _audit_minimax(q, cfg["eps"], cfg["max_iters"])
+    sol = solve_worstcase(q, eps=cfg["eps"], max_iters=cfg["max_iters"])
     extra = {
         "n": n,
         "m": m,
@@ -556,7 +547,7 @@ def cmd_minimax(cfg: dict) -> tuple[list[dict], dict]:
     }
     checks = [
         _check("minimax_converged", 1 if sol.converged else 0, 1, 0, "=="),
-        _check("minimax_certificate", sol.worst_x_value, ceiling, 1e-12),
+        _check("minimax_certificate", sol.worst_x_value, sol.ceiling, 1e-12),
         _check("minimax_gap_share", sol.gap / q.n, GAP_SHARE, 1e-12),
     ]
     return checks, extra

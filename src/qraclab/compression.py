@@ -98,6 +98,12 @@ class ExactOutput:
     tv_error: float
 
 
+def _check_eta(eta: float) -> None:
+    """DomainError unless 0 < eta < 1; NaN fails too."""
+    if not 0.0 < eta < 1.0:
+        raise DomainError(f"eta must lie in (0, 1), got {eta}")
+
+
 def _log_inverse(eta: float) -> float:
     """ln(1/eta); DomainError where 1/eta overflows, as at a subnormal eta."""
     inverse = 1.0 / eta
@@ -121,8 +127,7 @@ def index_bits_cap(c_max: float, eta: float) -> int:
 def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     """Fix the reference distribution, per-input overhead a(x), and the
     attempt cap n_cap = ceil(2^{c_max} ln(1/eta))."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
+    _check_eta(eta)
     table = channel.table
     cap = max_channel_capacity(channel)
     z = cap.sigma

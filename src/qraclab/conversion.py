@@ -27,7 +27,15 @@ from functools import cached_property
 import numpy as np
 
 from .bits import bit_columns
-from .compression import FAIL_INDEX, CompressionScheme, _fail_chance, _transcript, build_scheme
+from .compression import (
+    FAIL_INDEX,
+    CompressionScheme,
+    _check_eta,
+    _fail_chance,
+    _transcript,
+    build_scheme,
+    index_bits_cap,
+)
 from .errors import (
     BadShiftError,
     DerandomizationFailedError,
@@ -119,8 +127,7 @@ def sample_newman_set(
 ) -> np.ndarray:
     """|S| = ceil(c_newman * n / eta^2) iid uniform (r, d) pairs, sampled with
     replacement, as the rows of a frozen (|S|, 2) int array."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
+    _check_eta(eta)
     if not c_newman > 0.0:
         raise DomainError(f"c_newman must be positive, got {c_newman}")
     eta_sq = eta**2  # 0.0 once eta < 1e-162; c_newman * n / eta_sq may be inf
@@ -165,9 +172,12 @@ def verify_no_bad_event(bit_errors: np.ndarray, s_set, eta: float) -> NoBadEvent
     """Exhaustively check that no (x, i) pair has its S-averaged error exceed
     the shared-randomness average by more than eta/2.  ``bit_errors`` is the
     code's (n, 2^n) per-bit error table, :attr:`RacCodebook.bit_errors`;
-    ``s_set`` holds the shifts as (r, d) rows.
+    ``s_set`` holds the shifts as (r, d) rows, and 0 < eta < 1.
     """
+    _check_eta(eta)
     n = len(bit_errors)
+    if bit_errors.shape != (n, 2**n):
+        raise ValidationError(f"expected a ({n}, {2**n}) error table, got shape {bit_errors.shape}")
     if n > RAC_MAX_N:
         raise SizeCapError(f"bad-event audit capped at n = {RAC_MAX_N}, got {n}")
     uniform_error = float(bit_errors.mean())
@@ -179,9 +189,10 @@ def verify_no_bad_event(bit_errors: np.ndarray, s_set, eta: float) -> NoBadEvent
 
 
 def message_bits_budget(m: int, size_s: int, eta: float) -> int:
-    """Longest codebook message the conversion allows:
+    """Longest codebook message the conversion allows: ceil(log2 |S|) bits of
+    shift index and the index bits of an eta/2 scheme of capacity m,
     m + ceil(log2 |S|) + ceil(log2 ln(2/eta)) + 2 bits."""
-    return m + math.ceil(math.log2(size_s)) + math.ceil(math.log2(math.log(2.0 / eta))) + 2
+    return math.ceil(math.log2(size_s)) + index_bits_cap(m, eta / 2.0)
 
 
 class _ShiftSchemes(Sequence):
@@ -235,6 +246,7 @@ class RacCodebook:
     newman_attempts: int
 
     def __post_init__(self):
+        _check_eta(self.eta)
         object.__setattr__(self, "s_set", _shift_pairs(self.s_set, self.n))
         if self.scheme.channel.table.shape != (2**self.n, 2**self.n):
             raise ValidationError(f"scheme's channel is not one on {self.n}-bit strings")
@@ -293,8 +305,7 @@ def build_rac(
     n = q.n
     if n > RAC_MAX_N:
         raise SizeCapError(f"codebook construction capped at n = {RAC_MAX_N}, got {n}")
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
+    _check_eta(eta)
     channel = effective_channel(q)
     err = _channel_bit_errors(channel.table)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelMismatchError, ValidationError
+from .errors import DimensionMismatchError, LabelMismatchError, ValidationError
 from .linalg import GramPovm
-from .pgm import PgmBundle, _bit_errors, _check_bundle_size
+from .pgm import PgmBundle, _bit_errors, _check_bundle
 from .qrac import Ensemble, Qrac, hamming_budget
 
 
@@ -46,7 +46,7 @@ def expected_hamming_exact(q: Qrac, ens: Ensemble, pg: PgmBundle) -> HammingRepo
         raise ValidationError(f"prior must have length {2**q.n}")
     if ens.states is not q.encoder and not np.array_equal(ens.states.factors, q.encoder.factors):
         raise ValidationError("ensemble states differ from the code's encoder")
-    _check_bundle_size(pg, q.n)
+    _check_bundle(pg, ens)
     per_bit = _bit_errors(ens, pg.marginals.f0s, slice(None))
     return HammingReport(
         expected_dh=float(per_bit.sum()),
@@ -69,6 +69,10 @@ def identification_bound_check(q: Qrac, full: GramPovm) -> IdentificationCheck:
     per n-bit string."""
     if len(full) != 2**q.n:
         raise LabelMismatchError(f"measurement has {len(full)} outcomes, code has {2**q.n} strings")
+    if full.factors.shape[1] != q.dim:
+        raise DimensionMismatchError(
+            f"measurement built for dimension {full.factors.shape[1]}, code has {q.dim}"
+        )
     lhs = float(full.diagonal(q.encoder).sum())
     rhs = float(2**q.m)
     return IdentificationCheck(lhs=lhs, rhs=rhs, ok=bool(lhs <= rhs + 1e-8))

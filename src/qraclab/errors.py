@@ -39,17 +39,6 @@ class DomainError(ValueError):
     """Numeric argument outside the mathematical domain of the function."""
 
 
-class NotConvergedError(RuntimeError):
-    """Iterative solver failed to certify within the iteration budget.
-
-    Carries the best iterate found in the ``best`` attribute when available.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class DerandomizationFailedError(RuntimeError):
     """No sampled shift set passed the bad-event audit within the retry budget."""
 

@@ -60,9 +60,9 @@ class ClassicalChannel:
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValidationError(f"expected a 2-D table, got shape {table.shape}")
-        if table.min() < 0:
-            raise ValidationError("channel has negative entries")
-        if np.abs(table.sum(axis=1) - 1.0).max() > 1e-12:
+        if not table.min() >= 0:  # NaN fails too
+            raise ValidationError("channel has negative or NaN entries")
+        if not np.abs(table.sum(axis=1) - 1.0).max() <= 1e-12:
             raise ValidationError("channel rows must each sum to 1 within 1e-12")
         table = table.copy()
         table.flags.writeable = False

@@ -13,7 +13,9 @@ per-input values: one per-bit table per iteration, from the iterate's
 marginals alone.  The solver keeps the priors, the only input to each
 iterate, and no measurement: the averaged measurement is rebuilt from
 them, iterate by iterate, when :attr:`GameSolution.measurement` is first
-read.
+read.  A run that does not certify within its iteration budget returns
+its best average, marked unconverged, in the same record; it does not
+raise.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .bits import bit_columns
-from .errors import DomainError, LabelMismatchError, NotConvergedError, SizeCapError
-from .linalg import GramStates, Povm, argmax_first, gram_dense
+from .errors import DomainError, LabelMismatchError, SizeCapError
+from .linalg import Povm, argmax_first, gram_dense
 from .pgm import _pgm_raw
 from .qrac import Qrac, bit_error_table, hamming_budget, weighted_sums
 
@@ -44,40 +46,56 @@ def certificate_ceiling(bound: float, eps: float, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GameSolution:
-    """Outcome of the worst-case decoding game.
-
-    ``priors`` holds the adversary's prior at each of the ``iterations``
-    iterates the certificate averages; with ``states`` they determine the
-    averaged measurement.  Equality is identity, as it was while the
-    solution held its measurement.
+    """Outcome of the worst-case decoding game on ``code``: the averaged
+    iterates' per-input values, the last one's value at its own prior,
+    whether the stopping rule was met, and each iterate's prior, from which
+    the averaged measurement and every other figure are derived.  A run
+    that did not certify holds its best average, a prefix of the iterates.
+    Equality is identity, as it was while the solution held its measurement.
     """
 
-    n: int
+    code: Qrac = field(repr=False)
     eps: float
-    bound: float
     per_x: np.ndarray
-    worst_x: int
-    worst_x_value: float
     avg_value_at_final_prior: float
-    gap: float
-    iterations: int
     converged: bool
     prior_trace: tuple[int, ...] = field(repr=False)
     priors: np.ndarray = field(repr=False)
-    states: GramStates = field(repr=False)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.priors)
+
+    @property
+    def bound(self) -> float:
+        return hamming_budget(self.code.claimed_p, self.code.n)
+
+    @property
+    def ceiling(self) -> float:
+        return certificate_ceiling(self.bound, self.eps, self.code.n)
+
+    @property
+    def worst_x_value(self) -> float:
+        return float(self.per_x.max())
+
+    @property
+    def gap(self) -> float:
+        """The stopping rule's duality gap."""
+        return self.worst_x_value - self.avg_value_at_final_prior
 
     @property
     def certified(self) -> bool:
-        return self.worst_x_value <= certificate_ceiling(self.bound, self.eps, self.n)
+        return self.worst_x_value <= self.ceiling
 
     @cached_property
     def measurement(self) -> Povm:
         """The averaged measurement, the mean of the square-root measurements
         at ``priors``, as a dense Povm over the 2^n strings.  Formed on first
         read, one iterate's elements added at a time, and kept."""
-        mean = np.zeros((2**self.n, self.states.dim, self.states.dim), dtype=complex)
+        states = self.code.encoder
+        mean = np.zeros((len(states), states.dim, states.dim), dtype=complex)
         for prior in self.priors:
-            _, full = _pgm_raw(weighted_sums(prior, self.states), full_table=True)
+            _, full = _pgm_raw(weighted_sums(prior, states), full_table=True)
             mean += gram_dense(full.factors)
             mean[0] += full.extra
         mean /= len(self.priors)
@@ -114,9 +132,10 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
     ``GAP_SHARE * n``.  The gap is measured against the value of the
     current best-response measurement at the current prior, which the
     average-case theorem keeps at or below the bound at every iteration.
-    Raises :class:`NotConvergedError` with the best iterate attached if
-    ``max_iters`` passes without certification.  The loop is deterministic:
-    uniform initial weights, exact best responses.
+    If ``max_iters`` passes without certification, the solution returned is
+    the iterate whose average had the least worst value, with
+    ``converged`` false.  The loop is deterministic: uniform initial
+    weights, exact best responses.  Raises only SizeCapError and DomainError.
 
     The worst case of the average is read from the running mean of the
     iterates' per-input values; each iterate builds its marginals alone,
@@ -130,33 +149,14 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     size = 2**n
-    bound = hamming_budget(q.claimed_p, n)
-    ceiling = certificate_ceiling(bound, eps, n)
+    ceiling = certificate_ceiling(hamming_budget(q.claimed_p, n), eps, n)
     lr = math.sqrt(8.0 * math.log(size) / max_iters)
 
     weights = np.ones(size)
     per_x = np.zeros(size)
     priors: list[np.ndarray] = []
     prior_trace: list[int] = []
-    best_snapshot: dict | None = None
-
-    def finish(snap: dict, converged: bool) -> GameSolution:
-        t = snap["t"]
-        return GameSolution(
-            n=n,
-            eps=eps,
-            bound=bound,
-            per_x=snap["per_x"],
-            worst_x=snap["worst_x"],
-            worst_x_value=snap["worst"],
-            avg_value_at_final_prior=snap["avg"],
-            gap=snap["gap"],
-            iterations=t,
-            converged=converged,
-            prior_trace=tuple(prior_trace[:t]),
-            priors=np.array(priors[:t]),
-            states=q.encoder,
-        )
+    best = None  # (worst, t, per_x, avg) of the best average so far
 
     for t in range(1, max_iters + 1):
         prior = weights / weights.sum()
@@ -168,32 +168,21 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
         # a bit's error is affine in its F0, so the average's per-input value
         # is the mean of the iterates' values
         per_x = per_x + (d_t - per_x) / t
-        worst_x = argmax_first(per_x)
         worst = float(per_x.max())
         # value of the current best-response PGM at the current prior; this is
         # the quantity the 2p(1-p)n average-case theorem bounds directly
-        avg_at_prior = float(prior @ d_t)
-        gap = worst - avg_at_prior
-
-        snap = {
-            "t": t,
-            "per_x": per_x,
-            "worst_x": worst_x,
-            "worst": worst,
-            "avg": avg_at_prior,
-            "gap": gap,
-        }
-        if worst <= ceiling and gap <= GAP_SHARE * n:
-            return finish(snap, converged=True)
-        if best_snapshot is None or worst < best_snapshot["worst"]:
-            best_snapshot = snap
+        avg = float(prior @ d_t)
+        converged = worst <= ceiling and worst - avg <= GAP_SHARE * n
+        if converged or best is None or worst < best[0]:
+            best = (worst, t, per_x, avg)
+        if converged:
+            break
 
         weights = weights * np.exp(lr * d_t / n)
         weights /= weights.max()
 
-    raise NotConvergedError(
-        f"no certificate within {max_iters} iterations (best worst-case "
-        f"{best_snapshot['worst']:.6f} vs bound {bound:.6f} + {eps * n:.6f}, "
-        f"gap {best_snapshot['gap']:.6f})",
-        best=finish(best_snapshot, converged=False),
+    _, t, per_x, avg = best
+    return GameSolution(
+        code=q, eps=eps, per_x=per_x, avg_value_at_final_prior=avg, converged=converged,
+        prior_trace=tuple(prior_trace[:t]), priors=np.array(priors[:t]),
     )

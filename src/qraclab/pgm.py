@@ -48,6 +48,7 @@ import numpy as np
 
 from .bits import bit_column, bit_columns
 from .errors import (
+    DimensionMismatchError,
     DomainError,
     IndexOutOfRangeError,
     LabelMismatchError,
@@ -167,14 +168,21 @@ def build_pgm(ensemble: Ensemble, *, full_table: bool = False) -> PgmBundle:
     return PgmBundle(BitPovms(f0s), full)
 
 
-def _check_bundle_size(pg: PgmBundle, n: int) -> None:
-    """LabelMismatchError unless ``pg`` was built for n-bit strings."""
-    if pg.n != n:
-        raise LabelMismatchError(f"measurement built for n = {pg.n}, code has {n}")
+def _check_bundle(pg: PgmBundle, ensemble: Ensemble) -> None:
+    """LabelMismatchError unless ``pg`` was built for the ensemble's n-bit
+    strings, DimensionMismatchError unless for its states' dimension."""
+    if pg.n != ensemble.n:
+        raise LabelMismatchError(f"measurement built for n = {pg.n}, code has {ensemble.n}")
+    dim = pg.marginals.f0s.shape[1]
+    if dim != ensemble.states.dim:
+        raise DimensionMismatchError(
+            f"measurement built for dimension {dim}, states have {ensemble.states.dim}"
+        )
 
 
 def success_prob_full(ensemble: Ensemble, pg: PgmBundle) -> float:
     """Probability that the full measurement recovers the whole string."""
+    _check_bundle(pg, ensemble)
     if pg.full is None:
         raise ValidationError("bundle was built without the full outcome table")
     per_x = pg.full.diagonal(ensemble.states)
@@ -197,7 +205,7 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     If the prior puts zero mass on one value of bit i the bit is trivially
     known and the probability is reported as 1.
     """
-    _check_bundle_size(pg, ensemble.n)
+    _check_bundle(pg, ensemble)
     if not 1 <= i <= pg.n:
         raise IndexOutOfRangeError(f"bit index {i} outside 1..{pg.n}")
     col = bit_column(i, ensemble.n)

@@ -145,9 +145,9 @@ class Ensemble:
             raise ValidationError(f"number of states must be a power of two >= 2, got {size}")
         if prior.shape != (size,):
             raise ValidationError("prior length differs from number of states")
-        if prior.min() < 0:
-            raise ValidationError("prior has negative entries")
-        if abs(prior.sum() - 1.0) > 1e-12:
+        if not prior.min() >= 0:  # NaN fails too
+            raise ValidationError("prior has negative or NaN entries")
+        if not abs(prior.sum() - 1.0) <= 1e-12:
             raise ValidationError(f"prior sums to {prior.sum()}, not 1")
         prior = prior.copy()
         prior.flags.writeable = False

@@ -295,6 +295,14 @@ class TestNewmanSet:
         with pytest.raises(error):
             dataclasses.replace(cb, s_set=s_set)
 
+    @pytest.mark.parametrize(
+        "eta, match", [(2.0, "eta must lie in"), (math.nan, "eta must lie in"), (1e-320, "overflows")]
+    )
+    def test_codebook_checks_eta(self, eta, match):
+        cb = cv.build_rac(build_standard_2to1(), eta=0.3, seed=1)
+        with pytest.raises(DomainError, match=match):
+            dataclasses.replace(cb, eta=eta)
+
     def test_size_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cv, "NEWMAN_MAX_SIZE", 128)
         assert len(cv.sample_newman_set(4, eta=0.5, seed=0, c_newman=8)) == 128
@@ -340,6 +348,18 @@ class TestBadEventAudit:
         report = cv.verify_no_bad_event(bit_errors(q), [(0, 1)], eta=0.01)
         assert not report.ok
         assert report.worst_margin > 0.01 / 2
+
+    @pytest.mark.parametrize("eta", [math.nan, 5.0, 0.0, 1.0])
+    def test_rejects_eta_outside_the_unit_interval(self, eta):
+        err = bit_errors(build_standard_2to1())
+        with pytest.raises(DomainError, match="eta must lie in"):
+            cv.verify_no_bad_event(err, [(0, 1)], eta)
+
+    def test_rejects_a_table_of_another_shape(self):
+        # n = 2 rows over 8 inputs: neither a 2-bit nor a 3-bit table
+        err = bit_errors(build_tensor_power(build_standard_2to1(), 2))[:2, :8]
+        with pytest.raises(ValidationError, match=r"expected a \(2, 4\) error table"):
+            cv.verify_no_bad_event(err, [(0, 1)], 0.2)
 
 
 class TestBuildRac:

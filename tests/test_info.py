@@ -86,6 +86,8 @@ class TestChannel:
             ClassicalChannel(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValidationError):
             ClassicalChannel(np.array([[1.1, -0.1], [0.5, 0.5]]))
+        with pytest.raises(ValidationError, match="NaN"):
+            ClassicalChannel(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
 
 class TestMaxCapacity:

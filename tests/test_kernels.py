@@ -11,11 +11,11 @@ import pytest
 from qraclab.compression import index_bits_cap
 from qraclab.conversion import message_bits_budget
 from qraclab.decoding import expected_hamming_exact, identification_bound_check
-from qraclab.errors import LabelMismatchError
+from qraclab.errors import DimensionMismatchError, LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
 from qraclab.linalg import Povm, gram_dense, trace_table
 from qraclab.minimax import evaluate_worstcase, solve_worstcase
-from qraclab.pgm import build_pgm, per_bit_success
+from qraclab.pgm import build_pgm, per_bit_success, success_prob_full
 from qraclab.qrac import (
     Ensemble,
     bit_error_table,
@@ -162,15 +162,32 @@ def test_out_of_range_labels_rejected(evaluate):
 
 
 def test_bundle_for_another_n_rejected():
-    """Every reader of a bundle's marginals refuses one built for another
-    n, here for fewer bits than the code's."""
+    """Every reader of a bundle refuses one built for another n, here for
+    fewer bits than the code's."""
     square = build_tensor_power(build_standard_2to1(), 2)
-    other = build_pgm(Ensemble.uniform(build_standard_2to1()))
+    other = build_pgm(Ensemble.uniform(build_standard_2to1()), full_table=True)
     for read in (
         lambda: expected_hamming_exact(square, Ensemble.uniform(square), other),
         lambda: per_bit_success(Ensemble.uniform(square), other, 1),
+        lambda: success_prob_full(Ensemble.uniform(square), other),
     ):
         with pytest.raises(LabelMismatchError, match="measurement built for n = 2, code has 4"):
+            read()
+
+
+def test_bundle_for_another_dimension_rejected():
+    """Every reader of a bundle refuses one built on states of another
+    dimension, here a qubit code read with a two-qubit code's bundle."""
+    q = build_random_qrac(2, 1, seed=1)
+    ens = Ensemble.uniform(q)
+    other = build_pgm(Ensemble.uniform(build_random_qrac(2, 2, seed=1)), full_table=True)
+    for read in (
+        lambda: per_bit_success(ens, other, 1),
+        lambda: success_prob_full(ens, other),
+        lambda: expected_hamming_exact(q, ens, other),
+        lambda: identification_bound_check(q, other.full),
+    ):
+        with pytest.raises(DimensionMismatchError, match="measurement built for dimension 4, "):
             read()
 
 
@@ -198,6 +215,12 @@ def test_hamming_budget_degenerate_rule(p):
 
 def test_message_budgets():
     assert message_bits_budget(2, 160, 0.2) == 2 + 8 + math.ceil(math.log2(math.log(10.0))) + 2
+    for m, size_s, eta in [
+        (1, 1, 0.5), (3, 2, 0.3), (7, 3, 0.1), (1, 1000, 1e-3), (3, 2**20, 1e-300),
+        (7, 2**20 + 1, 0.999), (2, 160, 2 / math.e**2), (5, 7, 2 / math.e**4),
+    ]:
+        want = m + math.ceil(math.log2(size_s)) + math.ceil(math.log2(math.log(2.0 / eta))) + 2
+        assert message_bits_budget(m, size_s, eta) == want, (m, size_s, eta)
     assert index_bits_cap(1.3, 0.1) == 2 + math.ceil(math.log2(math.log(10.0))) + 2
 
 

@@ -7,8 +7,8 @@ import qraclab.linalg as linalg
 import qraclab.minimax as mm
 from qraclab.cli import main
 from qraclab.corpus import DEFAULT_P_MIN
-from qraclab.errors import LabelMismatchError, NotConvergedError, SizeCapError
-from qraclab.linalg import BitPovms, GramPovm, Povm
+from qraclab.errors import LabelMismatchError, SizeCapError
+from qraclab.linalg import BitPovms, GramPovm, Povm, argmax_first
 from qraclab.minimax import GameSolution, evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm
 from qraclab.qrac import (
@@ -65,7 +65,7 @@ class TestSolveWorstcase:
         q = build_standard_2to1()
         sol = solve_worstcase(q, eps=0.01)
         assert sol.certified
-        assert sol.worst_x_value <= sol.bound + sol.eps * sol.n
+        assert sol.worst_x_value <= sol.bound + sol.eps * sol.code.n
 
     def test_avg_value_never_exceeds_bound(self):
         # each iterate is a square-root measurement, so its value at its own
@@ -106,9 +106,7 @@ class TestSolveWorstcase:
         q = build_standard_2to1()
         hopeless = Qrac(n=2, m=1, encoder=q.encoder, decoders=q.decoders)
         object.__setattr__(hopeless, "claimed_p", 0.999)  # Qrac is frozen
-        with pytest.raises(NotConvergedError) as exc_info:
-            solve_worstcase(hopeless, eps=0.001, max_iters=25)
-        best = exc_info.value.best
+        best = solve_worstcase(hopeless, eps=0.001, max_iters=25)
         assert isinstance(best, GameSolution)
         assert not best.converged
         assert best.iterations <= 25
@@ -122,13 +120,12 @@ class TestSolveWorstcase:
         q = build_random_qrac(4, 1, seed=5)
         hopeless = Qrac(n=4, m=1, encoder=q.encoder, decoders=q.decoders)
         object.__setattr__(hopeless, "claimed_p", 0.999)  # Qrac is frozen
-        with pytest.raises(NotConvergedError) as exc_info:
-            solve_worstcase(hopeless, eps=0.001, max_iters=25)
-        best = exc_info.value.best
+        best = solve_worstcase(hopeless, eps=0.001, max_iters=25)
+        assert not best.converged
         assert best.iterations < 25
         worst, arg, per_x = evaluate_worstcase(hopeless, best.measurement)
         np.testing.assert_allclose(per_x, best.per_x, atol=1e-10)
-        assert arg == best.worst_x
+        assert arg == argmax_first(best.per_x)
         np.testing.assert_allclose(worst, best.worst_x_value, atol=1e-10)
 
     def test_size_caps(self):
@@ -210,7 +207,7 @@ def test_certify_corpus_is_pinned():
     sols = [solve_worstcase(q, eps=0.02) for q in codes]
     assert all(sol.converged for sol in sols)
     assert sum(sol.iterations for sol in sols) == 936
-    assert tuple(sol.worst_x for sol in sols) == (
+    assert tuple(argmax_first(sol.per_x) for sol in sols) == (
         13, 0, 24, 21, 0, 9, 7, 20, 10, 26, 23, 16, 21, 14, 18, 17, 12, 2, 8, 23, 1,
         26, 1, 22, 26, 13, 6, 16, 31, 18, 28, 23, 8, 29, 2, 31, 26, 31, 17, 7, 2,
     )
@@ -274,7 +271,7 @@ class TestEvaluateWorstcase:
         sol = solve_worstcase(q, eps=0.02)
         worst, arg, per_x = evaluate_worstcase(q, sol.measurement)
         np.testing.assert_allclose(per_x, sol.per_x, atol=1e-10)
-        assert arg == sol.worst_x
+        assert arg == argmax_first(sol.per_x)
         np.testing.assert_allclose(worst, sol.worst_x_value, atol=1e-10)
 
 

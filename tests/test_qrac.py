@@ -243,6 +243,8 @@ class TestEnsemble:
             Ensemble(np.array([0.5, 0.5, 0.1, -0.1]), q.encoder)
         with pytest.raises(ValidationError):
             Ensemble(np.array([0.5, 0.5, 0.5, 0.5]), q.encoder)
+        with pytest.raises(ValidationError, match="NaN"):
+            Ensemble(np.array([np.nan, 0.5, 0.25, 0.25]), q.encoder)
 
     def test_rejects_non_power_of_two(self):
         states = tuple(DensityMatrix(np.eye(2) / 2) for _ in range(3))

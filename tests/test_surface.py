@@ -32,9 +32,6 @@ UNPASSED_BY_DESIGN = {"main.argv"} | {
     f"{handler.__name__}.{key}" for handler, _ in cli.SUITES.values() for key in cli.FLAGS
 }
 FIELDS_READ_BY_TESTS = {
-    "GameSolution.per_x": "compared with evaluate_worstcase's per-input values",
-    "GameSolution.worst_x": "compared with evaluate_worstcase's argmax and pinned on a corpus",
-    "GameSolution.avg_value_at_final_prior": "checked against the average-case bound 2p(1-p)n",
     "ExactOutput.dist": "compared with the law of the sampled protocol outputs",
 }
 
