@@ -5,7 +5,7 @@ The public surface re-exported here covers the usual workflow: build a code
 (`build_standard_2to1`, `build_random_qrac`), measure it (`build_pgm`,
 `expected_hamming_exact`), certify the worst case (`solve_worstcase`), and
 convert it to a classical code (`build_rac`, `validate_rac`).  Submodules
-stay importable directly for the long tail (bits, corpus, serialize, cli).
+stay importable directly for the long tail (bits, corpus, cli).
 
 Every public function, class, method, property and result field in the
 package is read by a command, a demo or the benchmark, and every defaulted

@@ -12,13 +12,18 @@ single-shot command it mirrors.
 
 Reports are versioned JSON (and RFC-4180 CSV) built from check rows; every
 checked number carries the threshold and tolerance it was compared against.
+JSON floats use Python's shortest round-trip repr, which is bit-faithful on
+reload; CSV lines end in CRLF and float cells carry 17 significant digits.
 Exit status: 0 all checks pass, 1 at least one failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
+import io
+import json
 import math
 import os
 import sys
@@ -62,7 +67,8 @@ from .qrac import (
     hamming_budget,
     validate_qrac,
 )
-from .serialize import SCHEMA_VERSION, dump_json, rows_to_csv
+
+SCHEMA_VERSION = 1
 
 _BOOL_WORDS = {
     "true": True, "yes": True, "1": True,
@@ -167,13 +173,16 @@ def _check(name, value, threshold, tolerance, direction="<="):
     }
 
 
-def report_to_csv(report: dict, path=None) -> str:
+def report_to_csv(report: dict) -> str:
+    """The report's check rows as CSV; ``_check`` makes every number a float."""
     header = ["check", "value", "threshold", "tolerance", "direction", "ok"]
-    rows = [
-        [c["check"], c["value"], c["threshold"], c["tolerance"], c["direction"], c["ok"]]
-        for c in report["checks"]
-    ]
-    return rows_to_csv(header, rows, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for check in report["checks"]:
+        row = [check[key] for key in header]
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def emit_report(command: str, cfg: dict, checks: list[dict], extra: dict) -> int:
@@ -188,16 +197,17 @@ def emit_report(command: str, cfg: dict, checks: list[dict], extra: dict) -> int
     failures = [c["check"] for c in checks if not c["ok"]]
     report["ok"] = not failures
     report["failures"] = failures
+    text = json.dumps(report, indent=2) + "\n"
+    table = report_to_csv(report)
     if cfg["out"]:
         try:
-            dump_json(report, f"{cfg['out']}.json")
-            report_to_csv(report, f"{cfg['out']}.csv")
+            with open(f"{cfg['out']}.json", "w") as fh:
+                fh.write(text)
+            with open(f"{cfg['out']}.csv", "w", newline="") as fh:
+                fh.write(table)
         except OSError as exc:
             raise UsageError(f"cannot write report: {exc}") from exc
-    if cfg["format"] == "csv":
-        sys.stdout.write(report_to_csv(report))
-    else:
-        sys.stdout.write(dump_json(report))
+    sys.stdout.write(table if cfg["format"] == "csv" else text)
     return 0 if report["ok"] else 1
 
 

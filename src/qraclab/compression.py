@@ -55,14 +55,6 @@ class CompressionScheme:
         """Width of the sent index, which runs over 0..n_cap."""
         return self.n_cap.bit_length()
 
-    @property
-    def in_size(self) -> int:
-        return self.channel.in_size
-
-    @property
-    def out_size(self) -> int:
-        return self.channel.out_size
-
     @cached_property
     def bins(self) -> np.ndarray:
         """Cumulative reference mass of outcomes 0..K-2: a uniform u in [0, 1)
@@ -121,6 +113,7 @@ def _fail_chance(ratio, n_cap: int):
 def index_bits_cap(c_max: float, eta: float) -> int:
     """Most index bits a scheme of capacity ``c_max`` and error ``eta`` may
     use: ceil(c_max) + ceil(log2 ln(1/eta)) + 2."""
+    _check_eta(eta)
     return math.ceil(c_max) + math.ceil(math.log2(_log_inverse(eta))) + 2
 
 
@@ -164,24 +157,24 @@ def run_protocol(
     scheme: CompressionScheme, x: int, shared_seed: int, replicate: int = 0
 ) -> ProtocolRun:
     """Execute one protocol instance on the streams of (x, replicate)."""
-    if not 0 <= x < scheme.in_size:
-        raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
+    if not 0 <= x < scheme.channel.in_size:
+        raise DomainError(f"input {x} outside alphabet of size {scheme.channel.in_size}")
     shared = counter_stream(shared_seed, TAG_SHARED, x, replicate)
     alice = counter_stream(shared_seed, TAG_ALICE, x, replicate)
     sent, output = _transcript(scheme, x, shared, alice)
     if output is None:
         # Bob's stream is forked only when he needs it
         bob = counter_stream(shared_seed, TAG_BOB, x, replicate)
-        output = int(bob.integers(scheme.out_size))
+        output = int(bob.integers(scheme.channel.out_size))
     return ProtocolRun(sent_index=sent, output_y=output, message_bits=scheme.index_bits)
 
 
 def exact_output_distribution(scheme: CompressionScheme, x: int) -> ExactOutput:
     """Closed-form output law: E(x) on acceptance, uniform on failure."""
-    if not 0 <= x < scheme.in_size:
-        raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
+    if not 0 <= x < scheme.channel.in_size:
+        raise DomainError(f"input {x} outside alphabet of size {scheme.channel.in_size}")
     row = scheme.channel.table[x]
-    k = scheme.out_size
+    k = scheme.channel.out_size
     # each attempt accepts with probability exactly 2^{-a(x)} = 1/ratio
     fail_prob = _fail_chance(scheme.ratio[x], scheme.n_cap)
     dist = (1.0 - fail_prob) * row + fail_prob / k
@@ -194,8 +187,8 @@ def estimate_acceptance_rate(
 ) -> float:
     """Empirical per-attempt acceptance frequency over ``runs`` fresh first
     attempts; converges to 2^{-a(x)}."""
-    if not 0 <= x < scheme.in_size:
-        raise DomainError(f"input {x} outside alphabet of size {scheme.in_size}")
+    if not 0 <= x < scheme.channel.in_size:
+        raise DomainError(f"input {x} outside alphabet of size {scheme.channel.in_size}")
     shared = stream(seed, TAG_BATCH, TAG_SHARED, x, 1)
     alice = stream(seed, TAG_BATCH, TAG_ALICE, x, 1)
     draws = scheme.bins.searchsorted(shared.random(runs), "right")

@@ -192,6 +192,7 @@ def message_bits_budget(m: int, size_s: int, eta: float) -> int:
     """Longest codebook message the conversion allows: ceil(log2 |S|) bits of
     shift index and the index bits of an eta/2 scheme of capacity m,
     m + ceil(log2 |S|) + ceil(log2 ln(2/eta)) + 2 bits."""
+    _check_eta(eta)
     return math.ceil(math.log2(size_s)) + index_bits_cap(m, eta / 2.0)
 
 

@@ -161,7 +161,7 @@ def distance_conditioning_check(joint_xy: np.ndarray, n: int) -> DistanceConditi
     size = 2**n
     if joint.shape != (size, size):
         raise BadSplitError(f"joint must be {size} x {size} for n = {n}")
-    if abs(joint.sum() - 1.0) > 1e-9 or joint.min() < -1e-12:
+    if not (abs(joint.sum() - 1.0) <= 1e-9 and joint.min() >= -1e-12):
         raise ValidationError("joint is not a probability table")
     h_xy = _xlog2x_sum(joint.reshape(-1))
     h_y = _xlog2x_sum(joint.sum(axis=0))

@@ -11,18 +11,17 @@ unit vector (r = 1), checked by its norm alone; matrix input is factored
 by one batched ``eigh``, which is also its PSD check, and cut to the
 stack's numerical rank, so a pure state read as a matrix is a vector
 again.  ``GramPovm`` holds a measurement as factors B_k plus one PSD
-matrix on its first element, validated by its identity sum.  Six kernels
+matrix on its first element, validated by its identity sum.  Five kernels
 act on factor stacks without forming d x d members: ``trace_table``
 (Tr(F rho_x) for a few dense F: one batched product per chunk of operators
 whose products hold about ``_GRAM_CHUNK`` entries, or one 2-D product per
 operator where a single product fills the chunk, each entry reduced as a
 real dot product of float64 views), ``gram_table``
 (Tr(rho_x E_k) between two factor stacks, one matrix product),
-``gram_paired`` (the same for paired members only), ``gram_sums`` (sums of
-members under arbitrary weights, one product per row of weights),
-``bit_sums`` (every bit's sum over the strings whose bit is 0, and the
-total, of a stack indexed by n-bit strings, from two products whatever n)
-and ``gram_dense`` (the members themselves, for a dense measurement).
+``gram_paired`` (the same for paired members only), ``bit_sums`` (every
+bit's sum over the strings whose bit is 0, and the total, of a stack
+indexed by n-bit strings, from two products whatever n) and ``gram_dense``
+(the members themselves, for a dense measurement).
 
 A dense ``Povm`` is labelled 0..k-1: its one field, ``elements``, is the
 validated (k, d, d) array, checked by one batched Hermiticity reduction
@@ -195,22 +194,6 @@ def gram_paired(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (N, d, r) and (N, d, s): one (r, d)(d, s) product per x."""
     g = a.conj().swapaxes(1, 2) @ b
     return (g.real**2 + g.imag**2).sum(axis=(1, 2))
-
-
-def gram_sums(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(j, d, d) weighted sums sum_x weights[j, x] A_x A_x^dag of a factor stack,
-    one (d, N r)(N r, d) product per row of weights: the conjugate of
-    sum_x w_x conj(A_x) A_x^T, so one weighted copy of the stack is all it
-    allocates beside the sums."""
-    size, dim, rank = factors.shape
-    cols = factors.transpose(0, 2, 1).reshape(size * rank, dim)
-    rows = np.repeat(np.asarray(weights, dtype=float), rank, axis=1)
-    weighted = np.empty_like(cols.T)
-    sums = np.empty((len(rows), dim, dim), dtype=weighted.dtype)
-    for w, out in zip(rows, sums):
-        np.conjugate(np.multiply(cols.T, w, out=weighted), out=weighted)
-        np.matmul(weighted, cols, out=out)
-    return np.conjugate(sums, out=sums)
 
 
 @lru_cache(maxsize=None)
@@ -531,7 +514,8 @@ class GramPovm:
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
         if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
             raise ValidationError("measurement element has a negative eigenvalue")
-        _check_identity_sum(extra + gram_sums(factors, np.ones((1, len(factors))))[0])
+        rows = factors.transpose(0, 2, 1).reshape(-1, dim)
+        _check_identity_sum(extra + rows.T @ rows.conj())
         object.__setattr__(self, "factors", _frozen(factors))
         object.__setattr__(self, "extra", _frozen(extra))
 

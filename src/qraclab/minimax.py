@@ -148,6 +148,8 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
         raise SizeCapError(f"solver capped at m = {SOLVER_MAX_M}, got {q.m}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and at least 0, got {eps}")
     size = 2**n
     ceiling = certificate_ceiling(hamming_budget(q.claimed_p, n), eps, n)
     lr = math.sqrt(8.0 * math.log(size) / max_iters)

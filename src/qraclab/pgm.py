@@ -50,7 +50,6 @@ from .bits import bit_column, bit_columns
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    IndexOutOfRangeError,
     LabelMismatchError,
     SizeCapError,
     ValidationError,
@@ -206,8 +205,6 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     known and the probability is reported as 1.
     """
     _check_bundle(pg, ensemble)
-    if not 1 <= i <= pg.n:
-        raise IndexOutOfRangeError(f"bit index {i} outside 1..{pg.n}")
     col = bit_column(i, ensemble.n)
     prior = ensemble.prior
     if prior[col == 0].sum() == 0.0 or prior[col == 1].sum() == 0.0:
@@ -218,7 +215,7 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
 def helstrom_pmax(p0: float, rho0, p1: float, rho1) -> float:
     """Largest success probability of any two-outcome measurement that
     distinguishes rho0 (prior p0) from rho1 (prior p1)."""
-    if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9:
+    if not (p0 >= 0 and p1 >= 0 and abs(p0 + p1 - 1.0) <= 1e-9):
         raise DomainError(f"priors ({p0}, {p1}) are not a distribution")
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)

@@ -86,7 +86,7 @@ class Qrac:
         worst = success_table(self).min()
         if self.claimed_p is None:
             object.__setattr__(self, "claimed_p", float(worst))
-        elif worst < self.claimed_p - TOL_CLAIM:
+        elif not worst >= self.claimed_p - TOL_CLAIM:
             raise ValidationError(
                 f"claimed success {self.claimed_p} not met: worst pair achieves {worst}"
             )

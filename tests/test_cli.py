@@ -167,6 +167,13 @@ def test_bad_input_exits_two_without_traceback(argv):
         ["convert", "--eta", "1e-300"],
         ["convert", "--c-newman", "1e300"],
         ["suite", "--kind", "convert", "--eta", "1e-300"],
+    ]
+    + [
+        pytest.param(["minimax", "--eps", "-1"], id="minimax-eps-negative"),
+        pytest.param(
+            ["suite", "--kind", "minimax", "--seeds", "1", "--eps", "-1"],
+            id="suite-minimax-eps-negative",
+        ),
     ],
 )
 def test_out_of_range_integer_exits_two_in_process(argv, capsys):
@@ -295,6 +302,20 @@ def test_out_writes_json_and_csv(tmp_path, capsys):
     # values are written at 17 significant digits, so they read back exactly
     rows = csv_text.strip().split("\n")[1:]
     assert [float(row.split(",")[1]) for row in rows] == [c["value"] for c in on_disk["checks"]]
+
+
+def test_out_files_are_the_printed_bytes(tmp_path):
+    """Read as bytes, PATH.json is what ``--format json`` prints and PATH.csv
+    what ``--format csv`` prints, every CSV line ending in \\r\\n.  The
+    config the JSON records names the format, so each file is compared
+    after the run that prints it."""
+    target = tmp_path / "report"
+    for fmt in ("json", "csv"):
+        cmd = [sys.executable, "-m", "qraclab.cli", "demo-2to1", "--deterministic",
+               "--format", fmt, "--out", str(target)]
+        printed = subprocess.run(cmd, capture_output=True, check=True).stdout
+        assert (tmp_path / f"report.{fmt}").read_bytes() == printed
+    assert printed.count(b"\r\n") == printed.count(b"\n") == 7  # header and six checks
 
 
 def test_deterministic_reports_byte_identical():

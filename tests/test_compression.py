@@ -139,7 +139,7 @@ def test_bins_search_is_the_clamped_search_of_the_cumulative_mass(make):
         [cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53],
          np.random.default_rng(0).random(1000)]
     )
-    want = np.minimum(np.searchsorted(cum, u, side="right"), s.out_size - 1)
+    want = np.minimum(np.searchsorted(cum, u, side="right"), s.channel.out_size - 1)
     np.testing.assert_array_equal(s.bins.searchsorted(u, "right"), want)
 
 
@@ -150,7 +150,7 @@ class TestRunProtocol:
         s = zero_mass_scheme()
         h = hashlib.sha256()
         fails = 0
-        for x in range(s.in_size):
+        for x in range(s.channel.in_size):
             for rep in range(40):
                 r = run_protocol(s, x, 2**100 + 12345, rep)
                 fails += r.sent_index == FAIL_INDEX

@@ -211,6 +211,10 @@ class TestDistanceConditioning:
             distance_conditioning_check(np.full((4, 4), 0.1), n=2)
         with pytest.raises(BadSplitError):
             distance_conditioning_check(np.eye(4) / 4, n=3)
+        nan_cell = np.eye(4) / 4
+        nan_cell[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            distance_conditioning_check(nan_cell, n=2)
 
 
 def test_capacity_result_type():

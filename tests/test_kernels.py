@@ -11,7 +11,7 @@ import pytest
 from qraclab.compression import index_bits_cap
 from qraclab.conversion import message_bits_budget
 from qraclab.decoding import expected_hamming_exact, identification_bound_check
-from qraclab.errors import DimensionMismatchError, LabelMismatchError
+from qraclab.errors import DimensionMismatchError, DomainError, LabelMismatchError
 from qraclab.info import ClassicalChannel, max_channel_capacity
 from qraclab.linalg import Povm, gram_dense, trace_table
 from qraclab.minimax import evaluate_worstcase, solve_worstcase
@@ -222,6 +222,14 @@ def test_message_budgets():
         want = m + math.ceil(math.log2(size_s)) + math.ceil(math.log2(math.log(2.0 / eta))) + 2
         assert message_bits_budget(m, size_s, eta) == want, (m, size_s, eta)
     assert index_bits_cap(1.3, 0.1) == 2 + math.ceil(math.log2(math.log(10.0))) + 2
+    for bad in (
+        lambda: index_bits_cap(2, math.nan),
+        lambda: index_bits_cap(2, 1.5),
+        lambda: message_bits_budget(1, 100, math.nan),
+        lambda: message_bits_budget(1, 100, 1.5),
+    ):
+        with pytest.raises(DomainError, match="eta must lie in"):
+            bad()
 
 
 def test_capacity_reports_column_max_sum():

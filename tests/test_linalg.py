@@ -27,7 +27,6 @@ from qraclab.linalg import (
     bit_sums,
     eig_hermitian,
     gram_dense,
-    gram_sums,
     is_hermitian,
     trace_norm,
     trace_table,
@@ -57,6 +56,11 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def gram_sums(factors, weights):
+    """Reference (j, d, d) sums sum_x weights[j, x] A_x A_x^dag of a factor stack."""
+    return np.einsum("jx,xdr,xer->jde", weights, factors, factors.conj())
 
 
 class TestEigHermitian:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import qraclab.linalg as linalg
 import qraclab.minimax as mm
 from qraclab.cli import main
 from qraclab.corpus import DEFAULT_P_MIN
-from qraclab.errors import LabelMismatchError, SizeCapError
+from qraclab.errors import DomainError, LabelMismatchError, SizeCapError
 from qraclab.linalg import BitPovms, GramPovm, Povm, argmax_first
 from qraclab.minimax import GameSolution, evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm
@@ -127,6 +128,19 @@ class TestSolveWorstcase:
         np.testing.assert_allclose(per_x, best.per_x, atol=1e-10)
         assert arg == argmax_first(best.per_x)
         np.testing.assert_allclose(worst, best.worst_x_value, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            pytest.param(-1.0, id="negative"),
+            pytest.param(math.nan, id="nan"),
+            pytest.param(math.inf, id="inf"),
+        ],
+    )
+    def test_rejects_bad_eps(self, eps):
+        """eps must lie in [0, inf); a NaN fails the check too."""
+        with pytest.raises(DomainError, match="eps must be finite and at least 0"):
+            solve_worstcase(build_standard_2to1(), eps=eps)
 
     def test_size_caps(self):
         from qraclab.linalg import DensityMatrix

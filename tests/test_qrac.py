@@ -90,6 +90,8 @@ class TestStandardCode:
         q = build_standard_2to1()
         with pytest.raises(ValidationError):
             Qrac(2, 1, q.encoder, q.decoders, claimed_p=0.9)
+        with pytest.raises(ValidationError):
+            Qrac(2, 1, q.encoder, q.decoders, claimed_p=float("nan"))
 
     def test_claim_cannot_be_reassigned(self):
         """A claim set after construction would skip the check above."""
