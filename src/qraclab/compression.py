@@ -187,6 +187,8 @@ def estimate_acceptance_rate(
 ) -> float:
     """Empirical per-attempt acceptance frequency over ``runs`` fresh first
     attempts; converges to 2^{-a(x)}."""
+    if not runs >= 1:
+        raise DomainError(f"runs must be at least 1, got {runs}")
     if not 0 <= x < scheme.channel.in_size:
         raise DomainError(f"input {x} outside alphabet of size {scheme.channel.in_size}")
     shared = stream(seed, TAG_BATCH, TAG_SHARED, x, 1)

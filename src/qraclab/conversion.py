@@ -172,12 +172,15 @@ def verify_no_bad_event(bit_errors: np.ndarray, s_set, eta: float) -> NoBadEvent
     """Exhaustively check that no (x, i) pair has its S-averaged error exceed
     the shared-randomness average by more than eta/2.  ``bit_errors`` is the
     code's (n, 2^n) per-bit error table, :attr:`RacCodebook.bit_errors`;
-    ``s_set`` holds the shifts as (r, d) rows, and 0 < eta < 1.
+    ``s_set`` holds the shifts as (r, d) rows, and 0 < eta < 1.  Every
+    error must lie in [0, 1] within 1e-9.
     """
     _check_eta(eta)
     n = len(bit_errors)
     if bit_errors.shape != (n, 2**n):
         raise ValidationError(f"expected a ({n}, {2**n}) error table, got shape {bit_errors.shape}")
+    if not ((bit_errors >= -1e-9) & (bit_errors <= 1.0 + 1e-9)).all():  # NaN fails too
+        raise ValidationError("error table has entries outside [0, 1] or NaN")
     if n > RAC_MAX_N:
         raise SizeCapError(f"bad-event audit capped at n = {RAC_MAX_N}, got {n}")
     uniform_error = float(bit_errors.mean())

@@ -10,18 +10,17 @@ factors of k states as one frozen (k, d, r) array.  A pure state is its
 unit vector (r = 1), checked by its norm alone; matrix input is factored
 by one batched ``eigh``, which is also its PSD check, and cut to the
 stack's numerical rank, so a pure state read as a matrix is a vector
-again.  ``GramPovm`` holds a measurement as factors B_k plus one PSD
-matrix on its first element, validated by its identity sum.  Five kernels
-act on factor stacks without forming d x d members: ``trace_table``
-(Tr(F rho_x) for a few dense F: one batched product per chunk of operators
-whose products hold about ``_GRAM_CHUNK`` entries, or one 2-D product per
-operator where a single product fills the chunk, each entry reduced as a
-real dot product of float64 views), ``gram_table``
-(Tr(rho_x E_k) between two factor stacks, one matrix product),
-``gram_paired`` (the same for paired members only), ``bit_sums`` (every
-bit's sum over the strings whose bit is 0, and the total, of a stack
-indexed by n-bit strings, from two products whatever n) and ``gram_dense``
-(the members themselves, for a dense measurement).
+again.  ``GramPovm`` holds a measurement as its factors B_k alone,
+validated by their identity sum.  Three kernels act on factor stacks
+without forming d x d members: ``trace_table`` (Tr(F rho_x) for a few
+dense F: one batched product per chunk of operators whose products hold
+about ``_GRAM_CHUNK`` entries, or one 2-D product per operator where a
+single product fills the chunk, each entry reduced as a real dot product
+of float64 views), ``bit_sums`` (every bit's sum over the strings whose
+bit is 0, and the total, of a stack indexed by n-bit strings, from two
+products whatever n) and ``gram_dense`` (the members themselves, for a
+dense measurement).  A ``GramPovm`` reads its outcome table and its
+diagonal against states as products of the two factor stacks.
 
 A dense ``Povm`` is labelled 0..k-1: its one field, ``elements``, is the
 validated (k, d, d) array, checked by one batched Hermiticity reduction
@@ -178,24 +177,6 @@ def trace_table(ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return table.reshape(len(ops), size, rank).sum(axis=2)
 
 
-def gram_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real (N, K) table Tr(A_x A_x^dag B_y B_y^dag) = ||A_x^dag B_y||_F^2 of two
-    factor stacks (N, d, r) and (K, d, s), as one (N r, d)(d, K s) product."""
-    size_a, dim, rank_a = a.shape
-    size_b, _, rank_b = b.shape
-    g = a.transpose(0, 2, 1).reshape(size_a * rank_a, dim).conj() @ b.transpose(1, 0, 2).reshape(
-        dim, size_b * rank_b
-    )
-    return (g.real**2 + g.imag**2).reshape(size_a, rank_a, size_b, rank_b).sum(axis=(1, 3))
-
-
-def gram_paired(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real (N,) diagonal ||A_x^dag B_x||_F^2 of two equally long factor stacks
-    (N, d, r) and (N, d, s): one (r, d)(d, s) product per x."""
-    g = a.conj().swapaxes(1, 2) @ b
-    return (g.real**2 + g.imag**2).sum(axis=(1, 2))
-
-
 @lru_cache(maxsize=None)
 def _zero_weights(bits: int) -> np.ndarray:
     """(bits + 1, 2^bits) 0/1 rows over the strings of ``bits`` bits: row 0 is
@@ -279,7 +260,7 @@ def _validated_states(mats) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(stack):
         raise NotHermitianError("density matrix is not Hermitian within tolerance")
     traces = np.trace(stack, axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(traces - 1.0) > TOL_TRACE)
+    off = np.flatnonzero(~(np.abs(traces - 1.0) <= TOL_TRACE))  # NaN fails too
     if off.size:
         raise ValidationError(f"trace {traces[off[0]]} is not 1 within {TOL_TRACE}")
     w, v = np.linalg.eigh(stack)
@@ -363,7 +344,7 @@ class GramStates(Sequence):
             raise ValidationError(f"expected a (k, d, r) factor stack, got shape {factors.shape}")
         check_dim_cap(factors.shape[1])
         traces = (factors.real**2 + factors.imag**2).sum(axis=(1, 2))
-        off = np.flatnonzero(np.abs(traces - 1.0) > TOL_TRACE)
+        off = np.flatnonzero(~(np.abs(traces - 1.0) <= TOL_TRACE))  # NaN fails too
         if off.size:
             raise ValidationError(f"trace {traces[off[0]]} is not 1 within {TOL_TRACE}")
         object.__setattr__(self, "factors", _frozen(factors))
@@ -399,7 +380,7 @@ def as_states(states) -> GramStates:
 
 def _check_identity_sum(total: np.ndarray) -> None:
     deviation = np.abs(total - np.eye(len(total))).max()
-    if deviation > TOL_POVM:
+    if not deviation <= TOL_POVM:  # NaN fails too
         raise ValidationError(f"elements sum to identity only within {deviation:.3e} > {TOL_POVM}")
 
 
@@ -409,15 +390,6 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     out = a + a.conj().swapaxes(-2, -1)
     out *= 0.5
     return out
-
-
-def _leftover_extra(leftover: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian C C^dag of a (d, l) factor C = ``leftover``, PSD
-    by construction, once the identity sum of ``total`` plus it is checked
-    within ``TOL_POVM``."""
-    extra = _hermitize(leftover @ leftover.conj().T)
-    _check_identity_sum(total + extra)
-    return extra
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,47 +459,33 @@ class BitPovms(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class GramPovm:
-    """A measurement held as Gram factors: element k is B_k B_k^dag, plus the
-    PSD matrix ``extra`` on the first element.
+    """A measurement held as Gram factors: element k is B_k B_k^dag, with the
+    factors stacked as one frozen (k, d, s) array.
 
-    Each B_k B_k^dag is PSD by construction, so validation is the PSD check
-    of ``extra`` and the identity sum, one (d, k s)(k s, d) product.
-    :meth:`_from_total` takes ``extra`` as the Gram product of a factor,
-    PSD by construction too, and checks the identity sum on a total the
-    caller has already summed.  The outcome labels are 0..k-1.  Each of
-    ``elements`` is formed when indexed, and not kept.
+    Each B_k B_k^dag is PSD by construction, so validation is the identity
+    sum, one (d, k s)(k s, d) product.  :meth:`_from_checked` takes a stack
+    whose identity sum the caller has checked.  The outcome labels are
+    0..k-1.  Each of ``elements`` is formed when indexed, and not kept.
     """
 
     factors: np.ndarray
-    extra: np.ndarray
 
     def __post_init__(self):
         factors = np.asarray(self.factors, dtype=complex)
-        extra = np.asarray(self.extra, dtype=complex)
         if factors.ndim != 3 or not len(factors):
             raise ValidationError(f"expected a (k, d, s) factor stack, got shape {factors.shape}")
         dim = factors.shape[1]
         check_dim_cap(dim)
-        if extra.shape != (dim, dim):
-            raise DimensionMismatchError("measurement elements differ in dimension")
-        if not is_hermitian(extra):
-            raise NotHermitianError("measurement element is not Hermitian within tolerance")
-        if np.linalg.eigvalsh(extra).min() < -TOL_PSD:
-            raise ValidationError("measurement element has a negative eigenvalue")
         rows = factors.transpose(0, 2, 1).reshape(-1, dim)
-        _check_identity_sum(extra + rows.T @ rows.conj())
+        _check_identity_sum(rows.T @ rows.conj())
         object.__setattr__(self, "factors", _frozen(factors))
-        object.__setattr__(self, "extra", _frozen(extra))
 
     @classmethod
-    def _from_total(cls, factors: np.ndarray, leftover: np.ndarray, total: np.ndarray) -> "GramPovm":
-        """The measurement of a complex (k, d, s) stack ``factors`` whose sum
-        sum_k B_k B_k^dag the caller holds as ``total``, with ``extra`` the
-        Gram product C C^dag of the (d, l) factor ``leftover``: the identity
-        sum is checked, and raises as the public constructor would."""
+    def _from_checked(cls, factors: np.ndarray) -> "GramPovm":
+        """The measurement of a complex (k, d, s) stack ``factors`` whose
+        identity sum the caller has checked, not summed again."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "factors", _frozen(factors))
-        object.__setattr__(povm, "extra", _frozen(_leftover_extra(leftover, total)))
         return povm
 
     def __len__(self) -> int:
@@ -538,18 +496,18 @@ class GramPovm:
         return _GramElements(self)
 
     def table(self, states: GramStates) -> np.ndarray:
-        """(N, k) table Tr(E_k rho_x): ||A_x^dag B_k||^2, plus Tr(extra rho_x)
-        in the first column."""
-        table = gram_table(states.factors, self.factors)
-        table[:, 0] += trace_table(self.extra[None], states.factors)[0]
-        return table
+        """(N, k) table Tr(E_k rho_x) = ||A_x^dag B_k||_F^2, as one
+        (N r, d)(d, k s) product."""
+        (size, dim, rank), (count, _, width) = states.factors.shape, self.factors.shape
+        rows = states.factors.transpose(0, 2, 1).reshape(size * rank, dim).conj()
+        g = rows @ self.factors.transpose(1, 0, 2).reshape(dim, count * width)
+        return (g.real**2 + g.imag**2).reshape(size, rank, count, width).sum(axis=(1, 3))
 
     def diagonal(self, states: GramStates) -> np.ndarray:
-        """(k,) Tr(E_y rho_y) over k states in outcome order: ||A_y^dag B_y||^2,
-        plus Tr(extra rho_0) on the first."""
-        diag = gram_paired(states.factors, self.factors)
-        diag[0] += trace_table(self.extra[None], states.factors[:1])[0, 0]
-        return diag
+        """(k,) Tr(E_y rho_y) = ||A_y^dag B_y||_F^2 over k states in outcome
+        order, one (r, d)(d, s) product per outcome."""
+        g = states.factors.conj().swapaxes(1, 2) @ self.factors
+        return (g.real**2 + g.imag**2).sum(axis=(1, 2))
 
 
 class _GramElements(Sequence):
@@ -562,7 +520,4 @@ class _GramElements(Sequence):
         return len(self._povm)
 
     def __getitem__(self, k: int) -> np.ndarray:
-        elem = gram_dense(self._povm.factors[k][None])[0]
-        if range(len(self))[k] == 0:
-            elem += self._povm.extra
-        return elem
+        return gram_dense(self._povm.factors[k][None])[0]

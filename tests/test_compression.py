@@ -315,6 +315,12 @@ class TestMonteCarlo:
             sigma = math.sqrt(p * (1 - p) / runs)
             assert abs(est - p) <= 4 * sigma + 1e-12
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_acceptance_rate_needs_a_run(self, runs):
+        s = build_scheme(identity_channel(4), eta=0.1)
+        with pytest.raises(DomainError, match="runs must be at least 1"):
+            estimate_acceptance_rate(s, 1, seed=0, runs=runs)
+
     def test_batch_histogram_matches_exact_law(self):
         s = build_scheme(identity_channel(4), eta=0.1)
         out = exact_output_distribution(s, x=1)

@@ -361,6 +361,14 @@ class TestBadEventAudit:
         with pytest.raises(ValidationError, match=r"expected a \(2, 4\) error table"):
             cv.verify_no_bad_event(err, [(0, 1)], 0.2)
 
+    @pytest.mark.parametrize("cells", ["all", "one"])
+    @pytest.mark.parametrize("value", [math.nan, 5.0])
+    def test_rejects_a_table_outside_the_unit_interval(self, value, cells):
+        err = bit_errors(build_standard_2to1())
+        err[slice(None) if cells == "all" else (1, 2)] = value
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\] or NaN"):
+            cv.verify_no_bad_event(err, [(0, 1)], 0.2)
+
 
 class TestBuildRac:
     def test_identity_n3(self):
