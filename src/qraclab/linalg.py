@@ -10,8 +10,9 @@ factors of k states as one frozen (k, d, r) array.  A pure state is its
 unit vector (r = 1), checked by its norm alone; matrix input is factored
 by one batched ``eigh``, which is also its PSD check, and cut to the
 stack's numerical rank, so a pure state read as a matrix is a vector
-again.  ``GramPovm`` holds a measurement as its factors B_k alone,
-validated by their identity sum.  Three kernels act on factor stacks
+again.  ``GramPovm`` holds a measurement as its factors B_k and one
+(d, l) factor C on its first element, validated by their identity sum.
+Three kernels act on factor stacks
 without forming d x d members: ``trace_table`` (Tr(F rho_x) for a few
 dense F: one batched product per chunk of operators whose products hold
 about ``_GRAM_CHUNK`` entries, or one 2-D product per operator where a
@@ -20,7 +21,8 @@ of float64 views), ``bit_sums`` (every bit's sum over the strings whose
 bit is 0, and the total, of a stack indexed by n-bit strings, from two
 products whatever n) and ``gram_dense`` (the members themselves, for a
 dense measurement).  A ``GramPovm`` reads its outcome table and its
-diagonal against states as products of the two factor stacks.
+diagonal against states as products of the two factor stacks, and of the
+states with C for the first element.
 
 A dense ``Povm`` is labelled 0..k-1: its one field, ``elements``, is the
 validated (k, d, d) array, checked by one batched Hermiticity reduction
@@ -460,32 +462,41 @@ class BitPovms(Sequence):
 @dataclass(frozen=True, eq=False)
 class GramPovm:
     """A measurement held as Gram factors: element k is B_k B_k^dag, with the
-    factors stacked as one frozen (k, d, s) array.
+    factors stacked as one frozen (k, d, s) array, and element 0 adds C C^dag
+    of the (d, l) factor ``leftover``, which has no columns (l = 0) where
+    element 0 holds nothing more.
 
-    Each B_k B_k^dag is PSD by construction, so validation is the identity
-    sum, one (d, k s)(k s, d) product.  :meth:`_from_checked` takes a stack
-    whose identity sum the caller has checked.  The outcome labels are
-    0..k-1.  Each of ``elements`` is formed when indexed, and not kept.
+    Each element is PSD by construction, so validation is the identity sum,
+    one (d, k s)(k s, d) product plus C C^dag.  :meth:`_from_checked` takes
+    factors whose identity sum the caller has checked.  The outcome labels
+    are 0..k-1.  Each of ``elements`` is formed when indexed, and not kept.
     """
 
     factors: np.ndarray
+    leftover: np.ndarray
 
     def __post_init__(self):
         factors = np.asarray(self.factors, dtype=complex)
+        leftover = np.asarray(self.leftover, dtype=complex)
         if factors.ndim != 3 or not len(factors):
             raise ValidationError(f"expected a (k, d, s) factor stack, got shape {factors.shape}")
         dim = factors.shape[1]
         check_dim_cap(dim)
+        if leftover.ndim != 2 or len(leftover) != dim:
+            raise DimensionMismatchError("measurement elements differ in dimension")
         rows = factors.transpose(0, 2, 1).reshape(-1, dim)
-        _check_identity_sum(rows.T @ rows.conj())
+        _check_identity_sum(rows.T @ rows.conj() + leftover @ leftover.conj().T)
         object.__setattr__(self, "factors", _frozen(factors))
+        object.__setattr__(self, "leftover", _frozen(leftover))
 
     @classmethod
-    def _from_checked(cls, factors: np.ndarray) -> "GramPovm":
-        """The measurement of a complex (k, d, s) stack ``factors`` whose
-        identity sum the caller has checked, not summed again."""
+    def _from_checked(cls, factors: np.ndarray, leftover: np.ndarray) -> "GramPovm":
+        """The measurement of a complex (k, d, s) stack ``factors`` and (d, l)
+        ``leftover`` whose identity sum the caller has checked, not summed
+        again."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "factors", _frozen(factors))
+        object.__setattr__(povm, "leftover", _frozen(leftover))
         return povm
 
     def __len__(self) -> int:
@@ -496,18 +507,25 @@ class GramPovm:
         return _GramElements(self)
 
     def table(self, states: GramStates) -> np.ndarray:
-        """(N, k) table Tr(E_k rho_x) = ||A_x^dag B_k||_F^2, as one
-        (N r, d)(d, k s) product."""
+        """(N, k) table Tr(E_k rho_x) = ||A_x^dag B_k||_F^2, plus ||A_x^dag C||_F^2
+        in the first column: one (N r, d)(d, k s) product and one (N r, d)(d, l)."""
         (size, dim, rank), (count, _, width) = states.factors.shape, self.factors.shape
         rows = states.factors.transpose(0, 2, 1).reshape(size * rank, dim).conj()
         g = rows @ self.factors.transpose(1, 0, 2).reshape(dim, count * width)
-        return (g.real**2 + g.imag**2).reshape(size, rank, count, width).sum(axis=(1, 3))
+        table = (g.real**2 + g.imag**2).reshape(size, rank, count, width).sum(axis=(1, 3))
+        g = rows @ self.leftover
+        table[:, 0] += (g.real**2 + g.imag**2).sum(axis=1).reshape(size, rank).sum(axis=1)
+        return table
 
     def diagonal(self, states: GramStates) -> np.ndarray:
         """(k,) Tr(E_y rho_y) = ||A_y^dag B_y||_F^2 over k states in outcome
-        order, one (r, d)(d, s) product per outcome."""
+        order, one (r, d)(d, s) product per outcome, plus ||A_0^dag C||_F^2
+        on the first."""
         g = states.factors.conj().swapaxes(1, 2) @ self.factors
-        return (g.real**2 + g.imag**2).sum(axis=(1, 2))
+        diag = (g.real**2 + g.imag**2).sum(axis=(1, 2))
+        g = states.factors[0].conj().T @ self.leftover
+        diag[0] += (g.real**2 + g.imag**2).sum()
+        return diag
 
 
 class _GramElements(Sequence):
@@ -520,4 +538,7 @@ class _GramElements(Sequence):
         return len(self._povm)
 
     def __getitem__(self, k: int) -> np.ndarray:
-        return gram_dense(self._povm.factors[k][None])[0]
+        elem = gram_dense(self._povm.factors[k][None])[0]
+        if range(len(self))[k] == 0:
+            elem += gram_dense(self._povm.leftover[None])[0]
+        return elem

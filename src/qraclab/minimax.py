@@ -97,6 +97,7 @@ class GameSolution:
         for prior in self.priors:
             _, full = _pgm_raw(weighted_sums(prior, states), full_table=True)
             mean += gram_dense(full.factors)
+            mean[0] += full.leftover @ full.leftover.conj().T
         mean /= len(self.priors)
         return Povm(mean)
 

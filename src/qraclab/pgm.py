@@ -31,12 +31,12 @@ is ill-conditioned on its support, the dense sandwich would amplify the
 rounding of Z_i, so the weighted factors are whitened by S first and summed
 again.  On request the full table is a factored measurement: element y is
 B_y B_y^dag with B_y = sqrt(P_y) R S A_y, one product of the stack, and
-C's columns join outcome 0's factor, with zero columns on every other.
-For a pure code A_y is the state vector, the 2^n elements cost one
-(d, d)(d, 2^n) product, and the outcome table T[x, y] = Tr(rho_x Q_y) is
-one (2^n r, d)(d, 2^n s) product (:meth:`~qraclab.linalg.GramPovm.table`).
+outcome 0 adds C C^dag, held as its factor C.  For a pure code A_y is the
+state vector, the 2^n elements cost one (d, d)(d, 2^n) product, and the
+outcome table T[x, y] = Tr(rho_x Q_y) is one (2^n r, d)(d, 2^n r) product
+and one (2^n r, d)(d, l) for C (:meth:`~qraclab.linalg.GramPovm.table`).
 The full-string success and the identification sum read only its
-diagonal, one (r, d)(d, s) product per string
+diagonal, one (r, d)(d, r) product per string
 (:meth:`~qraclab.linalg.GramPovm.diagonal`).
 """
 
@@ -115,8 +115,7 @@ def _pgm_raw(
 ) -> tuple[np.ndarray, GramPovm | None]:
     """Square-root measurement: the per-bit outcome-0 marginal stack of shape
     (n, dim, dim), and, with ``full_table``, the full table as a GramPovm
-    with factors sqrt(P_y) R S A_y and C's l columns joined to outcome 0's
-    factor, shape (2^n, dim, r + l).
+    with factors sqrt(P_y) R S A_y, shape (2^n, dim, r), and C on outcome 0.
 
     ``weighted`` is an ensemble's :func:`~qraclab.qrac.weighted_sums`: the
     sqrt(P)-weighted rows, each bit's zero-sum Z_i and the average rho.
@@ -148,12 +147,7 @@ def _pgm_raw(
     if full_table:
         # the factors' rows a^T (R S)^T in one product
         rows = rows.reshape(size * rank, dim) @ sandwich.T
-        factors = rows.reshape(size, rank, dim).transpose(0, 2, 1)
-        if spill.shape[1]:  # C's columns join outcome 0's factor, zeros the others'
-            pad = np.zeros((size, dim, spill.shape[1]), dtype=complex)
-            pad[0] = spill
-            factors = np.concatenate([factors, pad], axis=2)
-        full = GramPovm._from_checked(factors)
+        full = GramPovm._from_checked(rows.reshape(size, rank, dim).transpose(0, 2, 1), spill)
     return _hermitize(sandwich @ zeros @ sandwich.conj().T + extra), full
 
 

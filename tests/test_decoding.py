@@ -191,7 +191,7 @@ class TestIdentificationBound:
         vals, vecs = eig_hermitian(total)
         inv_sqrt = (vecs * vals**-0.5) @ vecs.conj().T
         # element k is (S g_k)(S g_k)^dag = S p_k S, held by its factor S g_k
-        povm = GramPovm(np.stack([inv_sqrt @ m for m in g]))
+        povm = GramPovm(np.stack([inv_sqrt @ m for m in g]), np.zeros((2, 0)))
         check = identification_bound_check(q, povm)
         want = sum(
             np.trace(inv_sqrt @ p @ inv_sqrt @ q.encoder[k].mat).real for k, p in enumerate(parts)

@@ -510,29 +510,36 @@ class TestGramContainers:
         )
 
     def test_povm_checked_by_identity_sum_and_extra(self):
-        """A factored measurement is checked by its identity sum alone; the
-        mass an extra matrix held sits in extra columns of a factor."""
+        """A factored measurement is checked by the identity sum of its
+        factors and its (d, l) leftover factor, which adds to element 0.
+        (The name is historical: the leftover was once held as a d x d
+        ``extra`` matrix.)"""
         vecs = np.eye(3)[:, :, None]
-        povm = GramPovm(vecs)
+        none = np.zeros((3, 0))
+        povm = GramPovm(vecs, none)
         assert len(povm) == len(povm.elements) == 3
         np.testing.assert_array_equal(povm.elements[2], np.diag([0, 0, 1]))
         with pytest.raises(ValidationError, match="sum to identity"):
-            GramPovm(vecs[:2])
-        widened = np.concatenate([vecs[1:], np.zeros((2, 3, 1))], axis=2)
-        widened[0, :, 1] = np.eye(3)[0]
-        np.testing.assert_array_equal(GramPovm(widened).elements[0], np.diag([1, 1, 0]))
+            GramPovm(vecs[:2], none)
+        np.testing.assert_array_equal(
+            GramPovm(vecs[1:], np.eye(3)[:, :1]).elements[0], np.diag([1, 1, 0])
+        )
+        with pytest.raises(DimensionMismatchError, match="differ in dimension"):
+            GramPovm(vecs, np.zeros((2, 0)))
         with pytest.raises(ValidationError, match="sum to identity"):
-            GramPovm(np.full((2, 2, 1), np.nan))
+            GramPovm(np.full((2, 2, 1), np.nan), np.zeros((2, 0)))
 
     @pytest.mark.parametrize("case", ["valid"])
     def test_povm_from_total_checks_as_the_public_constructor(self, case):
-        """The private constructor, given a stack whose identity sum the
+        """The private constructor, given factors whose identity sum the
         caller has checked, holds the measurement the public constructor
-        makes of the same stack."""
-        vecs = np.zeros((2, 3, 2), dtype=complex)
-        vecs[0, :, 0], vecs[0, :, 1], vecs[1, :, 0] = np.eye(3)
+        makes of the same factors.  (The name is historical: it was
+        ``_from_total``, whose sum check now runs in ``pgm._pgm_raw``.)"""
+        vecs = np.eye(3, dtype=complex)[1:, :, None]
+        leftover = np.eye(3, dtype=complex)[:, :1]
         np.testing.assert_array_equal(
-            np.stack(GramPovm._from_checked(vecs).elements), np.stack(GramPovm(vecs).elements)
+            np.stack(GramPovm._from_checked(vecs, leftover).elements),
+            np.stack(GramPovm(vecs, leftover).elements),
         )
 
     def test_matrix_input_keeps_numerical_rank(self):

@@ -320,9 +320,9 @@ def coin_code(n, states):
 
 
 def table_marginals(full):
-    """F0_i summed from the full table: the bit sums of its factors, whose
-    outcome 0, the string with every bit 0, holds C's columns."""
-    return bit_sums(full.factors)[0]
+    """F0_i summed from the full table: the bit sums of its factors, plus
+    C C^dag of its leftover on outcome 0, whose string has every bit 0."""
+    return bit_sums(full.factors)[0] + full.leftover @ full.leftover.conj().T
 
 
 @given(
@@ -464,23 +464,29 @@ def test_identity_sum_is_checked_on_the_bit_sums_total(monkeypatch, full_table):
 
 def test_leftover_is_zero_on_a_full_support_average():
     """A Haar (5, 4) code's uniform average has full support: no eigenvector
-    lies off it, so no column joins outcome 0's factor."""
+    lies off it, so the leftover factor has no columns."""
     q = build_random_qrac(5, 4, seed=0)
-    assert build_pgm(Ensemble.uniform(q), full_table=True).full.factors.shape == (32, 16, 1)
+    full = build_pgm(Ensemble.uniform(q), full_table=True).full
+    assert full.factors.shape == (32, 16, 1)
+    assert full.leftover.shape == (16, 0)
 
 
 def test_leftover_is_the_renormalized_projector_off_the_support():
     """The identity encoding with no mass on the strings whose first bit is
-    1 has an average of rank 4 in dimension 8: outcome 0's factor gains
-    C's four columns, every other outcome four zero columns, and C C^dag is
-    R (I - P) R, with P the support projector and R the renormalizer, and
-    PSD."""
+    1 has an average of rank 4 in dimension 8: the leftover C has four
+    columns, and C C^dag is R (I - P) R, with P the support projector and R
+    the renormalizer, and PSD.  The factor stack keeps width 1, and the
+    outcome table and its diagonal add C on outcome 0 as the dense elements
+    do."""
     q = build_identity_encoding(3)
     prior = np.concatenate([np.random.default_rng(4).dirichlet(np.ones(4)), np.zeros(4)])
-    factors = build_pgm(Ensemble(prior, q.encoder), full_table=True).full.factors
-    assert factors.shape == (8, 8, 5)
-    assert not factors[1:, :, 1:].any()
-    extra = factors[0, :, 1:] @ factors[0, :, 1:].conj().T
+    full = build_pgm(Ensemble(prior, q.encoder), full_table=True).full
+    assert full.factors.shape == (8, 8, 1)
+    assert full.leftover.shape == (8, 4)
+    extra = full.leftover @ full.leftover.conj().T
+    dense = np.einsum("xab,yba->xy", np.stack([s.mat for s in q.encoder]), np.stack(full.elements)).real
+    np.testing.assert_allclose(full.table(q.encoder), dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(full.diagonal(q.encoder), np.diag(dense), rtol=0, atol=1e-12)
     rho = np.diag(prior).astype(complex)
     w, v = np.linalg.eigh(rho)
     kept = v[:, w >= SUPPORT_CUTOFF * w.max()]

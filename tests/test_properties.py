@@ -118,5 +118,6 @@ def test_pgm_under_dirichlet_priors_passes_its_checks(seed, shape, alpha):
     q = build_random_qrac(*shape, seed=seed)
     prior = np.random.default_rng(seed).dirichlet(np.full(2**q.n, alpha))
     pg = build_pgm(Ensemble(prior, q.encoder), full_table=True)
-    table_f0s = bit_sums(pg.full.factors)[0]  # C's columns sit on the string 0...0
+    leftover = pg.full.leftover  # C C^dag sits on the string 0...0
+    table_f0s = bit_sums(pg.full.factors)[0] + leftover @ leftover.conj().T
     np.testing.assert_allclose(pg.marginals.f0s, table_f0s, rtol=0, atol=1e-12)
