@@ -553,6 +553,8 @@ def cmd_minimax(cfg: dict) -> tuple[list[dict], dict]:
         "claimed_p": q.claimed_p,
         "iterations": sol.iterations,
         "worst_x_value": sol.worst_x_value,
+        # the certificate against the bare 2p(1-p)n budget, without eps * n
+        "budget_margin": sol.bound - sol.worst_x_value,
         "gap": sol.gap,
     }
     checks = [

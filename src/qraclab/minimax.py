@@ -7,6 +7,13 @@ square-root measurement as the best response to each prior, produces an
 averaged measurement whose worst-case expected distance is certified
 directly by evaluating all 2^n inputs.
 
+The step is fixed, lr = 4 * GAP_SHARE.  With gains d_t(x)/n in [0, 1],
+Hedge's regret per bit after T rounds is at most ln 2^n / (lr T) + lr / 8
+(Freund and Schapire, GEB 1999), and this lr is the step at which that bound
+falls to GAP_SHARE soonest: after T* = ceil(ln 2^n / (2 GAP_SHARE^2))
+rounds, 1110 at n = 8.  The iteration cap ``max_iters`` only stops a run; a
+run that certifies takes the same iterates whatever the cap.
+
 A bit's error on input x is affine in that bit's outcome-0 operator, so
 the average's value on every input is the running mean of the iterates'
 per-input values: one per-bit table per iteration, from the iterate's
@@ -135,7 +142,11 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
     If ``max_iters`` passes without certification, the solution returned is
     the iterate whose average had the least worst value, with
     ``converged`` false.  The loop is deterministic: uniform initial
-    weights, exact best responses.  Raises only SizeCapError and DomainError.
+    weights, exact best responses, and the fixed Hedge step 4 * GAP_SHARE,
+    whose regret bound reaches ``GAP_SHARE`` per bit within
+    T* = ceil(ln 2^n / (2 GAP_SHARE^2)) iterations; ``max_iters`` is only a
+    cap, so a capped run's iterates are a prefix of an uncapped run's.
+    Raises only SizeCapError and DomainError.
 
     The worst case of the average is read from the running mean of the
     iterates' per-input values; each iterate builds its marginals alone,
@@ -152,7 +163,7 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
         raise DomainError(f"eps must be finite and at least 0, got {eps}")
     size = 2**n
     ceiling = certificate_ceiling(hamming_budget(q.claimed_p, n), eps, n)
-    lr = math.sqrt(8.0 * math.log(size) / max_iters)
+    lr = 4.0 * GAP_SHARE
 
     weights = np.ones(size)
     per_x = np.zeros(size)

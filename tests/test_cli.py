@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qraclab import cli
 from qraclab.cli import UsageError, _check, main, parse_config_file
 from qraclab.info import qubit_lower_bound
+from qraclab.qrac import hamming_budget
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +362,10 @@ def test_minimax_command(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     np.testing.assert_allclose(report["worst_x_value"], 0.5, rtol=0, atol=1e-9)
+    # the certificate against the bare budget, a value and not a check row
+    budget = hamming_budget(report["claimed_p"], 2)
+    assert report["budget_margin"] == budget - report["worst_x_value"]
+    assert "budget_margin" not in {c["check"] for c in report["checks"]}
 
 
 def test_convert_command(capsys):

@@ -33,18 +33,7 @@ from qraclab.qrac import (
     build_tensor_power,
 )
 from qraclab.rng import TAG_BOB, TAG_ENCODE, TAG_SHARED, counter_stream
-
-
-def rotate_ref(x, d, n):
-    """shift_d by slicing the n-character bit string: output bit j is input
-    bit (j + d) mod n, counted from the most significant end."""
-    bits = format(x, f"0{n}b")
-    return int(bits[d % n:] + bits[: d % n], 2)
-
-
-def shift_perm(r, d, n):
-    """The permutation z -> shift_d(z XOR r) over all 2^n strings."""
-    return np.array([rotate_ref(z ^ r, d, n) for z in range(2**n)])
+from references import rotate_ref, shift_perm
 
 
 def perm_row(r, d, n):

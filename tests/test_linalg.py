@@ -38,6 +38,7 @@ from qraclab.qrac import (
     build_tensor_power,
 )
 from qraclab.rng import stream
+from references import random_density
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -50,12 +51,6 @@ def angle_state(c, s):
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2
-
-
-def random_density(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / rho.trace()
 
 
 def gram_sums(factors, weights):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from qraclab.pgm import build_pgm
 from qraclab.qrac import (
     Ensemble,
     Qrac,
+    bit_error_table,
     build_identity_encoding,
     build_random_qrac,
     build_standard_2to1,
@@ -116,10 +118,10 @@ class TestSolveWorstcase:
         np.testing.assert_allclose(per_x, best.per_x, atol=1e-10)
 
     def test_not_converged_best_averages_only_its_iterates(self):
-        # here the best average is an earlier iterate than the last, so its
-        # measurement must average that prefix of the iterates, not all of them
-        q = build_random_qrac(4, 1, seed=5)
-        hopeless = Qrac(n=4, m=1, encoder=q.encoder, decoders=q.decoders)
+        # here the best average is iterate 5 of 25, so its measurement must
+        # average that prefix of the iterates, not all of them
+        q = build_random_qrac(3, 1, seed=23)
+        hopeless = Qrac(n=3, m=1, encoder=q.encoder, decoders=q.decoders)
         object.__setattr__(hopeless, "claimed_p", 0.999)  # Qrac is frozen
         best = solve_worstcase(hopeless, eps=0.001, max_iters=25)
         assert not best.converged
@@ -208,23 +210,75 @@ def test_no_iteration_densifies_the_full_table(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_certify_corpus_is_pinned():
-    """The 41 Haar (5, 4) codes of the certify corpus (seeds from 20250601,
-    kept when their worst-case p exceeds the corpus floor) take 936 solver
-    iterations in all and end on these worst inputs."""
+@pytest.fixture(scope="module")
+def certify_corpus():
+    """The solutions at eps 0.02 of the 41 Haar (5, 4) codes of the certify
+    corpus: seeds from 20250601, kept when their worst-case p exceeds the
+    corpus floor."""
     codes, seed = [], 20250601
     while len(codes) < 41:
         q = build_random_qrac(5, 4, seed=seed)
         seed += 1
         if q.claimed_p > DEFAULT_P_MIN:
             codes.append(q)
-    sols = [solve_worstcase(q, eps=0.02) for q in codes]
+    return [solve_worstcase(q, eps=0.02) for q in codes]
+
+
+def test_certify_corpus_is_pinned(certify_corpus):
+    """The certify corpus takes 571 solver iterations in all and ends on
+    these worst inputs."""
+    sols = certify_corpus
     assert all(sol.converged for sol in sols)
-    assert sum(sol.iterations for sol in sols) == 936
+    assert sum(sol.iterations for sol in sols) == 571
     assert tuple(argmax_first(sol.per_x) for sol in sols) == (
         13, 0, 24, 21, 0, 9, 7, 20, 10, 26, 23, 16, 21, 14, 18, 17, 12, 2, 8, 23, 1,
         26, 1, 22, 26, 13, 6, 16, 31, 18, 28, 23, 8, 29, 2, 31, 26, 31, 17, 7, 2,
     )
+
+
+def test_hedge_regret_stays_within_its_bound(certify_corpus):
+    """With gains d_t/n in [0, 1] and the step lr = 4 GAP_SHARE, the average's
+    worst value exceeds the mean of the iterates' values at their own priors
+    by at most n (ln 2^n / (lr T) + lr / 8), on every certify-corpus code and
+    on Haar(3, 2) seed 29 squared.  Each d_t is rebuilt from its prior."""
+    square = build_tensor_power(build_random_qrac(3, 2, seed=29), 2)
+    lr = 4 * mm.GAP_SHARE
+    for sol in [*certify_corpus, solve_worstcase(square, eps=0.02)]:
+        q, size, t = sol.code, 2**sol.code.n, sol.iterations
+        d = np.array([
+            bit_error_table(build_pgm(Ensemble(prior, q.encoder)).marginals.f0s, q.encoder)
+            .sum(axis=0)
+            for prior in sol.priors
+        ])
+        np.testing.assert_allclose(d.mean(axis=0), sol.per_x, rtol=0, atol=1e-9)
+        regret = sol.worst_x_value - np.mean(np.sum(sol.priors * d, axis=1))
+        assert regret <= q.n * (math.log(size) / (lr * t) + lr / 8) + 1e-9
+
+
+def test_max_iters_is_only_a_cap():
+    """A run that certifies takes bitwise the same iterates at any larger
+    cap, and a capped run's priors are a prefix of the uncapped run's."""
+    q = build_random_qrac(3, 2, seed=29)  # p 0.601: the game is not trivial
+    runs = [solve_worstcase(q, eps=0.02, max_iters=cap) for cap in (2000, 8000)]
+    assert all(sol.converged for sol in runs)
+    assert runs[0].iterations == runs[1].iterations > 5
+    assert np.array_equal(runs[0].per_x, runs[1].per_x)
+    assert np.array_equal(runs[0].priors, runs[1].priors)
+    capped = solve_worstcase(q, eps=0.02, max_iters=5)
+    assert not capped.converged and capped.iterations <= 5
+    assert np.array_equal(capped.priors, runs[0].priors[: capped.iterations])
+
+
+def test_minimax_report_is_the_same_at_any_larger_cap(capsys):
+    """``minimax --n 4 --m 2`` certifies well under 2000 iterations, so its
+    report at ``--max-iters`` 8000 differs only in ``config.max_iters``."""
+    reports = []
+    for cap in ("2000", "8000"):
+        argv = ["minimax", "--n", "4", "--m", "2", "--max-iters", cap, "--deterministic"]
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["config"].pop("max_iters") for r in reports] == [2000, 8000]
+    assert reports[0] == reports[1]
 
 
 def _dense(full: GramPovm) -> Povm:
@@ -332,7 +386,7 @@ def test_solver_iterations_build_no_public_gram_povm(monkeypatch):
 
 
 def test_solver_memory_stays_below_the_factors_it_no_longer_keeps():
-    """Haar(3, 2) seed 29 squared, n = 6, takes 141 iterations; the solver's
+    """Haar(3, 2) seed 29 squared, n = 6, takes 91 iterations; the solver's
     traced peak stays below T 2^n d r complex entries, what the iterates'
     factor stacks alone held when the solver kept them."""
     q = build_tensor_power(build_random_qrac(3, 2, seed=29), 2)
@@ -343,5 +397,5 @@ def test_solver_memory_stays_below_the_factors_it_no_longer_keeps():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sol.converged and sol.iterations == 141
+    assert sol.converged and sol.iterations == 91
     assert peak < sol.iterations * size * dim * rank * 16

@@ -34,18 +34,10 @@ from qraclab.qrac import (
     build_standard_2to1,
     build_tensor_power,
 )
+from references import random_density
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
-
-
-def random_density(rng, dim, pure=False):
-    if pure:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return DensityMatrix.from_state_vector(v)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / rho.trace())
 
 
 def two_state_ensemble(seed, dim):
@@ -348,7 +340,7 @@ def test_full_pgm_on_mixed_pure_codes(n, m, mixed_share, zero_share, seed):
 
     assert np.linalg.eigvalsh(full).min() >= -1e-9
     assert np.abs(full.sum(axis=0) - np.eye(dim)).max() <= 1e-9
-    dense = np.stack([rho.mat for rho in states])
+    dense = np.stack(states)
     reference = dense_pgm_reference(prior, dense)
     np.testing.assert_allclose(full, reference, rtol=0, atol=1e-10)
 
@@ -392,12 +384,12 @@ def test_near_pure_unnormalised_state_is_factored(seed):
     basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     psi, phi = basis[:, 0], basis[:, 1]
     near = np.outer(psi, psi.conj()) + delta * np.outer(phi, phi.conj())
-    states = (DensityMatrix(near),) + tuple(
+    states = (near,) + tuple(
         random_density(rng, dim, pure=True) for _ in range(2**n - 1)
     )
     ens = Ensemble(np.full(2**n, 2.0**-n), states)
     full = np.stack(build_pgm(ens, full_table=True).full.elements)
-    reference = dense_pgm_reference(ens.prior, np.stack([rho.mat for rho in states]))
+    reference = dense_pgm_reference(ens.prior, np.stack(states))
     np.testing.assert_allclose(full, reference, rtol=0, atol=1e-12)
 
 

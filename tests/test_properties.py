@@ -24,16 +24,10 @@ from qraclab.qrac import (
     build_standard_2to1,
     success_table,
 )
+from references import shift_perm
 
 CODE_SEEDS = st.integers(min_value=0, max_value=2**16)
 ETAS = st.sampled_from([0.3, 0.4])
-
-
-def shift_perm(r, d, n):
-    """z -> shift_d(z XOR r) over all 2^n strings, each rotated as the
-    n-character bit string it is."""
-    strings = [format(z ^ r, f"0{n}b") for z in range(2**n)]
-    return np.array([int(bits[d % n:] + bits[: d % n], 2) for bits in strings])
 
 
 def corpus_code(seed):
