@@ -26,11 +26,13 @@ states with C for the first element.
 
 A dense ``Povm`` is labelled 0..k-1: its one field, ``elements``, is the
 validated (k, d, d) array, checked by one batched Hermiticity reduction
-and one batched ``eigvalsh``.  Per-bit measurements (decoders, PGM
-marginals) are ``BitPovms``, one (n, d, d) stack of outcome-0 operators
-F0_i, with outcome 1 read as I - F0_i.  A bad member of any stack raises
-the error, with the message and tolerance, that its own per-matrix
-constructor would.
+and one batched Cholesky test at ``TOL_PSD`` (``_check_psd``).  Per-bit
+measurements (decoders, PGM marginals) are ``BitPovms``, one (n, d, d)
+stack of outcome-0 operators F0_i, with outcome 1 read as I - F0_i and
+checked by a second Cholesky test on I - F0.  A bad member of any stack
+raises the error, with the message and tolerance, that its own
+per-matrix constructor would.  No spectrum is computed to validate a
+measurement: ``eigvalsh`` is left only in ``trace_norm``.
 """
 
 from __future__ import annotations
@@ -142,10 +144,13 @@ def _sqrt_pinv_with_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
 
 
 def trace_norm(a) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+    A matrix with a NaN or infinite entry raises ValidationError."""
     a = _as_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has a non-finite entry")
     if is_hermitian(a):
         return float(np.abs(np.linalg.eigvalsh(a)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
@@ -284,6 +289,20 @@ def _rank_truncated(w: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return (factors * keep[..., None, :])[..., -rank:]
 
 
+def _check_psd(stack: np.ndarray) -> None:
+    """Raise ValidationError unless no member of a Hermitian (k, d, d) stack
+    has an eigenvalue below -TOL_PSD: one batched Cholesky factorization of
+    the stack with TOL_PSD added to its diagonal, which succeeds exactly
+    where every shifted member is positive definite.  Like ``eigvalsh``, it
+    reads each member's lower triangle.  Its backward error, about
+    d eps ||A|| (Higham, ch. 10), is some 1e-14 at d = 32 for a member of
+    norm 1, four orders below TOL_PSD."""
+    try:
+        np.linalg.cholesky(stack + TOL_PSD * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValidationError("measurement element has a negative eigenvalue") from None
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -399,8 +418,9 @@ class Povm:
     """A positive operator-valued measure with outcomes labelled 0..k-1.
 
     Elements must each be Hermitian and PSD within tolerance and must sum
-    to the identity entrywise within ``TOL_POVM``.  They are validated and
-    kept as one frozen (k, d, d) array, ``elements``.
+    to the identity entrywise within ``TOL_POVM``.  They are validated, PSD
+    by one batched Cholesky test at ``TOL_PSD`` on their lower triangles,
+    and kept as one frozen (k, d, d) array, ``elements``.
     """
 
     elements: np.ndarray = field(repr=False)
@@ -416,8 +436,7 @@ class Povm:
         stack = np.stack(members)
         if not is_hermitian(stack):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
-        if np.linalg.eigvalsh(stack).min() < -TOL_PSD:
-            raise ValidationError("measurement element has a negative eigenvalue")
+        _check_psd(stack)
         _check_identity_sum(stack.sum(axis=0))  # member after member
         object.__setattr__(self, "elements", _frozen(stack))
 
@@ -430,10 +449,11 @@ class BitPovms(Sequence):
     """n two-outcome measurements held as one frozen (n, d, d) array ``f0s`` of
     their outcome-0 operators F0_i; outcome 1 is I - F0_i by definition.
 
-    The check is Hermiticity and one batched ``eigvalsh`` inside
-    [-TOL_PSD, 1 + TOL_PSD], so both outcomes are PSD; a bad member raises
-    the error ``Povm((F0_i, I - F0_i))`` would.  A diagonal stack's spectrum
-    is read off its diagonal.  Indexing forms that Povm.
+    The check is Hermiticity and a spectrum inside [-TOL_PSD, 1 + TOL_PSD],
+    so both outcomes are PSD: two batched Cholesky tests at ``TOL_PSD`` on
+    the lower triangles, of F0 and of I - F0.  A bad member raises the error
+    ``Povm((F0_i, I - F0_i))`` would.  A diagonal stack's spectrum is read
+    off its diagonal.  Indexing forms that Povm.
     """
 
     f0s: np.ndarray
@@ -445,9 +465,10 @@ class BitPovms(Sequence):
         if not is_hermitian(f0s):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
         diag = f0s.diagonal(axis1=1, axis2=2)
-        diagonal = np.count_nonzero(f0s) == np.count_nonzero(diag)
-        vals = diag.real if diagonal else np.linalg.eigvalsh(f0s)
-        if vals.min() < -TOL_PSD or vals.max() > 1.0 + TOL_PSD:
+        if np.count_nonzero(f0s) != np.count_nonzero(diag):
+            _check_psd(f0s)
+            _check_psd(np.eye(f0s.shape[1]) - f0s)
+        elif diag.real.min() < -TOL_PSD or diag.real.max() > 1.0 + TOL_PSD:
             raise ValidationError("measurement element has a negative eigenvalue")
         object.__setattr__(self, "f0s", _frozen(f0s))
 

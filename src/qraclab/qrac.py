@@ -217,8 +217,8 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
     Block j covers global bits (j-1)*n+1 .. j*n; its decoder acts on the
     j-th tensor factor and is padded with identities elsewhere.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
     if k * base.n > 16:
         raise SizeCapError(f"tensor power capped at k*n <= 16, got {k * base.n}")
     check_dim_cap(2 ** (k * base.m))

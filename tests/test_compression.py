@@ -14,6 +14,7 @@ from qraclab.compression import (
 from qraclab.errors import DomainError
 from qraclab.info import ClassicalChannel
 from qraclab.rng import TAG_BOB, TAG_ENCODE, TAG_SHARED, counter_stream
+from references import random_channel
 
 
 def identity_channel(k):
@@ -24,16 +25,6 @@ def constant_channel(k, row=None):
     if row is None:
         row = np.full(k, 1.0 / k)
     return ClassicalChannel(np.tile(row, (k, 1)))
-
-
-def random_channel(rng, n_in, n_out, zero_frac=0.0):
-    table = rng.dirichlet(np.ones(n_out), size=n_in)
-    if zero_frac > 0.0:
-        mask = rng.random((n_in, n_out)) < zero_frac
-        mask[np.arange(n_in), table.argmax(axis=1)] = False
-        table = np.where(mask, 0.0, table)
-        table /= table.sum(axis=1, keepdims=True)
-    return ClassicalChannel(table)
 
 
 class TestBuildScheme:

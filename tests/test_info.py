@@ -14,18 +14,7 @@ from qraclab.info import (
     max_relative_entropy,
     qubit_lower_bound,
 )
-
-
-def random_channel(rng, n_in=None, n_out=None):
-    n_in = n_in or int(rng.integers(2, 17))
-    n_out = n_out or int(rng.integers(2, 17))
-    table = rng.dirichlet(np.full(n_out, rng.uniform(0.3, 2.0)), size=n_in)
-    # sprinkle exact zeros to exercise support handling
-    if rng.random() < 0.4:
-        mask = rng.random(size=table.shape) < 0.2
-        table = np.where(mask, 0.0, table)
-        table /= table.sum(axis=1, keepdims=True)
-    return ClassicalChannel(table)
+from references import random_sparse_channel
 
 
 class TestBinaryEntropy:
@@ -74,7 +63,7 @@ class TestMaxRelativeEntropy:
         rng = np.random.default_rng(2)
         for _ in range(20):
             p, q = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
-            post = random_channel(rng, 6, 4)
+            post = random_sparse_channel(rng, 6, 4)
             before = max_relative_entropy(p, q)
             after = max_relative_entropy(p @ post.table, q @ post.table)
             assert after <= before + 1e-9
@@ -111,7 +100,7 @@ class TestMaxCapacity:
         # D_max(E(x) || sigma) <= value for every row, with equality at the max
         rng = np.random.default_rng(3)
         for _ in range(10):
-            ch = random_channel(rng)
+            ch = random_sparse_channel(rng)
             res = max_channel_capacity(ch)
             ratios = [max_relative_entropy(ch.table[x], res.sigma) for x in range(ch.in_size)]
             assert max(ratios) == pytest.approx(res.value, abs=1e-9)
@@ -119,7 +108,7 @@ class TestMaxCapacity:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_lp_oracle(self, seed):
         rng = np.random.default_rng(500 + seed)
-        ch = random_channel(rng)
+        ch = random_sparse_channel(rng)
         assert max_channel_capacity(ch).value == pytest.approx(
             max_channel_capacity_lp(ch), abs=1e-9
         )
@@ -131,8 +120,8 @@ class TestMaxCapacity:
     def test_monotone_under_postprocessing(self):
         rng = np.random.default_rng(6)
         for _ in range(15):
-            ch = random_channel(rng, 5, 6)
-            post = random_channel(rng, 6, 3)
+            ch = random_sparse_channel(rng, 5, 6)
+            post = random_sparse_channel(rng, 6, 3)
             before = max_channel_capacity(ch).value
             after = max_channel_capacity(ClassicalChannel(ch.table @ post.table)).value
             # post-processing never raises the capacity, which never exceeds

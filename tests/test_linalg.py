@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,7 +39,13 @@ from qraclab.qrac import (
     build_tensor_power,
 )
 from qraclab.rng import stream
-from references import random_density
+from references import (
+    count_calls,
+    psd_verdict,
+    random_density,
+    tensor_power_reference,
+    tensor_power_vectors,
+)
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -169,6 +176,14 @@ class TestTraceNormAndDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             trace_norm(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_is_refused(self, bad, where):
+        a = np.eye(2, dtype=complex)
+        a[where] = bad
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            trace_norm(a)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_metric_properties(self, seed):
@@ -433,6 +448,15 @@ def raised(build):
     return type(info.value), str(info.value)
 
 
+def outcome(build):
+    """None if ``build()`` returns, else the type and message it raised."""
+    try:
+        build()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
 class TestBatchedDensityValidation:
     @pytest.mark.parametrize("kind", ["hermitian", "trace", "psd"])
     @pytest.mark.parametrize("where", [0, 2, 4])
@@ -615,17 +639,6 @@ class TestBatchedPovmValidation:
 # stacked encoder construction against per-matrix references
 
 
-def tensor_power_reference(base, k):
-    encoder = []
-    for x in range(2 ** (k * base.n)):
-        mat = np.array([[1.0 + 0j]])
-        for j in range(k):
-            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
-            mat = np.kron(mat, base.encoder[block].mat)
-        encoder.append(mat)
-    return np.stack(encoder)
-
-
 def random_encoder_reference(n, m, seed):
     rng = stream(seed, 0)
     out = []
@@ -633,18 +646,6 @@ def random_encoder_reference(n, m, seed):
         v = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
         v = v / np.linalg.norm(v)
         out.append(np.outer(v, v.conj()))
-    return np.stack(out)
-
-
-def tensor_power_vectors(base, k):
-    """Each string's state vector as a per-vector np.kron chain."""
-    out = []
-    for x in range(2 ** (k * base.n)):
-        vec = np.array([1.0 + 0j])
-        for j in range(k):
-            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
-            vec = np.kron(vec, base.encoder.factors[block, :, 0])
-        out.append(vec)
     return np.stack(out)
 
 
@@ -713,14 +714,13 @@ class TestBitPovms:
         bad[1, 2, 2] = entry
         expected = raised(lambda: as_povm(bad[1]))
         assert expected == (ValidationError, "measurement element has a negative eigenvalue")
-        solved = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
+        solved = Counter()
+        count_calls(monkeypatch, np.linalg, "cholesky", solved, key=lambda a: a.shape)
         assert len(BitPovms(f0s)) == 2
         assert raised(lambda: BitPovms(bad)) == expected
-        assert solved == []
+        assert solved == {}
         f0s[0, :2, :2] = 0.5  # the same spectrum, no longer diagonal
-        assert len(BitPovms(f0s)) == 2 and solved == [(2, 3, 3)]
+        assert len(BitPovms(f0s)) == 2 and solved == {(2, 3, 3): 2}  # F0, then I - F0
 
     def test_members_read_back_as_f0_and_complement(self):
         f0s = valid_f0s(35)
@@ -732,6 +732,47 @@ class TestBitPovms:
             assert isinstance(dec, Povm) and len(dec) == 2
             np.testing.assert_array_equal(dec.elements[0], bits.f0s[i])
             np.testing.assert_array_equal(dec.elements[1], np.eye(3) - bits.f0s[i])
+
+    @given(
+        k=st.integers(min_value=1, max_value=6),
+        dim=st.integers(min_value=1, max_value=32),
+        side=st.sampled_from(["below 0", "above 1"]),
+        factor=st.sampled_from([0.95, 1.05]),
+        diagonal=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cholesky_check_agrees_with_the_spectrum(self, k, dim, side, factor, diagonal, seed):
+        """Random stacks with spectra inside [0, 1], one member given an
+        extreme eigenvalue (1 +- 0.05) TOL_PSD beyond 0 or beyond 1: BitPovms
+        (both bounds) and Povm (the lower bound) accept or reject exactly as
+        the ``eigvalsh`` verdict does.  A finite indefinite stack is refused
+        as a negative eigenvalue, a NaN or infinite entry as not Hermitian,
+        and numpy's LinAlgError never escapes."""
+        rng = np.random.default_rng(seed)
+        spectra = rng.uniform(0.0, 1.0, size=(k, dim))
+        where = int(rng.integers(k))
+        extreme = factor * TOL_PSD
+        spectra[where, int(rng.integers(dim))] = -extreme if side == "below 0" else 1.0 + extreme
+        stack = np.stack([
+            np.diag(w).astype(complex) if diagonal else with_spectrum(rng, w) for w in spectra
+        ])
+        negative = (ValidationError, "measurement element has a negative eigenvalue")
+        verdict = outcome(lambda: BitPovms(stack))
+        assert verdict == (None if psd_verdict(stack, upper=True) else negative)
+        verdict = outcome(lambda: Povm(stack))  # an accepted stack meets the identity sum next
+        assert (verdict == negative) != psd_verdict(stack, upper=False)
+        assert verdict is None or issubclass(verdict[0], ValidationError)
+
+        indefinite = stack.copy()
+        indefinite[where] = with_spectrum(rng, np.linspace(-1.0, 1.0, dim))
+        for build in (BitPovms, Povm):
+            assert outcome(lambda: build(indefinite)) == negative
+
+        bad = stack.copy()
+        bad[where, rng.integers(dim), rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+        for build in (BitPovms, Povm):
+            assert outcome(lambda: build(bad))[0] is NotHermitianError
 
     def test_rejects_stacks_that_are_not_n_by_d_by_d(self):
         for shape in [(0, 2, 2), (2, 2, 3), (2, 2)]:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qraclab.qrac import (
     build_standard_2to1,
     build_tensor_power,
 )
+from references import count_calls
 
 
 def _filtered_random_codes(count, seed0, n_hi, m_hi, p_min=0.55):
@@ -345,42 +347,28 @@ class TestEvaluateWorstcase:
 
 def test_solver_iterations_build_no_public_gram_povm(monkeypatch):
     """The solver builds marginals only: no public ``GramPovm(...)``, no
-    ``gram_dense`` and no ``eigvalsh``.  The first read of the measurement
+    ``gram_dense`` and no ``cholesky``.  The first read of the measurement
     rebuilds it from exactly ``iterations`` priors, one full table each, and
-    validates it by one ``eigvalsh``; a second read returns the same object."""
-    counts = {"GramPovm": 0, "eigvalsh": 0, "gram_dense": 0, "full": 0}
-
-    def counted_post_init(self, _original=GramPovm.__post_init__):
-        counts["GramPovm"] += 1
-        _original(self)
-
-    def counted_eigvalsh(a, _original=np.linalg.eigvalsh):
-        counts["eigvalsh"] += 1
-        return _original(a)
-
-    def counted_gram_dense(factors, _original=mm.gram_dense):
-        counts["gram_dense"] += 1
-        return _original(factors)
-
-    def counted_pgm_raw(*args, _original=mm._pgm_raw, **kwargs):
-        counts["full"] += bool(kwargs.get("full_table"))
-        return _original(*args, **kwargs)
-
-    monkeypatch.setattr(GramPovm, "__post_init__", counted_post_init)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(mm, "gram_dense", counted_gram_dense)
-    monkeypatch.setattr(mm, "_pgm_raw", counted_pgm_raw)
+    validates it by one batched Cholesky test; a second read returns the
+    same object."""
+    counts = Counter()
+    count_calls(monkeypatch, GramPovm, "__post_init__", counts, key=lambda self: "GramPovm")
+    count_calls(monkeypatch, np.linalg, "cholesky", counts)
+    count_calls(monkeypatch, mm, "gram_dense", counts)
+    count_calls(
+        monkeypatch, mm, "_pgm_raw", counts,
+        key=lambda *args, **kwargs: "full" if kwargs.get("full_table") else "marginals",
+    )
     q = build_random_qrac(3, 2, seed=29)  # p 0.601: the game is not trivial
-    counts.update(dict.fromkeys(counts, 0))
+    counts.clear()
     sol = solve_worstcase(q, eps=0.02)
     assert sol.converged and sol.iterations > 10
     assert "priors" not in repr(sol) and sol == sol and sol != solve_worstcase(q, eps=0.02)
-    assert counts == {"GramPovm": 0, "eigvalsh": 0, "gram_dense": 0, "full": 0}
+    seen = ("GramPovm", "cholesky", "gram_dense", "full")
+    assert [counts[k] for k in seen] == [0, 0, 0, 0]
     assert sol.priors.shape == (sol.iterations, 2**q.n)
     first = sol.measurement
-    assert counts == {
-        "GramPovm": 0, "eigvalsh": 1, "gram_dense": sol.iterations, "full": sol.iterations
-    }
+    assert [counts[k] for k in seen] == [0, 1, sol.iterations, sol.iterations]
     assert sol.measurement is first
     assert counts["gram_dense"] == sol.iterations
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,7 @@ from qraclab.qrac import (
     build_standard_2to1,
     build_tensor_power,
 )
-from references import random_density
+from references import count_calls, random_density
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -394,47 +396,35 @@ def test_near_pure_unnormalised_state_is_factored(seed):
 
 
 def test_eigen_calls_do_not_grow_with_the_number_of_states(monkeypatch):
-    """Validation and the full table run eigvalsh/eigh a number of times
-    bounded in n, never once per state, where a per-matrix path makes more
-    than 2^n = 1024: the decoders of a tensor power are checked by one
-    ``eigvalsh``, a random code's Helstrom projectors take one batched
-    ``eigh`` besides, and the full PGM makes 1 ``eigh`` (the average; the
-    renormalizer is a closed-form series) and 1 ``eigvalsh`` (the marginal
-    stack), with its marginals, the average and its identity sum from one
-    ``bit_sums`` call.  The ensemble makes that call, in ``qrac``; ``pgm``
-    would make a second one only on the whitened branch."""
+    """Validation and the full table run eigh/cholesky a number of times
+    bounded in n, never once per state, and ``eigvalsh`` never, where a
+    per-matrix path makes more than 2^n = 1024: the decoders of a tensor power are checked by two
+    batched Cholesky tests (F0 and I - F0), a random code's Helstrom
+    projectors take one batched ``eigh`` besides, and the full PGM makes
+    1 ``eigh`` (the average; the renormalizer is a closed-form series) and
+    2 ``cholesky`` (the marginal stack's two bounds), with its marginals,
+    the average and its identity sum from one ``bit_sums`` call.  The
+    ensemble makes that call, in ``qrac``; ``pgm`` would make a second one
+    only on the whitened branch."""
     std = build_standard_2to1()
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    kernels = []
-
-    def counted_bit_sums(factors, _original=linalg.bit_sums):
-        kernels.append("bit_sums")
-        return _original(factors)
-
-    monkeypatch.setattr(qrac, "bit_sums", counted_bit_sums)
-    monkeypatch.setattr(pgm, "bit_sums", counted_bit_sums)
+    calls = Counter()
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        count_calls(monkeypatch, np.linalg, name, calls)
+    for module in (qrac, pgm):
+        count_calls(monkeypatch, module, "bit_sums", calls)
     n = 10
     steps = {
-        "tensor power": (lambda: build_tensor_power(std, 5), (0, 1)),
-        "random code": (lambda: build_random_qrac(n, 5, seed=3), (1, 1)),
+        "tensor power": (lambda: build_tensor_power(std, 5), (0, 2, 0)),
+        "random code": (lambda: build_random_qrac(n, 5, seed=3), (1, 2, 0)),
     }
     for label, (build, build_calls) in steps.items():
         calls.clear()
         q = build()
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == build_calls, (label, calls)
+        eigen = (calls["eigh"], calls["cholesky"], calls["eigvalsh"])
+        assert eigen == build_calls, (label, calls)
         calls.clear()
-        kernels.clear()
         build_pgm(Ensemble.uniform(q), full_table=True)
-        assert (calls.count("eigh"), calls.count("eigvalsh")) == (1, 1), (label, calls)
-        assert kernels == ["bit_sums"], (label, kernels)
+        assert calls == {"eigh": 1, "cholesky": 2, "bit_sums": 1}, (label, calls)
 
 
 @pytest.mark.parametrize("full_table", [False, True])

@@ -154,6 +154,17 @@ class TestTensorPower:
         with pytest.raises(SizeCapError):
             build_tensor_power(build_standard_2to1(), 9)
 
+    @pytest.mark.parametrize("k", [0, -1, 2.0, 1.5, "2", None])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValidationError, match=f"k must be an integer >= 1, got {k!r}"):
+            build_tensor_power(build_standard_2to1(), k)
+
+    def test_numpy_integer_k(self):
+        np.testing.assert_array_equal(
+            build_tensor_power(build_standard_2to1(), np.int64(2)).decoders.f0s,
+            build_tensor_power(build_standard_2to1(), 2).decoders.f0s,
+        )
+
     @pytest.mark.parametrize(
         "base, k",
         [("std", 1), ("std", 2), ("std", 3), ("std", 5), ("haar-3-2", 2)],
