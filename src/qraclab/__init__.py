@@ -3,8 +3,10 @@ classical protocols they compress into.
 
 The public surface re-exported here covers the usual workflow: build a code
 (`build_standard_2to1`, `build_random_qrac`), measure it (`build_pgm`,
-`expected_hamming_exact`), certify the worst case (`solve_worstcase`), and
-convert it to a classical code (`build_rac`, `validate_rac`).  Submodules
+`expected_hamming_exact`) against each bit's optimal two-outcome
+measurement (`helstrom_success`), certify the worst case
+(`solve_worstcase`), and convert it to a classical code (`build_rac`,
+`validate_rac`).  Submodules
 stay importable directly for the long tail (bits, corpus, cli).
 
 Every public function, class, method, property and result field in the
@@ -47,12 +49,12 @@ from .info import (
     max_relative_entropy,
     qubit_lower_bound,
 )
-from .linalg import DensityMatrix, Povm, trace_norm
+from .linalg import DensityMatrix, Povm
 from .minimax import GameSolution, evaluate_worstcase, solve_worstcase
 from .pgm import (
     PgmBundle,
     build_pgm,
-    helstrom_pmax,
+    helstrom_success,
     per_bit_success,
     pgm_lower_bound,
     success_prob_full,
@@ -99,7 +101,7 @@ __all__ = [
     "exact_output_distribution",
     "expected_hamming_exact",
     "hamming_budget",
-    "helstrom_pmax",
+    "helstrom_success",
     "identification_bound_check",
     "max_channel_capacity",
     "max_channel_capacity_lp",
@@ -114,7 +116,6 @@ __all__ = [
     "solve_worstcase",
     "stream",
     "success_prob_full",
-    "trace_norm",
     "validate_qrac",
     "validate_rac",
     "verify_no_bad_event",

@@ -56,7 +56,7 @@ from .info import (
 )
 from .linalg import argmax_first
 from .minimax import GAP_SHARE, SOLVER_MAX_N, solve_worstcase
-from .pgm import build_pgm, helstrom_pmax, per_bit_success, pgm_lower_bound, success_prob_full
+from .pgm import build_pgm, helstrom_success, per_bit_success, pgm_lower_bound, success_prob_full
 from .qrac import (
     P_STANDARD,
     Ensemble,
@@ -262,10 +262,7 @@ def suite_pgm(*, seed: int, seeds: int, **_) -> list[dict]:
     def margin(ens: Ensemble) -> float:
         pg = build_pgm(ens, full_table=True)
         p_pgm = success_prob_full(ens, pg)
-        p_max = helstrom_pmax(
-            ens.prior[0], ens.states[0].mat, ens.prior[1], ens.states[1].mat
-        )
-        return p_pgm - pgm_lower_bound(p_max)
+        return p_pgm - pgm_lower_bound(helstrom_success(ens)[0])
 
     margins = [margin(ens) for ens in ensembles]
 

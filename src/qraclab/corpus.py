@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .info import ClassicalChannel
-from .linalg import DensityMatrix
 from .qrac import (
     Ensemble,
     Qrac,
@@ -88,13 +87,17 @@ def random_channels(count: int, seed: int) -> list[ClassicalChannel]:
     return out
 
 
-def _random_density(rng: np.random.Generator, dim: int, pure: bool) -> DensityMatrix:
+def _random_density(rng: np.random.Generator, dim: int, pure: bool) -> np.ndarray:
+    """A random density matrix, left to the Ensemble to validate: |v><v| for
+    a complex Gaussian v divided by its norm twice, or G G^dag / Tr(G G^dag)."""
     if pure:
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return DensityMatrix.from_state_vector(vec / np.linalg.norm(vec))
+        vec = vec / np.linalg.norm(vec)
+        vec = vec / np.linalg.norm(vec)
+        return np.outer(vec, vec.conj())
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
 
 
 def random_two_state_ensembles(count: int, seed: int) -> list[Ensemble]:

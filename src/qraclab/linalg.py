@@ -10,10 +10,10 @@ factors of k states as one frozen (k, d, r) array.  A pure state is its
 unit vector (r = 1), checked by its norm alone; matrix input is factored
 by one batched ``eigh``, which is also its PSD check, and cut to the
 stack's numerical rank, so a pure state read as a matrix is a vector
-again.  ``GramPovm`` holds a measurement as its factors B_k and one
-(d, l) factor C on its first element, validated by their identity sum.
-Three kernels act on factor stacks
-without forming d x d members: ``trace_table`` (Tr(F rho_x) for a few
+again; the matrices themselves are not kept.  ``GramPovm`` holds a
+measurement as its factors B_k and one (d, l) factor C on its first
+element, validated by their identity sum.  Three kernels act on factor
+stacks without forming d x d members: ``trace_table`` (Tr(F rho_x) for a few
 dense F: one batched product per chunk of operators whose products hold
 about ``_GRAM_CHUNK`` entries, or one 2-D product per operator where a
 single product fills the chunk, each entry reduced as a real dot product
@@ -31,12 +31,13 @@ measurements (decoders, PGM marginals) are ``BitPovms``, one (n, d, d)
 stack of outcome-0 operators F0_i, with outcome 1 read as I - F0_i and
 checked by a second Cholesky test on I - F0.  A bad member of any stack
 raises the error, with the message and tolerance, that its own
-per-matrix constructor would.  No spectrum is computed to validate a
-measurement: ``eigvalsh`` is left only in ``trace_norm``.
+per-matrix constructor would, and an empty stack raises ValidationError
+naming its shape.  No spectrum is computed to validate a measurement.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -83,17 +84,24 @@ def check_dim_cap(dim: int) -> None:
 
 
 def _hermitian_deviation(a: np.ndarray) -> float:
-    """Largest entry of |A - A^dag| over a square matrix or a stack of them,
-    NaN if any entry is NaN.  Taken over blocks of whole members, each about
-    ``_HERM_BLOCK`` entries, so the temporaries are one block's size, not the
-    stack's."""
+    """Largest entry of |A - A^dag| over a complex square matrix or a stack
+    of them, NaN if any entry is NaN or infinite, 0 for a stack of no
+    members.  Taken over blocks of whole members, each about ``_HERM_BLOCK``
+    entries, so the temporaries are one block's size, not the stack's.  A
+    block is tested for finiteness first, by the largest and smallest of its
+    real and imaginary parts, so inf - inf is never formed; the test reads a
+    float64 view of the block, which for a contiguous stack allocates
+    nothing."""
     stack = a.reshape(-1, *a.shape[-2:])
     step = max(1, _HERM_BLOCK // (a.shape[-1] ** 2 or 1))
-    devs = [
-        np.abs(b - b.conj().swapaxes(1, 2)).max()
-        for b in (stack[k : k + step] for k in range(0, len(stack), step))
-    ]
-    return float(devs[0] if len(devs) == 1 else np.max(devs))  # np.max keeps a NaN
+    devs = []
+    for k in range(0, len(stack), step):
+        block = stack[k : k + step]
+        parts = np.ascontiguousarray(block).reshape(-1).view(float)
+        if not (math.isfinite(parts.max()) and math.isfinite(parts.min())):
+            return float("nan")
+        devs.append(np.abs(block - block.conj().swapaxes(1, 2)).max())
+    return float(max(devs, default=0.0))
 
 
 def is_hermitian(a) -> bool:
@@ -141,19 +149,6 @@ def _sqrt_pinv_with_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
     inv_sqrt = (kept_vecs * (vals[start:] ** -0.5)) @ kept_vecs.conj().T
     condition = float(vals[-1] / vals[start]) if start < len(vals) else 1.0
     return inv_sqrt, vecs[:, :start], condition
-
-
-def trace_norm(a) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
-    A matrix with a NaN or infinite entry raises ValidationError."""
-    a = _as_array(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix has a non-finite entry")
-    if is_hermitian(a):
-        return float(np.abs(np.linalg.eigvalsh(a)).sum())
-    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def trace_table(ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -263,6 +258,8 @@ def _validated_states(mats) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"density matrices do not form one stack: {err}") from None
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"expected a square matrix, got shape {stack.shape[1:]}")
+    if not stack.size:
+        raise ValidationError(f"density matrix of shape {stack.shape[1:]} is empty")
     check_dim_cap(stack.shape[1])
     if not is_hermitian(stack):
         raise NotHermitianError("density matrix is not Hermitian within tolerance")
@@ -325,23 +322,6 @@ class DensityMatrix:
         object.__setattr__(rho, "mat", mat)
         return rho
 
-    @classmethod
-    def stack(cls, mats) -> "GramStates":
-        """Validate a (k, d, d) stack once and return it as GramStates
-        factored by one batched ``eigh``; its members read back as the
-        matrices given."""
-        stack, factors = _validated_states(mats)
-        return GramStates(factors, stack)
-
-    @classmethod
-    def from_state_vector(cls, vec) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValidationError("zero state vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True, eq=False)
 class GramStates(Sequence):
@@ -350,14 +330,13 @@ class GramStates(Sequence):
 
     Such a member is PSD by construction, so the check is its trace, the
     squared Frobenius norm of A_x.  Pure states are unit vectors, r = 1
-    (:meth:`from_vectors`).  Matrix input goes through
-    :meth:`DensityMatrix.stack`, whose ``eigh`` gives factors with r the
-    stack's numerical rank and keeps the matrices as given in ``mats``.
-    Indexing forms one :class:`DensityMatrix` on demand.
+    (:meth:`from_vectors`).  Matrix input goes through :func:`as_states`,
+    whose ``eigh`` gives factors with r the stack's numerical rank; the
+    matrices themselves are not kept.  Indexing forms one
+    :class:`DensityMatrix` from its factor on demand.
     """
 
     factors: np.ndarray
-    mats: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         factors = np.array(self.factors, dtype=complex)
@@ -386,17 +365,16 @@ class GramStates(Sequence):
         return len(self.factors)
 
     def __getitem__(self, x: int) -> DensityMatrix:
-        if self.mats is not None:
-            return DensityMatrix._member(self.mats[x])
         return DensityMatrix._member(_frozen(gram_dense(self.factors[x][None])[0]))
 
 
 def as_states(states) -> GramStates:
-    """``states`` as GramStates: returned as is, or factored from a sequence
-    of density matrices."""
+    """``states`` as GramStates: returned as is, or a sequence of density
+    matrices validated once as a stack and factored by one batched ``eigh``."""
     if isinstance(states, GramStates):
         return states
-    return DensityMatrix.stack([_as_array(st) for st in states])
+    _, factors = _validated_states([_as_array(st) for st in states])
+    return GramStates(factors)
 
 
 def _check_identity_sum(total: np.ndarray) -> None:
@@ -429,6 +407,8 @@ class Povm:
         members = [_as_array(e) for e in self.elements]
         if not members:
             raise ValidationError("measurement needs at least one element")
+        if not members[0].size:
+            raise ValidationError(f"measurement element is empty, shape {members[0].shape}")
         dim = members[0].shape[0]
         check_dim_cap(dim)
         if any(e.shape != (dim, dim) for e in members):
@@ -460,7 +440,7 @@ class BitPovms(Sequence):
 
     def __post_init__(self):
         f0s = np.array(self.f0s, dtype=complex)
-        if f0s.ndim != 3 or not len(f0s) or f0s.shape[1] != f0s.shape[2]:
+        if f0s.ndim != 3 or not f0s.size or f0s.shape[1] != f0s.shape[2]:
             raise ValidationError(f"expected an (n, d, d) operator stack, got shape {f0s.shape}")
         if not is_hermitian(f0s):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
@@ -499,7 +479,7 @@ class GramPovm:
     def __post_init__(self):
         factors = np.asarray(self.factors, dtype=complex)
         leftover = np.asarray(self.leftover, dtype=complex)
-        if factors.ndim != 3 or not len(factors):
+        if factors.ndim != 3 or not len(factors) or not factors.shape[1]:
             raise ValidationError(f"expected a (k, d, s) factor stack, got shape {factors.shape}")
         dim = factors.shape[1]
         check_dim_cap(dim)

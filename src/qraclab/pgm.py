@@ -1,4 +1,4 @@
-"""Pretty good measurement construction and optimal two-state discrimination.
+"""Pretty good measurement construction and optimal two-outcome discrimination.
 
 For an ensemble {(P_x, rho_x)} the square-root measurement has elements
 Q_y = P_y S rho_y S, with S = rho^{-1/2} the inverse square root of the
@@ -19,7 +19,11 @@ once, and keeps the rows and sums (:attr:`~qraclab.qrac.Ensemble.weighted`):
 the build sandwiches them, and the per-bit evaluators, ``per_bit_success``
 here and :func:`~qraclab.decoding.expected_hamming_exact`, contract them
 with the marginals, P(x_i = 0) + Re Tr(F0^{(i)} (rho - 2 Z_i)) per bit.
-The solver, whose prior changes every iterate, forms its own.  One
+The solver, whose prior changes every iterate, forms its own.  The best
+two-outcome measurement of bit i, Helstrom's projector onto the positive
+part of 2 Z_i - rho, succeeds with (1 + ||2 Z_i - rho||_1) / 2, which
+:func:`helstrom_success` reads from the same sums, one batched
+``eigvalsh`` for all n bits (Helstrom 1976).  One
 ``eigh`` of rho gives S and the eigenvectors V_L off its support, so
 L = V_L V_L^dag.  The family total S rho S + L is I + E with E at rounding
 level, so R needs no second ``eigh``: it is the binomial series
@@ -49,7 +53,6 @@ import numpy as np
 from .bits import bit_column, bit_columns
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     LabelMismatchError,
     SizeCapError,
     ValidationError,
@@ -61,7 +64,6 @@ from .linalg import (
     _hermitize,
     _sqrt_pinv_with_support,
     bit_sums,
-    trace_norm,
 )
 from .qrac import Ensemble
 
@@ -211,14 +213,14 @@ def per_bit_success(ensemble: Ensemble, pg: PgmBundle, i: int) -> float:
     return float(1.0 - _bit_errors(ensemble, pg.marginals.f0s, i - 1))
 
 
-def helstrom_pmax(p0: float, rho0, p1: float, rho1) -> float:
-    """Largest success probability of any two-outcome measurement that
-    distinguishes rho0 (prior p0) from rho1 (prior p1)."""
-    if not (p0 >= 0 and p1 >= 0 and abs(p0 + p1 - 1.0) <= 1e-9):
-        raise DomainError(f"priors ({p0}, {p1}) are not a distribution")
-    rho0 = np.asarray(rho0, dtype=complex)
-    rho1 = np.asarray(rho1, dtype=complex)
-    return 0.5 * (1.0 + trace_norm(p0 * rho0 - p1 * rho1))
+def helstrom_success(ensemble: Ensemble) -> np.ndarray:
+    """Each bit's Helstrom success, the largest chance that any two-outcome
+    measurement reads bit i under the ensemble's prior: the (n,) array
+    (1 + ||2 Z_i - T||_1) / 2 over the ensemble's bit sums Z_i and total T,
+    from one batched ``eigvalsh``.  For two states it is the pair's
+    Helstrom bound, (1 + ||p0 rho0 - p1 rho1||_1) / 2."""
+    _, zeros, total = ensemble.weighted
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(2.0 * zeros - total)).sum(axis=1))
 
 
 def pgm_lower_bound(p_max: float) -> float:

@@ -33,6 +33,14 @@ def random_density(rng, dim, pure=False):
     return rho / rho.trace()
 
 
+def helstrom_pair(p0, rho0, p1, rho1):
+    """Largest chance that a two-outcome measurement tells rho0 (prior p0)
+    from rho1 (prior p1): (1 + ||p0 rho0 - p1 rho1||_1) / 2, the trace norm
+    read off the dense difference's ``eigvalsh`` spectrum."""
+    diff = p0 * np.asarray(rho0, dtype=complex) - p1 * np.asarray(rho1, dtype=complex)
+    return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
 def random_channel(rng, n_in, n_out, zero_frac=0.0):
     """An n_in x n_out channel of Dirichlet(1) rows; with ``zero_frac``, that
     share of entries is zeroed, each row's largest kept, and the rows are

@@ -27,7 +27,7 @@ from qraclab.info import (
     qubit_lower_bound,
 )
 from qraclab.minimax import solve_worstcase
-from qraclab.pgm import build_pgm, helstrom_pmax, per_bit_success, success_prob_full
+from qraclab.pgm import build_pgm, helstrom_success, per_bit_success, success_prob_full
 from qraclab.qrac import (
     Ensemble,
     build_identity_encoding,
@@ -67,9 +67,7 @@ def test_criterion_02_two_outcome_lower_bound():
     for ens in ensembles:
         pg = build_pgm(ens, full_table=True)
         p_pgm = success_prob_full(ens, pg)
-        p_max = helstrom_pmax(
-            ens.prior[0], ens.states[0].mat, ens.prior[1], ens.states[1].mat
-        )
+        p_max = helstrom_success(ens)[0]
         worst_margin = min(worst_margin, p_pgm - (p_max**2 + (1.0 - p_max) ** 2))
     q = build_standard_2to1()
     ens = Ensemble.uniform(q)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 import functools
 import hashlib
 import math
@@ -33,7 +34,7 @@ from qraclab.qrac import (
     build_tensor_power,
 )
 from qraclab.rng import TAG_BOB, TAG_ENCODE, TAG_SHARED, counter_stream
-from references import rotate_ref, shift_perm
+from references import count_calls, rotate_ref, shift_perm
 
 
 def perm_row(r, d, n):
@@ -457,24 +458,18 @@ class TestBuildRac:
     def test_one_scheme_per_codebook(self, monkeypatch):
         # building, validating and running the code construct one scheme in
         # all; the per-shift view builds each on first access only
-        built = []
-        init = CompressionScheme.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CompressionScheme, "__init__", counting)
+        built = Counter()
+        count_calls(monkeypatch, CompressionScheme, "__init__", built)
         q = build_random_qrac(3, 2, seed=29)
         cb = cv.build_rac(q, eta=0.3, seed=1)
-        assert len(built) == 1
+        assert built["__init__"] == 1
         cv.validate_rac(cb, q)
         for rep in range(20):
             msg = cv.rac_encode(cb, rep % 8, shared_seed=3, replicate=rep)
             cv.rac_decode(cb, msg, 1, 3, rep)
-        assert len(built) == 1
+        assert built["__init__"] == 1
         first = cb.schemes[5]
-        assert cb.schemes[5] is first and len(built) == 2
+        assert cb.schemes[5] is first and built["__init__"] == 2
         assert len(cb.schemes) == cb.size_s
 
     def test_bit_errors_match_the_marginal_reference(self):
@@ -491,20 +486,16 @@ class TestBuildRac:
     def test_outcome_table_built_once(self, monkeypatch):
         # one measurement per codebook: the Newman audit's error table and
         # the scheme both read the channel it gives
-        calls = []
-        original = cv.build_pgm
-
-        def counting(ensemble, **kwargs):
-            calls.append(kwargs)
-            return original(ensemble, **kwargs)
-
-        monkeypatch.setattr(cv, "build_pgm", counting)
+        calls = Counter()  # build_pgm calls by their keyword arguments
+        count_calls(
+            monkeypatch, cv, "build_pgm", calls, key=lambda ensemble, **kwargs: tuple(kwargs.items())
+        )
         q = build_identity_encoding(3)
         cb = cv.build_rac(q, eta=0.3, seed=1)
         assert cb.size_s > 1
-        assert calls == [{"full_table": True}]
+        assert calls == Counter({(("full_table", True),): 1})
         cv.validate_rac(cb, q)
-        assert len(calls) == 1
+        assert calls == Counter({(("full_table", True),): 1})
 
 
 class TestValidateRac:
@@ -658,24 +649,18 @@ class TestEncodeDecode:
         ]
 
     def test_a_roundtrip_builds_two_streams_to_encode_and_one_to_decode(self, monkeypatch):
-        built = []
-        philox = np.random.Philox
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return philox(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "Philox", counting)
+        built = Counter()
+        count_calls(monkeypatch, np.random, "Philox", built)
         branches = set()
         for cb in golden_books():
             for x in range(2**cb.n):
                 for rep in (0, 2**64 - 1):
                     built.clear()
                     msg = cv.rac_encode(cb, x, GOLDEN_SEED, rep)
-                    assert len(built) == 2
+                    assert built["Philox"] == 2
                     built.clear()
                     cv.rac_decode(cb, msg, 1, GOLDEN_SEED, rep)
-                    assert len(built) == 1
+                    assert built["Philox"] == 1
                     branches.add(msg.sent_index == FAIL_INDEX)
         assert branches == {True, False}
 

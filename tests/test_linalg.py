@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,15 +26,16 @@ from qraclab.linalg import (
     Povm,
     _sqrt_pinv_with_support,
     argmax_first,
+    as_states,
     bit_sums,
     eig_hermitian,
     gram_dense,
     is_hermitian,
-    trace_norm,
     trace_table,
 )
-from qraclab.pgm import _hermitize
+from qraclab.pgm import _hermitize, helstrom_success
 from qraclab.qrac import (
+    Ensemble,
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
@@ -41,6 +43,7 @@ from qraclab.qrac import (
 from qraclab.rng import stream
 from references import (
     count_calls,
+    helstrom_pair,
     psd_verdict,
     random_density,
     tensor_power_reference,
@@ -143,28 +146,22 @@ class TestSqrtPinv:
 
 
 def distance(a, b):
-    """Trace distance, the half trace norm that helstrom_pmax reads."""
-    return 0.5 * trace_norm(a - b)
+    """Trace distance ||a - b||_1 / 2, read through the Helstrom kernel at
+    p = 1/2, whose success is (1 + distance) / 2."""
+    return 2.0 * helstrom_success(Ensemble((0.5, 0.5), (a, b)))[0] - 1.0
 
 
 class TestTraceNormAndDistance:
-    def test_zero(self):
-        assert trace_norm(np.zeros((3, 3))) == 0.0
-
     def test_diagonal(self):
-        assert trace_norm(np.diag([2.0, -3.0])) == pytest.approx(5.0, abs=1e-12)
-
-    def test_non_hermitian_uses_singular_values(self):
-        a = np.array([[0, 2], [0, 0]], dtype=complex)
-        assert trace_norm(a) == pytest.approx(2.0, abs=1e-12)
+        # commuting states: half the l1 distance of their spectra
+        a, b = np.diag([0.7, 0.2, 0.1]), np.diag([0.1, 0.3, 0.6])
+        assert distance(a, b) == pytest.approx(0.6, abs=1e-15)
 
     def test_angle_state_difference(self):
         # difference is 2*cos*sin times Pauli-X, eigenvalues +-sin(pi/4)
-        diff = angle_state(C, S) - angle_state(C, -S)
-        assert trace_norm(diff) == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert distance(angle_state(C, S), angle_state(C, -S)) == pytest.approx(
-            np.sqrt(2) / 2, abs=1e-12
-        )
+        a, b = angle_state(C, S), angle_state(C, -S)
+        assert distance(a, b) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
+        assert distance(a, b) == pytest.approx(2 * helstrom_pair(0.5, a, 0.5, b) - 1, abs=1e-15)
 
     def test_orthogonal_pure_states(self):
         assert distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(1.0)
@@ -174,16 +171,20 @@ class TestTraceNormAndDistance:
         assert distance(rho, rho) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            trace_norm(np.ones((2, 4)))
+        with pytest.raises(ValidationError, match="do not form one stack"):
+            distance(np.eye(2) / 2, np.eye(4) / 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_entry_is_refused(self, bad, where):
-        a = np.eye(2, dtype=complex)
+        """A state with a NaN or infinite entry never reaches the kernel: the
+        ensemble refuses it as not Hermitian, without a numpy warning."""
+        a = np.eye(2, dtype=complex) / 2
         a[where] = bad
-        with pytest.raises(ValidationError, match="non-finite entry"):
-            trace_norm(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError):
+                distance(a, np.eye(2) / 2)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_metric_properties(self, seed):
@@ -212,10 +213,6 @@ class TestDensityMatrix:
         dm = DensityMatrix(np.eye(2) / 2)
         assert dm.mat.shape == (2, 2)
         assert not dm.mat.flags.writeable
-
-    def test_from_state_vector_normalizes(self):
-        dm = DensityMatrix.from_state_vector([2.0, 0.0])
-        np.testing.assert_allclose(dm.mat, np.diag([1.0, 0.0]))
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
@@ -254,6 +251,54 @@ def test_is_hermitian_tolerance():
     a = np.eye(2) + np.array([[0, 1e-12], [0, 0]])
     assert is_hermitian(a)
     assert not is_hermitian(a * 1e5)
+
+
+def test_is_hermitian_reads_a_strided_view():
+    """A matrix whose entries are every other element of a buffer."""
+    buffer = np.zeros(8, dtype=complex)
+    buffer[[0, 6]] = 1.0
+    assert is_hermitian(buffer[::2].reshape(2, 2))
+    buffer[2] = 1.0
+    assert not is_hermitian(buffer[::2].reshape(2, 2))
+
+
+def test_a_stack_of_no_members_is_hermitian():
+    assert is_hermitian(np.zeros((0, 2, 2)))
+    vals, vecs = eig_hermitian(np.zeros((0, 2, 2)))
+    assert vals.shape == (0, 2) and vecs.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda: BitPovms(np.zeros((2, 0, 0))), "(2, 0, 0)"),
+        (lambda: Povm(np.zeros((2, 0, 0))), "(0, 0)"),
+        (lambda: DensityMatrix(np.zeros((0, 0))), "(0, 0)"),
+        (lambda: as_states(np.zeros((2, 0, 0))), "(0, 0)"),
+        (lambda: GramPovm(np.zeros((2, 0, 1)), np.zeros((0, 0))), "(2, 0, 1)"),
+    ],
+    ids=["bit_povms", "povm", "density_matrix", "states", "gram_povm"],
+)
+def test_empty_stack_raises_validation_error_naming_its_shape(build, shape):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert shape in str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_infinite_entries_are_not_hermitian_without_a_warning(bad, where):
+    """An infinite entry, on the diagonal or off it, fails the Hermiticity
+    check before A - A^dag is formed, so numpy never evaluates inf - inf:
+    any warning fails the test."""
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1][where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(stack)
+        for build in (BitPovms, Povm, eig_hermitian):
+            with pytest.raises(NotHermitianError, match="nan|not Hermitian"):
+                build(stack)
 
 
 def _hermitian_stack(k, d, seed=0):
@@ -466,7 +511,7 @@ class TestBatchedDensityValidation:
         bad = bad_states(kind, rng)
         stack[where] = bad
         expected = raised(lambda: DensityMatrix(bad))
-        assert raised(lambda: DensityMatrix.stack(stack)) == expected
+        assert raised(lambda: as_states(stack)) == expected
         messages = {
             "hermitian": (NotHermitianError, "density matrix is not Hermitian within tolerance"),
             "trace": (ValidationError, f"trace {bad.trace().real} is not 1 within {TOL_TRACE}"),
@@ -480,32 +525,19 @@ class TestBatchedDensityValidation:
         stack = valid_states(16)
         stack[3] = with_spectrum(rng, [1.0 + scale * TOL_PSD, -scale * TOL_PSD, 0.0, 0.0])
         if ok:
-            assert len(DensityMatrix.stack(stack)) == 5
+            assert len(as_states(stack)) == 5
             DensityMatrix(stack[3])
         else:
             with pytest.raises(ValidationError):
-                DensityMatrix.stack(stack)
-
-    def test_members_are_read_only_views_of_one_stack(self):
-        stack = valid_states(17)
-        states = DensityMatrix.stack(stack)
-        base = states[0].mat.base
-        assert base is not None and base.shape == stack.shape
-        assert not base.flags.writeable
-        for k, rho in enumerate(states):
-            assert rho.mat.base is base
-            assert not rho.mat.flags.writeable
-            np.testing.assert_array_equal(rho.mat, stack[k])
-        stack[0, 0, 0] = 7.0  # the caller's array is copied, not frozen in place
-        assert states[0].mat[0, 0] != 7.0
+                as_states(stack)
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValidationError, match="expected a square matrix"):
-            DensityMatrix.stack(np.zeros((3, 2, 4)))
+            as_states(np.zeros((3, 2, 4)))
 
     def test_rejects_members_of_different_shapes(self):
         with pytest.raises(ValidationError, match="do not form one stack"):
-            DensityMatrix.stack([np.eye(2) / 2, np.eye(4) / 4])
+            as_states([np.eye(2) / 2, np.eye(4) / 4])
 
 
 class TestGramContainers:
@@ -522,7 +554,7 @@ class TestGramContainers:
 
     def test_matrix_input_is_factored(self):
         stack = valid_states(18)
-        states = DensityMatrix.stack(stack)
+        states = as_states(stack)
         assert states.factors.shape == (5, 4, 4)
         np.testing.assert_allclose(
             states.factors @ states.factors.conj().swapaxes(1, 2), stack, rtol=0, atol=1e-14
@@ -565,7 +597,7 @@ class TestGramContainers:
         rng = np.random.default_rng(19)
         vecs = [random_unitary(rng, 4)[:, :rank] for rank in (1, 2, 1)]
         stack = np.stack([v @ v.conj().T / v.shape[1] for v in vecs])
-        states = DensityMatrix.stack(stack)
+        states = as_states(stack)
         assert states.factors.shape == (3, 4, 2)
         np.testing.assert_array_equal(states.factors[[0, 2], :, 0], 0)
         np.testing.assert_allclose(
@@ -574,7 +606,7 @@ class TestGramContainers:
 
     def test_pure_code_read_as_matrices_is_vectors(self):
         q = build_random_qrac(6, 3, 0)
-        back = DensityMatrix.stack(gram_dense(q.encoder.factors))
+        back = as_states(gram_dense(q.encoder.factors))
         assert back.factors.shape == (64, 8, 1)
         np.testing.assert_allclose(
             gram_dense(back.factors), gram_dense(q.encoder.factors), rtol=0, atol=1e-15

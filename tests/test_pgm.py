@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qraclab import linalg, pgm, qrac
 from qraclab.bits import bit_columns
-from qraclab.errors import DomainError, IndexOutOfRangeError, ValidationError
+from qraclab.errors import IndexOutOfRangeError, ValidationError
 from qraclab.linalg import (
     SUPPORT_CUTOFF,
     TOL_POVM,
@@ -22,7 +22,7 @@ from qraclab.decoding import identification_bound_check
 from qraclab.pgm import (
     PgmBundle,
     build_pgm,
-    helstrom_pmax,
+    helstrom_success,
     per_bit_success,
     pgm_lower_bound,
     success_prob_full,
@@ -36,7 +36,7 @@ from qraclab.qrac import (
     build_standard_2to1,
     build_tensor_power,
 )
-from references import count_calls, random_density
+from references import count_calls, helstrom_pair, random_density
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -185,27 +185,32 @@ class TestSuccessProbs:
             success_prob_full(e, pg)
 
 
+def pair(p0, rho0, rho1):
+    return Ensemble(np.array([p0, 1.0 - p0]), (rho0, rho1))
+
+
 class TestHelstrom:
     def test_orthogonal_states(self):
-        assert helstrom_pmax(0.5, np.diag([1.0, 0.0]), 0.5, np.diag([0.0, 1.0])) == pytest.approx(
-            1.0
-        )
+        got = helstrom_success(pair(0.5, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0)
 
     def test_identical_states_give_max_prior(self):
         rho = np.eye(2) / 2
-        assert helstrom_pmax(0.3, rho, 0.7, rho) == pytest.approx(0.7, abs=1e-12)
+        assert helstrom_success(pair(0.3, rho, rho))[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_standard_bit_ensemble_value(self):
         q = build_standard_2to1()
-        e = bit_ensemble(q, 1)
-        got = helstrom_pmax(0.5, e.states[0].mat, 0.5, e.states[1].mat)
-        assert got == pytest.approx(P_STANDARD, abs=1e-12)
+        assert helstrom_success(bit_ensemble(q, 1))[0] == pytest.approx(P_STANDARD, abs=1e-12)
+        np.testing.assert_allclose(helstrom_success(Ensemble.uniform(q)), P_STANDARD, atol=1e-12)
 
     def test_rejects_bad_priors(self):
-        with pytest.raises(DomainError):
-            helstrom_pmax(0.6, np.eye(2) / 2, 0.6, np.eye(2) / 2)
-        with pytest.raises(DomainError):
-            helstrom_pmax(np.nan, np.eye(2) / 2, 0.5, np.eye(2) / 2)
+        """The kernel reads an ensemble, whose prior is checked on construction."""
+        states = (np.eye(2) / 2, np.eye(2) / 2)
+        with pytest.raises(ValidationError, match="prior sums to"):
+            Ensemble(np.array([0.6, 0.6]), states)
+        with pytest.raises(ValidationError, match="negative or NaN"):
+            Ensemble(np.array([np.nan, 0.5]), states)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_measurement_attains_value(self, seed):
@@ -218,7 +223,9 @@ class TestHelstrom:
             p0 * np.einsum("ij,ji->", proj, rho0).real
             + p1 * np.einsum("ij,ji->", np.eye(len(proj)) - proj, rho1).real
         )
-        assert achieved == pytest.approx(helstrom_pmax(p0, rho0, p1, rho1), abs=1e-10)
+        got = helstrom_success(e)[0]
+        assert achieved == pytest.approx(got, abs=1e-10)
+        assert got == pytest.approx(helstrom_pair(p0, rho0, p1, rho1), abs=1e-14)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_no_random_measurement_beats_it(self, seed):
@@ -228,7 +235,7 @@ class TestHelstrom:
         e = two_state_ensemble(seed, dim=3)
         p0, p1 = e.prior
         rho0, rho1 = e.states[0].mat, e.states[1].mat
-        best = helstrom_pmax(p0, rho0, p1, rho1)
+        best = helstrom_success(e)[0]
         for _ in range(200):
             g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             h = g @ g.conj().T
@@ -238,6 +245,36 @@ class TestHelstrom:
                 + p1 * np.einsum("ij,ji->", np.eye(3) - m0, rho1).real
             )
             assert achieved <= best + 1e-10
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 1, 3), (3, 2, 4), (5, 3, 5), (6, 4, 6)])
+    def test_haar_decoders_attain_each_bit_at_the_uniform_prior(self, n, m, seed):
+        """A Haar code's decoders are the per-bit Helstrom projectors of the
+        uniform prior, so their mean success over the strings, from the
+        dense states, is each bit's Helstrom success."""
+        q = build_random_qrac(n, m, seed)
+        states = linalg.gram_dense(q.encoder.factors)
+        reads_zero = np.einsum("iab,xba->ix", q.decoders.f0s, states).real
+        correct = np.where(bit_columns(n) == 0, reads_zero, 1.0 - reads_zero)
+        np.testing.assert_allclose(
+            helstrom_success(Ensemble.uniform(q)), correct.mean(axis=1), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_bit_is_the_helstrom_pair_of_its_mixtures(self, seed):
+        """Under any prior, bit i's value is the two-state Helstrom bound of
+        the prior-weighted mixtures of the strings whose bit i is 0 and 1."""
+        rng = np.random.default_rng(seed)
+        q = build_random_qrac(3, 2, seed)
+        prior = rng.dirichlet(np.ones(8))
+        states = linalg.gram_dense(q.encoder.factors)
+        want = []
+        for zero in bit_columns(3) == 0:
+            w0, w1 = prior[zero].sum(), prior[~zero].sum()
+            rho0 = np.einsum("x,xab->ab", prior[zero], states[zero]) / w0
+            rho1 = np.einsum("x,xab->ab", prior[~zero], states[~zero]) / w1
+            want.append(helstrom_pair(w0, rho0, w1, rho1))
+        got = helstrom_success(Ensemble(prior, q.encoder))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, m, seed", [(3, 1, 0), (4, 2, 1), (5, 4, 2)])
     def test_random_code_decoders_match_a_per_bit_loop(self, n, m, seed):
@@ -273,7 +310,7 @@ class TestLowerBound:
         e = two_state_ensemble(seed, dim)
         pg = build_pgm(e, full_table=True)
         p_pgm = success_prob_full(e, pg)
-        p_max = helstrom_pmax(e.prior[0], e.states[0].mat, e.prior[1], e.states[1].mat)
+        p_max = helstrom_success(e)[0]
         assert p_pgm >= pgm_lower_bound(p_max) - 1e-8
         assert p_pgm <= p_max + 1e-9  # square-root measurement never beats optimal
 

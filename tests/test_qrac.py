@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -24,6 +25,7 @@ from qraclab.qrac import (
     success_table,
     validate_qrac,
 )
+from references import count_calls
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -201,15 +203,10 @@ class TestRandomQrac:
     def test_one_success_table_per_code(self, monkeypatch):
         """The claim is the minimum of the success table that validation
         computes; no second table is made for it."""
-        calls = []
-
-        def counted(ops, factors, _original=qrac.trace_table):
-            calls.append(len(ops))
-            return _original(ops, factors)
-
-        monkeypatch.setattr(qrac, "trace_table", counted)
+        calls = Counter()  # trace_table calls by their number of operators
+        count_calls(monkeypatch, qrac, "trace_table", calls, key=lambda ops, factors: len(ops))
         q = build_random_qrac(10, 5, seed=4)
-        assert calls == [10]
+        assert calls == Counter({10: 1})
         assert q.claimed_p == float(1.0 - bit_error_table(q.decoders.f0s, q.encoder).max())
 
     def test_explicit_claim_still_checked(self):
@@ -223,10 +220,10 @@ class TestRandomQrac:
     def test_single_bit_codes_balance_helstrom(self, seed):
         # for two pure states under a uniform prior the optimal measurement
         # succeeds equally on both, so min == average == helstrom value
-        from qraclab.pgm import helstrom_pmax
+        from qraclab.pgm import helstrom_success
 
         q = build_random_qrac(1, 2, seed=seed)
-        pmax = helstrom_pmax(0.5, q.encoder[0].mat, 0.5, q.encoder[1].mat)
+        pmax = helstrom_success(Ensemble.uniform(q))[0]
         assert q.claimed_p == pytest.approx(pmax, abs=1e-9)
 
     def test_size_cap(self):
