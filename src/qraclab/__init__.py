@@ -2,12 +2,12 @@
 classical protocols they compress into.
 
 The public surface re-exported here covers the usual workflow: build a code
-(`build_standard_2to1`, `build_random_qrac`), measure it (`build_pgm`,
-`expected_hamming_exact`) against each bit's optimal two-outcome
-measurement (`helstrom_success`), certify the worst case
-(`solve_worstcase`), and convert it to a classical code (`build_rac`,
-`validate_rac`).  Submodules
-stay importable directly for the long tail (bits, corpus, cli).
+(`build_standard_2to1`, `build_random_qrac`, or the product of built codes,
+`build_product`), measure it (`build_pgm`, `expected_hamming_exact`)
+against each bit's optimal two-outcome measurement (`helstrom_success`),
+certify the worst case (`solve_worstcase`), and convert it to a classical
+code (`build_rac`, `validate_rac`).  Submodules stay importable directly
+for the long tail (bits, corpus, cli).
 
 Every public function, class, method, property and result field in the
 package is read by a command, a demo or the benchmark, and every defaulted
@@ -64,6 +64,7 @@ from .qrac import (
     Ensemble,
     Qrac,
     build_identity_encoding,
+    build_product,
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
@@ -89,6 +90,7 @@ __all__ = [
     "binary_entropy",
     "build_identity_encoding",
     "build_pgm",
+    "build_product",
     "build_rac",
     "build_random_qrac",
     "build_scheme",

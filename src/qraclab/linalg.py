@@ -373,7 +373,10 @@ def as_states(states) -> GramStates:
     matrices validated once as a stack and factored by one batched ``eigh``."""
     if isinstance(states, GramStates):
         return states
-    _, factors = _validated_states([_as_array(st) for st in states])
+    mats = [_as_array(st) for st in states]
+    if not mats:
+        raise ValidationError("no states given")
+    _, factors = _validated_states(mats)
     return GramStates(factors)
 
 

@@ -4,11 +4,15 @@ A code stores one state per n-bit string and one two-outcome measurement
 per bit position, together with the success probability it claims to
 guarantee on every (string, bit) pair.  The decoders are one stack of
 outcome-0 operators, :class:`~qraclab.linalg.BitPovms`, formed directly.
+The constructor measures the claim with one (n, 2^n) success-table pass.
+A product of built codes, :func:`build_product`, carries the least of its
+factors' claims, which holds because each of its decoders acts on one
+factor's block, so it makes no pass.
 
 The encoder is a :class:`~qraclab.linalg.GramStates`: the 2^n states as one
 stack of Gram factors.  The builders here make pure codes, so they pass
 unit state vectors: a Haar draw, the standard code's four vectors, basis
-vectors, and the Kronecker products of a tensor power.  Each is checked by
+vectors, and the Kronecker products of a product code.  Each is checked by
 its norm, with no eigendecomposition and no 2^n x d x d array.  A code
 given as matrices is factored and cut to their numerical rank, so a pure
 one is held as vectors again.  Reading ``q.encoder[x].mat``
@@ -59,7 +63,9 @@ class Qrac:
     """An (n, m, p) random access code with explicit per-bit decoders.
 
     Frozen, so the claim checked on construction is the claim every later
-    reader sees."""
+    reader sees.  The constructor checks it by one success-table pass; a
+    product from :func:`build_product` takes its factors' least claim,
+    already checked on theirs."""
 
     n: int
     m: int
@@ -68,6 +74,18 @@ class Qrac:
     claimed_p: float | None = None  # None claims the measured worst case
 
     def __post_init__(self):
+        self._check_shapes()
+        worst = success_table(self).min()
+        if self.claimed_p is None:
+            object.__setattr__(self, "claimed_p", float(worst))
+        elif not worst >= self.claimed_p - TOL_CLAIM:
+            raise ValidationError(
+                f"claimed success {self.claimed_p} not met: worst pair achieves {worst}"
+            )
+
+    def _check_shapes(self) -> None:
+        """Every check of the constructor but the claim's: sizes, the
+        encoder's dimension and the decoders' type, count and dimension."""
         if self.n < 1 or self.m < 1:
             raise ValidationError("n and m must be positive")
         check_dim_cap(2**self.m)
@@ -83,13 +101,20 @@ class Qrac:
             raise ValidationError(f"one decoder per bit required, got {len(self.decoders)}")
         if self.decoders.f0s.shape[1] != dim:
             raise ValidationError("decoder dimension differs from 2^m")
-        worst = success_table(self).min()
-        if self.claimed_p is None:
-            object.__setattr__(self, "claimed_p", float(worst))
-        elif not worst >= self.claimed_p - TOL_CLAIM:
-            raise ValidationError(
-                f"claimed success {self.claimed_p} not met: worst pair achieves {worst}"
-            )
+
+    @classmethod
+    def _known_claim(
+        cls, n: int, m: int, encoder: GramStates, decoders: BitPovms, claimed_p: float
+    ) -> "Qrac":
+        """A code whose builder has proved its claim, as :func:`build_product`
+        does from its factors: checked as the constructor checks it, but
+        with no success-table pass."""
+        q = object.__new__(cls)
+        fields = {"n": n, "m": m, "encoder": encoder, "decoders": decoders, "claimed_p": claimed_p}
+        for name, value in fields.items():
+            object.__setattr__(q, name, value)
+        q._check_shapes()
+        return q
 
     @property
     def dim(self) -> int:
@@ -211,8 +236,59 @@ def build_identity_encoding(n: int) -> Qrac:
     return Qrac(n, n, encoder, decoders, claimed_p=1.0)
 
 
+def build_product(codes) -> Qrac:
+    """The product of already-built codes, one block of bits and one tensor
+    factor each.
+
+    String x is the concatenation of the factors' blocks, block 1 most
+    significant.  Block j's decoders are I (x) F0 (x) I, the identities
+    sized to the other factors' dimensions.  Each decoder acts on one
+    block, so every (bit, string) pair succeeds exactly as its factor's
+    pair does, and the claim is the least of the factors' claims, set
+    without a success-table pass.
+    """
+    codes = tuple(codes)
+    if not codes:
+        raise ValidationError("a product needs at least one code")
+    for q in codes:
+        if not isinstance(q, Qrac):
+            raise ValidationError(f"product factors must be Qrac, got {type(q).__name__}")
+    n, m = sum(q.n for q in codes), sum(q.m for q in codes)
+    if n > 16:
+        raise SizeCapError(f"product capped at total n <= 16, got {n}")
+    check_dim_cap(2**m)
+    # each factor appends a less significant block and a tensor factor on
+    # the right.  The Gram factor of a product state is the Kronecker
+    # product of the blocks' factors, formed for all pairs as one broadcast
+    # product.
+    factors = codes[0].encoder.factors
+    for q in codes[1:]:
+        blocks = q.encoder.factors
+        size, dim, rank = factors.shape
+        factors = (
+            factors[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]
+        ).reshape(size * len(blocks), dim * q.dim, rank * blocks.shape[2])
+    encoder = GramStates(factors) if len(codes) > 1 else codes[0].encoder
+    # block j's decoders I_left (x) F0 (x) I_right, entry by entry the
+    # Kronecker products' I[i1, j1] F0[i2, j2] I[i3, j3], as one broadcast product
+    f0s, left = [], 1
+    for q in codes:
+        right = 2**m // (left * q.dim)
+        f0s.append(
+            (
+                np.eye(left)[:, None, None, :, None, None]
+                * q.decoders.f0s[:, None, :, None, None, :, None]
+                * np.eye(right)[:, None, None, :]
+            ).reshape(q.n, 2**m, 2**m)
+        )
+        left *= q.dim
+    claim = min(q.claimed_p for q in codes)
+    return Qrac._known_claim(n, m, encoder, BitPovms(np.concatenate(f0s)), claim)
+
+
 def build_tensor_power(base: Qrac, k: int) -> Qrac:
-    """Concatenate k independent blocks of ``base`` into one code.
+    """Concatenate k independent blocks of ``base`` into one code, the
+    :func:`build_product` of k copies.
 
     Block j covers global bits (j-1)*n+1 .. j*n; its decoder acts on the
     j-th tensor factor and is padded with identities elsewhere.
@@ -221,35 +297,7 @@ def build_tensor_power(base: Qrac, k: int) -> Qrac:
         raise ValidationError(f"k must be an integer >= 1, got {k!r}")
     if k * base.n > 16:
         raise SizeCapError(f"tensor power capped at k*n <= 16, got {k * base.n}")
-    check_dim_cap(2 ** (k * base.m))
-    n, m = k * base.n, k * base.m
-    block_dim = base.dim
-    # string x = (block 1, ..., block k), block 1 most significant: each
-    # factor appends a less significant block and a tensor factor on the
-    # right.  The Gram factor of a product state is the Kronecker product of
-    # the blocks' factors, formed for all pairs as one broadcast product.
-    blocks = base.encoder.factors
-    factors = blocks
-    for _ in range(k - 1):
-        size, dim, rank = factors.shape
-        factors = (
-            factors[:, None, :, None, :, None] * blocks[None, :, None, :, None, :]
-        ).reshape(size * len(blocks), dim * block_dim, rank * blocks.shape[2])
-    encoder = GramStates(factors) if k > 1 else base.encoder
-    # block j's decoders I_(D^j) (x) F0 (x) I_(D^(k-1-j)), entry by entry the
-    # Kronecker products' I[i1, j1] F0[i2, j2] I[i3, j3], as one broadcast product
-    f0s = base.decoders.f0s
-    f0s = np.concatenate(
-        [
-            (
-                np.eye(block_dim**j)[:, None, None, :, None, None]
-                * f0s[:, None, :, None, None, :, None]
-                * np.eye(block_dim ** (k - 1 - j))[:, None, None, :]
-            ).reshape(len(f0s), 2**m, 2**m)
-            for j in range(k)
-        ]
-    )
-    return Qrac(n, m, encoder, BitPovms(f0s), claimed_p=base.claimed_p)
+    return build_product([base] * int(k))
 
 
 def build_random_qrac(n: int, m: int, seed: int) -> Qrac:

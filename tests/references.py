@@ -68,28 +68,48 @@ def random_sparse_channel(rng, n_in=None, n_out=None):
     return ClassicalChannel(table)
 
 
-def tensor_power_reference(base, k):
-    """The encoder of ``base``'s k-th tensor power as a per-matrix np.kron
-    chain over each string's blocks, block 1 most significant."""
+def _blocks(codes, x):
+    """The factors' blocks of string x, block 1 most significant."""
+    out = []
+    for q in reversed(codes):
+        out.append(x & (2**q.n - 1))
+        x >>= q.n
+    return out[::-1]
+
+
+def product_reference(codes):
+    """The encoder of the product of ``codes`` as a per-matrix np.kron chain
+    over each string's blocks."""
     encoder = []
-    for x in range(2 ** (k * base.n)):
+    for x in range(2 ** sum(q.n for q in codes)):
         mat = np.array([[1.0 + 0j]])
-        for j in range(k):
-            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
-            mat = np.kron(mat, base.encoder[block].mat)
+        for q, block in zip(codes, _blocks(codes, x)):
+            mat = np.kron(mat, q.encoder[block].mat)
         encoder.append(mat)
     return np.stack(encoder)
 
 
-def tensor_power_vectors(base, k):
-    """Each string's state vector as a per-vector np.kron chain."""
+def product_vectors(codes):
+    """Each string's state vector in the product of pure ``codes``, as a
+    per-vector np.kron chain."""
     out = []
-    for x in range(2 ** (k * base.n)):
+    for x in range(2 ** sum(q.n for q in codes)):
         vec = np.array([1.0 + 0j])
-        for j in range(k):
-            block = (x >> (base.n * (k - 1 - j))) & (2**base.n - 1)
-            vec = np.kron(vec, base.encoder.factors[block, :, 0])
+        for q, block in zip(codes, _blocks(codes, x)):
+            vec = np.kron(vec, q.encoder.factors[block, :, 0])
         out.append(vec)
+    return np.stack(out)
+
+
+def padded_decoders_reference(codes):
+    """Each global bit's outcome-0 operator in the product of ``codes``,
+    np.kron(np.kron(I_left, F0), I_right) per decoder, with the identities
+    sized to the factors before and after its block."""
+    dims = [q.dim for q in codes]
+    out = []
+    for j, q in enumerate(codes):
+        left, right = int(np.prod(dims[:j])), int(np.prod(dims[j + 1 :]))
+        out.extend(np.kron(np.kron(np.eye(left), f0), np.eye(right)) for f0 in q.decoders.f0s)
     return np.stack(out)
 
 

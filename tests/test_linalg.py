@@ -45,9 +45,9 @@ from references import (
     count_calls,
     helstrom_pair,
     psd_verdict,
+    product_reference,
+    product_vectors,
     random_density,
-    tensor_power_reference,
-    tensor_power_vectors,
 )
 
 C = np.cos(np.pi / 8)
@@ -539,6 +539,13 @@ class TestBatchedDensityValidation:
         with pytest.raises(ValidationError, match="do not form one stack"):
             as_states([np.eye(2) / 2, np.eye(4) / 4])
 
+    @pytest.mark.parametrize(
+        "build", [lambda: as_states([]), lambda: Ensemble([], [])], ids=["states", "ensemble"]
+    )
+    def test_no_states_named(self, build):
+        with pytest.raises(ValidationError, match="^no states given$"):
+            build()
+
 
 class TestGramContainers:
     def test_vectors_checked_by_norm(self):
@@ -688,9 +695,9 @@ def test_tensor_power_encoder_bit_identical(k):
     blocks' matrices, so the dense view is held to 1e-15."""
     std = build_standard_2to1()
     q = build_tensor_power(std, k)
-    np.testing.assert_array_equal(q.encoder.factors[:, :, 0], tensor_power_vectors(std, k))
+    np.testing.assert_array_equal(q.encoder.factors[:, :, 0], product_vectors([std] * k))
     np.testing.assert_allclose(
-        gram_dense(q.encoder.factors), tensor_power_reference(std, k), rtol=0, atol=1e-15
+        gram_dense(q.encoder.factors), product_reference([std] * k), rtol=0, atol=1e-15
     )
 
 

@@ -4,6 +4,8 @@ views the benchmark reads (``q.encoder[x].mat``, ``dec.elements``,
 ``pg.full.elements``, ``sol.measurement.elements``, ``cb.schemes``), so a
 change to those views fails here rather than in a benchmark run."""
 
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -12,16 +14,32 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = writes_bytecode
-    return workloads
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
+
+
+def test_traced_layer_names_resolve():
+    """Each span name the tracer's per-layer figures read is a public
+    function of its module, so the tracer wraps it; a name that no longer
+    resolves would drop its spans from a traced run without an error."""
+    tracing = _perfbench_module("tracing")
+    for name in sorted(tracing.CONSTRUCTORS | tracing.DECODING):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"qraclab.{layer}")
+        fn = getattr(module, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == module.__name__, name
 
 
 @pytest.mark.parametrize("name", ["certify", "decode_large", "convert", "transmit"])

@@ -11,21 +11,29 @@ from qraclab.bits import (
     bit_columns,
     hamming_table,
 )
+from qraclab.corpus import reference_corpus
 from qraclab.errors import SizeCapError, ValidationError
 from qraclab.linalg import BitPovms, DensityMatrix, Povm
 from qraclab.qrac import (
     P_STANDARD,
+    TOL_CLAIM,
     Ensemble,
     Qrac,
     bit_error_table,
     build_identity_encoding,
+    build_product,
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
     success_table,
     validate_qrac,
 )
-from references import count_calls
+from references import (
+    count_calls,
+    padded_decoders_reference,
+    product_reference,
+    product_vectors,
+)
 
 C = np.cos(np.pi / 8)
 S = np.sin(np.pi / 8)
@@ -173,13 +181,83 @@ class TestTensorPower:
     )
     def test_decoders_equal_per_decoder_kron_chain(self, base, k):
         base = build_standard_2to1() if base == "std" else build_random_qrac(3, 2, seed=4)
-        blocks = [base.dim**j for j in range(k)]
-        chain = [
-            np.kron(np.kron(np.eye(left), f0), np.eye(base.dim**k // (left * base.dim)))
-            for left in blocks
-            for f0 in base.decoders.f0s
-        ]
-        np.testing.assert_array_equal(build_tensor_power(base, k).decoders.f0s, np.stack(chain))
+        np.testing.assert_array_equal(
+            build_tensor_power(base, k).decoders.f0s, padded_decoders_reference([base] * k)
+        )
+
+
+def _haar(seed):
+    return build_random_qrac(3, 2, seed=seed)
+
+
+def _with_product(codes):
+    return codes, build_product(codes)
+
+
+def _power(base, k):
+    return [base] * k, build_tensor_power(base, k)
+
+
+def _corpus_power(k):
+    """The reference corpus's k-th power of the standard code, the build
+    the CLI's std square and cube also make."""
+    return [build_standard_2to1()] * k, reference_corpus(0, seed=0)[k - 1]
+
+
+# (factors, product) by name: three products checked against the Kronecker
+# references, then the rest of the products the package builds
+PRODUCTS = {
+    "std-haar29": lambda: _with_product([build_standard_2to1(), _haar(29)]),
+    "haar29-haar54": lambda: _with_product([_haar(29), _haar(54)]),
+    "haar29-power-2": lambda: _power(_haar(29), 2),
+    "std-power-2": lambda: _corpus_power(2),
+    "std-power-3": lambda: _corpus_power(3),
+    "std-power-4": lambda: _corpus_power(4),
+    "std-power-5": lambda: _power(build_standard_2to1(), 5),
+}
+REFERENCE_CASES = ["std-haar29", "haar29-haar54", "haar29-power-2"]
+
+
+class TestProduct:
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_encoder_equals_kron_chain(self, name):
+        codes, q = PRODUCTS[name]()
+        assert (q.n, q.m) == (sum(f.n for f in codes), sum(f.m for f in codes))
+        np.testing.assert_array_equal(q.encoder.factors[:, :, 0], product_vectors(codes))
+        dense = np.stack([q.encoder[x].mat for x in range(2**q.n)])
+        np.testing.assert_allclose(dense, product_reference(codes), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_decoders_equal_padded_kron(self, name):
+        codes, q = PRODUCTS[name]()
+        np.testing.assert_array_equal(q.decoders.f0s, padded_decoders_reference(codes))
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_claim_is_least_factor_claim(self, name):
+        codes, q = PRODUCTS[name]()
+        assert q.claimed_p == min(f.claimed_p for f in codes)
+        with pytest.raises(ValidationError, match="not met"):
+            Qrac(q.n, q.m, q.encoder, q.decoders, claimed_p=q.claimed_p + 1e-6)
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_every_product_meets_its_claim(self, name):
+        """A product is built with no success-table pass; this is where its
+        claim is measured."""
+        codes, q = PRODUCTS[name]()
+        worst = success_table(q).min()
+        assert worst >= q.claimed_p - TOL_CLAIM
+        assert worst == pytest.approx(min(success_table(f).min() for f in codes), abs=1e-12)
+
+    def test_input_errors(self):
+        std = build_standard_2to1()
+        with pytest.raises(ValidationError, match="at least one code"):
+            build_product([])
+        with pytest.raises(ValidationError, match="must be Qrac, got str"):
+            build_product([std, "std"])
+        with pytest.raises(SizeCapError, match="total n <= 16, got 18"):
+            build_product([std] * 9)
+        with pytest.raises(SizeCapError, match="dimension 2048 exceeds"):
+            build_product([build_identity_encoding(5), build_identity_encoding(6)])
 
 
 class TestRandomQrac:
@@ -201,13 +279,19 @@ class TestRandomQrac:
         assert validate_qrac(q) == pytest.approx(q.claimed_p)
 
     def test_one_success_table_per_code(self, monkeypatch):
-        """The claim is the minimum of the success table that validation
-        computes; no second table is made for it."""
+        """A random code's claim is the minimum of the success table that
+        validation computes; no second table is made for it.  A product's
+        claim is its factors' least, and it makes no table at all."""
         calls = Counter()  # trace_table calls by their number of operators
         count_calls(monkeypatch, qrac, "trace_table", calls, key=lambda ops, factors: len(ops))
         q = build_random_qrac(10, 5, seed=4)
         assert calls == Counter({10: 1})
         assert q.claimed_p == float(1.0 - bit_error_table(q.decoders.f0s, q.encoder).max())
+        std, haar = build_standard_2to1(), build_random_qrac(3, 2, seed=29)
+        calls.clear()
+        build_tensor_power(std, 5)
+        build_product([std, haar])
+        assert calls == Counter()
 
     def test_explicit_claim_still_checked(self):
         q = build_random_qrac(4, 2, seed=6)
