@@ -11,9 +11,10 @@ above 1 - 2p(1-p) - eta.
 A shift is one (r, d) row of an int array, and every shift sees the code's
 one readout channel relabelled by z -> shift_d(z XOR r).  That channel is
 built once per code, by :func:`effective_channel`, the only caller of the
-uniform-prior measurement here.  Everything else is read off its table:
-the compression scheme, and the per-bit error table, which is the
-channel's bit marginals.
+uniform-prior measurement here, and kept on the code.  Everything else is
+read off its table: the compression scheme, and the per-bit error table,
+which is the channel's bit marginals, formed once per channel.  Every
+codebook built from one code shares the channel and its error table.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import bit_columns
 from .compression import (
     FAIL_INDEX,
     CompressionScheme,
@@ -93,9 +93,19 @@ def effective_channel(q: Qrac) -> ClassicalChannel:
     T[x, y] = Tr(rho_x Q_y).
 
     Shift (r, d) sees this channel with its rows and columns relabelled by
-    z -> shift_d(z XOR r), so :func:`build_rac` builds and checks it once
-    and indexes it through each shift's permutation.
+    z -> shift_d(z XOR r), so :func:`build_rac` indexes it through each
+    shift's permutation.  It depends on the code alone: the first call on a
+    code builds and checks it, and every later call returns that same
+    object, kept on the code and dropped with it.  Its per-bit error table,
+    :attr:`~qraclab.info.ClassicalChannel.bit_errors`, is likewise formed
+    once, so every codebook built from the code shares both.  A call that
+    raises keeps nothing.
     """
+    return q._readout
+
+
+def _readout_channel(q: Qrac) -> ClassicalChannel:
+    """Build and check :func:`effective_channel`'s channel, once per code."""
     if q.n > RAC_MAX_N:
         raise SizeCapError(f"channel table capped at n = {RAC_MAX_N}, got {q.n}")
     table = build_pgm(Ensemble.uniform(q), full_table=True).full.table(q.encoder)
@@ -109,17 +119,6 @@ def effective_channel(q: Qrac) -> ClassicalChannel:
             f"channel max capacity {c_max:.12f} exceeds the message size {q.m}"
         )
     return channel
-
-
-def _channel_bit_errors(table: np.ndarray) -> np.ndarray:
-    """err[i-1, x] = chance that bit i of the channel's output differs from
-    bit i of its input x: the sum of T[x, y] over y with y_i != x_i, shape
-    (n, 2^n).  Row x of T read at x XOR e is the law of the flip pattern e,
-    so the table is one product with the 0/1 bit columns."""
-    size = len(table)
-    xs = np.arange(size)
-    flips = table[xs[:, None], xs[:, None] ^ xs]  # [x, e] = T[x, x XOR e]
-    return (flips @ bit_columns(size.bit_length() - 1).T).T
 
 
 def sample_newman_set(
@@ -238,9 +237,9 @@ class RacCodebook:
     that channel relabelled by z -> shift_d(z XOR r), so c_max, the attempt
     cap and the index width are the same for every shift.
     ``s_set`` holds the shifts as the (r, d) rows of one frozen (|S|, 2)
-    int array.  The sizes, the message width, the success floor and the
-    per-bit error table that the Newman audit checked are derived from
-    these, once each, on first read.
+    int array.  The sizes, the message width and the success floor are
+    derived from these, once each, on first read; the per-bit error table
+    that the Newman audit checked is the scheme channel's own.
     """
 
     code: Qrac
@@ -285,11 +284,12 @@ class RacCodebook:
         """1 - 2p(1-p) - eta, the per-pair success the codebook guarantees."""
         return 1.0 - hamming_budget(self.code.claimed_p, 1) - self.eta
 
-    @cached_property
+    @property
     def bit_errors(self) -> np.ndarray:
         """(n, 2^n) chance that bit i is read wrongly on input x: the bit
-        marginals of the readout channel the scheme compresses."""
-        return _channel_bit_errors(self.scheme.channel.table)
+        marginals of the readout channel the scheme compresses, formed once
+        per channel and read-only, so every codebook of a code shares it."""
+        return self.scheme.channel.bit_errors
 
     @cached_property
     def schemes(self) -> _ShiftSchemes:
@@ -311,7 +311,7 @@ def build_rac(
         raise SizeCapError(f"codebook construction capped at n = {RAC_MAX_N}, got {n}")
     _check_eta(eta)
     channel = effective_channel(q)
-    err = _channel_bit_errors(channel.table)
+    err = channel.bit_errors
 
     best_margin = math.inf
     s_set = None

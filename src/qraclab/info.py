@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bits import hamming_table
+from .bits import bit_columns, hamming_table
 from .errors import BadSplitError, DomainError, ValidationError
 
 EIG_ZERO_CUTOFF = 1e-15  # relative, inside x*log2(x) sums
@@ -75,6 +76,23 @@ class ClassicalChannel:
     @property
     def out_size(self) -> int:
         return self.table.shape[1]
+
+    @cached_property
+    def bit_errors(self) -> np.ndarray:
+        """For a channel on n-bit strings, err[i-1, x] = chance that bit i
+        of the output differs from bit i of the input x: the sum of T[x, y]
+        over y with y_i != x_i, shape (n, 2^n), read-only and formed once.
+        Row x of T read at x XOR e is the law of the flip pattern e, so the
+        table is one product with the 0/1 bit columns."""
+        size = self.in_size
+        n = size.bit_length() - 1
+        if self.table.shape != (2**n, 2**n):
+            raise ValidationError(f"not a channel on n-bit strings: shape {self.table.shape}")
+        xs = np.arange(size)
+        flips = self.table[xs[:, None], xs[:, None] ^ xs]  # [x, e] = T[x, x XOR e]
+        err = (flips @ bit_columns(n).T).T
+        err.flags.writeable = False
+        return err
 
 
 @dataclass(frozen=True)
@@ -170,12 +188,10 @@ def distance_conditioning_check(joint_xy: np.ndarray, n: int) -> DistanceConditi
         raise ValidationError("joint is not a probability table")
     h_xy = _xlog2x_sum(joint.reshape(-1))
     h_y = _xlog2x_sum(joint.sum(axis=0))
-    # D is a function of (X, Y): group (Y, D) cells
-    dist = hamming_table(n)
-    p_yd = np.zeros((size, n + 1))
-    for d in range(n + 1):
-        p_yd[:, d] = (joint * (dist == d)).sum(axis=0)
-    h_yd = _xlog2x_sum(p_yd.reshape(-1))
+    # D is a function of (X, Y): the (Y, D) cells, binned in x order
+    cells = np.arange(size) * (n + 1) + hamming_table(n)  # [x, y] = y (n+1) + d
+    p_yd = np.bincount(cells.reshape(-1), joint.reshape(-1), size * (n + 1))
+    h_yd = _xlog2x_sum(p_yd)
     h_x_given_y = h_xy - h_y
     h_x_given_yd = h_xy - h_yd  # H(X,Y,D) = H(X,Y) since D is determined
     return DistanceConditioningReport(

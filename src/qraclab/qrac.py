@@ -63,9 +63,11 @@ class Qrac:
     """An (n, m, p) random access code with explicit per-bit decoders.
 
     Frozen, so the claim checked on construction is the claim every later
-    reader sees.  The constructor checks it by one success-table pass; a
-    product from :func:`build_product` takes its factors' least claim,
-    already checked on theirs."""
+    reader sees, and the readout channel formed on first request is the
+    one every later codebook of the code reads.  The constructor checks
+    the claim by one success-table pass; a product from
+    :func:`build_product` takes its factors' least claim, already checked
+    on theirs."""
 
     n: int
     m: int
@@ -119,6 +121,16 @@ class Qrac:
     @property
     def dim(self) -> int:
         return 2**self.m
+
+    @cached_property
+    def _readout(self):
+        """The code's uniform-prior readout channel, which
+        :func:`~qraclab.conversion.effective_channel` returns: built and
+        checked on first read and kept for the code's life.  Every field is
+        frozen, so it cannot go stale; a read that raises keeps nothing."""
+        from .conversion import _readout_channel  # on call: conversion imports qrac
+
+        return _readout_channel(self)
 
 
 def bit_error_table(f0s: np.ndarray, states: GramStates) -> np.ndarray:

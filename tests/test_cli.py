@@ -5,16 +5,19 @@ import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qraclab.conversion as cv
 from qraclab import cli
 from qraclab.cli import UsageError, _check, main, parse_config_file
 from qraclab.info import qubit_lower_bound
 from qraclab.qrac import hamming_budget
+from references import count_calls
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +355,17 @@ def test_suite_hamming_default_uses_reference_corpus(capsys):
     assert code == 0
     rows = {c["check"]: c for c in json.loads(out)["checks"]}
     assert rows["hamming_cases"]["value"] == 2 + 4
+
+
+def test_suite_convert_builds_one_channel_per_code(monkeypatch):
+    # five codes at two etas: ten codebooks, and each code's second codebook
+    # reads the channel its first one built
+    calls = Counter()
+    count_calls(monkeypatch, cv, "_readout_channel", calls)
+    count_calls(monkeypatch, cli, "build_rac", calls)
+    checks = cli.suite_convert(seed=0, etas=(0.3, 0.2), c_newman=8.0)
+    assert all(c["ok"] for c in checks)
+    assert calls == Counter({"build_rac": 10, "_readout_channel": 5})
 
 
 def test_minimax_command(capsys):

@@ -1,10 +1,12 @@
 import dataclasses
 from collections import Counter
 import functools
+import gc
 import hashlib
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -224,12 +226,67 @@ class TestEffectiveChannel:
         ]
         np.testing.assert_allclose(values, values[0], atol=1e-9)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # a code over the cap raises on every call: a raise keeps nothing
+        builds = Counter()
+        count_calls(monkeypatch, cv, "_readout_channel", builds)
         mixed = DensityMatrix(np.eye(2) / 2)
         coin = BitPovms(np.tile(np.eye(2) / 2, (9, 1, 1)))
         q9 = Qrac(n=9, m=1, encoder=(mixed,) * 512, decoders=coin, claimed_p=0.0)
-        with pytest.raises(SizeCapError):
-            cv.effective_channel(q9)
+        for calls in (1, 2):
+            with pytest.raises(SizeCapError):
+                cv.effective_channel(q9)
+            assert builds["_readout_channel"] == calls
+
+    def test_kept_on_the_code(self, monkeypatch):
+        # the first call builds the channel and its error table; later calls,
+        # and every codebook of the code, return those same objects
+        builds = Counter()
+        count_calls(monkeypatch, cv, "_readout_channel", builds)
+        q = build_random_qrac(3, 2, seed=29)
+        channel = cv.effective_channel(q)
+        assert cv.effective_channel(q) is channel
+        books = [cv.build_rac(q, eta, seed=1) for eta in (0.3, 0.2)]
+        assert builds["_readout_channel"] == 1
+        for cb in books:
+            assert cb.scheme.channel is channel
+            assert cb.bit_errors is channel.bit_errors
+        assert cv.effective_channel(build_random_qrac(3, 2, seed=29)) is not channel
+
+    def test_kept_channel_matches_a_fresh_build(self):
+        # after codebooks have read it, the kept channel and error table are
+        # bit for bit those of a fresh code drawn from the same seed
+        for make in (lambda: build_random_qrac(4, 3, seed=5), build_standard_2to1):
+            q = make()
+            for eta, seed in ((0.3, 1), (0.2, 2)):
+                cv.validate_rac(cv.build_rac(q, eta, seed=seed), q)
+            kept, fresh = cv.effective_channel(q), cv.effective_channel(make())
+            assert kept.table.tobytes() == fresh.table.tobytes()
+            assert kept.bit_errors.tobytes() == fresh.bit_errors.tobytes()
+
+    def test_channel_dies_with_its_code(self):
+        q = build_standard_2to1()
+        cb = cv.build_rac(q, eta=0.3, seed=1)
+        channel = weakref.ref(cv.effective_channel(q))
+        del q, cb
+        gc.collect()
+        assert channel() is None
+
+    def test_capacity_over_m_keeps_nothing(self, monkeypatch):
+        # a channel that fails its capacity check is not kept: once the
+        # check passes, the next call builds it afresh
+        q = build_standard_2to1()
+        real = cv.max_channel_capacity
+        monkeypatch.setattr(
+            cv, "max_channel_capacity", lambda ch: dataclasses.replace(real(ch), value=1.5)
+        )
+        with pytest.raises(ValidationError, match="exceeds the message size 1"):
+            cv.effective_channel(q)
+        monkeypatch.setattr(cv, "max_channel_capacity", real)
+        builds = Counter()
+        count_calls(monkeypatch, cv, "_readout_channel", builds)
+        cv.effective_channel(q)
+        assert builds["_readout_channel"] == 1
 
 
 class TestNewmanSet:
@@ -484,8 +541,8 @@ class TestBuildRac:
             np.testing.assert_allclose(cb.bit_errors, bit_errors(q), rtol=0, atol=1e-12)
 
     def test_outcome_table_built_once(self, monkeypatch):
-        # one measurement per codebook: the Newman audit's error table and
-        # the scheme both read the channel it gives
+        # one measurement per code: the Newman audit's error table and the
+        # scheme of every codebook built from it read the channel it gives
         calls = Counter()  # build_pgm calls by their keyword arguments
         count_calls(
             monkeypatch, cv, "build_pgm", calls, key=lambda ensemble, **kwargs: tuple(kwargs.items())
@@ -495,7 +552,30 @@ class TestBuildRac:
         assert cb.size_s > 1
         assert calls == Counter({(("full_table", True),): 1})
         cv.validate_rac(cb, q)
+        cv.validate_rac(cv.build_rac(q, eta=0.2, seed=1), q)
         assert calls == Counter({(("full_table", True),): 1})
+
+    def test_error_table_is_read_only(self):
+        # every codebook of a code shares the table, so a write must fail
+        # rather than move the validation of them all
+        q = build_standard_2to1()
+        cb = cv.build_rac(q, eta=0.3, seed=1)
+        before = cv.validate_rac(cb, q).min_success
+        with pytest.raises(ValueError, match="read-only"):
+            cb.bit_errors[:] = 0.0
+        assert cv.validate_rac(cb, q).min_success == before
+        assert cv.validate_rac(cv.build_rac(q, eta=0.3, seed=1), q).min_success == before
+
+    def test_another_channel_reads_its_own_marginals(self):
+        # a codebook whose scheme compresses another channel reads that
+        # channel's error table, not the one kept on its code
+        q = build_identity_encoding(2)
+        cb = cv.build_rac(q, eta=0.3, seed=1)
+        other = cv.effective_channel(build_standard_2to1())
+        swapped = dataclasses.replace(cb, scheme=build_scheme(other, 0.15))
+        assert swapped.bit_errors is other.bit_errors
+        np.testing.assert_allclose(cb.bit_errors, 0.0, atol=1e-12)
+        assert swapped.bit_errors.min() > 0.1
 
 
 class TestValidateRac:

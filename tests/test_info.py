@@ -7,6 +7,7 @@ from qraclab.errors import BadSplitError, DomainError, ValidationError
 from qraclab.info import (
     ClassicalChannel,
     MaxCapacityResult,
+    _xlog2x_sum,
     binary_entropy,
     distance_conditioning_check,
     max_channel_capacity,
@@ -14,7 +15,8 @@ from qraclab.info import (
     max_relative_entropy,
     qubit_lower_bound,
 )
-from references import random_sparse_channel
+from qraclab.bits import hamming_table
+from references import random_channel, random_sparse_channel
 
 
 class TestBinaryEntropy:
@@ -195,6 +197,20 @@ class TestDistanceConditioning:
         assert report.h_x_given_y == pytest.approx(0.0, abs=1e-12)
         assert report.h_x_given_yd == pytest.approx(0.0, abs=1e-12)
 
+    def test_matches_the_per_distance_sums(self):
+        # the (Y, D) cells binned in one pass equal, bit for bit, one
+        # masked column sum per distance d, on dense and sparse joints
+        rng = np.random.default_rng(17)
+        for n in range(2, 9):
+            for zero_frac in (0.0, 0.5):
+                joint = random_channel(rng, 2**n, 2**n, zero_frac).table / 2**n
+                dist = hamming_table(n)
+                p_yd = np.zeros((2**n, n + 1))
+                for d in range(n + 1):
+                    p_yd[:, d] = (joint * (dist == d)).sum(axis=0)
+                expected = _xlog2x_sum(joint.reshape(-1)) - _xlog2x_sum(p_yd.reshape(-1))
+                assert distance_conditioning_check(joint, n).h_x_given_yd == expected
+
     def test_rejects_malformed_joint(self):
         with pytest.raises(ValidationError):
             distance_conditioning_check(np.full((4, 4), 0.1), n=2)
@@ -204,6 +220,20 @@ class TestDistanceConditioning:
         nan_cell[0, 1] = np.nan
         with pytest.raises(ValidationError):
             distance_conditioning_check(nan_cell, n=2)
+
+
+def test_channel_bit_errors():
+    # a channel flipping the low bit with chance 0.25: bit 2 errs 0.25 on
+    # every input, bit 1 never; the table is formed once and read-only
+    flip = np.array([[0.75, 0.25], [0.25, 0.75]])
+    channel = ClassicalChannel(np.kron(np.eye(2), flip))
+    np.testing.assert_array_equal(channel.bit_errors, [[0.0] * 4, [0.25] * 4])
+    assert channel.bit_errors is channel.bit_errors
+    with pytest.raises(ValueError, match="read-only"):
+        channel.bit_errors[0, 0] = 1.0
+    for table in (np.full((2, 4), 0.25), np.full((3, 3), 1 / 3)):
+        with pytest.raises(ValidationError, match="n-bit strings"):
+            ClassicalChannel(table).bit_errors
 
 
 def test_capacity_result_type():
