@@ -44,6 +44,7 @@ from .info import (
     ClassicalChannel,
     binary_entropy,
     distance_conditioning_check,
+    hamming_budget,
     max_channel_capacity,
     max_channel_capacity_lp,
     max_relative_entropy,
@@ -68,7 +69,6 @@ from .qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
-    hamming_budget,
     validate_qrac,
 )
 from .rng import stream

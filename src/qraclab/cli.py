@@ -50,6 +50,7 @@ from .errors import DerandomizationFailedError, DomainError, SizeCapError
 from .info import (
     ClassicalChannel,
     distance_conditioning_check,
+    hamming_budget,
     max_channel_capacity,
     max_channel_capacity_lp,
     qubit_lower_bound,
@@ -64,7 +65,6 @@ from .qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
-    hamming_budget,
     validate_qrac,
 )
 

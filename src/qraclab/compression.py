@@ -30,7 +30,7 @@ from .rng import TAG_ALICE, TAG_BATCH, TAG_BOB, TAG_SHARED, counter_stream, stre
 FAIL_INDEX = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressionScheme:
     """Frozen protocol parameters for one channel: the reference
     distribution ``z``, each input's ratio max_y E(x)(y) / Z(y), c_max and
@@ -48,7 +48,9 @@ class CompressionScheme:
         """Per-input overhead a(x) = log2 max_y E(x)(y) / Z(y), the log of
         ``ratio``, and 0 where the ratio is 0."""
         ratio = self.ratio
-        return np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0.0)
+        a = np.log2(ratio, out=np.zeros_like(ratio), where=ratio > 0.0)
+        a.flags.writeable = False
+        return a
 
     @property
     def index_bits(self) -> int:
@@ -60,16 +62,20 @@ class CompressionScheme:
         """Cumulative reference mass of outcomes 0..K-2: a uniform u in [0, 1)
         samples outcome ``bins.searchsorted(u, "right")``, and the last
         outcome takes whatever rounding leaves of the total."""
-        return np.cumsum(self.z[:-1])
+        bins = np.cumsum(self.z[:-1])
+        bins.flags.writeable = False
+        return bins
 
     @cached_property
     def accept(self) -> np.ndarray:
         """(in, out) table of Alice's chance of accepting draw y on input x:
         E(x)(y) / (2^{a(x)} Z(y)), and 0 where Z(y) = 0."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
+            accept = np.where(
                 self.z > 0.0, self.channel.table / (self.ratio[:, None] * self.z), 0.0
             )
+        accept.flags.writeable = False
+        return accept
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class ProtocolRun:
     message_bits: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactOutput:
     """Closed-form law of the protocol output for one input."""
 
@@ -127,6 +133,7 @@ def build_scheme(channel: ClassicalChannel, eta: float) -> CompressionScheme:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(z > 0.0, table / z, 0.0)
     ratio = ratios.max(axis=1)
+    ratio.flags.writeable = False
     # 2^{c_max} held in linear scale to keep n_cap arithmetic exact
     n_cap = math.ceil(cap.column_max_sum * _log_inverse(eta))
     n_cap = max(n_cap, 1)
@@ -178,6 +185,7 @@ def exact_output_distribution(scheme: CompressionScheme, x: int) -> ExactOutput:
     # each attempt accepts with probability exactly 2^{-a(x)} = 1/ratio
     fail_prob = _fail_chance(scheme.ratio[x], scheme.n_cap)
     dist = (1.0 - fail_prob) * row + fail_prob / k
+    dist.flags.writeable = False
     tv = 0.5 * np.abs(row - 1.0 / k).sum()
     return ExactOutput(dist=dist, fail_prob=float(fail_prob), tv_error=float(fail_prob * tv))
 

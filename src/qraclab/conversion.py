@@ -43,9 +43,10 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
-from .info import ClassicalChannel, max_channel_capacity
+from .info import ClassicalChannel, hamming_budget, max_channel_capacity
+from .linalg import _frozen
 from .pgm import build_pgm
-from .qrac import Ensemble, Qrac, hamming_budget
+from .qrac import Ensemble, Qrac, _check_sizes
 from .rng import TAG_BOB, TAG_ENCODE, TAG_NEWMAN, TAG_SHARED, _Key, stream
 
 RAC_MAX_N = 8
@@ -109,9 +110,7 @@ def _readout_channel(q: Qrac) -> ClassicalChannel:
     if q.n > RAC_MAX_N:
         raise SizeCapError(f"channel table capped at n = {RAC_MAX_N}, got {q.n}")
     table = build_pgm(Ensemble.uniform(q), full_table=True).full.table(q.encoder)
-    if table.min() < -1e-10:
-        raise ValidationError(f"outcome probability {table.min()} below zero")
-    channel = ClassicalChannel(np.clip(table, 0.0, None))
+    channel = ClassicalChannel(table)
     # relabelling permutes the column maxima, so one check covers every shift
     c_max = max_channel_capacity(channel).value
     if c_max > q.m + 1e-9:
@@ -126,6 +125,7 @@ def sample_newman_set(
 ) -> np.ndarray:
     """|S| = ceil(c_newman * n / eta^2) iid uniform (r, d) pairs, sampled with
     replacement, as the rows of a frozen (|S|, 2) int array."""
+    _check_sizes(n)
     _check_eta(eta)
     if not c_newman > 0.0:
         raise DomainError(f"c_newman must be positive, got {c_newman}")
@@ -174,8 +174,9 @@ def verify_no_bad_event(bit_errors: np.ndarray, s_set, eta: float) -> NoBadEvent
     ``s_set`` holds the shifts as (r, d) rows, and 0 < eta < 1.  Every
     error must lie in [0, 1] within 1e-9.
     """
-    _check_eta(eta)
     n = len(bit_errors)
+    _check_sizes(n)
+    _check_eta(eta)
     if bit_errors.shape != (n, 2**n):
         raise ValidationError(f"expected a ({n}, {2**n}) error table, got shape {bit_errors.shape}")
     if not ((bit_errors >= -1e-9) & (bit_errors <= 1.0 + 1e-9)).all():  # NaN fails too
@@ -223,13 +224,13 @@ class _ShiftSchemes(Sequence):
             scheme = self._built[k] = dataclasses.replace(
                 base,
                 channel=ClassicalChannel(base.channel.table[perm][:, perm]),
-                z=base.z[perm],
-                ratio=base.ratio[perm],
+                z=_frozen(base.z[perm]),
+                ratio=_frozen(base.ratio[perm]),
             )
         return scheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RacCodebook:
     """Classical random access code distilled from a quantum one, ``code``.
 
@@ -339,7 +340,7 @@ def build_rac(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RacValidation:
     """Exact per-(x, i) success audit of a codebook."""
 
@@ -372,7 +373,8 @@ def validate_rac(codebook: RacCodebook, q: Qrac) -> RacValidation:
     sc = codebook.scheme
     # a shift relabels the failure chance with its input, like the error table
     fail = _fail_chance(sc.ratio, sc.n_cap)
-    table = shift_average((1.0 - fail) * (1.0 - codebook.bit_errors) + fail * 0.5, codebook.s_set)
+    success = (1.0 - fail) * (1.0 - codebook.bit_errors) + fail * 0.5
+    table = _frozen(shift_average(success, codebook.s_set))
     min_success = float(table.min())
     return RacValidation(
         min_success=min_success,

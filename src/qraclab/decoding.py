@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, LabelMismatchError, ValidationError
-from .linalg import GramPovm
+from .info import hamming_budget
+from .linalg import GramPovm, _frozen
 from .pgm import PgmBundle, _bit_errors, _check_bundle
-from .qrac import Ensemble, Qrac, hamming_budget
+from .qrac import Ensemble, Qrac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HammingReport:
     """Exact error accounting for one (code, prior, measurement) triple."""
 
@@ -39,7 +40,7 @@ def expected_hamming_exact(q: Qrac, ens: Ensemble, pg: PgmBundle) -> HammingRepo
     """Exact per-bit and total Hamming error on ``q``, under the prior of
     ``ens``, of the square-root measurement ``pg``, read from its marginals
     and the ensemble's bit sums.  ``ens`` must hold the code's own states.
-    The reported bound is :func:`~qraclab.qrac.hamming_budget` of the code's
+    The reported bound is :func:`~qraclab.info.hamming_budget` of the code's
     claimed worst-case success.
     """
     if ens.prior.shape != (2**q.n,):
@@ -47,7 +48,7 @@ def expected_hamming_exact(q: Qrac, ens: Ensemble, pg: PgmBundle) -> HammingRepo
     if ens.states is not q.encoder and not np.array_equal(ens.states.factors, q.encoder.factors):
         raise ValidationError("ensemble states differ from the code's encoder")
     _check_bundle(pg, ens)
-    per_bit = _bit_errors(ens, pg.marginals.f0s, slice(None))
+    per_bit = _frozen(_bit_errors(ens, pg.marginals.f0s, slice(None)))
     return HammingReport(
         expected_dh=float(per_bit.sum()),
         per_bit_error=per_bit,

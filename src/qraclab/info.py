@@ -51,7 +51,7 @@ def max_relative_entropy(p, q) -> float:
 # classical channels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalChannel:
     """Row-stochastic table E(x)(y), one row per input symbol."""
 
@@ -95,7 +95,7 @@ class ClassicalChannel:
         return err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxCapacityResult:
     value: float
     sigma: np.ndarray
@@ -110,9 +110,9 @@ def max_channel_capacity(channel: ClassicalChannel) -> MaxCapacityResult:
     """
     g = channel.table.max(axis=0)
     total = g.sum()
-    return MaxCapacityResult(
-        value=float(np.log2(total)), sigma=g / total, column_max_sum=float(total)
-    )
+    sigma = g / total
+    sigma.flags.writeable = False
+    return MaxCapacityResult(value=float(np.log2(total)), sigma=sigma, column_max_sum=float(total))
 
 
 def max_channel_capacity_lp(channel: ClassicalChannel) -> float:
@@ -139,6 +139,17 @@ def max_channel_capacity_lp(channel: ClassicalChannel) -> float:
 # lower bounds on encoding size
 
 
+def hamming_budget(p: float, n: int) -> float:
+    """Expected Hamming error 2p(1-p)n the square-root measurement stays
+    within on an n-bit code of worst-case success p.
+
+    A claim below 1/2 is read as p = 1/2: every encoder is a p = 1/2 code
+    under the coin-flip decoder I/2, so the budget is never below n/2.
+    """
+    p = max(p, 0.5)
+    return 2.0 * p * (1.0 - p) * n
+
+
 @dataclass(frozen=True)
 class QubitLowerBound:
     """Two lower bounds on the qubits needed for worst-case success p.
@@ -157,11 +168,6 @@ def qubit_lower_bound(n: int, p: float) -> QubitLowerBound:
         raise DomainError(f"success probability must lie in (1/2, 1], got {p}")
     if n < 1:
         raise DomainError("n must be positive")
-    # imported on call, so that importing info does not load qrac and linalg
-    # ahead of the rest of the package: that load order moved the
-    # decode_large benchmark's peak RSS up by two 8 MB heap steps
-    from .qrac import hamming_budget
-
     from_hamming = (1.0 - binary_entropy(hamming_budget(p, 1))) * n - math.log2(n + 1)
     from_entropy = (1.0 - binary_entropy(p)) * n
     return QubitLowerBound(from_hamming=from_hamming, from_entropy=from_entropy)

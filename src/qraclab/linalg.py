@@ -305,7 +305,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, with no ``__post_init__`` run: for values their builder has
+    already checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated density matrix: Hermitian, PSD, unit trace."""
 
@@ -314,13 +324,6 @@ class DensityMatrix:
     def __post_init__(self):
         stack, _ = _validated_states(_as_array(self.mat)[None])
         object.__setattr__(self, "mat", stack[0])
-
-    @classmethod
-    def _member(cls, mat: np.ndarray) -> "DensityMatrix":
-        """A member of an already validated stack, not checked again."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "mat", mat)
-        return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,7 +368,7 @@ class GramStates(Sequence):
         return len(self.factors)
 
     def __getitem__(self, x: int) -> DensityMatrix:
-        return DensityMatrix._member(_frozen(gram_dense(self.factors[x][None])[0]))
+        return _unchecked(DensityMatrix, mat=_frozen(gram_dense(self.factors[x][None])[0]))
 
 
 def as_states(states) -> GramStates:
@@ -445,6 +448,7 @@ class BitPovms(Sequence):
         f0s = np.array(self.f0s, dtype=complex)
         if f0s.ndim != 3 or not f0s.size or f0s.shape[1] != f0s.shape[2]:
             raise ValidationError(f"expected an (n, d, d) operator stack, got shape {f0s.shape}")
+        check_dim_cap(f0s.shape[1])
         if not is_hermitian(f0s):
             raise NotHermitianError("measurement element is not Hermitian within tolerance")
         diag = f0s.diagonal(axis1=1, axis2=2)
@@ -471,17 +475,16 @@ class GramPovm:
     element 0 holds nothing more.
 
     Each element is PSD by construction, so validation is the identity sum,
-    one (d, k s)(k s, d) product plus C C^dag.  :meth:`_from_checked` takes
-    factors whose identity sum the caller has checked.  The outcome labels
-    are 0..k-1.  Each of ``elements`` is formed when indexed, and not kept.
+    one (d, k s)(k s, d) product plus C C^dag.  The outcome labels are
+    0..k-1.  Each of ``elements`` is formed when indexed, and not kept.
     """
 
     factors: np.ndarray
     leftover: np.ndarray
 
     def __post_init__(self):
-        factors = np.asarray(self.factors, dtype=complex)
-        leftover = np.asarray(self.leftover, dtype=complex)
+        factors = np.array(self.factors, dtype=complex)
+        leftover = np.array(self.leftover, dtype=complex)
         if factors.ndim != 3 or not len(factors) or not factors.shape[1]:
             raise ValidationError(f"expected a (k, d, s) factor stack, got shape {factors.shape}")
         dim = factors.shape[1]
@@ -492,16 +495,6 @@ class GramPovm:
         _check_identity_sum(rows.T @ rows.conj() + leftover @ leftover.conj().T)
         object.__setattr__(self, "factors", _frozen(factors))
         object.__setattr__(self, "leftover", _frozen(leftover))
-
-    @classmethod
-    def _from_checked(cls, factors: np.ndarray, leftover: np.ndarray) -> "GramPovm":
-        """The measurement of a complex (k, d, s) stack ``factors`` and (d, l)
-        ``leftover`` whose identity sum the caller has checked, not summed
-        again."""
-        povm = object.__new__(cls)
-        object.__setattr__(povm, "factors", _frozen(factors))
-        object.__setattr__(povm, "leftover", _frozen(leftover))
-        return povm
 
     def __len__(self) -> int:
         return len(self.factors)

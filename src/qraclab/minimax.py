@@ -35,9 +35,10 @@ import numpy as np
 
 from .bits import bit_columns
 from .errors import DomainError, LabelMismatchError, SizeCapError
-from .linalg import Povm, argmax_first, gram_dense
+from .info import hamming_budget
+from .linalg import Povm, _frozen, argmax_first, gram_dense
 from .pgm import _pgm_raw
-from .qrac import Qrac, bit_error_table, hamming_budget, weighted_sums
+from .qrac import Qrac, bit_error_table, weighted_sums
 
 SOLVER_MAX_N = 8
 SOLVER_MAX_M = 4
@@ -47,7 +48,7 @@ GAP_SHARE = 0.05
 
 def certificate_ceiling(bound: float, eps: float, n: int) -> float:
     """The worst-case value a certificate must stay within: the 2p(1-p)n
-    ``bound`` of :func:`~qraclab.qrac.hamming_budget` plus ``eps * n``."""
+    ``bound`` of :func:`~qraclab.info.hamming_budget` plus ``eps * n``."""
     return bound + eps * n
 
 
@@ -135,7 +136,7 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
 
     Stops once the worst-case expected distance of the averaged measurement
     is within ``eps * n`` of the 2p(1-p)n bound of
-    :func:`~qraclab.qrac.hamming_budget` and the duality gap is at most
+    :func:`~qraclab.info.hamming_budget` and the duality gap is at most
     ``GAP_SHARE * n``.  The gap is measured against the value of the
     current best-response measurement at the current prior, which the
     average-case theorem keeps at or below the bound at every iteration.
@@ -196,6 +197,6 @@ def solve_worstcase(q: Qrac, eps: float = 0.01, max_iters: int = 2000) -> GameSo
 
     _, t, per_x, avg = best
     return GameSolution(
-        code=q, eps=eps, per_x=per_x, avg_value_at_final_prior=avg, converged=converged,
-        prior_trace=tuple(prior_trace[:t]), priors=np.array(priors[:t]),
+        code=q, eps=eps, per_x=_frozen(per_x), avg_value_at_final_prior=avg, converged=converged,
+        prior_trace=tuple(prior_trace[:t]), priors=_frozen(np.array(priors[:t])),
     )

@@ -61,8 +61,10 @@ from .linalg import (
     BitPovms,
     GramPovm,
     _check_identity_sum,
+    _frozen,
     _hermitize,
     _sqrt_pinv_with_support,
+    _unchecked,
     bit_sums,
 )
 from .qrac import Ensemble
@@ -149,7 +151,8 @@ def _pgm_raw(
     if full_table:
         # the factors' rows a^T (R S)^T in one product
         rows = rows.reshape(size * rank, dim) @ sandwich.T
-        full = GramPovm._from_checked(rows.reshape(size, rank, dim).transpose(0, 2, 1), spill)
+        factors = _frozen(rows.reshape(size, rank, dim).transpose(0, 2, 1))
+        full = _unchecked(GramPovm, factors=factors, leftover=_frozen(spill))
     return _hermitize(sandwich @ zeros @ sandwich.conj().T + extra), full
 
 

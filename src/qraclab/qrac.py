@@ -31,6 +31,7 @@ from .errors import SizeCapError, ValidationError
 from .linalg import (
     BitPovms,
     GramStates,
+    _unchecked,
     as_states,
     bit_sums,
     check_dim_cap,
@@ -47,15 +48,10 @@ P_STANDARD = float(np.cos(np.pi / 8) ** 2)
 TOL_CLAIM = 1e-9
 
 
-def hamming_budget(p: float, n: int) -> float:
-    """Expected Hamming error 2p(1-p)n the square-root measurement stays
-    within on an n-bit code of worst-case success p.
-
-    A claim below 1/2 is read as p = 1/2: every encoder is a p = 1/2 code
-    under the coin-flip decoder I/2, so the budget is never below n/2.
-    """
-    p = max(p, 0.5)
-    return 2.0 * p * (1.0 - p) * n
+def _check_sizes(n: int, m: int = 1) -> None:
+    """The ValidationError of :class:`Qrac` unless n and m are positive."""
+    if n < 1 or m < 1:
+        raise ValidationError("n and m must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,7 @@ class Qrac:
     def _check_shapes(self) -> None:
         """Every check of the constructor but the claim's: sizes, the
         encoder's dimension and the decoders' type, count and dimension."""
-        if self.n < 1 or self.m < 1:
-            raise ValidationError("n and m must be positive")
+        _check_sizes(self.n, self.m)
         check_dim_cap(2**self.m)
         object.__setattr__(self, "encoder", as_states(self.encoder))
         if len(self.encoder) != 2**self.n:
@@ -103,20 +98,6 @@ class Qrac:
             raise ValidationError(f"one decoder per bit required, got {len(self.decoders)}")
         if self.decoders.f0s.shape[1] != dim:
             raise ValidationError("decoder dimension differs from 2^m")
-
-    @classmethod
-    def _known_claim(
-        cls, n: int, m: int, encoder: GramStates, decoders: BitPovms, claimed_p: float
-    ) -> "Qrac":
-        """A code whose builder has proved its claim, as :func:`build_product`
-        does from its factors: checked as the constructor checks it, but
-        with no success-table pass."""
-        q = object.__new__(cls)
-        fields = {"n": n, "m": m, "encoder": encoder, "decoders": decoders, "claimed_p": claimed_p}
-        for name, value in fields.items():
-            object.__setattr__(q, name, value)
-        q._check_shapes()
-        return q
 
     @property
     def dim(self) -> int:
@@ -164,7 +145,7 @@ def weighted_sums(
     return rows, zeros, total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """A prior over n-bit strings paired with the states that encode them.
 
@@ -213,11 +194,11 @@ class Ensemble:
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    """Each row divided by its np.linalg.norm, as from_state_vector divides.
+    """Each row divided by its norm, with the bits a per-row np.linalg.norm
+    gives, so each built state keeps the bits it had when normalized alone.
 
     A row's squared norm is re.re + im.im over its strided real and imaginary
-    views, the ``ddot`` pair that np.linalg.norm runs, here batched over rows
-    so the norms keep their bits."""
+    views, the ``ddot`` pair that np.linalg.norm runs, here batched over rows."""
     re, im = vecs.real, vecs.imag
     sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     return vecs / np.sqrt(sq[:, :, 0])
@@ -239,6 +220,7 @@ def build_standard_2to1() -> Qrac:
 
 def build_identity_encoding(n: int) -> Qrac:
     """n bits into n qubits via computational basis states; decoders read bits off."""
+    _check_sizes(n)
     if n > 10:
         raise SizeCapError(f"identity encoding capped at n = 10, got {n}")
     dim = 2**n
@@ -295,7 +277,11 @@ def build_product(codes) -> Qrac:
         )
         left *= q.dim
     claim = min(q.claimed_p for q in codes)
-    return Qrac._known_claim(n, m, encoder, BitPovms(np.concatenate(f0s)), claim)
+    product = _unchecked(
+        Qrac, n=n, m=m, encoder=encoder, decoders=BitPovms(np.concatenate(f0s)), claimed_p=claim
+    )
+    product._check_shapes()
+    return product
 
 
 def build_tensor_power(base: Qrac, k: int) -> Qrac:
@@ -321,6 +307,7 @@ def build_random_qrac(n: int, m: int, seed: int) -> Qrac:
     object always validates; codes that land at or below 1/2 are still
     returned, with that worst case as their claim.
     """
+    _check_sizes(n, m)
     if n > 12 or m > 6:
         raise SizeCapError(f"random codes capped at n <= 12, m <= 6, got ({n}, {m})")
     dim = 2**m

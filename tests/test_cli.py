@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 import qraclab.conversion as cv
 from qraclab import cli
 from qraclab.cli import UsageError, _check, main, parse_config_file
-from qraclab.info import qubit_lower_bound
-from qraclab.qrac import hamming_budget
+from qraclab.info import hamming_budget, qubit_lower_bound
 from references import count_calls
 
 

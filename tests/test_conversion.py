@@ -290,6 +290,14 @@ class TestEffectiveChannel:
 
 
 class TestNewmanSet:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_refused_before_any_draw(self, monkeypatch, n):
+        calls = Counter()
+        count_calls(monkeypatch, cv, "stream", calls)
+        with pytest.raises(ValidationError, match="n and m must be positive"):
+            cv.sample_newman_set(n, 0.5, seed=0)
+        assert calls == Counter()
+
     def test_size_formula(self):
         s = cv.sample_newman_set(4, eta=0.5, seed=0, c_newman=8)
         assert len(s) == 128
@@ -358,6 +366,13 @@ class TestNewmanSet:
 
 
 class TestBadEventAudit:
+    @pytest.mark.parametrize("shape", [(0, 1), (0,)])
+    def test_table_of_no_bits_refused_without_a_warning(self, shape):
+        # any RuntimeWarning is a test failure, so this also pins that the
+        # empty table's mean is never taken
+        with pytest.raises(ValidationError, match="n and m must be positive"):
+            cv.verify_no_bad_event(np.zeros(shape), [(0, 1)], eta=0.1)
+
     def test_full_set_has_zero_margins(self):
         q = build_random_qrac(2, 2, seed=0)
         all_s = [(r, d) for r in range(4) for d in (1, 2)]

@@ -12,7 +12,7 @@ from qraclab.compression import index_bits_cap
 from qraclab.conversion import message_bits_budget
 from qraclab.decoding import expected_hamming_exact, identification_bound_check
 from qraclab.errors import DimensionMismatchError, DomainError, LabelMismatchError
-from qraclab.info import ClassicalChannel, max_channel_capacity
+from qraclab.info import ClassicalChannel, hamming_budget, max_channel_capacity
 from qraclab.linalg import Povm, gram_dense, trace_table
 from qraclab.minimax import evaluate_worstcase, solve_worstcase
 from qraclab.pgm import build_pgm, per_bit_success, success_prob_full
@@ -22,7 +22,6 @@ from qraclab.qrac import (
     build_random_qrac,
     build_standard_2to1,
     build_tensor_power,
-    hamming_budget,
     success_table,
 )
 

@@ -25,6 +25,7 @@ from qraclab.linalg import (
     GramStates,
     Povm,
     _sqrt_pinv_with_support,
+    _unchecked,
     argmax_first,
     as_states,
     bit_sums,
@@ -589,14 +590,14 @@ class TestGramContainers:
 
     @pytest.mark.parametrize("case", ["valid"])
     def test_povm_from_total_checks_as_the_public_constructor(self, case):
-        """The private constructor, given factors whose identity sum the
+        """The unchecked constructor, given factors whose identity sum the
         caller has checked, holds the measurement the public constructor
         makes of the same factors.  (The name is historical: it was
         ``_from_total``, whose sum check now runs in ``pgm._pgm_raw``.)"""
         vecs = np.eye(3, dtype=complex)[1:, :, None]
         leftover = np.eye(3, dtype=complex)[:, :1]
         np.testing.assert_array_equal(
-            np.stack(GramPovm._from_checked(vecs, leftover).elements),
+            np.stack(_unchecked(GramPovm, factors=vecs, leftover=leftover).elements),
             np.stack(GramPovm(vecs, leftover).elements),
         )
 
@@ -721,6 +722,10 @@ def as_povm(f0):
 
 
 class TestBitPovms:
+    def test_rejects_oversize_as_every_container_does(self):
+        with pytest.raises(SizeCapError, match="dimension 2048 exceeds cap 1024"):
+            BitPovms(np.zeros((1, 2048, 2048)))
+
     @pytest.mark.parametrize("kind", ["hermitian", "below", "above"])
     @pytest.mark.parametrize("where", [0, 2, 4])
     def test_bad_member_raises_as_its_povm(self, kind, where):

@@ -128,6 +128,11 @@ class TestIdentityEncoding:
         with pytest.raises(SizeCapError):
             build_identity_encoding(11)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_refused_as_qrac_refuses_it(self, n):
+        with pytest.raises(ValidationError, match="n and m must be positive"):
+            build_identity_encoding(n)
+
 
 class TestTensorPower:
     def test_k1_reproduces_base(self):
@@ -261,6 +266,14 @@ class TestProduct:
 
 
 class TestRandomQrac:
+    @pytest.mark.parametrize("n, m", [(0, 1), (-1, 1), (1, 0), (2, -1)])
+    def test_nonpositive_sizes_refused_before_any_draw(self, monkeypatch, n, m):
+        calls = Counter()
+        count_calls(monkeypatch, qrac, "stream", calls)
+        with pytest.raises(ValidationError, match="n and m must be positive"):
+            build_random_qrac(n, m, seed=0)
+        assert calls == Counter()
+
     def test_deterministic_in_seed(self):
         a = build_random_qrac(3, 2, seed=11)
         b = build_random_qrac(3, 2, seed=11)
